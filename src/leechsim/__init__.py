@@ -16,7 +16,7 @@ from .geometry import (
     room_distance_to_end,
     wall_contact,
 )
-from .locomotion import LeechState, MotionParams, Trajectory, advance, run_trial
+from .locomotion import MotionParams, Trajectory, run_trial, run_trials
 from .montecarlo import (
     EnsembleStats,
     derive_trial_seed,
@@ -42,12 +42,10 @@ __all__ = [
     "CalibrationResult",
     "EnsembleStats",
     "EnvironmentTemplate",
-    "LeechState",
     "Mode",
     "MotionParams",
     "PowerLawFit",
     "Trajectory",
-    "advance",
     "build_corridor_template",
     "build_square_maze",
     "calibrate_entry_prob",
@@ -60,6 +58,7 @@ __all__ = [
     "room_distance_to_end",
     "run_ensemble",
     "run_trial",
+    "run_trials",
     "time_fractions",
     "visit_frequencies",
     "wall_contact",

@@ -9,8 +9,11 @@ deliberately not a state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
+
+import numpy as np
 
 
 class Mode(IntEnum):
@@ -65,12 +68,34 @@ class AutomatonParams:
             raise ValueError(f"unknown automaton config keys: {sorted(unknown)}")
         defaults = cls()
         return cls(
-            tau_s=int(doc.get("tau_s_ticks", defaults.tau_s)),
-            tau_a=int(doc.get("tau_a_ticks", defaults.tau_a)),
-            a=float(doc.get("p3_a", defaults.a)),
-            b=float(doc.get("p3_b", defaults.b)),
-            tick=float(doc.get("tick_seconds", defaults.tick)),
+            tau_s=config_value(doc, "tau_s_ticks", defaults.tau_s, int),
+            tau_a=config_value(doc, "tau_a_ticks", defaults.tau_a, int),
+            a=config_value(doc, "p3_a", defaults.a, float),
+            b=config_value(doc, "p3_b", defaults.b, float),
+            tick=config_value(doc, "tick_seconds", defaults.tick, float),
         )
+
+
+def config_value(doc: dict, key: str, default, kind: type):
+    """``doc[key]``, or ``default`` when absent, checked to be a ``kind`` value.
+
+    Nothing is coerced: an int must be a JSON integer (not ``true``, ``10.9``
+    or ``"3"``), a float a finite JSON number and a str a JSON string.
+    Raises ValueError naming the key.
+    """
+    value = doc.get(key, default)
+    if kind is str:
+        ok = isinstance(value, str)
+    elif isinstance(value, bool):
+        ok = False
+    elif kind is int:
+        ok = isinstance(value, int)
+    else:
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+    if not ok:
+        raise ValueError(f"config key {key!r} must be of type {kind.__name__}, "
+                         f"got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,42 +156,31 @@ def transition_kernel(
     return (p2, (1.0 - p2) * (1 - m), (1.0 - p2) * m)
 
 
-def _advance_automaton(
-    mode: int, t: int, m: int, q_enter: float, tau_s: int, tau_a: int, u: float
-) -> tuple[int, int]:
-    """Scalar fast path of one automaton step given a uniform draw ``u``.
+def sample_transitions(mode, t, m, q_enter, tau_s: int, tau_a: int, u):
+    """Array sampler: one automaton step per element given uniform draws ``u``.
 
-    Mirrors inverse-CDF sampling over :func:`transition_kernel` in the fixed
-    (Still, Crawl, Explore) order and applies the timer reset rule.  Kept as
-    plain scalars so the locomotion loop can call it per tick cheaply.
+    Element-wise inverse-CDF sampling over :func:`transition_kernel` in the
+    fixed (Still, Crawl, Explore) order, with the same float thresholds, and
+    the timer rule of :func:`step`.  ``mode``, ``t``, ``m`` (0/1), ``q_enter``
+    and ``u`` are equal-length arrays; ``q_enter`` only acts on Crawl.
+    Returns the new (mode, t) arrays.
     """
-    if mode == 0:
-        if not 0 <= t <= tau_s:
-            raise ValueError(f"still timer {t} outside [0, {tau_s}]")
-        p1 = 1.0 / (tau_s - t + 1)
-        if u < 1.0 - p1:
-            new_mode = 0
-        elif u < (1.0 - p1) + 0.5 * p1:
-            new_mode = 1
-        else:
-            new_mode = 2
-    else:
-        if not 0 <= t <= tau_a:
-            raise ValueError(f"active timer {t} outside [0, {tau_a}]")
-        p2 = 1.0 / (tau_a - t + 1)
-        if mode == 1:
-            p_crawl = (1.0 - p2) * (1 - m) * (1.0 - q_enter)
-        else:
-            p_crawl = (1.0 - p2) * (1 - m)
-        if u < p2:
-            new_mode = 0
-        elif u < p2 + p_crawl:
-            new_mode = 1
-        else:
-            new_mode = 2
-    if (mode == 0) != (new_mode == 0):
-        return new_mode, 0
-    return new_mode, t + 1
+    still = mode == 0
+    cap = np.where(still, tau_s, tau_a)
+    bad = (t < 0) | (t > cap)
+    if bad.any():
+        i = int(np.argmax(bad))
+        phase = "still" if still[i] else "active"
+        raise ValueError(f"{phase} timer {t[i]} outside [0, {cap[i]}]")
+    p_exit = 1.0 / (cap - t + 1)
+    p_stay = 1.0 - p_exit
+    # Still row: thresholds 1-p1 and (1-p1)+p1/2; active rows: p2 and
+    # p2 + P(Crawl), where Explore's row is Crawl's with q_enter = 0.
+    p_crawl = p_stay * (1 - m) * (1.0 - np.where(mode == 1, q_enter, 0.0))
+    first = np.where(still, p_stay, p_exit)
+    second = np.where(still, p_stay + 0.5 * p_exit, p_exit + p_crawl)
+    new_mode = 2 - (u < first) - (u < second)
+    return new_mode, np.where(still == (new_mode == 0), t + 1, 0)
 
 
 def step(

@@ -13,13 +13,12 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .automaton import AutomatonParams
+from .automaton import AutomatonParams, config_value
 from .fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
 from .geometry import EnvironmentTemplate, GeometryError, build_corridor_template
 from .locomotion import (
     MotionParams,
     Trajectory,
-    TrajectoryFormatError,
     read_trajectory_csv,
     write_trajectory_csv,
 )
@@ -84,15 +83,14 @@ class EnvironmentConfig:
         if unknown:
             raise ConfigError(f"unknown environment config keys: {sorted(unknown)}")
         defaults = cls()
-        return cls(
-            kind=str(doc.get("kind", defaults.kind)),
-            rooms=int(doc.get("rooms", defaults.rooms)),
-            room_size_mm=float(doc.get("room_size_mm", defaults.room_size_mm)),
-            wall_mm=float(doc.get("wall_mm", defaults.wall_mm)),
-            corridor_width_mm=float(doc.get("corridor_width_mm",
-                                            defaults.corridor_width_mm)),
-            opening_mm=float(doc.get("opening_mm", defaults.opening_mm)),
-        )
+        try:
+            return cls(**{
+                key: config_value(doc, key, getattr(defaults, key),
+                                  type(getattr(defaults, key)))
+                for key in cls._KEYS
+            })
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -136,16 +134,20 @@ class RunConfig:
         unknown = set(doc) - set(cls._KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for section in ("environment", "automaton", "motion"):
+            if not isinstance(doc.get(section, {}), dict):
+                raise ConfigError(f"config key {section!r} must be a JSON object")
         defaults = cls()
         try:
             return cls(
                 environment=EnvironmentConfig.from_dict(doc.get("environment", {})),
                 automaton=AutomatonParams.from_config(doc.get("automaton", {})),
                 motion=MotionParams.from_config(doc.get("motion", {})),
-                n_trials=int(doc.get("n_trials", defaults.n_trials)),
-                duration_ticks=int(doc.get("duration_ticks", defaults.duration_ticks)),
-                base_seed=int(doc.get("base_seed", defaults.base_seed)),
-                out_dir=str(doc.get("out_dir", defaults.out_dir)),
+                n_trials=config_value(doc, "n_trials", defaults.n_trials, int),
+                duration_ticks=config_value(doc, "duration_ticks",
+                                            defaults.duration_ticks, int),
+                base_seed=config_value(doc, "base_seed", defaults.base_seed, int),
+                out_dir=config_value(doc, "out_dir", defaults.out_dir, str),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -217,9 +219,15 @@ def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, list[T
         raise ConfigError(f"no manifest.json in {run_dir}")
     cfg = load_run_config(manifest)
     env = cfg.environment.build()
-    files = sorted(run_dir.glob("trial_*.csv"))
-    if not files:
-        raise TrajectoryFormatError(f"no trial_*.csv files in {run_dir}")
+    files = [run_dir / _trial_csv_name(i) for i in range(cfg.n_trials)]
+    for path in files:
+        if not path.is_file():
+            raise RuntimeError(f"{path}: missing; {manifest} lists "
+                               f"{cfg.n_trials} trials")
+    extra = sorted(set(run_dir.glob("trial_*.csv")) - set(files))
+    if extra:
+        raise RuntimeError(f"{extra[0]}: not one of the {cfg.n_trials} trials "
+                           f"{manifest} lists (stale file from another run?)")
     return cfg, env, [read_trajectory_csv(p, env) for p in files]
 
 

@@ -1,34 +1,52 @@
 """Per-tick kinematics closing the loop between geometry and the automaton.
 
-One tick: move according to the current mode, sense wall contact, compute the
-room-entry trigger, advance the automaton, then apply room entry/exit
-teleports.  Crawling in the corridor is straight-line motion along the
-heading with reflection at the ends; exploration (and crawling inside a room)
-is a random waypoint walk clipped to the containing region.  Room entry is
-trigger-then-teleport through the opening rather than continuous steering.
+One tick of one trial: move according to the current mode, sense wall
+contact, compute the room-entry trigger, advance the automaton, then apply
+room entry/exit teleports.  Crawling in the corridor is straight-line motion
+along the heading with reflection at the ends; exploration (and crawling
+inside a room) is a random waypoint walk clipped to the containing region.
+Room entry is trigger-then-teleport through the opening rather than
+continuous steering.
 
-Everything is deterministic given the rng stream; trials are self-contained
-and safe to run concurrently.
+The kernel, :func:`run_trials`, steps a whole batch of trials in lockstep:
+each tick is computed for every trial at once with masked numpy operations
+over per-trial state arrays, and tick k of trial i is written to column k of
+row i of caller-visible :class:`TrialArrays` (ensembles put these in memory
+shared with their worker processes, see :mod:`leechsim.montecarlo`).
+:func:`run_trial` is a batch of one.
+
+Randomness: trial i owns ``default_rng(seed_i)`` and reads it, in stream
+order, through its own row of a draw buffer and a cursor.  A centered
+release first draws the heading coin; then each tick draws the waypoint
+angle (only when the mode moves randomly), one automaton uniform, and the
+exit-heading coin (only when leaving a room), in that order.  Buffers are
+refilled in blocks; a block draw yields exactly the values of as many single
+draws, so the block width changes no output.  A trial's record therefore
+depends on its seed alone, not on which trials share its batch, which is why
+splitting an ensemble over any number of workers gives identical bytes.
+
+The floats are the ones a scalar evaluation with Python's ``math`` gives:
+angles go through ``math.cos``/``math.sin`` and corner distances through
+``math.hypot`` on just the elements that need them, and everything else is
+IEEE add, multiply, min and max, which numpy rounds identically.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .automaton import AutomatonParams, AutomatonState, Mode, _advance_automaton, p_visit
+from .automaton import AutomatonParams, Mode, config_value, p_visit, sample_transitions
 from .geometry import (
     CORRIDOR,
-    WALL,
     EnvironmentTemplate,
     GeometryError,
-    RegionId,
     locate,
     room_distance_to_end,
-    room_id,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -98,22 +116,12 @@ class MotionParams:
             raise ValueError(f"unknown motion config keys: {sorted(unknown)}")
         defaults = cls()
         return cls(
-            v_crawl=float(doc.get("v_crawl_mm_s", defaults.v_crawl)),
-            v_explore=float(doc.get("v_explore_mm_s", defaults.v_explore)),
-            contact_radius=float(doc.get("contact_radius_mm", defaults.contact_radius)),
-            q_scale=float(doc.get("q_scale", defaults.q_scale)),
+            v_crawl=config_value(doc, "v_crawl_mm_s", defaults.v_crawl, float),
+            v_explore=config_value(doc, "v_explore_mm_s", defaults.v_explore, float),
+            contact_radius=config_value(doc, "contact_radius_mm",
+                                        defaults.contact_radius, float),
+            q_scale=config_value(doc, "q_scale", defaults.q_scale, float),
         )
-
-
-@dataclass(frozen=True)
-class LeechState:
-    """Full agent state for one tick: automaton, senses and pose."""
-
-    automaton: AutomatonState
-    m: int
-    pos: tuple[float, float]
-    heading: tuple[float, float]
-    region: RegionId
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,14 +163,12 @@ def region_label(code: int) -> str:
 
 
 class _SimContext:
-    """Constants precomputed once per (env, motion, auto) for the tick loop."""
+    """Validated constants and lookup tables of one (env, motion, auto) triple.
 
-    __slots__ = (
-        "L", "H", "band_y1", "cor_mid", "room_y1", "r", "v_c", "v_e",
-        "tau_s", "tau_a", "q_scale", "any_q", "rx0", "rx1", "cx",
-        "windows", "spans", "room_gap", "entry_y", "entry_m", "exit_m",
-        "start",
-    )
+    Tables indexed by region code (0 corridor, i room i) give each region's
+    clamp box; tables over the openings, sorted along x, give the gap spans
+    and trigger windows.
+    """
 
     def __init__(self, env: EnvironmentTemplate, motion: MotionParams,
                  auto: AutomatonParams):
@@ -179,8 +185,7 @@ class _SimContext:
         n = env.n_rooms
         self.L = env.interior_width
         self.H = env.interior_height
-        room_rect = env.room_rect(1)
-        self.room_y1 = room_rect[3]
+        self.room_y1 = env.room_rect(1)[3]
         self.band_y1 = self.room_y1 + env.wall_thickness
         self.cor_mid = 0.5 * (self.band_y1 + self.H)
         self.r = motion.contact_radius
@@ -188,239 +193,259 @@ class _SimContext:
         self.v_e = motion.v_explore * auto.tick
         self.tau_s = auto.tau_s
         self.tau_a = auto.tau_a
-        self.q_scale = motion.q_scale
         self.any_q = motion.q_scale > 0.0
         self.start = env.start_point
 
-        rx0, rx1, cx, windows, spans, room_gap = [], [], [], [], [], []
+        rects = [env.room_rect(i) for i in range(1, n + 1)]
+        self.xlo = np.array([0.0] + [rect[0] for rect in rects])
+        self.xhi = np.array([self.L] + [rect[2] for rect in rects])
+        self.ylo = np.array([self.band_y1] + [0.0] * n)
+        self.yhi = np.array([self.H] + [self.room_y1] * n)
+        openings = [env.opening_for_room(i) for i in range(1, n + 1)]
+        self.cx = np.array([math.nan] + [o.center for o in openings])
+
+        # Gap spans along x.  has_l/has_r tell whether a wall corner bounds
+        # the gap on that side: row 0 as seen from the corridor, row 1 from
+        # the gap's own room.
+        spans = sorted((o.span, rect) for o, rect in zip(openings, rects))
+        self.gap_lo = np.array([lo for (lo, _), _ in spans])
+        self.gap_hi = np.array([hi for (_, hi), _ in spans])
+        self.gap_has_l = ([lo > 0.0 for (lo, _), _ in spans],
+                          [lo > rect[0] for (lo, _), rect in spans])
+        self.gap_has_r = ([hi < self.L for (_, hi), _ in spans],
+                          [hi < rect[2] for (_, hi), rect in spans])
+
         half = 0.5 * self.r
-        for i in range(1, n + 1):
-            rect = env.room_rect(i)
-            opening = env.opening_for_room(i)
-            lo, hi = opening.span
-            rx0.append(rect[0])
-            rx1.append(rect[2])
-            cx.append(opening.center)
-            q_room = entry_trigger_probability(
-                room_distance_to_end(env, i), auto, motion.q_scale)
-            windows.append((lo - half, hi + half, q_room, i))
-            spans.append((lo, hi, lo > 0.0, hi < self.L))
-            room_gap.append((lo, hi, lo > rect[0], hi < rect[2]))
-        self.rx0 = tuple(rx0)
-        self.rx1 = tuple(rx1)
-        self.cx = tuple(cx)
-        self.windows = tuple(sorted(windows))
-        self.spans = tuple(sorted(spans))
-        self.room_gap = tuple(room_gap)
+        self.windows = tuple(sorted(
+            (o.span[0] - half, o.span[1] + half,
+             entry_trigger_probability(room_distance_to_end(env, i), auto,
+                                       motion.q_scale), i)
+            for i, o in enumerate(openings, start=1)
+        ))
+        self.win_lo, self.win_hi, self.win_q, self.win_room = (
+            np.array(column) for column in zip(*self.windows))
 
+        # contact bits at the teleport landing points, indexed by room
+        cx = self.cx[1:]
         self.entry_y = self.room_y1 - min(2.0, 0.5 * self.room_y1)
-        self.entry_m = tuple(
-            _contact(self, self.cx[i], self.entry_y, i + 1) for i in range(n)
-        )
-        self.exit_m = tuple(
-            _contact(self, self.cx[i], self.cor_mid, 0) for i in range(n)
-        )
+        entry_m = _contact(self, cx, np.full(n, self.entry_y), np.arange(1, n + 1))
+        exit_m = _contact(self, cx, np.full(n, self.cor_mid), np.zeros(n, np.intp))
+        self.entry_m = np.concatenate(([0], entry_m))
+        self.exit_m = np.concatenate(([0], exit_m))
 
 
-def _contact(ctx: _SimContext, x: float, y: float, region: int) -> int:
-    """Exact mechanoreceptor bit for radius <= wall thickness."""
-    r = ctx.r
-    if region == 0:
-        d = x
-        dd = ctx.L - x
-        if dd < d:
-            d = dd
-        dd = ctx.H - y
-        if dd < d:
-            d = dd
-        dy = y - ctx.band_y1
-        if dy < d:
-            gap = None
-            for lo, hi, has_l, has_r in ctx.spans:
-                if x <= lo:
-                    break
-                if x < hi:
-                    gap = (lo, hi, has_l, has_r)
-                    break
-            if gap is None:
-                d = dy
-            else:
-                lo, hi, has_l, has_r = gap
-                if has_l:
-                    dd = math.hypot(x - lo, dy)
-                    if dd < d:
-                        d = dd
-                if has_r:
-                    dd = math.hypot(hi - x, dy)
-                    if dd < d:
-                        d = dd
-        return 1 if d <= r else 0
+def _contact(ctx: _SimContext, x: np.ndarray, y: np.ndarray,
+             region: np.ndarray) -> np.ndarray:
+    """Mechanoreceptor bits (uint8) at positions in the given regions.
 
-    i = region - 1
-    d = x - ctx.rx0[i]
-    dd = ctx.rx1[i] - x
-    if dd < d:
-        d = dd
-    if y < d:
-        d = y
-    dy = ctx.room_y1 - y
-    if dy < d:
-        lo, hi, has_l, has_r = ctx.room_gap[i]
-        if lo < x < hi:
-            if has_l:
-                dd = math.hypot(x - lo, dy)
-                if dd < d:
-                    d = dd
-            if has_r:
-                dd = math.hypot(hi - x, dy)
-                if dd < d:
-                    d = dd
-        else:
-            d = dy
-    return 1 if d <= r else 0
-
-
-def _tick(ctx, rand, mode, t, x, y, hx, region):
-    """Advance scalars by one tick; returns (mode, t, x, y, hx, region, m).
-
-    Draw order per tick is fixed: waypoint angle (when the mode moves
-    randomly), then the automaton transition, then the exit-heading coin.
+    Exact for radius <= wall thickness: the bit is 1 when a wall of the
+    region's box lies within the radius, or, next to the opening band, when
+    the point is off the gap or within the radius of a corner bounding it.
+    Corner distances use ``math.hypot`` and are evaluated only for points
+    within the radius of the corner on both axes; since hypot(a, b) >=
+    max(|a|, |b|), no other point can be in reach of a corner.
     """
-    # (1) move
-    if mode == 1:  # crawl
-        if region == 0:
-            x += ctx.v_c * hx
-            if x <= 0.0:
-                x = 0.0
-                hx = 1.0
-            elif x >= ctx.L:
-                x = ctx.L
-                hx = -1.0
-        else:
-            ang = rand() * _TWO_PI
-            i = region - 1
-            x = min(max(x + ctx.v_e * math.cos(ang), ctx.rx0[i]), ctx.rx1[i])
-            y = min(max(y + ctx.v_e * math.sin(ang), 0.0), ctx.room_y1)
-    elif mode == 2:  # explore
-        ang = rand() * _TWO_PI
-        nx = x + ctx.v_e * math.cos(ang)
-        ny = y + ctx.v_e * math.sin(ang)
-        if region == 0:
-            x = min(max(nx, 0.0), ctx.L)
-            y = min(max(ny, ctx.band_y1), ctx.H)
-        else:
-            i = region - 1
-            x = min(max(nx, ctx.rx0[i]), ctx.rx1[i])
-            y = min(max(ny, 0.0), ctx.room_y1)
-
-    # (2) sense
-    m = _contact(ctx, x, y, region)
-
-    # (3) entry trigger while crawling over an opening window
-    q = 0.0
-    enter = 0
-    if mode == 1 and region == 0 and ctx.any_q:
-        for w_lo, w_hi, q_room, ridx in ctx.windows:
-            if x < w_lo:
-                break
-            if x <= w_hi:
-                q = q_room
-                enter = ridx
-                break
-
-    # (4) one automaton transition
-    new_mode, t = _advance_automaton(mode, t, m, q, ctx.tau_s, ctx.tau_a, rand())
-
-    # (5) teleports through the opening
-    if enter and new_mode == 2:
-        region = enter
-        i = enter - 1
-        x = ctx.cx[i]
-        y = ctx.entry_y
-        m = ctx.entry_m[i]
-    elif region != 0 and mode == 2 and new_mode == 1:
-        i = region - 1
-        x = ctx.cx[i]
-        y = ctx.cor_mid
-        m = ctx.exit_m[i]
-        region = 0
-        hx = -1.0 if rand() < 0.5 else 1.0
-    return new_mode, t, x, y, hx, region, m
+    r = ctx.r
+    corridor = region == 0
+    far = np.where(corridor, ctx.H - y, y)
+    near = np.where(corridor, y - ctx.band_y1, ctx.room_y1 - y)
+    d = np.minimum(np.minimum(x - ctx.xlo[region], ctx.xhi[region] - x), far)
+    m = (d <= r).view(np.uint8)
+    edge = np.flatnonzero((near <= r) & (d > r))
+    if edge.size:
+        xe = x[edge]
+        gap = np.searchsorted(ctx.gap_hi, xe, side="right")
+        inside = gap < ctx.gap_lo.size
+        inside[inside] = xe[inside] > ctx.gap_lo[gap[inside]]
+        m[edge[~inside]] = 1
+        for b, j in zip(edge[inside].tolist(), gap[inside].tolist()):
+            side = 0 if region[b] == 0 else 1
+            xb, dy = x[b], near[b]
+            lo, hi = ctx.gap_lo[j], ctx.gap_hi[j]
+            if ((ctx.gap_has_l[side][j] and xb - lo <= r
+                 and math.hypot(xb - lo, dy) <= r)
+                    or (ctx.gap_has_r[side][j] and hi - xb <= r
+                        and math.hypot(hi - xb, dy) <= r)):
+                m[b] = 1
+    return m
 
 
-def _init_scalars(ctx, rand):
-    """Release state: crawling from the start point toward the far end."""
-    x, y = ctx.start
-    half = 0.5 * ctx.L
-    if x > half:
-        hx = -1.0
-    elif x < half:
-        hx = 1.0
+_BLOCK = 256  # ticks between refills of the per-trial draw buffers
+
+
+@dataclass(frozen=True)
+class TrialArrays:
+    """Per-tick fields of a batch of trials, one (n_trials, duration) array each.
+
+    Trial i's record is row i of every field; :meth:`trajectories` hands the
+    rows out as views, so nothing is copied.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    regions: np.ndarray
+    modes: np.ndarray
+    ms: np.ndarray
+
+    # widest dtype first, so every field stays aligned inside one buffer
+    _DTYPES = {"xs": np.float64, "ys": np.float64, "regions": np.int16,
+               "modes": np.uint8, "ms": np.uint8}
+
+    @classmethod
+    def allocate(cls, n_trials: int, duration: int) -> "TrialArrays":
+        """Uninitialized fields in one anonymous shared memory mapping.
+
+        Processes forked after the allocation write through to the same
+        pages, so an ensemble's workers can fill their rows in place.
+        """
+        if duration < 1:
+            raise ValueError(f"duration must be >= 1 tick, got {duration}")
+        size = n_trials * duration
+        itemsizes = sum(np.dtype(d).itemsize for d in cls._DTYPES.values())
+        buffer = mmap.mmap(-1, max(size * itemsizes, 1))  # mmap refuses length 0
+        fields, offset = {}, 0
+        for name, dtype in cls._DTYPES.items():
+            fields[name] = np.frombuffer(buffer, dtype, size, offset).reshape(
+                n_trials, duration)
+            offset += fields[name].nbytes
+        return cls(**fields)
+
+    def rows(self, lo: int, hi: int) -> "TrialArrays":
+        return TrialArrays(**{k: getattr(self, k)[lo:hi] for k in self._DTYPES})
+
+    def trajectories(self, env, seeds, trial_ids) -> list[Trajectory]:
+        return [
+            Trajectory(env, tid, seed, self.xs[i], self.ys[i], self.modes[i],
+                       self.regions[i], self.ms[i])
+            for i, (tid, seed) in enumerate(zip(trial_ids, seeds))
+        ]
+
+
+def _simulate(ctx: _SimContext, seeds, out: TrialArrays) -> None:
+    """Run one trial per seed in lockstep, writing tick k into column k of ``out``.
+
+    Trial b reads its uniforms from row b of ``draws`` at cursor ``cur[b]``;
+    a tick consumes at most 3 of them, so refilling every ``_BLOCK`` ticks
+    (unread tail shifted to the front, the rest drawn anew from the trial's
+    own generator) never lets a cursor run off its row.
+    """
+    n, duration = out.xs.shape
+    if n == 0:
+        return
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    width = 3 * _BLOCK + 1  # + the release heading coin
+    draws = np.empty((n, width))
+    for rng, row in zip(rngs, draws):
+        rng.random(out=row)
+    cur = np.zeros(n, dtype=np.intp)
+    trials = np.arange(n)
+
+    # release: crawling from the start point toward the far end
+    x = np.full(n, ctx.start[0])
+    y = np.full(n, ctx.start[1])
+    if ctx.start[0] > 0.5 * ctx.L:
+        hx = np.full(n, -1.0)
+    elif ctx.start[0] < 0.5 * ctx.L:
+        hx = np.full(n, 1.0)
     else:
-        hx = -1.0 if rand() < 0.5 else 1.0
-    return 1, 0, x, y, hx, 0, _contact(ctx, x, y, 0)
+        hx = np.where(draws[:, 0] < 0.5, -1.0, 1.0)
+        cur += 1
+    mode = np.ones(n, dtype=np.intp)
+    t = np.zeros(n, dtype=np.intp)
+    region = np.zeros(n, dtype=np.intp)
+    m = _contact(ctx, x, y, region)
+    fields = (out.xs, out.ys, out.modes, out.regions, out.ms)
+    for field, value in zip(fields, (x, y, mode, region, m)):
+        field[:, 0] = value
+
+    no_trigger = np.zeros(n)
+    for k in range(1, duration):
+        if k > 1 and (k - 1) % _BLOCK == 0:
+            for rng, row, used in zip(rngs, draws, cur.tolist()):
+                row[:width - used] = row[used:]
+                rng.random(out=row[width - used:])
+            cur[:] = 0
+
+        # (1) move: corridor crawl reflects at the ends; other moving
+        # modes take a waypoint step clipped to their region's box
+        corridor = region == 0
+        crawl = (mode == 1) & corridor
+        xc = x + ctx.v_c * hx
+        hx = np.where(crawl & (xc <= 0.0), 1.0,
+                      np.where(crawl & (xc >= ctx.L), -1.0, hx))
+        x = np.where(crawl, np.minimum(np.maximum(xc, 0.0), ctx.L), x)
+        walk = np.flatnonzero((mode != 0) & ~crawl)
+        if walk.size:
+            ang = (draws[walk, cur[walk]] * _TWO_PI).tolist()
+            cur[walk] += 1
+            box = region[walk]
+            nx = x[walk] + ctx.v_e * np.fromiter(map(math.cos, ang), float, walk.size)
+            ny = y[walk] + ctx.v_e * np.fromiter(map(math.sin, ang), float, walk.size)
+            x[walk] = np.minimum(np.maximum(nx, ctx.xlo[box]), ctx.xhi[box])
+            y[walk] = np.minimum(np.maximum(ny, ctx.ylo[box]), ctx.yhi[box])
+
+        # (2) sense
+        m = _contact(ctx, x, y, region)
+
+        # (3) entry trigger while crawling over an opening window
+        q = no_trigger
+        if ctx.any_q:
+            w = np.minimum(np.searchsorted(ctx.win_hi, x), ctx.win_hi.size - 1)
+            over = crawl & (ctx.win_lo[w] <= x) & (x <= ctx.win_hi[w])
+            q = np.where(over, ctx.win_q[w], 0.0)
+
+        # (4) one automaton transition
+        new_mode, t = sample_transitions(mode, t, m, q, ctx.tau_s, ctx.tau_a,
+                                         draws[trials, cur])
+        cur += 1
+
+        # (5) teleports through the opening
+        if ctx.any_q:
+            enter = np.flatnonzero(over & (new_mode == 2))
+            if enter.size:
+                room = ctx.win_room[w[enter]]
+                region[enter] = room
+                x[enter] = ctx.cx[room]
+                y[enter] = ctx.entry_y
+                m[enter] = ctx.entry_m[room]
+        leave = np.flatnonzero(~corridor & (mode == 2) & (new_mode == 1))
+        if leave.size:
+            room = region[leave]
+            x[leave] = ctx.cx[room]
+            y[leave] = ctx.cor_mid
+            m[leave] = ctx.exit_m[room]
+            region[leave] = 0
+            hx[leave] = np.where(draws[leave, cur[leave]] < 0.5, -1.0, 1.0)
+            cur[leave] += 1
+        mode = new_mode
+
+        for field, value in zip(fields, (x, y, mode, region, m)):
+            field[:, k] = value
 
 
-def initial_state(env: EnvironmentTemplate, motion: MotionParams,
-                  auto: AutomatonParams, rng) -> LeechState:
-    """LeechState at release, consuming the heading coin only when centered."""
+def run_trials(env: EnvironmentTemplate, motion: MotionParams,
+               auto: AutomatonParams, seeds, duration: int = 1800,
+               trial_ids=None) -> list[Trajectory]:
+    """Simulate one trial per seed in lockstep; each is bit-reproducible per seed.
+
+    The first record (tick 0) is the release state at the start point, mode
+    Crawl, heading toward the far corridor end; each later record is the
+    state after one more tick.  ``trial_ids`` default to 0, 1, ...  The
+    trajectories are row views of one :class:`TrialArrays`.
+    """
+    seeds = list(seeds)
     ctx = _SimContext(env, motion, auto)
-    mode, t, x, y, hx, region, m = _init_scalars(ctx, rng.random)
-    return LeechState(AutomatonState(Mode(mode), t), m, (x, y), (hx, 0.0), CORRIDOR)
-
-
-def advance(leech: LeechState, env: EnvironmentTemplate, motion: MotionParams,
-            auto: AutomatonParams, rng) -> LeechState:
-    """One tick of the closed loop; pure given the rng stream."""
-    if leech.region == WALL:
-        raise GeometryError("leech state sits in wall material")
-    region = 0 if leech.region == CORRIDOR else leech.region.index
-    mode, t, x, y, hx, region, m = _tick(
-        _SimContext(env, motion, auto), rng.random,
-        int(leech.automaton.mode), leech.automaton.t,
-        leech.pos[0], leech.pos[1], leech.heading[0], region,
-    )
-    if not (0.0 <= x <= env.interior_width and 0.0 <= y <= env.interior_height):
-        raise GeometryError(f"position ({x}, {y}) escaped the interior")
-    rid = CORRIDOR if region == 0 else room_id(region)
-    return LeechState(AutomatonState(Mode(mode), t), m, (x, y), (hx, 0.0), rid)
+    out = TrialArrays.allocate(len(seeds), duration)
+    _simulate(ctx, seeds, out)
+    ids = range(len(seeds)) if trial_ids is None else trial_ids
+    return out.trajectories(env, seeds, ids)
 
 
 def run_trial(env: EnvironmentTemplate, motion: MotionParams,
               auto: AutomatonParams, seed: int, duration: int = 1800,
               trial_id: int = 0) -> Trajectory:
-    """Simulate one trial of ``duration`` ticks; bit-reproducible per seed.
-
-    The first record (tick 0) is the release state at the start point, mode
-    Crawl, heading toward the far corridor end; each later record is the
-    state after one more tick.
-    """
-    if duration < 1:
-        raise ValueError(f"duration must be >= 1 tick, got {duration}")
-    ctx = _SimContext(env, motion, auto)
-    rng = np.random.default_rng(seed)
-    rand = rng.random
-    mode, t, x, y, hx, region, m = _init_scalars(ctx, rand)
-
-    xs = np.empty(duration)
-    ys = np.empty(duration)
-    modes = np.empty(duration, dtype=np.uint8)
-    regions = np.empty(duration, dtype=np.int16)
-    ms = np.empty(duration, dtype=np.uint8)
-    xs[0] = x
-    ys[0] = y
-    modes[0] = mode
-    regions[0] = region
-    ms[0] = m
-    tick = _tick
-    for k in range(1, duration):
-        mode, t, x, y, hx, region, m = tick(ctx, rand, mode, t, x, y, hx, region)
-        xs[k] = x
-        ys[k] = y
-        modes[k] = mode
-        regions[k] = region
-        ms[k] = m
-    return Trajectory(env, trial_id, seed, xs, ys, modes, regions, ms)
+    """One trial: a batch of one for :func:`run_trials`."""
+    return run_trials(env, motion, auto, [seed], duration, [trial_id])[0]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -475,12 +500,19 @@ def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Traject
             raise TrajectoryFormatError(f"{path}:{lineno}: bad mode {parts[4]!r}")
         modes.append(_MODE_CODES[parts[4]])
         regions.append(_region_code(parts[5], path, lineno))
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise TrajectoryFormatError(
+            f"{path}:{row + 2}: non-finite coordinate ({xs[row]}, {ys[row]})")
     return Trajectory(
         env=env,
         trial_id=trial_id,
         seed=0,
-        xs=np.asarray(xs, dtype=float),
-        ys=np.asarray(ys, dtype=float),
+        xs=xs,
+        ys=ys,
         modes=np.asarray(modes, dtype=np.uint8),
         regions=np.asarray(regions, dtype=np.int16),
         ms=np.zeros(len(xs), dtype=np.uint8),

@@ -8,8 +8,8 @@ order-independent.
 
 from __future__ import annotations
 
+import multiprocessing
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +17,15 @@ import numpy as np
 
 from .automaton import AutomatonParams, Mode
 from .geometry import EnvironmentTemplate, room_distance_to_end
-from .locomotion import MotionParams, Trajectory, run_trial
+from .locomotion import (
+    MotionParams,
+    TrialArrays,
+    Trajectory,
+    _SimContext,
+    _simulate,
+    run_trial,  # noqa: F401  (perfbench's tracer wraps montecarlo.run_trial)
+    run_trials,
+)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -45,12 +53,6 @@ class EnsembleStats:
     mode_dwell: dict[Mode, list[int]]
 
 
-def _run_indexed(args) -> Trajectory:
-    env, motion, auto, base_seed, duration, index = args
-    return run_trial(env, motion, auto, derive_trial_seed(base_seed, index),
-                     duration, trial_id=index)
-
-
 def run_ensemble(
     env: EnvironmentTemplate,
     motion: MotionParams,
@@ -60,15 +62,42 @@ def run_ensemble(
     duration: int = 1800,
     workers: int = 1,
 ) -> list[Trajectory]:
-    """Run ``n_trials`` independent trials; identical output for any worker count."""
+    """Run ``n_trials`` independent trials; identical output for any worker count.
+
+    Each of ``min(workers, n_trials)`` workers steps one contiguous slice of
+    the trials in lockstep.  The ensemble's field arrays live in an anonymous
+    shared mapping allocated before the worker processes fork; each fills its
+    rows in place, so no trajectory is pickled back.  The returned
+    trajectories are row views of those arrays.
+    """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    tasks = [(env, motion, auto, base_seed, duration, i) for i in range(n_trials)]
-    if workers <= 1 or n_trials == 1:
-        return [_run_indexed(task) for task in tasks]
-    chunk = max(1, n_trials // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_indexed, tasks, chunksize=chunk))
+    seeds = [derive_trial_seed(base_seed, i) for i in range(n_trials)]
+    n_workers = min(max(workers, 1), n_trials)
+    if n_workers == 1:
+        return run_trials(env, motion, auto, seeds, duration)
+    ctx = _SimContext(env, motion, auto)  # validate before any worker starts
+    out = TrialArrays.allocate(n_trials, duration)
+    # fork, so that the workers inherit the shared mapping
+    fork = multiprocessing.get_context("fork")
+    bounds = [n_trials * w // n_workers for w in range(n_workers + 1)]
+    procs = [fork.Process(target=_simulate, args=(ctx, seeds[lo:hi], out.rows(lo, hi)))
+             for lo, hi in zip(bounds, bounds[1:])]
+    try:
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join()
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+    failed = [proc.exitcode for proc in procs if proc.exitcode != 0]
+    if failed:
+        raise RuntimeError(f"{len(failed)} of {n_workers} trial workers failed "
+                           f"(exit codes {failed})")
+    return out.trajectories(env, seeds, range(n_trials))
 
 
 def _checked_env(trajs: list[Trajectory]) -> EnvironmentTemplate:

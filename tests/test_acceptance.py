@@ -24,7 +24,7 @@ from leechsim.automaton import (
 from leechsim.cli import RunConfig, main
 from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, chi_square, fit_power_law
 from leechsim.geometry import build_corridor_template
-from leechsim.locomotion import MotionParams, run_trial
+from leechsim.locomotion import MotionParams, run_trials
 from leechsim.montecarlo import derive_trial_seed, run_ensemble, time_fractions, visit_frequencies
 from leechsim.trackio import frames_to_trajectory, render_frames, time_color
 
@@ -240,8 +240,8 @@ def test_criterion_9_tracking_round_trip(corridor):
         auto = AutomatonParams()
         motion = MotionParams(q_scale=0.4)
         scale = 2.0
-        for seed in range(50):
-            traj = run_trial(corridor, motion, auto, seed=seed, duration=80)
+        trajs = run_trials(corridor, motion, auto, range(50), duration=80)
+        for seed, traj in enumerate(trajs):
             frames = render_frames(traj, corridor, px_per_mm=scale)
             tracked = frames_to_trajectory(frames, threshold=40,
                                            mm_per_px=1.0 / scale)

@@ -7,10 +7,10 @@ from leechsim.automaton import (
     AutomatonParams,
     AutomatonState,
     Mode,
-    _advance_automaton,
     p_active_exit,
     p_still_exit,
     p_visit,
+    sample_transitions,
     step,
     transition_kernel,
 )
@@ -143,10 +143,11 @@ def _inverse_cdf_reference(state, m, q, auto, u):
     return Mode.EXPLORE
 
 
-def test_scalar_sampler_matches_kernel_inverse_cdf():
-    """The locomotion fast path must land on the same thresholds as step."""
+def test_array_sampler_matches_kernel_inverse_cdf():
+    """The kernel's array sampler must land on the same thresholds as step."""
     auto = AutomatonParams(tau_s=9, tau_a=13)
     us = [0.0, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-12]
+    cases = []
     for mode in Mode:
         cap = auto.tau_s if mode == Mode.STILL else auto.tau_a
         for t in (0, 1, cap // 2, cap):
@@ -155,14 +156,26 @@ def test_scalar_sampler_matches_kernel_inverse_cdf():
                     state = AutomatonState(mode, t)
                     row = transition_kernel(state, m, auto, q)
                     for u in list(us) + [row[0], row[0] + row[1]]:
-                        expect = _inverse_cdf_reference(state, m, q, auto, u)
-                        got, new_t = _advance_automaton(
-                            int(mode), t, m, q, auto.tau_s, auto.tau_a, u)
-                        assert Mode(got) == expect
-                        if (mode == Mode.STILL) != (expect == Mode.STILL):
-                            assert new_t == 0
-                        else:
-                            assert new_t == t + 1
+                        cases.append((mode, t, m, q, u))
+    mode, t, m, q, u = (np.array(column) for column in zip(*cases))
+    got, new_t = sample_transitions(mode, t, m, q, auto.tau_s, auto.tau_a, u)
+    for i, (mode_i, t_i, m_i, q_i, u_i) in enumerate(cases):
+        expect = _inverse_cdf_reference(AutomatonState(mode_i, t_i), m_i, q_i, auto, u_i)
+        assert Mode(int(got[i])) == expect, cases[i]
+        if (mode_i == Mode.STILL) != (expect == Mode.STILL):
+            assert new_t[i] == 0
+        else:
+            assert new_t[i] == t_i + 1
+
+
+def test_array_sampler_rejects_timer_out_of_range(auto):
+    ones = np.ones(2)
+    with pytest.raises(ValueError, match="still timer 601"):
+        sample_transitions(np.array([1, 0]), np.array([0, auto.tau_s + 1]),
+                           ones, ones, auto.tau_s, auto.tau_a, ones)
+    with pytest.raises(ValueError, match="active timer -1"):
+        sample_transitions(np.array([2]), np.array([-1]), ones[:1], ones[:1],
+                           auto.tau_s, auto.tau_a, ones[:1])
 
 
 def test_dwell_bounds_small_caps():
@@ -206,3 +219,12 @@ def test_params_config_round_trip(auto):
 def test_params_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
         AutomatonParams.from_config({"tau_s": 600})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tau_s_ticks", True), ("tau_a_ticks", 10.9), ("tau_s_ticks", "3"),
+    ("p3_a", "0.35"), ("p3_b", None), ("tick_seconds", float("inf")),
+])
+def test_params_config_rejects_coercible_values(key, value):
+    with pytest.raises(ValueError, match=repr(key)):
+        AutomatonParams.from_config({key: value})

@@ -135,6 +135,69 @@ def test_stats_on_malformed_csv_names_file_and_line(tmp_path, capsys):
     assert "trial_0000.csv:4" in err
 
 
+def test_stats_rejects_stale_trial_files(tmp_path, capsys):
+    cfg = _small_config(tmp_path, n_trials=5, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--trials", "3"]) == 0
+    run_dir = tmp_path / "run"
+    assert len(list(run_dir.glob("trial_*.csv"))) == 5
+    assert main(["stats", str(run_dir)]) == 3
+    assert str(run_dir / "trial_0003.csv") in capsys.readouterr().err
+    assert not (run_dir / "visits.csv").exists()
+
+
+def test_stats_rejects_missing_trial_file(tmp_path, capsys):
+    cfg = _small_config(tmp_path, n_trials=3, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    victim = tmp_path / "run" / "trial_0001.csv"
+    victim.unlink()
+    assert main(["stats", str(tmp_path / "run")]) == 3
+    assert str(victim) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_trials", True),
+    ("duration_ticks", 10.9),
+    ("base_seed", "3"),
+    ("out_dir", 7),
+    ("environment.rooms", "3"),
+    ("environment.room_size_mm", True),
+    ("automaton.tau_s_ticks", 600.5),
+    ("automaton.p3_a", "0.35"),
+    ("motion.q_scale", False),
+    ("motion.v_crawl_mm_s", float("nan")),
+])
+def test_config_values_are_not_coerced(tmp_path, capsys, key, value):
+    doc = RunConfig().to_dict()
+    section, _, name = key.rpartition(".")
+    (doc[section] if section else doc)[name] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert repr(name) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_section_must_be_object(tmp_path, capsys):
+    doc = RunConfig().to_dict()
+    doc["motion"] = 5
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "'motion'" in capsys.readouterr().err
+
+
+def test_render_rejects_non_finite_coordinates(tmp_path, capsys):
+    cfg = _small_config(tmp_path, n_trials=1, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    csv = tmp_path / "run" / "trial_0000.csv"
+    lines = csv.read_text().splitlines()
+    lines[5] = "0,4,nan,22.000,CRAWL,C"
+    csv.write_text("\n".join(lines) + "\n")
+    assert main(["render", str(csv), "--out", str(tmp_path / "o.ppm")]) == 3
+    assert "trial_0000.csv:6" in capsys.readouterr().err
+
+
 def test_fit_on_visit_law_sample(tmp_path, capsys):
     stats_csv = tmp_path / "visits.csv"
     rows = ["room,distance_x,visit_freq,time_fraction"]

@@ -3,42 +3,50 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from leechsim.automaton import AutomatonParams, AutomatonState, Mode
+import leechsim.locomotion as locomotion
+from leechsim.automaton import AutomatonParams, Mode
 from leechsim.geometry import CORRIDOR, build_corridor_template, locate, wall_contact
 from leechsim.locomotion import (
-    LeechState,
     MotionParams,
     TrajectoryFormatError,
     _SimContext,
-    advance,
     entry_trigger_probability,
-    initial_state,
     read_trajectory_csv,
     run_trial,
+    run_trials,
     write_trajectory_csv,
 )
 
+# crawl that never stops on its own within a test's duration
+NO_SWITCHING = AutomatonParams(tau_s=10**6, tau_a=10**6)
+
 
 def test_still_leech_does_not_move(env, auto, motion):
-    rng = np.random.default_rng(0)
-    leech = LeechState(AutomatonState(Mode.STILL, 0), 0, (67.0, 22.0), (-1.0, 0.0),
-                       CORRIDOR)
-    for _ in range(10):
-        nxt = advance(leech, env, motion, auto, rng)
-        assert nxt.pos == leech.pos
-        if nxt.automaton.mode != Mode.STILL:
-            break
-        leech = nxt
+    trajs = run_trials(env, motion, auto, range(8), duration=1800)
+    still_ticks = 0
+    for traj in trajs:
+        was_still = np.flatnonzero(traj.modes[:-1] == Mode.STILL) + 1
+        still_ticks += was_still.size
+        assert np.array_equal(traj.xs[was_still], traj.xs[was_still - 1])
+        assert np.array_equal(traj.ys[was_still], traj.ys[was_still - 1])
+    assert still_ticks > 0
 
 
-def test_reflection_at_right_end(env, auto, motion):
-    rng = np.random.default_rng(0)
-    leech = LeechState(AutomatonState(Mode.CRAWL, 0), 0, (133.5, 22.0), (1.0, 0.0),
-                       CORRIDOR)
-    nxt = advance(leech, env, motion, auto, rng)
-    assert nxt.pos[0] == 134.0
-    assert nxt.heading[0] == -1.0
-    assert nxt.m == 1
+def test_reflection_at_right_end(env, motion):
+    # crawling right from 5.5 mm, tick 42 ends at 131.5 (out of contact) and
+    # tick 43's 3 mm step overshoots the right end at 134
+    left_start = replace(env, start_point=(5.5, 22.0))
+    traj = run_trial(left_start, replace(motion, q_scale=0.0), NO_SWITCHING,
+                     seed=0, duration=200)
+    k = int(np.argmax(traj.xs == 134.0))
+    assert k == 43
+    assert traj.xs[k - 1] == 131.5 and traj.modes[k - 1] == Mode.CRAWL
+    assert traj.ms[k] == 1
+    # the heading flipped: the next corridor crawl step moves left
+    crawls = [j for j in range(k + 1, traj.n_ticks)
+              if traj.modes[j - 1] == Mode.CRAWL and traj.regions[j - 1] == 0]
+    assert crawls
+    assert traj.xs[crawls[0]] < traj.xs[crawls[0] - 1]
 
 
 def test_mid_corridor_has_no_trigger_window(env, auto):
@@ -86,22 +94,6 @@ def test_traversal_reaches_far_end_in_42_ticks(env):
     assert arrival in (41, 42)
 
 
-def test_advance_folds_into_run_trial(env, auto, motion):
-    """The public advance wraps the same tick machine run_trial uses."""
-    duration = 400
-    traj = run_trial(env, motion, auto, seed=17, duration=duration)
-    rng = np.random.default_rng(17)
-    leech = initial_state(env, motion, auto, rng)
-    for k in range(duration):
-        if k:
-            leech = advance(leech, env, motion, auto, rng)
-        assert leech.pos == (traj.xs[k], traj.ys[k])
-        assert int(leech.automaton.mode) == traj.modes[k]
-        assert leech.m == traj.ms[k]
-        code = 0 if leech.region == CORRIDOR else leech.region.index
-        assert code == traj.regions[k]
-
-
 def test_positions_never_in_wall(env, auto):
     traj = run_trial(env, MotionParams(q_scale=0.5), auto, seed=23, duration=1500)
     for k in range(traj.n_ticks):
@@ -120,8 +112,7 @@ def test_recorded_m_matches_offline_wall_contact(env, auto, motion):
 
 def test_zero_trigger_scale_never_enters_rooms(env, auto):
     motion = MotionParams(q_scale=0.0)
-    for seed in range(20):
-        traj = run_trial(env, motion, auto, seed=seed, duration=1800)
+    for traj in run_trials(env, motion, auto, range(20), duration=1800):
         assert (traj.regions <= 0).all()
 
 
@@ -129,11 +120,8 @@ def test_every_room_reachable(env, auto):
     """Ergodicity smoke test: 200 trials x 10^4 ticks cover all rooms."""
     motion = MotionParams(q_scale=0.25)
     seen = set()
-    for seed in range(200):
-        traj = run_trial(env, motion, auto, seed=seed, duration=10_000)
+    for traj in run_trials(env, motion, auto, range(200), duration=10_000):
         seen.update(int(r) for r in np.unique(traj.regions) if r > 0)
-        if len(seen) == 8:
-            break
     assert seen == set(range(1, 9))
 
 
@@ -159,11 +147,36 @@ def test_entry_lands_2mm_inside_and_exit_on_centerline(env, auto):
 
 
 def test_initial_heading_points_to_far_end(env, auto, motion):
-    leech = initial_state(env, motion, auto, np.random.default_rng(0))
-    assert leech.heading == (-1.0, 0.0)  # released at the right end
+    traj = run_trial(env, motion, auto, seed=0, duration=2)
+    assert traj.xs[1] < traj.xs[0]  # released at the right end
     left_start = replace(build_corridor_template(), start_point=(4.0, 22.0))
-    leech = initial_state(left_start, motion, auto, np.random.default_rng(0))
-    assert leech.heading == (1.0, 0.0)
+    traj = run_trial(left_start, motion, auto, seed=0, duration=2)
+    assert traj.xs[1] > traj.xs[0]
+
+
+def test_draw_buffer_width_changes_no_output(env, auto, monkeypatch):
+    """Refilling the per-trial draw buffers at any block length is invisible."""
+    motion = MotionParams(q_scale=1.0)
+    center = replace(env, start_point=(env.interior_width / 2, 22.0))
+    reference = run_trials(center, motion, auto, range(6), duration=700)
+    for block in (1, 7):
+        monkeypatch.setattr(locomotion, "_BLOCK", block)
+        for a, b in zip(reference, run_trials(center, motion, auto, range(6),
+                                              duration=700)):
+            for name in ("xs", "ys", "modes", "regions", "ms"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (block, name)
+
+
+def test_batch_rows_equal_single_trials(env, auto):
+    """A trial's record depends only on its seed, not on its batch mates."""
+    motion = MotionParams(q_scale=0.5)
+    batch = run_trials(env, motion, auto, [31, 5, 77], duration=900,
+                       trial_ids=[4, 5, 6])
+    for traj, seed, tid in zip(batch, [31, 5, 77], [4, 5, 6]):
+        single = run_trial(env, motion, auto, seed, duration=900, trial_id=tid)
+        assert (traj.seed, traj.trial_id) == (seed, tid) == (single.seed, single.trial_id)
+        for name in ("xs", "ys", "modes", "regions", "ms"):
+            assert np.array_equal(getattr(traj, name), getattr(single, name)), name
 
 
 def test_contact_radius_above_wall_thickness_rejected(env, auto):
@@ -205,3 +218,13 @@ def test_csv_malformed_names_file_and_line(tmp_path):
     path.write_text("wrong,header\n")
     with pytest.raises(TrajectoryFormatError):
         read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("x,y", [("nan", "22.0"), ("1.0", "inf"), ("-inf", "2.0")])
+def test_csv_rejects_non_finite_coordinates(tmp_path, x, y):
+    path = tmp_path / "bad.csv"
+    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.0,2.0,CRAWL,C\n"
+                    f"0,1,{x},{y},CRAWL,C\n0,2,1.0,2.0,CRAWL,C\n")
+    with pytest.raises(TrajectoryFormatError) as err:
+        read_trajectory_csv(path)
+    assert "bad.csv:3" in str(err.value)

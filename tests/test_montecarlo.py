@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import leechsim.montecarlo as montecarlo
 from leechsim.automaton import Mode
 from leechsim.geometry import build_corridor_template
 from leechsim.locomotion import MotionParams, run_trial
@@ -72,6 +73,15 @@ def test_worker_count_does_not_change_results(env, auto, motion):
         assert np.array_equal(ts.xs, tp.xs)
         assert np.array_equal(ts.ys, tp.ys)
         assert np.array_equal(ts.modes, tp.modes)
+
+
+def test_failed_worker_raises(env, auto, motion, monkeypatch):
+    def out_of_memory(ctx, seeds, out):
+        raise MemoryError("no room for the draw buffers")
+
+    monkeypatch.setattr(montecarlo, "_simulate", out_of_memory)
+    with pytest.raises(RuntimeError, match="2 of 2 trial workers failed"):
+        run_ensemble(env, motion, auto, 4, base_seed=1, duration=10, workers=2)
 
 
 def test_visit_frequencies_counting(env):
