@@ -20,7 +20,7 @@ from pathlib import Path
 
 from leechsim.automaton import AutomatonParams
 from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
-from leechsim.geometry import build_corridor_template
+from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams, write_trajectory_csv
 from leechsim.montecarlo import (
     derive_trial_seed,
@@ -78,7 +78,8 @@ def main(argv=None) -> int:
     write_stats_csv(env, stats, out / "visits.csv")
     write_dwell_csv(stats, out / "dwell.csv")
 
-    points = [(min(r, 9 - r), f) for r, f in stats.visit_freq.items() if f > 0]
+    points = [(room_distance_to_end(env, r), f)
+              for r, f in stats.visit_freq.items() if f > 0]
     fit = fit_power_law(points)
     (out / "fit.json").write_text(json.dumps(
         {"a": fit.a, "b": fit.b, "rss": fit.rss,

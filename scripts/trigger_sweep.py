@@ -2,7 +2,7 @@
 """Sweep the entry-trigger scale and table the resulting visit statistics.
 
 For each q_scale, runs an ensemble and prints the mean visit frequency, the
-distance-grouped frequencies, the log-log exponent refit on the 8 per-room
+distance-grouped frequencies, the log-log exponent refit on the per-room
 frequencies, and the end/innermost time-fraction ratio.  Handy for seeing how
 the exploration statistics respond to the single calibrated knob.
 """
@@ -12,9 +12,17 @@ import sys
 
 from leechsim.automaton import AutomatonParams
 from leechsim.fitstats import fit_power_law
-from leechsim.geometry import build_corridor_template
+from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams
 from leechsim.montecarlo import run_ensemble, time_fractions, visit_frequencies
+
+
+def mean_by_distance(env, per_room: dict[int, float]) -> list[float]:
+    """Mean of the per-room values at each distance to the end, nearest first."""
+    groups: dict[int, list[float]] = {}
+    for room, value in sorted(per_room.items()):
+        groups.setdefault(room_distance_to_end(env, room), []).append(value)
+    return [sum(values) / len(values) for _, values in sorted(groups.items())]
 
 
 def main(argv=None) -> int:
@@ -29,20 +37,22 @@ def main(argv=None) -> int:
 
     env = build_corridor_template()
     auto = AutomatonParams()
-    print("q_scale  mean_f  f(x=1)  f(x=2)  f(x=3)  f(x=4)  exponent  t_ratio")
+    rooms = range(1, env.n_rooms + 1)
+    distances = sorted({room_distance_to_end(env, r) for r in rooms})
+    print("q_scale  mean_f  " + "".join(f"f(x={x})  " for x in distances) +
+          "exponent  t_ratio")
     for q in args.q:
         motion = MotionParams(q_scale=q)
         trajs = run_ensemble(env, motion, auto, args.trials, args.seed,
                              args.duration, workers=args.workers)
         f = visit_frequencies(trajs)
-        grouped = [(f[x] + f[9 - x]) / 2 for x in (1, 2, 3, 4)]
-        mean = sum(f.values()) / 8
+        grouped = mean_by_distance(env, f)
+        mean = sum(f.values()) / len(f)
         b = float("nan")
         if all(v > 0 for v in f.values()):
-            b = fit_power_law([(min(r, 9 - r), f[r]) for r in range(1, 9)]).b
-        tf = time_fractions(trajs)
-        inner = (tf[4] + tf[5]) / 2
-        ratio = (tf[1] + tf[8]) / 2 / inner if inner > 0 else float("inf")
+            b = fit_power_law([(room_distance_to_end(env, r), f[r]) for r in rooms]).b
+        tf = mean_by_distance(env, time_fractions(trajs))
+        ratio = tf[0] / tf[-1] if tf[-1] > 0 else float("inf")
         print(f"{q:7.3f} {mean:7.3f} " +
               " ".join(f"{g:7.3f}" for g in grouped) +
               f" {b:9.3f} {ratio:8.2f}")

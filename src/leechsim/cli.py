@@ -196,12 +196,15 @@ def cmd_simulate(args) -> int:
     cfg = load_run_config(args.config) if args.config else RunConfig()
     cfg = _apply_overrides(cfg, args)
     env = cfg.environment.build()
-    trajs = run_ensemble(env, cfg.motion, cfg.automaton, cfg.n_trials,
-                         cfg.base_seed, cfg.duration_ticks, workers=args.workers)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for traj in trajs:
-        write_trajectory_csv(traj, out / _trial_csv_name(traj.trial_id))
+    # a failed run must not leave an earlier run's manifest vouching for it
+    (out / "manifest.json").unlink(missing_ok=True)
+    # the workers write the trial CSVs; the manifest follows once all succeeded
+    run_ensemble(env, cfg.motion, cfg.automaton, cfg.n_trials, cfg.base_seed,
+                 cfg.duration_ticks, workers=args.workers,
+                 sink=lambda t: write_trajectory_csv(
+                     t, out / _trial_csv_name(t.trial_id)))
     manifest = {
         "config": cfg.to_dict(),
         "seed_derivation": "splitmix64(base_seed, trial_index)",

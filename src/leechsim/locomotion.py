@@ -448,17 +448,32 @@ def run_trial(env: EnvironmentTemplate, motion: MotionParams,
     return run_trials(env, motion, auto, [seed], duration, [trial_id])[0]
 
 
+def _labels(codes: np.ndarray, label) -> list[str]:
+    """``label(code)`` per element, calling ``label`` once per distinct code."""
+    codes = codes.tolist()
+    table = {code: label(code) for code in set(codes)}
+    return [table[code] for code in codes]
+
+
+_CSV_HEADER = "trial_id,tick,x_mm,y_mm,mode,region"
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write ``trial_id,tick,x_mm,y_mm,mode,region`` rows, floats at 3 decimals."""
-    lines = ["trial_id,tick,x_mm,y_mm,mode,region"]
-    tid = traj.trial_id
-    xs, ys, modes, regions = traj.xs, traj.ys, traj.modes, traj.regions
-    for k in range(traj.n_ticks):
-        lines.append(
-            f"{tid},{k},{xs[k]:.3f},{ys[k]:.3f},"
-            f"{mode_label(int(modes[k]))},{region_label(int(regions[k]))}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+    """Write ``trial_id,tick,x_mm,y_mm,mode,region`` rows, floats at 3 decimals.
+
+    The whole file is one ``%`` format over the columns as Python lists,
+    which gives the same bytes as formatting each numpy element on its own.
+    """
+    n = traj.n_ticks
+    fields = [None] * (5 * n)
+    fields[0::5] = range(n)
+    fields[1::5] = traj.xs.tolist()
+    fields[2::5] = traj.ys.tolist()
+    fields[3::5] = _labels(traj.modes, mode_label)
+    fields[4::5] = _labels(traj.regions, region_label)
+    row = f"{traj.trial_id},%d,%.3f,%.3f,%s,%s\n"
+    Path(path).write_text(f"{_CSV_HEADER}\n" + (row * n) % tuple(fields),
+                          newline="\n")
 
 
 _MODE_CODES = {"STILL": 0, "CRAWL": 1, "EXPLORE": 2, "UNKNOWN": MODE_UNKNOWN}
@@ -477,21 +492,35 @@ def _region_code(label: str, path, lineno: int) -> int:
 
 
 def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Trajectory:
-    """Load a trajectory CSV; contact bits are not serialized and read as 0."""
+    """Load a trajectory CSV; contact bits are not serialized and read as 0.
+
+    Ticks must run 0, 1, 2, ... and every row must carry line 2's trial id.
+    """
     text = Path(path).read_text()
     lines = text.splitlines()
-    if not lines or lines[0] != "trial_id,tick,x_mm,y_mm,mode,region":
+    if not lines or lines[0] != _CSV_HEADER:
         raise TrajectoryFormatError(f"{path}:1: bad or missing header")
     if len(lines) < 2:
         raise TrajectoryFormatError(f"{path}:1: no data rows")
+    first_id = lines[1].split(",", 1)[0]
+    try:
+        trial_id = int(first_id)
+    except ValueError as exc:
+        raise TrajectoryFormatError(f"{path}:2: {exc}") from None
     xs, ys, modes, regions = [], [], [], []
-    trial_id = 0
-    for lineno, line in enumerate(lines[1:], start=2):
+    for tick, line in enumerate(lines[1:]):
+        lineno = tick + 2
         parts = line.split(",")
         if len(parts) != 6:
             raise TrajectoryFormatError(f"{path}:{lineno}: expected 6 fields")
+        if parts[0] != first_id:
+            raise TrajectoryFormatError(
+                f"{path}:{lineno}: trial id {parts[0]!r} differs from line 2's "
+                f"{first_id!r}")
+        if parts[1] != str(tick):
+            raise TrajectoryFormatError(
+                f"{path}:{lineno}: tick {parts[1]!r}, expected {tick}")
         try:
-            trial_id = int(parts[0])
             xs.append(float(parts[2]))
             ys.append(float(parts[3]))
         except ValueError as exc:

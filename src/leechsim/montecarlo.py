@@ -9,7 +9,9 @@ order-independent.
 from __future__ import annotations
 
 import multiprocessing
+import sys
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,6 +55,28 @@ class EnsembleStats:
     mode_dwell: dict[Mode, list[int]]
 
 
+_ERROR_BYTES = 1024  # room for a failed worker's exception message
+
+
+def _run_slice(ctx: _SimContext, env: EnvironmentTemplate, seeds, trial_ids,
+               out: TrialArrays, sink, error) -> None:
+    """Worker body: fill ``out`` and sink its trajectories.
+
+    A failure is written to the shared ``error`` buffer as ``Type: message``
+    and ends the process with exit code 1, so the parent can name the cause
+    and no traceback is printed.
+    """
+    try:
+        _simulate(ctx, seeds, out)
+        if sink is not None:
+            for traj in out.trajectories(env, seeds, trial_ids):
+                sink(traj)
+    except Exception as exc:
+        message = f"{type(exc).__name__}: {exc}".encode(errors="replace")
+        error.value = message[:len(error) - 1]
+        sys.exit(1)
+
+
 def run_ensemble(
     env: EnvironmentTemplate,
     motion: MotionParams,
@@ -61,6 +85,7 @@ def run_ensemble(
     base_seed: int,
     duration: int = 1800,
     workers: int = 1,
+    sink: Callable[[Trajectory], None] | None = None,
 ) -> list[Trajectory]:
     """Run ``n_trials`` independent trials; identical output for any worker count.
 
@@ -69,20 +94,33 @@ def run_ensemble(
     shared mapping allocated before the worker processes fork; each fills its
     rows in place, so no trajectory is pickled back.  The returned
     trajectories are row views of those arrays.
+
+    ``sink``, when given, is called once per trajectory by the process that
+    simulated it, right after its slice is done (in this process when one
+    worker runs).  Forked workers inherit it, so it need not pickle.  A
+    failing worker raises ``RuntimeError`` here, carrying its exception's
+    message.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     seeds = [derive_trial_seed(base_seed, i) for i in range(n_trials)]
     n_workers = min(max(workers, 1), n_trials)
     if n_workers == 1:
-        return run_trials(env, motion, auto, seeds, duration)
+        trajs = run_trials(env, motion, auto, seeds, duration)
+        if sink is not None:
+            for traj in trajs:
+                sink(traj)
+        return trajs
     ctx = _SimContext(env, motion, auto)  # validate before any worker starts
     out = TrialArrays.allocate(n_trials, duration)
-    # fork, so that the workers inherit the shared mapping
+    # fork, so that the workers inherit the shared mapping and the sink
     fork = multiprocessing.get_context("fork")
     bounds = [n_trials * w // n_workers for w in range(n_workers + 1)]
-    procs = [fork.Process(target=_simulate, args=(ctx, seeds[lo:hi], out.rows(lo, hi)))
-             for lo, hi in zip(bounds, bounds[1:])]
+    errors = [fork.RawArray("c", _ERROR_BYTES) for _ in range(n_workers)]
+    procs = [fork.Process(target=_run_slice,
+                          args=(ctx, env, seeds[lo:hi], range(lo, hi),
+                                out.rows(lo, hi), sink, error))
+             for lo, hi, error in zip(bounds, bounds[1:], errors)]
     try:
         for proc in procs:
             proc.start()
@@ -93,10 +131,12 @@ def run_ensemble(
             if proc.is_alive():
                 proc.terminate()
                 proc.join()
-    failed = [proc.exitcode for proc in procs if proc.exitcode != 0]
+    failed = [(proc.exitcode, error.value.decode(errors="replace"))
+              for proc, error in zip(procs, errors) if proc.exitcode != 0]
     if failed:
-        raise RuntimeError(f"{len(failed)} of {n_workers} trial workers failed "
-                           f"(exit codes {failed})")
+        causes = "; ".join(message or f"exit code {code}" for code, message in failed)
+        raise RuntimeError(f"{len(failed)} of {n_workers} trial workers failed: "
+                           f"{causes}")
     return out.trajectories(env, seeds, range(n_trials))
 
 

@@ -23,7 +23,7 @@ from leechsim.automaton import (
 )
 from leechsim.cli import RunConfig, main
 from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, chi_square, fit_power_law
-from leechsim.geometry import build_corridor_template
+from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams, run_trials
 from leechsim.montecarlo import derive_trial_seed, run_ensemble, time_fractions, visit_frequencies
 from leechsim.trackio import frames_to_trajectory, render_frames, time_color
@@ -48,6 +48,14 @@ def criterion(number, label):
 @pytest.fixture(scope="module")
 def corridor():
     return build_corridor_template()
+
+
+def _mean_by_distance(env, per_room):
+    """Mean of the per-room values at each distance to the end, nearest first."""
+    groups = {}
+    for room, value in sorted(per_room.items()):
+        groups.setdefault(room_distance_to_end(env, room), []).append(value)
+    return [sum(values) / len(values) for _, values in sorted(groups.items())]
 
 
 @pytest.fixture(scope="module")
@@ -167,19 +175,20 @@ def test_criterion_5_calibration_self_consistency(corridor, calibrated):
         assert result.feasible and result.converged
         freq = result.achieved
         assert visit_frequencies(trajs) == freq  # shared run matches the search
-        refit = fit_power_law([(min(r, 9 - r), freq[r]) for r in range(1, 9)])
+        refit = fit_power_law([(room_distance_to_end(corridor, r), f)
+                               for r, f in sorted(freq.items())])
         assert -0.97 <= refit.b <= -0.67, refit
-        grouped = [(freq[x] + freq[9 - x]) / 2 for x in (1, 2, 3, 4)]
+        grouped = _mean_by_distance(corridor, freq)
         assert all(a > b for a, b in zip(grouped, grouped[1:])), grouped
 
 
-def test_criterion_6_dwell_ratio_direction(calibrated):
+def test_criterion_6_dwell_ratio_direction(corridor, calibrated):
     """End rooms (x=1) hold at least twice the time fraction of x=4 rooms."""
     with criterion(6, "dwell-ratio direction"):
         _, trajs = calibrated
-        frac = time_fractions(trajs)
-        end = (frac[1] + frac[8]) / 2
-        inner = (frac[4] + frac[5]) / 2
+        by_distance = _mean_by_distance(corridor, time_fractions(trajs))
+        end = by_distance[0]
+        inner = by_distance[-1]
         assert inner > 0
         assert end >= 2.0 * inner, (end, inner)
 
@@ -195,7 +204,7 @@ def test_criterion_7_symmetry(corridor):
         trajs = run_ensemble(center, motion, auto, n, base_seed=404, duration=1800)
         freq = visit_frequencies(trajs)
         for i in (1, 2, 3, 4):
-            j = 9 - i
+            j = corridor.n_rooms + 1 - i
             pooled = (freq[i] + freq[j]) / 2
             if pooled == 0.0:
                 continue

@@ -78,6 +78,19 @@ def test_simulate_worker_count_invariant(tmp_path):
         {k: v for k, v in b.items() if k.startswith("trial_")}
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_failed_write_names_path(tmp_path, capfd, workers):
+    cfg = _small_config(tmp_path, n_trials=4)
+    out = tmp_path / "run"
+    (out / "trial_0001.csv").mkdir(parents=True)
+    (out / "manifest.json").write_text("{}")  # an earlier run's
+    assert main(["simulate", "--config", str(cfg), "--workers", workers]) == 3
+    err = capfd.readouterr().err
+    assert "trial_0001.csv" in err and "Is a directory" in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_zero_duration_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json", duration_ticks=0)
     assert main(["simulate", "--config", str(cfg)]) == 2

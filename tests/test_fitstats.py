@@ -8,7 +8,7 @@ from leechsim.fitstats import (
     chi_square,
     fit_power_law,
 )
-from leechsim.geometry import build_corridor_template
+from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams
 from leechsim.montecarlo import run_ensemble, visit_frequencies
 
@@ -120,7 +120,7 @@ def test_zero_trigger_error_equals_sum_of_squared_targets():
     trajs = run_ensemble(env, replace(motion, q_scale=0.0), auto, 30, 8, duration=300)
     freq = visit_frequencies(trajs)
     assert all(v == 0.0 for v in freq.values())
-    targets = {r: 0.35 * min(r, 9 - r) ** -0.82 for r in range(1, 9)}
+    targets = {r: 0.35 * room_distance_to_end(env, r) ** -0.82 for r in freq}
     score = sum((freq[r] - targets[r]) ** 2 for r in targets)
     assert score == pytest.approx(sum(t ** 2 for t in targets.values()))
 

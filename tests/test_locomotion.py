@@ -5,13 +5,23 @@ import pytest
 
 import leechsim.locomotion as locomotion
 from leechsim.automaton import AutomatonParams, Mode
-from leechsim.geometry import CORRIDOR, build_corridor_template, locate, wall_contact
+from leechsim.geometry import (
+    CORRIDOR,
+    build_corridor_template,
+    locate,
+    room_distance_to_end,
+    wall_contact,
+)
 from leechsim.locomotion import (
+    MODE_UNKNOWN,
     MotionParams,
+    Trajectory,
     TrajectoryFormatError,
     _SimContext,
     entry_trigger_probability,
+    mode_label,
     read_trajectory_csv,
+    region_label,
     run_trial,
     run_trials,
     write_trajectory_csv,
@@ -49,6 +59,41 @@ def test_reflection_at_right_end(env, motion):
     assert traj.xs[crawls[0]] < traj.xs[crawls[0] - 1]
 
 
+def test_csv_rejects_ticks_out_of_sequence(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.0,2.0,CRAWL,C\n"
+                    "0,1,1.0,2.0,CRAWL,C\n0,3,1.0,2.0,CRAWL,C\n")
+    with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:4: tick '3'"):
+        read_trajectory_csv(path)
+
+
+def test_csv_rejects_mixed_trial_ids(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n5,0,1.0,2.0,CRAWL,C\n"
+                    "5,1,1.0,2.0,CRAWL,C\n6,2,1.0,2.0,CRAWL,C\n")
+    with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:4: trial id '6'"):
+        read_trajectory_csv(path)
+
+
+def test_csv_writer_matches_per_row_format(tmp_path):
+    """The bulk writer gives the bytes of one f-string per row over numpy scalars."""
+    xs = np.array([-0.0, 0.0005, 2.675, 1e9 + 0.0625, -123456.7895, 0.0015,
+                   -0.0004, 1.0005, 7.5, 60.125, 3.14159])
+    ys = np.array([2.675, -0.0, 1e12 / 3, 0.0005, 0.0025, -2.675, 99.9995,
+                   -1e-9, 44.4445, 0.0, 15.0])
+    modes = np.array([0, 1, 2, MODE_UNKNOWN, 1, 0, 2, 1, MODE_UNKNOWN, 0, 1], np.uint8)
+    regions = np.array([-2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8], np.int16)
+    traj = Trajectory(None, 12, 0, xs, ys, modes, regions, np.zeros(11, np.uint8))
+    path = tmp_path / "trial.csv"
+    write_trajectory_csv(traj, path)
+    expected = ["trial_id,tick,x_mm,y_mm,mode,region"] + [
+        f"12,{k},{xs[k]:.3f},{ys[k]:.3f},"
+        f"{mode_label(int(modes[k]))},{region_label(int(regions[k]))}"
+        for k in range(11)
+    ]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 def test_mid_corridor_has_no_trigger_window(env, auto):
     ctx = _SimContext(env, MotionParams(q_scale=1.0), auto)
     for w_lo, w_hi, _, _ in ctx.windows:
@@ -60,7 +105,7 @@ def test_trigger_windows_follow_visit_law(env, auto):
     ctx = _SimContext(env, motion, auto)
     by_room = {ridx: q for _, _, q, ridx in ctx.windows}
     for room in range(1, 9):
-        x = min(room, 9 - room)
+        x = room_distance_to_end(env, room)
         assert by_room[room] == entry_trigger_probability(x, auto, 0.5)
     assert by_room[1] == by_room[8] > by_room[2] > by_room[3] > by_room[4]
 

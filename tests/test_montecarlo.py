@@ -80,7 +80,8 @@ def test_failed_worker_raises(env, auto, motion, monkeypatch):
         raise MemoryError("no room for the draw buffers")
 
     monkeypatch.setattr(montecarlo, "_simulate", out_of_memory)
-    with pytest.raises(RuntimeError, match="2 of 2 trial workers failed"):
+    with pytest.raises(RuntimeError, match="2 of 2 trial workers failed: "
+                                           "MemoryError: no room for the draw buffers"):
         run_ensemble(env, motion, auto, 4, base_seed=1, duration=10, workers=2)
 
 
