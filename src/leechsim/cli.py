@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -117,6 +118,12 @@ class RunConfig:
             )
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        # the kernel checks this too, but only once a run has begun
+        if self.motion.contact_radius > self.environment.wall_mm:
+            raise ConfigError(
+                f"motion.contact_radius_mm ({self.motion.contact_radius}) must "
+                f"not exceed environment.wall_mm ({self.environment.wall_mm})"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -192,7 +199,13 @@ def _trial_csv_name(index: int) -> str:
     return f"trial_{index:04d}.csv"
 
 
+def _check_workers(args) -> None:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+
+
 def cmd_simulate(args) -> int:
+    _check_workers(args)
     cfg = load_run_config(args.config) if args.config else RunConfig()
     cfg = _apply_overrides(cfg, args)
     env = cfg.environment.build()
@@ -268,6 +281,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    _check_workers(args)
     cfg = load_run_config(args.config) if args.config else RunConfig()
     cfg = _apply_overrides(cfg, args)
     env = cfg.environment.build()
@@ -331,6 +345,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_track(args) -> int:
+    if not (math.isfinite(args.px_per_mm) and args.px_per_mm > 0):
+        raise ConfigError(f"--px-per-mm must be finite and > 0, got {args.px_per_mm}")
     env = None
     if args.manifest:
         env = load_run_config(args.manifest).environment.build()

@@ -103,8 +103,10 @@ def run_ensemble(
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = [derive_trial_seed(base_seed, i) for i in range(n_trials)]
-    n_workers = min(max(workers, 1), n_trials)
+    n_workers = min(workers, n_trials)
     if n_workers == 1:
         trajs = run_trials(env, motion, auto, seeds, duration)
         if sink is not None:

@@ -50,18 +50,40 @@ def blank_frame(width: int, height: int, color=(255, 255, 255)) -> Frame:
     return Frame(width, height, pixels)
 
 
-def extract_dark_pixels(frame: Frame, threshold: int = 40) -> np.ndarray:
-    """(N, 2) array of (x, y) pixel coordinates dark in every channel.
+def _dark_mask(frame: Frame, threshold: int) -> np.ndarray:
+    """(height, width) bool mask of the pixels dark in every channel.
 
     A pixel counts as dark only when max(R, G, B) < threshold, the strictest
-    reading of an RGB darkness cut; results grow monotonically with the
-    threshold.
+    reading of an RGB darkness cut; the mask grows monotonically with the
+    threshold.  The channel maximum takes two elementwise passes over the
+    channel planes, several times cheaper than reducing the length-3 axis.
     """
     if not 1 <= threshold <= 255:
         raise TrackError(f"threshold {threshold} outside [1, 255]")
-    mask = (frame.pixels < threshold).all(axis=2)
-    ys, xs = np.nonzero(mask)
+    p = frame.pixels
+    return np.maximum(np.maximum(p[..., 0], p[..., 1]), p[..., 2]) < threshold
+
+
+def extract_dark_pixels(frame: Frame, threshold: int = 40) -> np.ndarray:
+    """(N, 2) array of (x, y) coordinates of the pixels dark in every channel."""
+    ys, xs = np.nonzero(_dark_mask(frame, threshold))
     return np.stack((xs, ys), axis=1)
+
+
+def _dark_centroid(frame: Frame, threshold: int) -> tuple[float, float] | None:
+    """Mean (x, y) of the dark pixels, or None when there are none.
+
+    Built from the per-column and per-row dark counts; every sum is an exact
+    integer, so the result equals the mean of the coordinate list bit for bit.
+    """
+    mask = _dark_mask(frame, threshold)
+    cols = np.count_nonzero(mask, axis=0)
+    n = int(cols.sum())
+    if n == 0:
+        return None
+    rows = np.count_nonzero(mask, axis=1)
+    return (int(np.arange(cols.size) @ cols) / n,
+            int(np.arange(rows.size) @ rows) / n)
 
 
 def time_color(u: float) -> tuple[int, int, int]:
@@ -221,14 +243,13 @@ def frames_to_trajectory(
                 f"frame {index} is {frame.width}x{frame.height}, "
                 f"expected {size[0]}x{size[1]}"
             )
-        dark = extract_dark_pixels(frame, threshold)
-        if dark.shape[0] == 0:
+        centroid = _dark_centroid(frame, threshold)
+        if centroid is None:
             if prev is None:
                 raise TrackError("no dark pixels in the first frame")
             x_mm, y_mm = prev
         else:
-            cx = float(dark[:, 0].mean())
-            cy = float(dark[:, 1].mean())
+            cx, cy = centroid
             x_mm = round(cx * mm_per_px, 3)
             y_mm = round((frame.height - 1 - cy) * mm_per_px, 3)
         prev = (x_mm, y_mm)

@@ -91,6 +91,23 @@ def test_simulate_failed_write_names_path(tmp_path, capfd, workers):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_workers_below_one_is_config_error(tmp_path, capsys, command, workers):
+    cfg = _small_config(tmp_path)
+    assert main([command, "--config", str(cfg), "--workers", workers]) == 2
+    assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_contact_radius_above_wall_is_config_error(tmp_path, capsys):
+    motion = {**MotionParams().to_config(), "contact_radius_mm": 3.0}
+    cfg = _small_config(tmp_path, motion=motion)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "contact_radius_mm" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_zero_duration_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path / "c.json", duration_ticks=0)
     assert main(["simulate", "--config", str(cfg)]) == 2
@@ -287,6 +304,18 @@ def test_track_round_trip(tmp_path, env, auto):
     assert tracked.n_ticks == 25
     err_px = np.hypot(tracked.xs - traj.xs, tracked.ys - traj.ys) * 2.0
     assert math.sqrt(float(np.mean(err_px ** 2))) <= 1.0
+
+
+@pytest.mark.parametrize("px_per_mm", ["0", "-4", "nan"])
+def test_track_rejects_bad_scale_before_reading_frames(tmp_path, capsys, px_per_mm):
+    # an empty frame directory would be a runtime error (exit 3) once read
+    empty = tmp_path / "frames"
+    empty.mkdir()
+    out = tmp_path / "tracked.csv"
+    assert main(["track", str(empty), "--px-per-mm", px_per_mm,
+                 "--out", str(out)]) == 2
+    assert "--px-per-mm must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_track_empty_dir_is_runtime_error(tmp_path, capsys):

@@ -75,6 +75,12 @@ def test_worker_count_does_not_change_results(env, auto, motion):
         assert np.array_equal(ts.modes, tp.modes)
 
 
+@pytest.mark.parametrize("workers", [0, -5])
+def test_worker_count_below_one_rejected(env, auto, motion, workers):
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        run_ensemble(env, motion, auto, 2, base_seed=1, duration=10, workers=workers)
+
+
 def test_failed_worker_raises(env, auto, motion, monkeypatch):
     def out_of_memory(ctx, seeds, out):
         raise MemoryError("no room for the draw buffers")

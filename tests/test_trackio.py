@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from leechsim.cli import main
 from leechsim.locomotion import MODE_UNKNOWN, MotionParams, run_trial
 from leechsim.trackio import (
     Frame,
@@ -224,3 +227,123 @@ def test_render_frames_walls_not_dark(env, auto, motion):
 def test_read_frame_dir_requires_frames(tmp_path):
     with pytest.raises(TrackError):
         list(read_frame_dir(tmp_path))
+
+
+# --- tracker output pinned against the coordinate-list centroid ---------------
+
+
+def _reference_dark_pixels(frame, threshold):
+    """The tracker's original (x, y) dark-pixel list: every channel below."""
+    ys, xs = np.nonzero((frame.pixels < threshold).all(axis=2))
+    return np.stack((xs, ys), axis=1)
+
+
+def _reference_centroid(frame, threshold):
+    """The tracker's original centroid: mean of the dark-pixel list."""
+    dark = _reference_dark_pixels(frame, threshold)
+    if dark.shape[0] == 0:
+        return None
+    return float(dark[:, 0].mean()), float(dark[:, 1].mean())
+
+
+def _reference_track(frames, threshold, mm_per_px):
+    """(x_mm, y_mm) per frame by the original formula, carrying empty frames."""
+    out, prev = [], None
+    for frame in frames:
+        c = _reference_centroid(frame, threshold)
+        if c is not None:
+            prev = (round(c[0] * mm_per_px, 3),
+                    round((frame.height - 1 - c[1]) * mm_per_px, 3))
+        out.append(prev)
+    return out
+
+
+@st.composite
+def _frames(draw, width=None, height=None):
+    """A frame whose dark set is random, a single pixel, the border, all or none."""
+    width = width or draw(st.integers(1, 24))
+    height = height or draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(["random", "single", "border", "full", "none"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        pixels = rng.integers(0, 256, size=(height, width, 3), dtype=np.uint8)
+    else:
+        pixels = np.full((height, width, 3), 255, dtype=np.uint8)
+        dark = rng.integers(0, 40, size=3, dtype=np.uint8)
+        if kind == "single":
+            y, x = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+            pixels[y, x] = dark
+        elif kind == "border":
+            pixels[[0, -1], :] = dark
+            pixels[:, [0, -1]] = dark
+        elif kind == "full":
+            pixels[:] = dark
+    return Frame(width, height, pixels)
+
+
+_THRESHOLDS = st.one_of(st.sampled_from([1, 255]), st.integers(1, 255))
+
+
+@given(frame=_frames(), threshold=_THRESHOLDS)
+def test_dark_centroid_is_the_coordinate_list_mean(frame, threshold):
+    from leechsim.trackio import _dark_centroid
+
+    assert _dark_centroid(frame, threshold) == _reference_centroid(frame, threshold)
+
+
+@given(data=st.data(), threshold=_THRESHOLDS, mm_per_px=st.floats(0.01, 10.0))
+def test_tracker_matches_reference(data, threshold, mm_per_px):
+    width, height = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 16))
+    frames = data.draw(st.lists(_frames(width, height), min_size=1, max_size=6))
+    for frame in frames:
+        assert np.array_equal(extract_dark_pixels(frame, threshold),
+                              _reference_dark_pixels(frame, threshold))
+    expected = _reference_track(frames, threshold, mm_per_px)
+    if expected[0] is None:
+        with pytest.raises(TrackError):
+            frames_to_trajectory(frames, threshold=threshold, mm_per_px=mm_per_px)
+        return
+    traj = frames_to_trajectory(frames, threshold=threshold, mm_per_px=mm_per_px)
+    assert list(zip(traj.xs.tolist(), traj.ys.tolist())) == expected
+
+
+def _pinned_frames(env):
+    """60 frames of a leech blob sweeping the arena plus dark speckles.
+
+    The speckles make the centroids fractional; some are dark in only one or
+    two channels, which must not count.  Frame 7 is blank, so it carries
+    frame 6's position forward.
+    """
+    from conftest import make_trajectory
+
+    n = 60
+    traj = make_trajectory(env, [0] * n)
+    traj.xs[:] = np.linspace(1.0, env.interior_width - 1.0, n)
+    traj.ys[:] = 13.5 + 12.0 * np.sin(np.arange(n) * 0.7)
+    rng = np.random.default_rng(2015)
+    frames = list(render_frames(traj, env, px_per_mm=2.0))
+    for frame in frames:
+        h, w = frame.pixels.shape[:2]
+        for _ in range(int(rng.integers(0, 12))):
+            frame.pixels[rng.integers(0, h), rng.integers(0, w)] = \
+                rng.integers(0, 80, size=3, dtype=np.uint8)
+    frames[7].pixels[:] = 255
+    return frames
+
+
+# sha256 of `leechsim track` on _pinned_frames, written by the tracker that
+# took the mean of extract_dark_pixels' coordinate list
+PINNED_TRACK_SHA256 = "7aab90a1159e2813f6f2e3264f517534038d0b0a206af2f3939c281ebde55001"
+
+
+def test_track_cli_output_is_pinned(tmp_path, env):
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    for i, frame in enumerate(_pinned_frames(env)):
+        write_ppm(frame_dir / frame_filename(i), frame)
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    out = tmp_path / "tracked.csv"
+    assert main(["track", str(frame_dir), "--threshold", "40", "--px-per-mm", "2",
+                 "--manifest", str(config), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TRACK_SHA256
