@@ -11,7 +11,6 @@ from .automaton import AutomatonParams, AutomatonState, Mode
 from .geometry import (
     EnvironmentTemplate,
     build_corridor_template,
-    build_square_maze,
     locate,
     room_distance_to_end,
     wall_contact,
@@ -47,7 +46,6 @@ __all__ = [
     "PowerLawFit",
     "Trajectory",
     "build_corridor_template",
-    "build_square_maze",
     "calibrate_entry_prob",
     "chi_square",
     "derive_trial_seed",

@@ -24,6 +24,7 @@ from .locomotion import (
     write_trajectory_csv,
 )
 from .montecarlo import (
+    SEED_DERIVATION,
     derive_trial_seed,
     ensemble_stats,
     read_stats_csv,
@@ -160,8 +161,15 @@ class RunConfig:
             raise ConfigError(str(exc)) from None
 
 
+def _trial_seeds(cfg: RunConfig) -> list[int]:
+    return [derive_trial_seed(cfg.base_seed, i) for i in range(cfg.n_trials)]
+
+
 def load_run_config(path) -> RunConfig:
-    """Load a RunConfig from a config file or from a run manifest."""
+    """Load a RunConfig from a config file or from a run manifest.
+
+    A manifest must carry the seed_derivation and trial_seeds simulate writes.
+    """
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -170,11 +178,18 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    if "config" in doc:  # run manifest
-        doc = doc["config"]
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: manifest config must be a JSON object")
-    return RunConfig.from_dict(doc)
+    if "config" not in doc:
+        return RunConfig.from_dict(doc)
+    if not isinstance(doc["config"], dict):
+        raise ConfigError(f"{path}: manifest config must be a JSON object")
+    cfg = RunConfig.from_dict(doc["config"])
+    if doc.get("seed_derivation") != SEED_DERIVATION:
+        raise ConfigError(f"{path}: seed_derivation must be {SEED_DERIVATION!r}")
+    if doc.get("trial_seeds") != _trial_seeds(cfg):
+        raise ConfigError(
+            f"{path}: trial_seeds are not {SEED_DERIVATION} for base_seed "
+            f"{cfg.base_seed} and trial_index 0..{cfg.n_trials - 1}")
+    return cfg
 
 
 def _write_json(doc: dict, path) -> None:
@@ -204,6 +219,11 @@ def _check_workers(args) -> None:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
 
 
+def _check_px_per_mm(args) -> None:
+    if not (math.isfinite(args.px_per_mm) and args.px_per_mm > 0):
+        raise ConfigError(f"--px-per-mm must be finite and > 0, got {args.px_per_mm}")
+
+
 def cmd_simulate(args) -> int:
     _check_workers(args)
     cfg = load_run_config(args.config) if args.config else RunConfig()
@@ -220,9 +240,8 @@ def cmd_simulate(args) -> int:
                      t, out / _trial_csv_name(t.trial_id)))
     manifest = {
         "config": cfg.to_dict(),
-        "seed_derivation": "splitmix64(base_seed, trial_index)",
-        "trial_seeds": [derive_trial_seed(cfg.base_seed, i)
-                        for i in range(cfg.n_trials)],
+        "seed_derivation": SEED_DERIVATION,
+        "trial_seeds": _trial_seeds(cfg),
     }
     _write_json(manifest, out / "manifest.json")
     print(f"wrote {cfg.n_trials} trajectories to {out}")
@@ -327,6 +346,7 @@ def _env_for_trajectory(args, traj_path: Path) -> EnvironmentTemplate:
 
 
 def cmd_render(args) -> int:
+    _check_px_per_mm(args)
     traj_path = Path(args.trajectory_csv)
     env = _env_for_trajectory(args, traj_path)
     traj = read_trajectory_csv(traj_path, env)
@@ -345,8 +365,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_track(args) -> int:
-    if not (math.isfinite(args.px_per_mm) and args.px_per_mm > 0):
-        raise ConfigError(f"--px-per-mm must be finite and > 0, got {args.px_per_mm}")
+    _check_px_per_mm(args)
+    if not 1 <= args.threshold <= 255:
+        raise ConfigError(f"--threshold must lie in [1, 255], got {args.threshold}")
     env = None
     if args.manifest:
         env = load_run_config(args.manifest).environment.build()

@@ -1,15 +1,18 @@
-"""Planar environment templates: a corridor with a row of rooms, and square mazes.
+"""Planar environment template: a corridor with a row of rooms.
 
 Coordinates are millimetres in the template *interior* frame: origin at the
-interior lower-left corner, x to the right, y up.  The corridor template puts
-the rooms along the bottom edge (y = 0), a dividing wall band above them and
+interior lower-left corner, x to the right, y up.  The template puts the
+rooms along the bottom edge (y = 0), a dividing wall band above them and
 the corridor band on top.  Regions are closed axis-aligned rectangles; any
 interior point not covered by a region is wall material.
+
+Regions are integer codes: CORRIDOR (0), room i as i, WALL (-1) and UNKNOWN
+(-2); :func:`region_label` and :func:`region_code` map them to and from the
+file labels ``C``, ``R<i>``, ``W`` and ``UNKNOWN``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -21,76 +24,55 @@ class GeometryError(ValueError):
 Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 Point = tuple[float, float]
 
+CORRIDOR = 0
+WALL = -1
+UNKNOWN = -2
+MAX_ROOM = 32767  # trajectories store region codes as int16
 
-@dataclass(frozen=True, order=True)
-class RegionId:
-    """Identity of an interior region.
+_LABELS = {CORRIDOR: "C", WALL: "W", UNKNOWN: "UNKNOWN"}
+_CODES = {label: code for code, label in _LABELS.items()}
 
-    Ordering is Corridor < Room(1) < Room(2) < ... < Wall, which is also the
-    tie-break order for points lying exactly on a region boundary.
+
+def region_label(code: int) -> str:
+    """The file label of a region code: C, R<i>, W or UNKNOWN."""
+    if 0 < code <= MAX_ROOM:
+        return f"R{code}"
+    try:
+        return _LABELS[code]
+    except KeyError:
+        raise GeometryError(f"no region code {code}") from None
+
+
+def region_code(label: str) -> int:
+    """The region code that :func:`region_label` writes as ``label``.
+
+    Any other label, such as ``R0``, ``R08``, ``R+8`` or a room above
+    MAX_ROOM, raises GeometryError instead of reading as some region.
     """
-
-    rank: int  # 0 corridor, 1 room, 2 wall
-    index: int = 0  # 1-based room/cell number when rank == 1
-
-    @property
-    def is_room(self) -> bool:
-        return self.rank == 1
-
-    @property
-    def label(self) -> str:
-        if self.rank == 0:
-            return "C"
-        if self.rank == 1:
-            return f"R{self.index}"
-        return "W"
-
-
-CORRIDOR = RegionId(0)
-WALL = RegionId(2)
-
-
-def room_id(index: int) -> RegionId:
-    if index < 1:
-        raise GeometryError(f"room index must be >= 1, got {index}")
-    return RegionId(1, index)
-
-
-def parse_region_label(label: str) -> RegionId:
-    if label == "C":
-        return CORRIDOR
-    if label == "W":
-        return WALL
-    if label.startswith("R") and label[1:].isdigit():
-        return room_id(int(label[1:]))
-    raise GeometryError(f"unknown region label {label!r}")
+    code = _CODES.get(label)
+    digits = label[1:]
+    if code is None and digits.isdecimal() and len(digits) <= len(str(MAX_ROOM)):
+        code = int(digits)
+    if code is None or code > MAX_ROOM or region_label(code) != label:
+        raise GeometryError(f"unknown region label {label!r}")
+    return code
 
 
 @dataclass(frozen=True)
 class Region:
-    id: RegionId
+    id: int  # CORRIDOR or a room index
     rect: Rect
 
 
 @dataclass(frozen=True)
 class Opening:
-    """A gap in a wall joining two regions.
+    """The gap in the dividing wall band joining room ``room`` to the corridor.
 
-    ``span`` is the interval the gap occupies along ``axis`` ("x" for a gap in
-    a horizontal wall band, "y" for a vertical one); ``offset`` is where the
-    pierced wall band starts on the perpendicular axis.  ``links`` are the
-    region codes joined, with 0 standing for the corridor.
+    ``span`` is the x-interval the gap occupies.
     """
 
     room: int
     span: tuple[float, float]
-    axis: str = "x"
-    offset: float = 0.0
-    links: tuple[int, int] = (0, 0)
-
-    @property
-    def width(self) -> float:
-        return self.span[1] - self.span[0]
 
     @property
     def center(self) -> float:
@@ -101,7 +83,6 @@ class Opening:
 class EnvironmentTemplate:
     """Immutable wall/region layout; safe to share across trial workers."""
 
-    kind: str  # "corridor" | "maze"
     interior_width: float
     interior_height: float
     regions: tuple[Region, ...]
@@ -112,11 +93,11 @@ class EnvironmentTemplate:
 
     @property
     def n_rooms(self) -> int:
-        return sum(1 for r in self.regions if r.id.is_room)
+        return sum(1 for r in self.regions if r.id > 0)
 
     def room_rect(self, index: int) -> Rect:
         for r in self.regions:
-            if r.id == RegionId(1, index):
+            if r.id == index and index > 0:
                 return r.rect
         raise GeometryError(f"no room {index} in template")
 
@@ -143,8 +124,8 @@ def build_corridor_template(
     corridor through an opening centered on the room's x-extent.  The start
     point sits 4 mm from the right interior wall at corridor mid-height.
     """
-    if rooms < 1:
-        raise GeometryError(f"need at least one room, got {rooms}")
+    if not 1 <= rooms <= MAX_ROOM:
+        raise GeometryError(f"rooms must lie in [1, {MAX_ROOM}], got {rooms}")
     for name, v in (("room_size", room_size), ("wall", wall),
                     ("corridor_width", corridor_width), ("opening", opening)):
         if v <= 0:
@@ -163,15 +144,9 @@ def build_corridor_template(
     pitch = room_size + wall
     for i in range(1, rooms + 1):
         x0 = (i - 1) * pitch
-        regions.append(Region(room_id(i), (x0, 0.0, x0 + room_size, room_size)))
+        regions.append(Region(i, (x0, 0.0, x0 + room_size, room_size)))
         cx = x0 + room_size / 2.0
-        openings.append(Opening(
-            room=i,
-            span=(cx - opening / 2.0, cx + opening / 2.0),
-            axis="x",
-            offset=band_y0,
-            links=(0, i),
-        ))
+        openings.append(Opening(room=i, span=(cx - opening / 2.0, cx + opening / 2.0)))
 
     wall_rects: list[Rect] = []
     for i in range(1, rooms):  # blocks between adjacent rooms
@@ -187,7 +162,6 @@ def build_corridor_template(
 
     start = (length - min(4.0, length / 2.0), band_y1 + corridor_width / 2.0)
     return EnvironmentTemplate(
-        kind="corridor",
         interior_width=length,
         interior_height=height,
         regions=tuple(regions),
@@ -198,119 +172,13 @@ def build_corridor_template(
     )
 
 
-def maze_wall_slots(cells: int) -> int:
-    """Number of interior wall slots in a cells x cells maze (mask bit count)."""
-    return 2 * cells * (cells - 1)
+def locate(env: EnvironmentTemplate, p: Point) -> int:
+    """Map an interior point to its region code; ties go to the scan order.
 
-
-def build_square_maze(
-    cells: int,
-    cell_size: float = 20.0,
-    wall: float = 2.0,
-    wall_mask: int = 0,
-) -> EnvironmentTemplate:
-    """Build an n x n grid maze; cells are rooms, absent walls are openings.
-
-    ``wall_mask`` is a bitset over interior wall slots, 1 = wall present.
-    Slots are numbered vertical walls first (between (r,c) and (r,c+1), row
-    major, r in 0..n-1, c in 0..n-2), then horizontal walls (between (r,c)
-    and (r+1,c), row major).  Cell (r,c) is room ``r*n + c + 1``; row 0 is at
-    the bottom.  Raises if the resulting cell graph is disconnected.
-    """
-    if cells < 1:
-        raise GeometryError(f"need at least one cell, got {cells}")
-    if cell_size <= 0 or wall <= 0:
-        raise GeometryError("cell_size and wall must be > 0")
-    n_slots = maze_wall_slots(cells)
-    if wall_mask < 0 or wall_mask >= (1 << n_slots):
-        raise GeometryError(f"wall_mask needs exactly {n_slots} bits")
-
-    n = cells
-    pitch = cell_size + wall
-    side = n * cell_size + (n - 1) * wall
-
-    def cell_idx(r: int, c: int) -> int:
-        return r * n + c + 1
-
-    def vbit(r: int, c: int) -> int:  # wall right of (r, c)
-        return (wall_mask >> (r * (n - 1) + c)) & 1
-
-    def hbit(r: int, c: int) -> int:  # wall above (r, c)
-        return (wall_mask >> (n * (n - 1) + r * n + c)) & 1
-
-    regions = []
-    for r in range(n):
-        for c in range(n):
-            x0, y0 = c * pitch, r * pitch
-            regions.append(Region(room_id(cell_idx(r, c)),
-                                  (x0, y0, x0 + cell_size, y0 + cell_size)))
-
-    openings: list[Opening] = []
-    wall_rects: list[Rect] = []
-    for r in range(n):
-        for c in range(n - 1):
-            x0 = c * pitch + cell_size
-            y0 = r * pitch
-            a, b = cell_idx(r, c), cell_idx(r, c + 1)
-            if vbit(r, c):
-                wall_rects.append((x0, y0, x0 + wall, y0 + cell_size))
-            else:
-                openings.append(Opening(room=a, span=(y0, y0 + cell_size),
-                                        axis="y", offset=x0, links=(a, b)))
-    for r in range(n - 1):
-        for c in range(n):
-            x0 = c * pitch
-            y0 = r * pitch + cell_size
-            a, b = cell_idx(r, c), cell_idx(r + 1, c)
-            if hbit(r, c):
-                wall_rects.append((x0, y0, x0 + cell_size, y0 + wall))
-            else:
-                openings.append(Opening(room=a, span=(x0, x0 + cell_size),
-                                        axis="x", offset=y0, links=(a, b)))
-    # corner posts, kept only where some incident wall panel exists
-    for r in range(n - 1):
-        for c in range(n - 1):
-            incident = (vbit(r, c) or vbit(r + 1, c) or hbit(r, c) or hbit(r, c + 1))
-            if incident:
-                x0 = c * pitch + cell_size
-                y0 = r * pitch + cell_size
-                wall_rects.append((x0, y0, x0 + wall, y0 + wall))
-
-    # connectivity over the cell graph
-    adj: dict[int, list[int]] = {cell_idx(r, c): [] for r in range(n) for c in range(n)}
-    for o in openings:
-        a, b = o.links
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {1}
-    stack = [1]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != n * n:
-        raise GeometryError("maze is disconnected under the given wall_mask")
-
-    start = (cell_size / 2.0, cell_size / 2.0)
-    return EnvironmentTemplate(
-        kind="maze",
-        interior_width=side,
-        interior_height=side,
-        regions=tuple(regions),
-        openings=tuple(openings),
-        start_point=start,
-        wall_rects=tuple(wall_rects),
-        wall_thickness=wall,
-    )
-
-
-def locate(env: EnvironmentTemplate, p: Point) -> RegionId:
-    """Map an interior point to its region; boundary ties go to the lowest id.
-
-    Regions are scanned in id order with closed rectangles, so a point on a
-    shared boundary resolves to Corridor before any room, and to a room
-    before Wall.  Points outside the interior raise GeometryError.
+    Regions are scanned corridor first, then rooms by index, with closed
+    rectangles, so a point on a shared boundary resolves to the corridor
+    before any room, and to the lower room before a higher one; a point no
+    region covers is WALL.  Points outside the interior raise GeometryError.
     """
     x, y = p
     if not (0.0 <= x <= env.interior_width and 0.0 <= y <= env.interior_height):
@@ -328,8 +196,6 @@ def room_distance_to_end(env: EnvironmentTemplate, room: int) -> int:
     For room i of R rooms this is min(i, R+1-i): 1 for the end rooms, rising
     toward the middle.
     """
-    if env.kind != "corridor":
-        raise GeometryError("room distances are defined for corridor templates")
     n = env.n_rooms
     if not 1 <= room <= n:
         raise GeometryError(f"room {room} out of range 1..{n}")
@@ -363,30 +229,3 @@ def wall_contact(env: EnvironmentTemplate, p: Point, radius: float = 1.0) -> int
     if not (0.0 <= x <= env.interior_width and 0.0 <= y <= env.interior_height):
         raise GeometryError(f"point {p} outside interior")
     return 1 if wall_distance(env, p) <= radius else 0
-
-
-def _r3(v: float) -> float:
-    return round(v + 0.0, 3)
-
-
-def env_to_json(env: EnvironmentTemplate) -> str:
-    """Serialize the template layout as JSON (mm, 3 decimal places)."""
-    doc = {
-        "interior": [_r3(env.interior_width), _r3(env.interior_height)],
-        "regions": [
-            {"id": r.id.label, "rect": [_r3(v) for v in r.rect]}
-            for r in env.regions
-        ],
-        "openings": [
-            {
-                "room": o.room,
-                "span": [_r3(o.span[0]), _r3(o.span[1])],
-                "axis": o.axis,
-                "offset": _r3(o.offset),
-                "links": list(o.links),
-            }
-            for o in env.openings
-        ],
-        "start": [_r3(env.start_point[0]), _r3(env.start_point[1])],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

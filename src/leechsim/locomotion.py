@@ -46,14 +46,14 @@ from .geometry import (
     EnvironmentTemplate,
     GeometryError,
     locate,
+    region_code,
+    region_label,
     room_distance_to_end,
 )
 
 _TWO_PI = 2.0 * math.pi
 
 MODE_UNKNOWN = 255  # mode code for tracked trajectories without mode labels
-REGION_WALL = -1
-REGION_UNKNOWN = -2
 
 
 class TrajectoryFormatError(ValueError):
@@ -128,8 +128,8 @@ class MotionParams:
 class Trajectory:
     """Per-tick record of one trial, stored as parallel arrays.
 
-    ``regions`` uses integer codes: 0 for the corridor, i for room i, -1 for
-    wall (never produced by simulation), -2 for unknown (tracked data).
+    ``regions`` holds :mod:`leechsim.geometry` region codes; simulation never
+    produces WALL, and UNKNOWN marks tracked data.
     ``ms`` carries the mechanoreceptor bit so the closed loop can be audited
     offline; it is not part of the CSV format.
     """
@@ -154,14 +154,6 @@ def mode_label(code: int) -> str:
     return Mode(code).name
 
 
-def region_label(code: int) -> str:
-    if code == 0:
-        return "C"
-    if code > 0:
-        return f"R{code}"
-    return "W" if code == REGION_WALL else "UNKNOWN"
-
-
 class _SimContext:
     """Validated constants and lookup tables of one (env, motion, auto) triple.
 
@@ -172,8 +164,6 @@ class _SimContext:
 
     def __init__(self, env: EnvironmentTemplate, motion: MotionParams,
                  auto: AutomatonParams):
-        if env.kind != "corridor":
-            raise GeometryError("simulation requires a corridor template")
         if motion.contact_radius > env.wall_thickness:
             raise ValueError(
                 "contact_radius must not exceed the wall thickness "
@@ -479,22 +469,24 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 _MODE_CODES = {"STILL": 0, "CRAWL": 1, "EXPLORE": 2, "UNKNOWN": MODE_UNKNOWN}
 
 
-def _region_code(label: str, path, lineno: int) -> int:
-    if label == "C":
-        return 0
-    if label.startswith("R") and label[1:].isdigit():
-        return int(label[1:])
-    if label == "W":
-        return REGION_WALL
-    if label == "UNKNOWN":
-        return REGION_UNKNOWN
-    raise TrajectoryFormatError(f"{path}:{lineno}: bad region {label!r}")
+def _region(label: str, env: EnvironmentTemplate | None, path, lineno: int) -> int:
+    try:
+        code = region_code(label)
+    except GeometryError:
+        raise TrajectoryFormatError(f"{path}:{lineno}: bad region {label!r}") from None
+    if env is not None and code > env.n_rooms:
+        raise TrajectoryFormatError(
+            f"{path}:{lineno}: region {label!r}, but the template has "
+            f"{env.n_rooms} rooms")
+    return code
 
 
 def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Trajectory:
     """Load a trajectory CSV; contact bits are not serialized and read as 0.
 
     Ticks must run 0, 1, 2, ... and every row must carry line 2's trial id.
+    Regions must be labels :func:`~leechsim.geometry.region_label` writes,
+    and with a template given, rooms it has.
     """
     text = Path(path).read_text()
     lines = text.splitlines()
@@ -508,6 +500,7 @@ def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Traject
     except ValueError as exc:
         raise TrajectoryFormatError(f"{path}:2: {exc}") from None
     xs, ys, modes, regions = [], [], [], []
+    region_codes = {}  # label -> code, checked once per distinct label
     for tick, line in enumerate(lines[1:]):
         lineno = tick + 2
         parts = line.split(",")
@@ -528,7 +521,10 @@ def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Traject
         if parts[4] not in _MODE_CODES:
             raise TrajectoryFormatError(f"{path}:{lineno}: bad mode {parts[4]!r}")
         modes.append(_MODE_CODES[parts[4]])
-        regions.append(_region_code(parts[5], path, lineno))
+        code = region_codes.get(parts[5])
+        if code is None:
+            code = region_codes[parts[5]] = _region(parts[5], env, path, lineno)
+        regions.append(code)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     finite = np.isfinite(xs) & np.isfinite(ys)

@@ -12,14 +12,15 @@ projection flips y.  Trackers undo the flip using the frame height.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import CORRIDOR, WALL, EnvironmentTemplate, GeometryError, locate
-from .locomotion import MODE_UNKNOWN, REGION_UNKNOWN, REGION_WALL, Trajectory
+from .geometry import UNKNOWN, EnvironmentTemplate, GeometryError, locate
+from .locomotion import MODE_UNKNOWN, Trajectory
 
 
 class TrackError(ValueError):
@@ -100,8 +101,8 @@ class _Projection:
     """mm-to-pixel mapping shared by the renderers and trackers."""
 
     def __init__(self, env: EnvironmentTemplate, px_per_mm: float):
-        if px_per_mm <= 0:
-            raise TrackError("px_per_mm must be > 0")
+        if not (math.isfinite(px_per_mm) and px_per_mm > 0):
+            raise TrackError(f"px_per_mm must be finite and > 0, got {px_per_mm}")
         self.scale = px_per_mm
         self.width = int(round(env.interior_width * px_per_mm)) + 1
         self.height = int(round(env.interior_height * px_per_mm)) + 1
@@ -273,16 +274,11 @@ def frames_to_trajectory(
 
 def _located_region(env, x: float, y: float) -> int:
     if env is None:
-        return REGION_UNKNOWN
+        return UNKNOWN
     try:
-        rid = locate(env, (x, y))
+        return locate(env, (x, y))
     except GeometryError:
-        return REGION_UNKNOWN
-    if rid == CORRIDOR:
-        return 0
-    if rid == WALL:
-        return REGION_WALL
-    return rid.index
+        return UNKNOWN
 
 
 def write_ppm(path, frame: Frame) -> None:

@@ -165,6 +165,40 @@ def test_stats_on_malformed_csv_names_file_and_line(tmp_path, capsys):
     assert "trial_0000.csv:4" in err
 
 
+def test_stats_rejects_room_the_template_lacks(tmp_path, capsys):
+    cfg = _small_config(tmp_path, n_trials=1, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    victim = tmp_path / "run" / "trial_0000.csv"
+    lines = victim.read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",R9"
+    victim.write_text("\n".join(lines) + "\n")
+    assert main(["stats", str(tmp_path / "run")]) == 3
+    assert "trial_0000.csv:5: region 'R9'" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "visits.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "simulate"])
+@pytest.mark.parametrize("damage", ["edit_seed", "drop_seeds", "derivation"])
+def test_manifest_seeds_must_match_config(tmp_path, capsys, command, damage):
+    cfg = _small_config(tmp_path, n_trials=3, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    manifest = tmp_path / "run" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    if damage == "edit_seed":
+        doc["trial_seeds"][1] += 1
+    elif damage == "drop_seeds":
+        del doc["trial_seeds"]
+    else:
+        doc["seed_derivation"] = "splitmix64(trial_index, base_seed)"
+    manifest.write_text(json.dumps(doc))
+    argv = (["stats", str(tmp_path / "run")] if command == "stats" else
+            ["simulate", "--config", str(manifest), "--out", str(tmp_path / "replay")])
+    assert main(argv) == 2
+    assert str(manifest) in capsys.readouterr().err
+    assert not (tmp_path / "run" / "visits.csv").exists()
+    assert not (tmp_path / "replay").exists()
+
+
 def test_stats_rejects_stale_trial_files(tmp_path, capsys):
     cfg = _small_config(tmp_path, n_trials=5, duration_ticks=10)
     assert main(["simulate", "--config", str(cfg)]) == 0
@@ -306,7 +340,18 @@ def test_track_round_trip(tmp_path, env, auto):
     assert math.sqrt(float(np.mean(err_px ** 2))) <= 1.0
 
 
-@pytest.mark.parametrize("px_per_mm", ["0", "-4", "nan"])
+@pytest.mark.parametrize("px_per_mm", ["0", "-1", "nan", "inf"])
+def test_render_rejects_bad_scale_before_reading_input(tmp_path, capsys, px_per_mm):
+    cfg = _small_config(tmp_path, n_trials=1, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    out = tmp_path / "o.ppm"
+    assert main(["render", str(tmp_path / "run" / "trial_0000.csv"),
+                 "--px-per-mm", px_per_mm, "--out", str(out)]) == 2
+    assert "--px-per-mm must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("px_per_mm", ["0", "-4", "nan", "inf"])
 def test_track_rejects_bad_scale_before_reading_frames(tmp_path, capsys, px_per_mm):
     # an empty frame directory would be a runtime error (exit 3) once read
     empty = tmp_path / "frames"
@@ -315,6 +360,17 @@ def test_track_rejects_bad_scale_before_reading_frames(tmp_path, capsys, px_per_
     assert main(["track", str(empty), "--px-per-mm", px_per_mm,
                  "--out", str(out)]) == 2
     assert "--px-per-mm must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["0", "256"])
+def test_track_rejects_bad_threshold_before_reading_frames(tmp_path, capsys, threshold):
+    empty = tmp_path / "frames"
+    empty.mkdir()
+    out = tmp_path / "tracked.csv"
+    assert main(["track", str(empty), "--threshold", threshold,
+                 "--out", str(out)]) == 2
+    assert "--threshold must lie in [1, 255]" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,20 +1,18 @@
-import json
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from leechsim.geometry import (
     CORRIDOR,
+    MAX_ROOM,
+    UNKNOWN,
     WALL,
     GeometryError,
     build_corridor_template,
-    build_square_maze,
-    env_to_json,
     locate,
-    maze_wall_slots,
+    region_code,
+    region_label,
     room_distance_to_end,
-    room_id,
     wall_contact,
     wall_distance,
 )
@@ -62,6 +60,7 @@ def test_start_point_in_corridor(env):
 
 @pytest.mark.parametrize("kwargs", [
     {"rooms": 0},
+    {"rooms": MAX_ROOM + 1},  # room codes would overflow int16
     {"room_size": -1.0},
     {"wall": 0.0},
     {"corridor_width": -5.0},
@@ -74,7 +73,7 @@ def test_bad_dimensions_raise(kwargs):
 
 
 def test_locate_examples(env):
-    assert locate(env, (7.5, 7.5)) == room_id(1)
+    assert locate(env, (7.5, 7.5)) == 1
     assert locate(env, (67.0, 22.0)) == CORRIDOR
     assert locate(env, (16.0, 10.0)) == WALL
 
@@ -87,9 +86,9 @@ def test_locate_outside_raises(env):
 
 def test_locate_boundary_tiebreak(env):
     # shared boundary resolves to the lowest region id
-    assert locate(env, (15.0, 10.0)) == room_id(1)  # room edge against wall
-    assert locate(env, (5.0, 17.0)) == CORRIDOR     # corridor floor against wall
-    assert locate(env, (0.0, 0.0)) == room_id(1)
+    assert locate(env, (15.0, 10.0)) == 1         # room edge against wall
+    assert locate(env, (5.0, 17.0)) == CORRIDOR   # corridor floor against wall
+    assert locate(env, (0.0, 0.0)) == 1
 
 
 def test_locate_partition_grid(env):
@@ -163,83 +162,21 @@ def test_wall_distance_inside_wall_is_zero(env):
     assert wall_distance(env, (16.0, 10.0)) == 0.0
 
 
-def test_maze_2x2_all_open():
-    env = build_square_maze(2, cell_size=20.0, wall=2.0, wall_mask=0)
-    assert env.n_rooms == 4
-    assert len(env.openings) == 4
-    assert env.wall_rects == ()  # no panels, so no corner post either
+def test_region_labels_round_trip():
+    codes = [UNKNOWN, WALL, CORRIDOR, 1, 8, 10, MAX_ROOM]
+    labels = [region_label(code) for code in codes]
+    assert labels == ["UNKNOWN", "W", "C", "R1", "R8", "R10", f"R{MAX_ROOM}"]
+    assert [region_code(label) for label in labels] == codes
 
 
-def test_maze_1x1():
-    env = build_square_maze(1, cell_size=20.0, wall=2.0, wall_mask=0)
-    assert env.n_rooms == 1
-    assert env.openings == ()
-
-
-def test_maze_disconnected_raises():
-    full = (1 << maze_wall_slots(2)) - 1
+@pytest.mark.parametrize("label", ["R0", "R08", "R-1", "R 1", "R1_0", "R\u0661",
+                                   f"R{MAX_ROOM + 1}", "R", "c", "Wall"])
+def test_labels_never_written_are_rejected(label):
     with pytest.raises(GeometryError):
-        build_square_maze(2, cell_size=20.0, wall=2.0, wall_mask=full)
+        region_code(label)
 
 
-def _maze_connected_oracle(n, mask):
-    """Independent BFS over the cell graph described by the mask."""
-    def vbit(r, c):
-        return (mask >> (r * (n - 1) + c)) & 1
-
-    def hbit(r, c):
-        return (mask >> (n * (n - 1) + r * n + c)) & 1
-
-    adj = {(r, c): [] for r in range(n) for c in range(n)}
-    for r in range(n):
-        for c in range(n - 1):
-            if not vbit(r, c):
-                adj[(r, c)].append((r, c + 1))
-                adj[(r, c + 1)].append((r, c))
-    for r in range(n - 1):
-        for c in range(n):
-            if not hbit(r, c):
-                adj[(r, c)].append((r + 1, c))
-                adj[(r + 1, c)].append((r, c))
-    seen = {(0, 0)}
-    stack = [(0, 0)]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == n * n
-
-
-@given(mask=st.integers(min_value=0, max_value=(1 << maze_wall_slots(3)) - 1))
-def test_maze_3x3_connectivity_matches_oracle(mask):
-    expected = _maze_connected_oracle(3, mask)
-    try:
-        env = build_square_maze(3, cell_size=15.0, wall=2.0, wall_mask=mask)
-    except GeometryError:
-        assert not expected
-    else:
-        assert expected
-        assert env.n_rooms == 9
-
-
-def test_maze_locate_and_contact():
-    env = build_square_maze(2, cell_size=20.0, wall=2.0, wall_mask=1)  # one wall
-    assert locate(env, (10.0, 10.0)) == room_id(1)
-    assert locate(env, (21.0, 10.0)) == WALL  # the single present panel
-    assert wall_contact(env, (20.5, 35.0), 1.0) == 0  # open edge above the post row
-
-
-def test_env_json_format(env):
-    doc = json.loads(env_to_json(env))
-    assert doc["interior"] == [134.0, 27.0]
-    assert doc["start"] == [130.0, 22.0]
-    assert doc["regions"][0]["id"] == "C"
-    assert [r["id"] for r in doc["regions"][1:]] == [f"R{i}" for i in range(1, 9)]
-    first = doc["openings"][0]
-    assert first["room"] == 1 and first["span"] == [6.5, 8.5]
-    assert first["links"] == [0, 1]
-    # serialized floats carry at most 3 decimals
-    for r in doc["regions"]:
-        for v in r["rect"]:
-            assert v == round(v, 3)
+@pytest.mark.parametrize("code", [UNKNOWN - 1, MAX_ROOM + 1])
+def test_unknown_codes_have_no_label(code):
+    with pytest.raises(GeometryError):
+        region_label(code)

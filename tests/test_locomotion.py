@@ -6,9 +6,10 @@ import pytest
 import leechsim.locomotion as locomotion
 from leechsim.automaton import AutomatonParams, Mode
 from leechsim.geometry import (
-    CORRIDOR,
+    WALL,
     build_corridor_template,
     locate,
+    region_label,
     room_distance_to_end,
     wall_contact,
 )
@@ -21,7 +22,6 @@ from leechsim.locomotion import (
     entry_trigger_probability,
     mode_label,
     read_trajectory_csv,
-    region_label,
     run_trial,
     run_trials,
     write_trajectory_csv,
@@ -73,6 +73,24 @@ def test_csv_rejects_mixed_trial_ids(tmp_path):
                     "5,1,1.0,2.0,CRAWL,C\n6,2,1.0,2.0,CRAWL,C\n")
     with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:4: trial id '6'"):
         read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("label", ["R0", "R08", "R\u00b2", "R99999", "X", "R+1"])
+def test_csv_rejects_region_labels_the_writer_never_writes(tmp_path, label):
+    path = tmp_path / "bad.csv"
+    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.0,2.0,CRAWL,C\n"
+                    f"0,1,1.0,2.0,CRAWL,{label}\n", encoding="utf-8")
+    with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:3: bad region"):
+        read_trajectory_csv(path)
+
+
+def test_csv_rejects_rooms_the_template_lacks(tmp_path, env):
+    path = tmp_path / "bad.csv"
+    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.0,2.0,CRAWL,R8\n"
+                    "0,1,1.0,2.0,CRAWL,W\n0,2,1.0,2.0,CRAWL,R9\n")
+    assert read_trajectory_csv(path).regions.tolist() == [8, -1, 9]
+    with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:4: region 'R9'"):
+        read_trajectory_csv(path, env)
 
 
 def test_csv_writer_matches_per_row_format(tmp_path):
@@ -142,9 +160,8 @@ def test_traversal_reaches_far_end_in_42_ticks(env):
 def test_positions_never_in_wall(env, auto):
     traj = run_trial(env, MotionParams(q_scale=0.5), auto, seed=23, duration=1500)
     for k in range(traj.n_ticks):
-        rid = locate(env, (traj.xs[k], traj.ys[k]))
-        assert rid.rank != 2, f"tick {k} in wall at {(traj.xs[k], traj.ys[k])}"
-        code = 0 if rid == CORRIDOR else rid.index
+        code = locate(env, (traj.xs[k], traj.ys[k]))
+        assert code != WALL, f"tick {k} in wall at {(traj.xs[k], traj.ys[k])}"
         assert code == traj.regions[k]
 
 
