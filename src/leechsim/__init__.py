@@ -7,13 +7,12 @@ frame-tracking/rendering toolkit sit on top.  The ``leechsim`` CLI wires the
 pieces into reproducible runs.
 """
 
-from .automaton import AutomatonParams, AutomatonState, Mode
+from .automaton import AutomatonParams, Mode
 from .geometry import (
     EnvironmentTemplate,
     build_corridor_template,
     locate,
     room_distance_to_end,
-    wall_contact,
 )
 from .locomotion import MotionParams, Trajectory, run_trial, run_trials
 from .montecarlo import (
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutomatonParams",
-    "AutomatonState",
     "CalibrationResult",
     "EnsembleStats",
     "EnvironmentTemplate",
@@ -59,5 +57,4 @@ __all__ = [
     "run_trials",
     "time_fractions",
     "visit_frequencies",
-    "wall_contact",
 ]

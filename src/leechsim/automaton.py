@@ -50,30 +50,16 @@ class AutomatonParams:
         if self.tick <= 0:
             raise ValueError("tick length must be > 0 seconds")
 
-    _CONFIG_KEYS = ("tau_s_ticks", "tau_a_ticks", "p3_a", "p3_b", "tick_seconds")
+    _CONFIG = (("tau_s", "tau_s_ticks", int), ("tau_a", "tau_a_ticks", int),
+               ("a", "p3_a", float), ("b", "p3_b", float),
+               ("tick", "tick_seconds", float))
 
     def to_config(self) -> dict:
-        return {
-            "tau_s_ticks": self.tau_s,
-            "tau_a_ticks": self.tau_a,
-            "p3_a": self.a,
-            "p3_b": self.b,
-            "tick_seconds": self.tick,
-        }
+        return config_doc(self)
 
     @classmethod
     def from_config(cls, doc: dict) -> "AutomatonParams":
-        unknown = set(doc) - set(cls._CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown automaton config keys: {sorted(unknown)}")
-        defaults = cls()
-        return cls(
-            tau_s=config_value(doc, "tau_s_ticks", defaults.tau_s, int),
-            tau_a=config_value(doc, "tau_a_ticks", defaults.tau_a, int),
-            a=config_value(doc, "p3_a", defaults.a, float),
-            b=config_value(doc, "p3_b", defaults.b, float),
-            tick=config_value(doc, "tick_seconds", defaults.tick, float),
-        )
+        return parse_config(cls, doc, "automaton")
 
 
 def config_value(doc: dict, key: str, default, kind: type):
@@ -98,12 +84,37 @@ def config_value(doc: dict, key: str, default, kind: type):
     return kind(value)
 
 
-@dataclass(frozen=True, slots=True)
-class AutomatonState:
-    """Current mode plus ticks since the last still/active boundary crossing."""
+def parse_config(cls, doc: dict, section: str = ""):
+    """A ``cls`` from a config document, driven by its ``_CONFIG`` table.
 
-    mode: Mode
-    t: int = 0
+    The table lists ``(field, key, type)``; absent keys keep the field's
+    default and present ones go through :func:`config_value`.  A type with a
+    table of its own is a nested section: a JSON object parsed the same way.
+    Keys the table lacks raise ValueError naming ``section``.
+    """
+    unknown = set(doc) - {key for _, key, _ in cls._CONFIG}
+    if unknown:
+        raise ValueError(f"unknown {section + ' ' if section else ''}config keys: "
+                         f"{sorted(unknown)}")
+    defaults = cls()
+    values = {}
+    for name, key, kind in cls._CONFIG:
+        if hasattr(kind, "_CONFIG"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise ValueError(f"config key {key!r} must be a JSON object")
+            values[name] = parse_config(kind, doc.get(key, {}), key)
+        else:
+            values[name] = config_value(doc, key, getattr(defaults, name), kind)
+    return cls(**values)
+
+
+def config_doc(obj) -> dict:
+    """The config document :func:`parse_config` reads back as ``obj``."""
+    doc = {}
+    for name, key, kind in obj._CONFIG:
+        value = getattr(obj, name)
+        doc[key] = config_doc(value) if hasattr(kind, "_CONFIG") else kind(value)
+    return doc
 
 
 def p_still_exit(t: int, params: AutomatonParams) -> float:
@@ -128,11 +139,12 @@ def p_visit(x: float, params: AutomatonParams) -> float:
 
 
 def transition_kernel(
-    state: AutomatonState, m: int, params: AutomatonParams, q_enter: float
+    mode: Mode, t: int, m: int, params: AutomatonParams, q_enter: float
 ) -> tuple[float, float, float]:
     """Probability vector over (Still, Crawl, Explore) for the next tick.
 
-    Rows (each sums to 1):
+    ``t`` is the timer of the current phase, the ticks since the last
+    still/active boundary crossing.  Rows (each sums to 1):
 
     * Still:   stay with 1-p1, otherwise split evenly between Crawl and Explore.
     * Crawl:   exit to Still with p2; conditional on staying active, contact
@@ -145,11 +157,11 @@ def transition_kernel(
         raise ValueError(f"mechanoreceptor bit must be 0 or 1, got {m}")
     if not 0.0 <= q_enter <= 1.0:
         raise ValueError(f"q_enter {q_enter} outside [0, 1]")
-    if state.mode == Mode.STILL:
-        p1 = p_still_exit(state.t, params)
+    if mode == Mode.STILL:
+        p1 = p_still_exit(t, params)
         return (1.0 - p1, 0.5 * p1, 0.5 * p1)
-    p2 = p_active_exit(state.t, params)
-    if state.mode == Mode.CRAWL:
+    p2 = p_active_exit(t, params)
+    if mode == Mode.CRAWL:
         p_explore = (1.0 - p2) * (m + (1 - m) * q_enter)
         p_crawl = (1.0 - p2) * (1 - m) * (1.0 - q_enter)
         return (p2, p_crawl, p_explore)
@@ -160,9 +172,13 @@ def sample_transitions(mode, t, m, q_enter, tau_s: int, tau_a: int, u):
     """Array sampler: one automaton step per element given uniform draws ``u``.
 
     Element-wise inverse-CDF sampling over :func:`transition_kernel` in the
-    fixed (Still, Crawl, Explore) order, with the same float thresholds, and
-    the timer rule of :func:`step`.  ``mode``, ``t``, ``m`` (0/1), ``q_enter``
-    and ``u`` are equal-length arrays; ``q_enter`` only acts on Crawl.
+    fixed (Still, Crawl, Explore) order, with the same float thresholds: the
+    new mode is the first whose cumulative probability exceeds ``u``.  The
+    timer resets to 0 exactly on Still<->active boundary crossings and
+    increments otherwise, so a Crawl<->Explore switch does not reset it.
+    ``mode``, ``t`` and ``u`` are equal-length arrays; ``m`` (0/1) and
+    ``q_enter`` are arrays of that length or scalars, and ``q_enter`` only
+    acts on Crawl.
     Returns the new (mode, t) arrays.
     """
     still = mode == 0
@@ -181,30 +197,3 @@ def sample_transitions(mode, t, m, q_enter, tau_s: int, tau_a: int, u):
     second = np.where(still, p_stay + 0.5 * p_exit, p_exit + p_crawl)
     new_mode = 2 - (u < first) - (u < second)
     return new_mode, np.where(still == (new_mode == 0), t + 1, 0)
-
-
-def step(
-    state: AutomatonState,
-    m: int,
-    q_enter: float,
-    params: AutomatonParams,
-    rng,
-) -> AutomatonState:
-    """Sample one transition using a single draw from ``rng``.
-
-    The next mode is drawn by inverse CDF over the kernel vector in the fixed
-    (Still, Crawl, Explore) order.  The timer resets to 0 exactly on
-    Still<->active boundary crossings and increments otherwise; a
-    Crawl<->Explore switch does not reset it.
-    """
-    p_still, p_crawl, _ = transition_kernel(state, m, params, q_enter)
-    u = rng.random()
-    if u < p_still:
-        new_mode = Mode.STILL
-    elif u < p_still + p_crawl:
-        new_mode = Mode.CRAWL
-    else:
-        new_mode = Mode.EXPLORE
-    if (state.mode == Mode.STILL) != (new_mode == Mode.STILL):
-        return AutomatonState(new_mode, 0)
-    return AutomatonState(new_mode, state.t + 1)

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .automaton import AutomatonParams, config_value
+from .automaton import AutomatonParams, config_doc, parse_config
 from .fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
 from .geometry import EnvironmentTemplate, GeometryError, build_corridor_template
 from .locomotion import (
@@ -57,8 +57,10 @@ class EnvironmentConfig:
     corridor_width_mm: float = 10.0
     opening_mm: float = 2.0
 
-    _KEYS = ("kind", "rooms", "room_size_mm", "wall_mm", "corridor_width_mm",
-             "opening_mm")
+    _CONFIG = (("kind", "kind", str), ("rooms", "rooms", int),
+               ("room_size_mm", "room_size_mm", float), ("wall_mm", "wall_mm", float),
+               ("corridor_width_mm", "corridor_width_mm", float),
+               ("opening_mm", "opening_mm", float))
 
     def build(self) -> EnvironmentTemplate:
         if self.kind != "corridor":
@@ -76,24 +78,6 @@ class EnvironmentConfig:
         except GeometryError as exc:
             raise ConfigError(str(exc)) from None
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self._KEYS}
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EnvironmentConfig":
-        unknown = set(doc) - set(cls._KEYS)
-        if unknown:
-            raise ConfigError(f"unknown environment config keys: {sorted(unknown)}")
-        defaults = cls()
-        try:
-            return cls(**{
-                key: config_value(doc, key, getattr(defaults, key),
-                                  type(getattr(defaults, key)))
-                for key in cls._KEYS
-            })
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -107,8 +91,11 @@ class RunConfig:
     base_seed: int = 1
     out_dir: str = "runs/run"
 
-    _KEYS = ("environment", "automaton", "motion", "n_trials", "duration_ticks",
-             "base_seed", "out_dir")
+    _CONFIG = (("environment", "environment", EnvironmentConfig),
+               ("automaton", "automaton", AutomatonParams),
+               ("motion", "motion", MotionParams), ("n_trials", "n_trials", int),
+               ("duration_ticks", "duration_ticks", int),
+               ("base_seed", "base_seed", int), ("out_dir", "out_dir", str))
 
     def __post_init__(self) -> None:
         if self.n_trials < 1:
@@ -127,36 +114,12 @@ class RunConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "environment": self.environment.to_dict(),
-            "automaton": self.automaton.to_config(),
-            "motion": self.motion.to_config(),
-            "n_trials": self.n_trials,
-            "duration_ticks": self.duration_ticks,
-            "base_seed": self.base_seed,
-            "out_dir": self.out_dir,
-        }
+        return config_doc(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        unknown = set(doc) - set(cls._KEYS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for section in ("environment", "automaton", "motion"):
-            if not isinstance(doc.get(section, {}), dict):
-                raise ConfigError(f"config key {section!r} must be a JSON object")
-        defaults = cls()
         try:
-            return cls(
-                environment=EnvironmentConfig.from_dict(doc.get("environment", {})),
-                automaton=AutomatonParams.from_config(doc.get("automaton", {})),
-                motion=MotionParams.from_config(doc.get("motion", {})),
-                n_trials=config_value(doc, "n_trials", defaults.n_trials, int),
-                duration_ticks=config_value(doc, "duration_ticks",
-                                            defaults.duration_ticks, int),
-                base_seed=config_value(doc, "base_seed", defaults.base_seed, int),
-                out_dir=config_value(doc, "out_dir", defaults.out_dir, str),
-            )
+            return parse_config(cls, doc)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -192,9 +155,22 @@ def load_run_config(path) -> RunConfig:
     return cfg
 
 
+def _json_text(doc: dict) -> str:
+    # NaN and Infinity are not JSON: refuse to write them rather than emit them
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
 def _write_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
-                          newline="\n")
+    Path(path).write_text(_json_text(doc) + "\n", newline="\n")
+
+
+def _report(doc: dict, out, what: str) -> None:
+    """Write ``doc`` to the ``out`` path, or print it when there is none."""
+    if out:
+        _write_json(doc, out)
+        print(f"wrote {what} to {out}")
+    else:
+        print(_json_text(doc))
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -219,9 +195,9 @@ def _check_workers(args) -> None:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
 
 
-def _check_px_per_mm(args) -> None:
-    if not (math.isfinite(args.px_per_mm) and args.px_per_mm > 0):
-        raise ConfigError(f"--px-per-mm must be finite and > 0, got {args.px_per_mm}")
+def _check_positive(flag: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{flag} must be finite and > 0, got {value}")
 
 
 def cmd_simulate(args) -> int:
@@ -291,16 +267,13 @@ def cmd_fit(args) -> int:
         "rss": fit.rss,
         "points": [{"x": x, "y": y} for x, y in points],
     }
-    if args.out:
-        _write_json(doc, args.out)
-        print(f"wrote fit to {args.out}")
-    else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+    _report(doc, args.out, "fit")
     return 0
 
 
 def cmd_calibrate(args) -> int:
     _check_workers(args)
+    _check_positive("--tol", args.tol)
     cfg = load_run_config(args.config) if args.config else RunConfig()
     cfg = _apply_overrides(cfg, args)
     env = cfg.environment.build()
@@ -328,11 +301,7 @@ def cmd_calibrate(args) -> int:
             for q, mean, score in result.evaluations
         ],
     }
-    if args.out:
-        _write_json(doc, args.out)
-        print(f"wrote calibration report to {args.out}")
-    else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+    _report(doc, args.out, "calibration report")
     return 0 if result.feasible else 3
 
 
@@ -346,7 +315,7 @@ def _env_for_trajectory(args, traj_path: Path) -> EnvironmentTemplate:
 
 
 def cmd_render(args) -> int:
-    _check_px_per_mm(args)
+    _check_positive("--px-per-mm", args.px_per_mm)
     traj_path = Path(args.trajectory_csv)
     env = _env_for_trajectory(args, traj_path)
     traj = read_trajectory_csv(traj_path, env)
@@ -365,7 +334,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_track(args) -> int:
-    _check_px_per_mm(args)
+    _check_positive("--px-per-mm", args.px_per_mm)
     if not 1 <= args.threshold <= 255:
         raise ConfigError(f"--threshold must lie in [1, 255], got {args.threshold}")
     env = None

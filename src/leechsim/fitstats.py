@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 from .automaton import AutomatonParams
 from .geometry import EnvironmentTemplate, room_distance_to_end
-from .locomotion import MotionParams, entry_trigger_probability
+from .locomotion import MotionParams
 from .montecarlo import derive_trial_seed, run_ensemble, visit_frequencies
 
 
@@ -116,8 +116,8 @@ def calibrate_entry_prob(
     bisects the sign of the mean mismatch.  Terminates when the bracket is
     narrower than ``tol`` or the score change falls below ``plateau_tol``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     rooms = list(range(1, env.n_rooms + 1))
     targets = {}
     for room in rooms:
@@ -197,12 +197,3 @@ def _assert_monotone(evaluations, q, mean, n_trials, n_rooms):
                 f"to {mean:.4f} (q={q}); expected monotone growth"
             )
 
-
-def trigger_curve(env: EnvironmentTemplate, auto: AutomatonParams,
-                  q_scale: float) -> dict[int, float]:
-    """Per-room entry-trigger probabilities implied by a q_scale value."""
-    return {
-        room: entry_trigger_probability(room_distance_to_end(env, room),
-                                        auto, q_scale)
-        for room in range(1, env.n_rooms + 1)
-    }

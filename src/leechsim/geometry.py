@@ -13,7 +13,6 @@ file labels ``C``, ``R<i>``, ``W`` and ``UNKNOWN``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -201,31 +200,3 @@ def room_distance_to_end(env: EnvironmentTemplate, room: int) -> int:
         raise GeometryError(f"room {room} out of range 1..{n}")
     return min(room, n + 1 - room)
 
-
-def _rect_distance(x: float, y: float, rect: Rect) -> float:
-    dx = max(rect[0] - x, 0.0, x - rect[2])
-    dy = max(rect[1] - y, 0.0, y - rect[3])
-    return math.hypot(dx, dy)
-
-
-def wall_distance(env: EnvironmentTemplate, p: Point) -> float:
-    """Distance from an interior point to the nearest wall surface."""
-    x, y = p
-    d = min(x, env.interior_width - x, y, env.interior_height - y)
-    for rect in env.wall_rects:
-        dr = _rect_distance(x, y, rect)
-        if dr < d:
-            d = dr
-    return d
-
-
-def wall_contact(env: EnvironmentTemplate, p: Point, radius: float = 1.0) -> int:
-    """1 iff any wall surface lies within ``radius`` of ``p``.
-
-    This is the mechanoreceptor bit: the outer boundary and every internal
-    wall block count as wall surface; opening gaps do not.
-    """
-    x, y = p
-    if not (0.0 <= x <= env.interior_width and 0.0 <= y <= env.interior_height):
-        raise GeometryError(f"point {p} outside interior")
-    return 1 if wall_distance(env, p) <= radius else 0

@@ -40,7 +40,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .automaton import AutomatonParams, Mode, config_value, p_visit, sample_transitions
+from .automaton import (AutomatonParams, Mode, config_doc, p_visit, parse_config,
+                        sample_transitions)
 from .geometry import (
     CORRIDOR,
     EnvironmentTemplate,
@@ -68,9 +69,13 @@ def entry_trigger_probability(x: float, auto: AutomatonParams,
     scaled by ``q_scale``: entries per trial are then near-Poisson with a rate
     proportional to that hazard, so the calibrated at-least-once frequencies
     1 - exp(-rate) reproduce the visit law's distance profile rather than a
-    saturation-flattened copy of it.
+    saturation-flattened copy of it.  A certain visit (p_visit = 1) is an
+    infinite hazard, so it triggers on every pass unless ``q_scale`` is 0.
     """
-    return min(1.0, q_scale * -math.log1p(-p_visit(x, auto)))
+    p = p_visit(x, auto)
+    if p == 1.0:
+        return 1.0 if q_scale > 0 else 0.0
+    return min(1.0, q_scale * -math.log1p(-p))
 
 
 @dataclass(frozen=True)
@@ -99,29 +104,17 @@ class MotionParams:
         if not 0.0 <= self.q_scale <= 1.0:
             raise ValueError("q_scale must lie in [0, 1]")
 
-    _CONFIG_KEYS = ("v_crawl_mm_s", "v_explore_mm_s", "contact_radius_mm", "q_scale")
+    _CONFIG = (("v_crawl", "v_crawl_mm_s", float),
+               ("v_explore", "v_explore_mm_s", float),
+               ("contact_radius", "contact_radius_mm", float),
+               ("q_scale", "q_scale", float))
 
     def to_config(self) -> dict:
-        return {
-            "v_crawl_mm_s": self.v_crawl,
-            "v_explore_mm_s": self.v_explore,
-            "contact_radius_mm": self.contact_radius,
-            "q_scale": self.q_scale,
-        }
+        return config_doc(self)
 
     @classmethod
     def from_config(cls, doc: dict) -> "MotionParams":
-        unknown = set(doc) - set(cls._CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown motion config keys: {sorted(unknown)}")
-        defaults = cls()
-        return cls(
-            v_crawl=config_value(doc, "v_crawl_mm_s", defaults.v_crawl, float),
-            v_explore=config_value(doc, "v_explore_mm_s", defaults.v_explore, float),
-            contact_radius=config_value(doc, "contact_radius_mm",
-                                        defaults.contact_radius, float),
-            q_scale=config_value(doc, "q_scale", defaults.q_scale, float),
-        )
+        return parse_config(cls, doc, "motion")
 
 
 @dataclass(frozen=True, eq=False)

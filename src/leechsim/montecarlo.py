@@ -8,6 +8,7 @@ order-independent.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import sys
 from collections import Counter
@@ -235,7 +236,10 @@ def read_stats_csv(path) -> list[tuple[int, int, float, float]]:
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 fields")
         try:
-            rows.append((int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])))
+            row = (int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not (math.isfinite(row[2]) and math.isfinite(row[3])):
+            raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+        rows.append(row)
     return rows

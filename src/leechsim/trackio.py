@@ -65,12 +65,6 @@ def _dark_mask(frame: Frame, threshold: int) -> np.ndarray:
     return np.maximum(np.maximum(p[..., 0], p[..., 1]), p[..., 2]) < threshold
 
 
-def extract_dark_pixels(frame: Frame, threshold: int = 40) -> np.ndarray:
-    """(N, 2) array of (x, y) coordinates of the pixels dark in every channel."""
-    ys, xs = np.nonzero(_dark_mask(frame, threshold))
-    return np.stack((xs, ys), axis=1)
-
-
 def _dark_centroid(frame: Frame, threshold: int) -> tuple[float, float] | None:
     """Mean (x, y) of the dark pixels, or None when there are none.
 
@@ -329,16 +323,6 @@ def read_ppm(path) -> Frame:
         raise TrackError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3).copy()
     return Frame(width, height, pixels)
-
-
-def read_pgm(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    width, height, pos = _parse_pnm_header(data, b"P5", path)
-    expected = width * height
-    raw = data[pos:pos + expected]
-    if len(raw) != expected:
-        raise TrackError(f"{path}: truncated pixel data")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(height, width).copy()
 
 
 _FRAME_NAME = re.compile(r"frame_(\d{6})\.ppm$")

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from leechsim.automaton import AutomatonParams
-from leechsim.geometry import build_corridor_template
+from leechsim.geometry import GeometryError, build_corridor_template
 from leechsim.locomotion import MotionParams, Trajectory
 
 
@@ -37,3 +39,28 @@ def make_trajectory(env, regions, modes=None, trial_id=0):
         regions=regions,
         ms=np.zeros(n, dtype=np.uint8),
     )
+
+
+def wall_distance(env, p):
+    """Distance from an interior point to the nearest wall surface.
+
+    The independent oracle for the kernel's contact model: a scan over the
+    outer boundary and every wall block of the template, with no knowledge
+    of the corridor layout.
+    """
+    x, y = p
+    d = min(x, env.interior_width - x, y, env.interior_height - y)
+    for x0, y0, x1, y1 in env.wall_rects:
+        dx = max(x0 - x, 0.0, x - x1)
+        dy = max(y0 - y, 0.0, y - y1)
+        d = min(d, math.hypot(dx, dy))
+    return d
+
+
+def wall_contact(env, p, radius=1.0):
+    """1 iff any wall surface lies within ``radius`` of ``p``; opening gaps
+    are not wall surface."""
+    x, y = p
+    if not (0.0 <= x <= env.interior_width and 0.0 <= y <= env.interior_height):
+        raise GeometryError(f"point {p} outside interior")
+    return 1 if wall_distance(env, p) <= radius else 0

@@ -15,10 +15,9 @@ import pytest
 
 from leechsim.automaton import (
     AutomatonParams,
-    AutomatonState,
     Mode,
     p_still_exit,
-    step,
+    sample_transitions,
     transition_kernel,
 )
 from leechsim.cli import RunConfig, main
@@ -84,7 +83,7 @@ def test_criterion_1_kernel_soundness():
             for t in (0, 1, cap // 2, cap):
                 for m in (0, 1):
                     for q in (0.0, 0.25, 1.0):
-                        row = transition_kernel(AutomatonState(mode, t), m, auto, q)
+                        row = transition_kernel(mode, t, m, auto, q)
                         assert abs(sum(row) - 1.0) < 1e-12
                         assert all(0.0 <= p <= 1.0 for p in row)
 
@@ -100,37 +99,36 @@ def _expected_still_dwell(auto):
 
 
 def test_criterion_2_hazard_caps_and_mean_dwell():
-    """10^4 bouts: dwells bounded by cap+1; mean Still dwell within 2%."""
+    """2x10^4 bouts in lockstep: dwells bounded by cap+1; mean Still dwell
+    within 2%."""
     with criterion(2, "hazard caps"):
         auto = AutomatonParams(tau_s=200, tau_a=300)
         rng = np.random.default_rng(42)
-        still_dwells = []
-        for _ in range(10_000):
-            state = AutomatonState(Mode.STILL, 0)
-            d = 1
-            while True:
-                state = step(state, 0, 0.0, auto, rng)
-                if state.mode != Mode.STILL:
-                    break
-                d += 1
-            assert d <= auto.tau_s + 1
-            still_dwells.append(d)
-        for _ in range(10_000):
-            state = AutomatonState(Mode.CRAWL, 0)
-            d = 1
-            while True:
-                state = step(state, 1, 0.0, auto, rng)
-                if state.mode == Mode.STILL:
-                    break
-                d += 1
-            assert d <= auto.tau_a + 1
+        n = 10_000
+        # bouts 0..n-1 start Still, n..2n-1 start Crawl in wall contact; each
+        # steps until it leaves its phase, one draw per live bout and tick
+        mode = np.repeat([Mode.STILL, Mode.CRAWL], n)
+        m = np.repeat([0, 1], n)
+        t = np.zeros(2 * n, dtype=int)
+        dwell = np.ones(2 * n, dtype=int)
+        live = np.arange(2 * n)
+        while live.size:
+            new_mode, t[live] = sample_transitions(
+                mode[live], t[live], m[live], 0.0, auto.tau_s, auto.tau_a,
+                rng.random(live.size))
+            stays = (new_mode == Mode.STILL) == (mode[live] == Mode.STILL)
+            mode[live] = new_mode
+            live = live[stays]
+            dwell[live] += 1
+        assert dwell[:n].max() <= auto.tau_s + 1
+        assert dwell[n:].max() <= auto.tau_a + 1
         expected = _expected_still_dwell(auto)
-        mean = sum(still_dwells) / len(still_dwells)
+        mean = dwell[:n].mean()
         assert abs(mean - expected) <= 0.02 * expected
 
 
 def test_criterion_3_kernel_sampling_fidelity():
-    """10^5 step samples per representative tuple pass chi-square at 99.9%."""
+    """10^5 samples per representative tuple pass chi-square at 99.9%."""
     with criterion(3, "sampling fidelity"):
         auto = AutomatonParams()
         tuples = [
@@ -144,11 +142,10 @@ def test_criterion_3_kernel_sampling_fidelity():
         rng = np.random.default_rng(1234)
         n = 100_000
         for mode, m, t, q in tuples:
-            state = AutomatonState(mode, t)
-            expected = transition_kernel(state, m, auto, q)
-            counts = [0, 0, 0]
-            for _ in range(n):
-                counts[int(step(state, m, q, auto, rng).mode)] += 1
+            expected = transition_kernel(mode, t, m, auto, q)
+            new_mode, _ = sample_transitions(np.full(n, mode), np.full(n, t), m, q,
+                                             auto.tau_s, auto.tau_a, rng.random(n))
+            counts = np.bincount(new_mode, minlength=3).tolist()
             for p, c in zip(expected, counts):
                 if p == 0.0:
                     assert c == 0  # impossible transitions never sampled

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from leechsim.automaton import (
     AutomatonParams,
-    AutomatonState,
     Mode,
     p_active_exit,
     p_still_exit,
     p_visit,
     sample_transitions,
-    step,
     transition_kernel,
 )
 
@@ -51,12 +49,12 @@ def test_p_visit_domain_and_clamp(auto):
 
 
 def test_kernel_still_forced_exit(auto):
-    row = transition_kernel(AutomatonState(Mode.STILL, auto.tau_s), 0, auto, 0.0)
+    row = transition_kernel(Mode.STILL, auto.tau_s, 0, auto, 0.0)
     assert row == (0.0, 0.5, 0.5)
 
 
 def test_kernel_explore_with_contact(auto):
-    row = transition_kernel(AutomatonState(Mode.EXPLORE, 0), 1, auto, 0.0)
+    row = transition_kernel(Mode.EXPLORE, 0, 1, auto, 0.0)
     assert row[0] == pytest.approx(1 / 901)
     assert row[1] == 0.0
     assert row[2] == pytest.approx(900 / 901)
@@ -64,22 +62,21 @@ def test_kernel_explore_with_contact(auto):
 
 def test_kernel_crawl_without_trigger(auto):
     p2 = p_active_exit(0, auto)
-    row = transition_kernel(AutomatonState(Mode.CRAWL, 0), 0, auto, 0.0)
+    row = transition_kernel(Mode.CRAWL, 0, 0, auto, 0.0)
     assert row == pytest.approx((p2, 1 - p2, 0.0))
 
 
 def test_kernel_crawl_contact_is_transient(auto):
     # with contact and no trigger, Crawl cannot continue crawling
-    row = transition_kernel(AutomatonState(Mode.CRAWL, 10), 1, auto, 0.0)
+    row = transition_kernel(Mode.CRAWL, 10, 1, auto, 0.0)
     assert row[1] == 0.0
 
 
 def test_kernel_validates_inputs(auto):
-    state = AutomatonState(Mode.CRAWL, 0)
     with pytest.raises(ValueError):
-        transition_kernel(state, 2, auto, 0.0)
+        transition_kernel(Mode.CRAWL, 0, 2, auto, 0.0)
     with pytest.raises(ValueError):
-        transition_kernel(state, 0, auto, 1.5)
+        transition_kernel(Mode.CRAWL, 0, 0, auto, 1.5)
 
 
 @given(
@@ -92,50 +89,13 @@ def test_kernel_rows_are_distributions(mode, m, frac, q):
     auto = AutomatonParams()
     cap = auto.tau_s if mode == Mode.STILL else auto.tau_a
     t = int(frac * cap)
-    row = transition_kernel(AutomatonState(mode, t), m, auto, q)
+    row = transition_kernel(mode, t, m, auto, q)
     assert abs(sum(row) - 1.0) < 1e-12
     assert all(0.0 <= p <= 1.0 for p in row)
 
 
-def test_step_forced_exit_resets_timer(auto):
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        nxt = step(AutomatonState(Mode.STILL, auto.tau_s), 0, 0.0, auto, rng)
-        assert nxt.mode in (Mode.CRAWL, Mode.EXPLORE)
-        assert nxt.t == 0
-
-
-def test_step_crawl_explore_does_not_reset(auto):
-    # contact forces Crawl -> Explore (or Still); on staying active t increments
-    rng = np.random.default_rng(1)
-    state = AutomatonState(Mode.CRAWL, 42)
-    seen_explore = False
-    for _ in range(50):
-        nxt = step(state, 1, 0.0, auto, rng)
-        if nxt.mode == Mode.EXPLORE:
-            seen_explore = True
-            assert nxt.t == 43
-    assert seen_explore
-
-
-def test_step_still_to_active_resets(auto):
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        nxt = step(AutomatonState(Mode.EXPLORE, 7), 0, 0.0, auto, rng)
-        if nxt.mode == Mode.STILL:
-            assert nxt.t == 0
-        else:
-            assert nxt.t == 8
-
-
-def test_step_deterministic(auto):
-    a = step(AutomatonState(Mode.CRAWL, 5), 0, 0.3, auto, np.random.default_rng(7))
-    b = step(AutomatonState(Mode.CRAWL, 5), 0, 0.3, auto, np.random.default_rng(7))
-    assert a == b
-
-
-def _inverse_cdf_reference(state, m, q, auto, u):
-    p_still, p_crawl, _ = transition_kernel(state, m, auto, q)
+def _inverse_cdf_reference(mode, t, m, q, auto, u):
+    p_still, p_crawl, _ = transition_kernel(mode, t, m, auto, q)
     if u < p_still:
         return Mode.STILL
     if u < p_still + p_crawl:
@@ -144,7 +104,10 @@ def _inverse_cdf_reference(state, m, q, auto, u):
 
 
 def test_array_sampler_matches_kernel_inverse_cdf():
-    """The kernel's array sampler must land on the same thresholds as step."""
+    """The array sampler must land on the kernel's inverse-CDF thresholds, and
+    reset the timer exactly when a step crosses the still/active boundary: a
+    forced exit at the cap and a Still<->active switch reset it to 0, while
+    staying put or a Crawl<->Explore switch increments it."""
     auto = AutomatonParams(tau_s=9, tau_a=13)
     us = [0.0, 1e-12, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0 - 1e-12]
     cases = []
@@ -153,19 +116,21 @@ def test_array_sampler_matches_kernel_inverse_cdf():
         for t in (0, 1, cap // 2, cap):
             for m in (0, 1):
                 for q in (0.0, 0.25, 1.0):
-                    state = AutomatonState(mode, t)
-                    row = transition_kernel(state, m, auto, q)
+                    row = transition_kernel(mode, t, m, auto, q)
                     for u in list(us) + [row[0], row[0] + row[1]]:
                         cases.append((mode, t, m, q, u))
     mode, t, m, q, u = (np.array(column) for column in zip(*cases))
     got, new_t = sample_transitions(mode, t, m, q, auto.tau_s, auto.tau_a, u)
+    seen = set()
     for i, (mode_i, t_i, m_i, q_i, u_i) in enumerate(cases):
-        expect = _inverse_cdf_reference(AutomatonState(mode_i, t_i), m_i, q_i, auto, u_i)
+        expect = _inverse_cdf_reference(mode_i, t_i, m_i, q_i, auto, u_i)
         assert Mode(int(got[i])) == expect, cases[i]
         if (mode_i == Mode.STILL) != (expect == Mode.STILL):
             assert new_t[i] == 0
         else:
             assert new_t[i] == t_i + 1
+        seen.add((mode_i, expect))
+    assert len(seen) == 9  # every transition, Crawl<->Explore included, occurs
 
 
 def test_array_sampler_rejects_timer_out_of_range(auto):
@@ -180,15 +145,15 @@ def test_array_sampler_rejects_timer_out_of_range(auto):
 
 def test_dwell_bounds_small_caps():
     auto = AutomatonParams(tau_s=5, tau_a=7)
-    rng = np.random.default_rng(3)
-    state = AutomatonState(Mode.STILL, 0)
-    run_mode, run_len = state.mode, 0
-    for _ in range(5000):
-        state = step(state, 0, 0.25, auto, rng)
-        if state.mode == run_mode or (run_mode != Mode.STILL and state.mode != Mode.STILL):
+    mode, t = np.array([Mode.STILL]), np.array([0])
+    run_mode, run_len = Mode.STILL, 0
+    for u in np.random.default_rng(3).random(5000):
+        mode, t = sample_transitions(mode, t, 0, 0.25, auto.tau_s, auto.tau_a,
+                                     np.array([u]))
+        if mode[0] == run_mode or (run_mode != Mode.STILL and mode[0] != Mode.STILL):
             run_len += 1
         else:
-            run_mode, run_len = state.mode, 1
+            run_mode, run_len = Mode(int(mode[0])), 1
         cap = auto.tau_s if run_mode == Mode.STILL else auto.tau_a
         assert run_len <= cap + 1
 

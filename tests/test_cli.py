@@ -242,6 +242,25 @@ def test_config_values_are_not_coerced(tmp_path, capsys, key, value):
     assert not (tmp_path / "run").exists()
 
 
+def test_integer_values_for_float_keys_are_written_as_floats(tmp_path):
+    doc = RunConfig().to_dict()
+    doc.update(n_trials=2, duration_ticks=20, out_dir=str(tmp_path / "run"))
+    doc["environment"]["room_size_mm"] = 15
+    doc["automaton"].update(p3_a=1, tick_seconds=1)
+    doc["motion"]["v_crawl_mm_s"] = 3
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    manifest = tmp_path / "run" / "manifest.json"
+    written = json.loads(manifest.read_text())["config"]
+    for section, key, value in (("environment", "room_size_mm", 15.0),
+                                ("automaton", "p3_a", 1.0),
+                                ("automaton", "tick_seconds", 1.0),
+                                ("motion", "v_crawl_mm_s", 3.0)):
+        assert type(written[section][key]) is float and written[section][key] == value
+    assert load_run_config(manifest) == RunConfig.from_dict(doc)
+
+
 def test_config_section_must_be_object(tmp_path, capsys):
     doc = RunConfig().to_dict()
     doc["motion"] = 5
@@ -286,6 +305,31 @@ def test_fit_drops_zero_rows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "dropped 1" in captured.err
     assert json.loads(captured.out)["b"] == pytest.approx(-0.82, abs=0.02)
+
+
+@pytest.mark.parametrize("column", [2, 3])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_fit_rejects_non_finite_stats(tmp_path, capsys, column, value):
+    rows = [["1", "1", "0.35", "0.1"], ["2", "2", "0.198", "0.05"],
+            ["3", "3", "0.142", "0.02"]]
+    rows[1][column] = value
+    stats_csv = tmp_path / "visits.csv"
+    stats_csv.write_text("room,distance_x,visit_freq,time_fraction\n"
+                         + "".join(",".join(row) + "\n" for row in rows))
+    assert main(["fit", str(stats_csv)]) == 3
+    captured = capsys.readouterr()
+    assert "visits.csv:3: non-finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
+def test_calibrate_rejects_bad_tol(tmp_path, capsys, tol):
+    cfg = _small_config(tmp_path, n_trials=2, duration_ticks=20)
+    out = tmp_path / "calib.json"
+    assert main(["calibrate", "--config", str(cfg), f"--tol={tol}",
+                 "--out", str(out)]) == 2
+    assert "--tol must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_smoke(tmp_path):

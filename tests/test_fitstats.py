@@ -152,6 +152,7 @@ def test_calibrate_rejects_bad_target():
     with pytest.raises(ValueError):
         calibrate_entry_prob(env, motion, auto, PowerLawFit(a=1.5, b=-0.1),
                              n_trials=10, base_seed=0, duration=100)
-    with pytest.raises(ValueError):
-        calibrate_entry_prob(env, motion, auto, PowerLawFit(0.35, -0.82),
-                             n_trials=10, base_seed=0, tol=0.0, duration=100)
+    for tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            calibrate_entry_prob(env, motion, auto, PowerLawFit(0.35, -0.82),
+                                 n_trials=10, base_seed=0, tol=tol, duration=100)

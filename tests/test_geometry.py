@@ -13,9 +13,9 @@ from leechsim.geometry import (
     region_code,
     region_label,
     room_distance_to_end,
-    wall_contact,
-    wall_distance,
 )
+
+from conftest import wall_contact, wall_distance
 
 
 def test_default_interior_dimensions(env):

@@ -11,7 +11,6 @@ from leechsim.geometry import (
     locate,
     region_label,
     room_distance_to_end,
-    wall_contact,
 )
 from leechsim.locomotion import (
     MODE_UNKNOWN,
@@ -26,6 +25,8 @@ from leechsim.locomotion import (
     run_trials,
     write_trajectory_csv,
 )
+
+from conftest import wall_contact
 
 # crawl that never stops on its own within a test's duration
 NO_SWITCHING = AutomatonParams(tau_s=10**6, tau_a=10**6)
@@ -128,6 +129,13 @@ def test_trigger_windows_follow_visit_law(env, auto):
     assert by_room[1] == by_room[8] > by_room[2] > by_room[3] > by_room[4]
 
 
+def test_certain_visit_triggers_on_every_pass():
+    auto = AutomatonParams(a=1.0)  # p_visit(1) = 1, an infinite hazard
+    assert entry_trigger_probability(1, auto, 0.25) == 1.0
+    assert entry_trigger_probability(1, auto, 0.0) == 0.0
+    assert entry_trigger_probability(2, auto, 0.25) < 1.0
+
+
 def test_run_trial_duration_one(env, auto, motion):
     traj = run_trial(env, motion, auto, seed=1, duration=1)
     assert traj.n_ticks == 1
@@ -170,6 +178,26 @@ def test_recorded_m_matches_offline_wall_contact(env, auto, motion):
     for k in range(traj.n_ticks):
         expected = wall_contact(env, (traj.xs[k], traj.ys[k]), motion.contact_radius)
         assert traj.ms[k] == expected, f"tick {k}"
+
+
+@pytest.mark.parametrize("radius,spacing", [(0.0, 0.5), (1.0, 0.5), (2.0, 0.5),
+                                            (1.25, 0.25)])
+def test_contact_model_matches_wall_distance_oracle(env, auto, radius, spacing):
+    """The kernel's contact bit equals the wall-distance scan on a grid, which
+    puts points exactly on walls, gap corners and radius boundaries (at 1.25
+    also diagonally, as hypot(0.75, 1) = 1.25), plus seeded random points;
+    all in the corridor or a room."""
+    nx, ny = int(env.interior_width / spacing), int(env.interior_height / spacing)
+    grid = [(spacing * i, spacing * j) for i in range(nx + 1) for j in range(ny + 1)]
+    rng = np.random.default_rng(5)
+    points = grid + list(zip(rng.uniform(0.0, env.interior_width, 2000).tolist(),
+                             rng.uniform(0.0, env.interior_height, 2000).tolist()))
+    points = [p for p in points if locate(env, p) != WALL]
+    xs, ys = (np.array(column) for column in zip(*points))
+    regions = np.array([locate(env, p) for p in points])
+    ctx = _SimContext(env, MotionParams(contact_radius=radius), auto)
+    got = locomotion._contact(ctx, xs, ys, regions).tolist()
+    assert got == [wall_contact(env, p, radius) for p in points]
 
 
 def test_zero_trigger_scale_never_enters_rooms(env, auto):

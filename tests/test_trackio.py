@@ -10,12 +10,12 @@ from leechsim.locomotion import MODE_UNKNOWN, MotionParams, run_trial
 from leechsim.trackio import (
     Frame,
     TrackError,
+    _dark_mask,
+    _parse_pnm_header,
     blank_frame,
-    extract_dark_pixels,
     frame_filename,
     frames_to_trajectory,
     read_frame_dir,
-    read_pgm,
     read_ppm,
     render_activity_map,
     render_frames,
@@ -24,6 +24,19 @@ from leechsim.trackio import (
     write_pgm,
     write_ppm,
 )
+
+
+def extract_dark_pixels(frame, threshold=40):
+    """(N, 2) array of (x, y) coordinates of the tracker's dark pixels."""
+    ys, xs = np.nonzero(_dark_mask(frame, threshold))
+    return np.stack((xs, ys), axis=1)
+
+
+def read_pgm(path):
+    """The grayscale image of a binary PGM (P5) file."""
+    data = path.read_bytes()
+    width, height, pos = _parse_pnm_header(data, b"P5", path)
+    return np.frombuffer(data, np.uint8, width * height, pos).reshape(height, width)
 
 
 def _frame_with(pixels_and_colors, width=30, height=20):
@@ -332,7 +345,7 @@ def _pinned_frames(env):
 
 
 # sha256 of `leechsim track` on _pinned_frames, written by the tracker that
-# took the mean of extract_dark_pixels' coordinate list
+# took the mean of the dark-pixel coordinate list
 PINNED_TRACK_SHA256 = "7aab90a1159e2813f6f2e3264f517534038d0b0a206af2f3939c281ebde55001"
 
 
