@@ -1,35 +1,27 @@
 #!/usr/bin/env python3
-"""Reproduce the room-visit statistics end to end.
+"""Reproduce the room-visit statistics end to end through the leechsim CLI.
 
-Calibrates the entry-trigger scale against the target visit law
+Calibrates the entry-trigger scale against the automaton's visit law
 0.35 * x^-0.82, reruns the calibrated ensemble, refits the power law to the
-simulated frequencies, and renders a time overlay plus an activity map of a
-sample trial.  Also emits a 40-trial batch at the calibrated scale for a
-like-for-like comparison with a 40-experiment dataset.
+simulated frequencies, and renders a time overlay plus an activity map of
+trial 0.  Also runs a 40-trial batch at the calibrated scale for a
+like-for-like comparison with a 40-experiment dataset.  The trial CSVs of
+both runs go to a temporary directory that is removed at the end.
 
-Outputs land in --out (default runs/reproduction): visits.csv, dwell.csv,
-fit.json, calibration.json, trial_0000.csv, overlay.ppm, activity.pgm,
-visits_40.csv.
+Outputs land in --out (default runs/reproduction): calibration.json,
+visits.csv, dwell.csv, fit.json, trial_0000.csv, overlay.ppm, activity.pgm,
+visits_40.csv.  The exit code is the first non-zero one of a CLI step.
 """
 
 import argparse
 import json
+import shutil
 import sys
-from dataclasses import replace
+import tempfile
 from pathlib import Path
 
-from leechsim.automaton import AutomatonParams
-from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
-from leechsim.geometry import build_corridor_template, room_distance_to_end
-from leechsim.locomotion import MotionParams, write_trajectory_csv
-from leechsim.montecarlo import (
-    derive_trial_seed,
-    ensemble_stats,
-    run_ensemble,
-    write_dwell_csv,
-    write_stats_csv,
-)
-from leechsim.trackio import render_activity_map, render_time_overlay, write_pgm, write_ppm
+from leechsim.cli import main as leechsim
+from leechsim.montecarlo import derive_trial_seed
 
 
 def main(argv=None) -> int:
@@ -40,63 +32,37 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out", default="runs/reproduction")
     args = parser.parse_args(argv)
-
-    env = build_corridor_template()
-    auto = AutomatonParams()
-    motion = MotionParams()
-    target = PowerLawFit(auto.a, auto.b)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    run_opts = ["--duration", str(args.duration), "--workers", str(args.workers)]
 
-    print(f"calibrating q_scale against {target.a}*x^{target.b} "
-          f"({args.trials} trials x {args.duration} ticks)...")
-    result = calibrate_entry_prob(env, motion, auto, target,
-                                  n_trials=args.trials, base_seed=args.seed,
-                                  tol=1 / 64, duration=args.duration,
-                                  workers=args.workers)
-    report = {
-        "q_scale": result.q_scale,
-        "score": result.score,
-        "feasible": result.feasible,
-        "evaluations": [
-            {"q_scale": q, "mean_freq": m, "score": s}
-            for q, m, s in result.evaluations
-        ],
-    }
-    (out / "calibration.json").write_text(json.dumps(report, sort_keys=True,
-                                                     indent=2) + "\n")
-    if not result.feasible:
-        print("calibration infeasible; see calibration.json")
-        return 1
-    print(f"  q_scale = {result.q_scale:.4f} (score {result.score:.5f})")
-
-    calibrated = replace(motion, q_scale=result.q_scale)
-    seed = derive_trial_seed(args.seed, result.best_eval_index)
-    trajs = run_ensemble(env, calibrated, auto, args.trials, seed,
-                         args.duration, workers=args.workers)
-    stats = ensemble_stats(trajs)
-    write_stats_csv(env, stats, out / "visits.csv")
-    write_dwell_csv(stats, out / "dwell.csv")
-
-    points = [(room_distance_to_end(env, r), f)
-              for r, f in stats.visit_freq.items() if f > 0]
-    fit = fit_power_law(points)
-    (out / "fit.json").write_text(json.dumps(
-        {"a": fit.a, "b": fit.b, "rss": fit.rss,
-         "points": [{"x": x, "y": y} for x, y in points]},
-        sort_keys=True, indent=2) + "\n")
-    print(f"  refit on simulated frequencies: a={fit.a:.3f} b={fit.b:.3f} "
-          f"(target {target.a}, {target.b})")
-
-    batch = run_ensemble(env, calibrated, auto, 40,
-                         derive_trial_seed(args.seed, 10_000), args.duration)
-    write_stats_csv(env, ensemble_stats(batch), out / "visits_40.csv")
-
-    sample = trajs[0]
-    write_trajectory_csv(sample, out / "trial_0000.csv")
-    write_ppm(out / "overlay.ppm", render_time_overlay(sample, env, 4.0))
-    write_pgm(out / "activity.pgm", render_activity_map(sample, env, 4.0))
-    print(f"wrote statistics, fit and renders to {out}")
+    code = leechsim(["calibrate", "--trials", str(args.trials), "--seed", str(args.seed),
+                     *run_opts, "--out", str(out / "calibration.json")])
+    if code:
+        return code
+    report = json.loads((out / "calibration.json").read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        config, run, batch = Path(tmp, "config.json"), Path(tmp, "run"), Path(tmp, "batch")
+        config.write_text(json.dumps({"motion": {"q_scale": report["q_scale"]}}))
+        trial = str(run / "trial_0000.csv")
+        steps = [
+            ["simulate", "--config", str(config), "--trials", str(args.trials),
+             "--seed", str(report["ensemble_seed"]), *run_opts, "--out", str(run)],
+            ["stats", str(run), "--out", str(out)],
+            ["fit", str(out / "visits.csv"), "--out", str(out / "fit.json")],
+            ["render", trial, "--mode", "overlay", "--out", str(out / "overlay.ppm")],
+            ["render", trial, "--mode", "activity", "--out", str(out / "activity.pgm")],
+            ["simulate", "--config", str(config), "--trials", "40",
+             "--seed", str(derive_trial_seed(args.seed, 10_000)), *run_opts,
+             "--out", str(batch)],
+            ["stats", str(batch)],
+        ]
+        for step in steps:
+            code = leechsim(step)
+            if code:
+                return code
+        shutil.copyfile(trial, out / "trial_0000.csv")
+        shutil.copyfile(batch / "visits.csv", out / "visits_40.csv")
     return 0
 
 

@@ -291,6 +291,7 @@ def cmd_calibrate(args) -> int:
         "score": result.score,
         "feasible": result.feasible,
         "converged": result.converged,
+        "ensemble_seed": result.ensemble_seed,
         "target": {"a": target.a, "b": target.b},
         "achieved": [
             {"room": room, "freq": freq, "target": result.target_values[room]}

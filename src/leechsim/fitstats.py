@@ -53,7 +53,11 @@ def fit_power_law(points) -> PowerLawFit:
     b = sxy / sxx
     intercept = my - b * mx
     rss = sum((v - (intercept + b * u)) ** 2 for u, v in zip(lx, ly))
-    return PowerLawFit(a=math.exp(intercept), b=b, rss=rss)
+    try:
+        a = math.exp(intercept)
+    except OverflowError:
+        raise ValueError(f"coefficient exp({intercept:.6g}) overflows a float") from None
+    return PowerLawFit(a=a, b=b, rss=rss)
 
 
 def chi_square(observed, expected) -> float:
@@ -79,9 +83,10 @@ class CalibrationResult:
 
     ``feasible`` is False when even q_scale = 1 undershoots the target in
     every room; ``achieved`` then reports the q = 1 curve.  ``evaluations``
-    lists (q_scale, mean_visit_freq, score) in evaluation order;
-    ``best_eval_index`` points at the returned q_scale's evaluation, whose
-    ensemble seed was derive_trial_seed(base_seed, best_eval_index).
+    lists (q_scale, mean_visit_freq, score) in evaluation order.
+    ``ensemble_seed`` is the base seed of the ensemble whose frequencies are
+    ``achieved``: evaluation i runs base seed derive_trial_seed(base_seed, i),
+    so ``run_ensemble`` at q_scale with this seed reproduces them.
     """
 
     q_scale: float
@@ -91,7 +96,10 @@ class CalibrationResult:
     achieved: dict[int, float]
     target_values: dict[int, float]
     evaluations: list[tuple[float, float, float]]
-    best_eval_index: int = 0
+    ensemble_seed: int
+
+
+_PLATEAU_TOL = 1e-4  # score change below which the search stops early
 
 
 def calibrate_entry_prob(
@@ -104,7 +112,6 @@ def calibrate_entry_prob(
     tol: float = 1.0 / 64.0,
     duration: int = 1800,
     workers: int = 1,
-    plateau_tol: float = 1e-4,
 ) -> CalibrationResult:
     """Bisect q_scale so simulated visit frequencies match the target curve.
 
@@ -114,7 +121,7 @@ def calibrate_entry_prob(
     room's distance-to-end.  Mean visit frequency is monotone in q_scale;
     the search asserts that empirically, with slack for binomial noise, and
     bisects the sign of the mean mismatch.  Terminates when the bracket is
-    narrower than ``tol`` or the score change falls below ``plateau_tol``.
+    narrower than ``tol`` or the score changes by less than 1e-4.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
@@ -122,7 +129,7 @@ def calibrate_entry_prob(
     targets = {}
     for room in rooms:
         x = room_distance_to_end(env, room)
-        y = target.a * x ** target.b
+        y = target(x)
         if not 0.0 < y <= 1.0:
             raise ValueError(
                 f"target {target.a}*x^{target.b} leaves (0, 1] at x={x}: {y}"
@@ -131,7 +138,7 @@ def calibrate_entry_prob(
     target_mean = sum(targets.values()) / len(rooms)
 
     evaluations: list[tuple[float, float, float]] = []
-    freq_by_q: dict[float, dict[int, float]] = {}
+    runs: dict[float, tuple[int, dict[int, float]]] = {}  # q -> (seed, freq)
 
     def evaluate(q: float) -> tuple[float, float]:
         seed = derive_trial_seed(base_seed, len(evaluations))
@@ -142,41 +149,37 @@ def calibrate_entry_prob(
         score = sum((freq[r] - targets[r]) ** 2 for r in rooms)
         _assert_monotone(evaluations, q, mean, n_trials, len(rooms))
         evaluations.append((q, mean, score))
-        freq_by_q[q] = freq
+        runs[q] = (seed, freq)
         return mean, score
 
     mean_hi, score_hi = evaluate(1.0)
-    if all(freq_by_q[1.0][r] < targets[r] for r in rooms):
-        return CalibrationResult(
-            q_scale=1.0, score=score_hi, feasible=False, converged=False,
-            achieved=freq_by_q[1.0], target_values=targets,
-            evaluations=evaluations, best_eval_index=0,
-        )
+    feasible = any(runs[1.0][1][r] >= targets[r] for r in rooms)
 
     lo, hi = 0.0, 1.0
-    best_q, best_score, best_index = 1.0, score_hi, 0
+    best_q, best_score = 1.0, score_hi
     prev_score = score_hi
     converged = False
-    while hi - lo > tol:
+    while feasible and hi - lo > tol:
         mid = 0.5 * (lo + hi)
         mean_mid, score_mid = evaluate(mid)
         if score_mid < best_score:
-            best_q, best_score, best_index = mid, score_mid, len(evaluations) - 1
+            best_q, best_score = mid, score_mid
         if mean_mid < target_mean:
             lo = mid
         else:
             hi = mid
-        if abs(score_mid - prev_score) < plateau_tol:
+        if abs(score_mid - prev_score) < _PLATEAU_TOL:
             converged = True
             break
         prev_score = score_mid
     else:
-        converged = True
+        converged = feasible  # the bracket closed, unless there was none
 
+    seed, freq = runs[best_q]
     return CalibrationResult(
-        q_scale=best_q, score=best_score, feasible=True, converged=converged,
-        achieved=freq_by_q[best_q], target_values=targets,
-        evaluations=evaluations, best_eval_index=best_index,
+        q_scale=best_q, score=best_score, feasible=feasible, converged=converged,
+        achieved=freq, target_values=targets, evaluations=evaluations,
+        ensemble_seed=seed,
     )
 
 

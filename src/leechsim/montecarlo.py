@@ -27,7 +27,6 @@ from .locomotion import (
     _SimContext,
     _simulate,
     run_trial,  # noqa: F401  (perfbench's tracer wraps montecarlo.run_trial)
-    run_trials,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -51,7 +50,6 @@ def derive_trial_seed(base_seed: int, index: int) -> int:
 class EnsembleStats:
     """Visit frequencies, time fractions and mode dwell lists for one ensemble."""
 
-    n_trials: int
     visit_freq: dict[int, float]
     time_fraction: dict[int, float]
     mode_dwell: dict[Mode, list[int]]
@@ -60,19 +58,25 @@ class EnsembleStats:
 _ERROR_BYTES = 1024  # room for a failed worker's exception message
 
 
+def _fill_and_sink(ctx: _SimContext, env: EnvironmentTemplate, seeds, trial_ids,
+                   out: TrialArrays, sink) -> None:
+    """Fill ``out`` with one trial per seed, then pass each trajectory to ``sink``."""
+    _simulate(ctx, seeds, out)
+    if sink is not None:
+        for traj in out.trajectories(env, seeds, trial_ids):
+            sink(traj)
+
+
 def _run_slice(ctx: _SimContext, env: EnvironmentTemplate, seeds, trial_ids,
                out: TrialArrays, sink, error) -> None:
-    """Worker body: fill ``out`` and sink its trajectories.
+    """Forked worker body: :func:`_fill_and_sink` one slice of the ensemble.
 
     A failure is written to the shared ``error`` buffer as ``Type: message``
     and ends the process with exit code 1, so the parent can name the cause
     and no traceback is printed.
     """
     try:
-        _simulate(ctx, seeds, out)
-        if sink is not None:
-            for traj in out.trajectories(env, seeds, trial_ids):
-                sink(traj)
+        _fill_and_sink(ctx, env, seeds, trial_ids, out, sink)
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}".encode(errors="replace")
         error.value = message[:len(error) - 1]
@@ -109,14 +113,11 @@ def run_ensemble(
         raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = [derive_trial_seed(base_seed, i) for i in range(n_trials)]
     n_workers = min(workers, n_trials)
-    if n_workers == 1:
-        trajs = run_trials(env, motion, auto, seeds, duration)
-        if sink is not None:
-            for traj in trajs:
-                sink(traj)
-        return trajs
     ctx = _SimContext(env, motion, auto)  # validate before any worker starts
     out = TrialArrays.allocate(n_trials, duration)
+    if n_workers == 1:  # in-process, which also runs where fork is missing
+        _fill_and_sink(ctx, env, seeds, range(n_trials), out, sink)
+        return out.trajectories(env, seeds, range(n_trials))
     # fork, so that the workers inherit the shared mapping and the sink
     fork = multiprocessing.get_context("fork")
     bounds = [n_trials * w // n_workers for w in range(n_workers + 1)]
@@ -197,7 +198,6 @@ def mode_dwell_histograms(trajs: list[Trajectory]) -> dict[Mode, list[int]]:
 
 def ensemble_stats(trajs: list[Trajectory]) -> EnsembleStats:
     return EnsembleStats(
-        n_trials=len(trajs),
         visit_freq=visit_frequencies(trajs),
         time_fraction=time_fractions(trajs),
         mode_dwell=mode_dwell_histograms(trajs),
@@ -226,11 +226,11 @@ def write_dwell_csv(stats: EnsembleStats, path) -> None:
 
 
 def read_stats_csv(path) -> list[tuple[int, int, float, float]]:
-    """Read rows written by :func:`write_stats_csv`."""
+    """Read rows written by :func:`write_stats_csv`: one per room, values in [0, 1]."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "room,distance_x,visit_freq,time_fraction":
         raise ValueError(f"{path}:1: bad or missing stats header")
-    rows = []
+    rows, rooms = [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 4:
@@ -241,5 +241,10 @@ def read_stats_csv(path) -> list[tuple[int, int, float, float]]:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         if not (math.isfinite(row[2]) and math.isfinite(row[3])):
             raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+        if not (0.0 <= row[2] <= 1.0 and 0.0 <= row[3] <= 1.0):
+            raise ValueError(f"{path}:{lineno}: value outside [0, 1] in {line!r}")
+        if row[0] in rooms:
+            raise ValueError(f"{path}:{lineno}: room {row[0]} listed twice")
+        rooms.add(row[0])
         rows.append(row)
     return rows

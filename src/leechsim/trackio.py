@@ -189,18 +189,19 @@ def render_activity_map(traj: Trajectory, env: EnvironmentTemplate,
 
 
 _LEECH_COLOR = (20, 20, 20)
+_LEECH_RADIUS_PX = 2
 _WALL_GRAY = (200, 200, 200)  # visible but above any sane darkness threshold
 
 
 def render_frames(traj: Trajectory, env: EnvironmentTemplate,
-                  px_per_mm: float = 4.0, leech_radius_px: int = 2):
+                  px_per_mm: float = 4.0):
     """Yield one synthetic frame per sample: gray template, dark leech blob.
 
     Walls are drawn light gray so dark-pixel extraction sees only the leech;
     this is the forward model for the tracking round trip.
     """
     proj = _Projection(env, px_per_mm)
-    offsets = _disc_offsets(leech_radius_px)
+    offsets = _disc_offsets(_LEECH_RADIUS_PX)
     background = blank_frame(proj.width, proj.height)
     _draw_walls(background.pixels, env, proj, _WALL_GRAY, fill=True)
     for k in range(traj.n_ticks):
@@ -214,7 +215,6 @@ def frames_to_trajectory(
     frames,
     threshold: int = 40,
     mm_per_px: float = 0.25,
-    tick: float = 1.0,
     env: EnvironmentTemplate | None = None,
 ) -> Trajectory:
     """Centroid-track a frame sequence into a trajectory.

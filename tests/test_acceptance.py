@@ -24,7 +24,7 @@ from leechsim.cli import RunConfig, main
 from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, chi_square, fit_power_law
 from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams, run_trials
-from leechsim.montecarlo import derive_trial_seed, run_ensemble, time_fractions, visit_frequencies
+from leechsim.montecarlo import run_ensemble, time_fractions, visit_frequencies
 from leechsim.trackio import frames_to_trajectory, render_frames, time_color
 
 # chi-square critical values at the 99.9% level
@@ -69,7 +69,7 @@ def calibrated(corridor):
     )
     trajs = run_ensemble(
         corridor, replace(motion, q_scale=result.q_scale), auto, 1000,
-        derive_trial_seed(base_seed, result.best_eval_index), 1800,
+        result.ensemble_seed, 1800,
     )
     return result, trajs
 

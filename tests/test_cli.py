@@ -6,7 +6,7 @@ import pytest
 
 from leechsim.cli import RunConfig, load_run_config, main
 from leechsim.locomotion import MotionParams, read_trajectory_csv, run_trial
-from leechsim.montecarlo import ensemble_stats, run_ensemble
+from leechsim.montecarlo import derive_trial_seed, ensemble_stats, run_ensemble
 from leechsim.trackio import frame_filename, read_ppm, render_frames, write_ppm
 
 
@@ -322,6 +322,23 @@ def test_fit_rejects_non_finite_stats(tmp_path, capsys, column, value):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("rows, error", [
+    # both frequencies lie in [0, 1], but the fitted coefficient overflows
+    (["1,2,1.0,0.1", "2,3,1e-300,0.1"], "overflows a float"),
+    (["1,1,0.35,0.1", "1,2,0.198,0.05", "3,3,0.142,0.02"], "visits.csv:3: room 1 listed twice"),
+    (["1,1,0.35,0.1", "2,2,1.7,0.05", "3,3,0.142,0.02"], "visits.csv:3: value outside [0, 1]"),
+    (["1,1,0.35,0.1", "2,2,0.198,0.05", "3,3,0.142,-0.2"], "visits.csv:4: value outside [0, 1]"),
+])
+def test_fit_rejects_stats_the_writer_cannot_write(tmp_path, capsys, rows, error):
+    stats_csv = tmp_path / "visits.csv"
+    stats_csv.write_text("room,distance_x,visit_freq,time_fraction\n"
+                         + "".join(row + "\n" for row in rows))
+    assert main(["fit", str(stats_csv)]) == 3
+    captured = capsys.readouterr()
+    assert error in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-0.5"])
 def test_calibrate_rejects_bad_tol(tmp_path, capsys, tol):
     cfg = _small_config(tmp_path, n_trials=2, duration_ticks=20)
@@ -339,8 +356,10 @@ def test_calibrate_smoke(tmp_path):
                  "--target-b", "-0.82", "--tol", "0.25", "--out", str(out)])
     assert code == 0
     doc = json.loads(out.read_text())
-    assert set(doc) == {"q_scale", "score", "feasible", "converged", "target",
-                        "achieved", "evaluations"}
+    assert set(doc) == {"q_scale", "score", "feasible", "converged",
+                        "ensemble_seed", "target", "achieved", "evaluations"}
+    evaluated = [e["q_scale"] for e in doc["evaluations"]]
+    assert doc["ensemble_seed"] == derive_trial_seed(3, evaluated.index(doc["q_scale"]))
     assert doc["feasible"] is True
     assert 0.0 <= doc["q_scale"] <= 1.0
     assert len(doc["achieved"]) == 8

@@ -10,7 +10,7 @@ from leechsim.fitstats import (
 )
 from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams
-from leechsim.montecarlo import run_ensemble, visit_frequencies
+from leechsim.montecarlo import derive_trial_seed, run_ensemble, visit_frequencies
 
 
 def test_fit_recovers_visit_law_sample():
@@ -141,8 +141,10 @@ def test_calibrate_infeasible_reports_achieved_curve():
         env, motion, auto, PowerLawFit(a=1.0, b=-1e-6),
         n_trials=30, base_seed=6, tol=1 / 8, duration=150,
     )
-    assert not result.feasible
+    assert not result.feasible and not result.converged
     assert result.q_scale == 1.0
+    assert len(result.evaluations) == 1
+    assert result.ensemble_seed == derive_trial_seed(6, 0)
     assert set(result.achieved) == set(range(1, 9))
     assert all(result.achieved[r] < result.target_values[r] for r in range(1, 9))
 

@@ -1,9 +1,12 @@
 """Smoke runs of the scripts under ``scripts/``, which import library API."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from leechsim.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,6 +28,23 @@ def test_reproduce_room_stats(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == [
         "activity.pgm", "calibration.json", "dwell.csv", "fit.json",
         "overlay.ppm", "trial_0000.csv", "visits.csv", "visits_40.csv"]
+    # the script's fit is the CLI's fit of its own visits.csv
+    refit = tmp_path / "refit.json"
+    assert main(["fit", str(out / "visits.csv"), "--out", str(refit)]) == 0
+    assert (out / "fit.json").read_bytes() == refit.read_bytes()
+    # the rerun ensemble is the one whose frequencies calibration reported
+    report = json.loads((out / "calibration.json").read_text())
+    rows = (out / "visits.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == [
+        f"{a['freq']:.6f}" for a in report["achieved"]]
+
+
+def test_reproduce_room_stats_bad_workers_is_config_error(tmp_path):
+    run = _run_script("reproduce_room_stats.py", "--workers", "0",
+                      "--out", str(tmp_path / "repro"), cwd=tmp_path)
+    assert run.returncode == 2
+    assert "--workers must be >= 1" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_trigger_sweep(tmp_path):
