@@ -14,7 +14,7 @@ from leechsim.automaton import AutomatonParams
 from leechsim.fitstats import fit_power_law
 from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams
-from leechsim.montecarlo import run_ensemble, time_fractions, visit_frequencies
+from leechsim.montecarlo import visit_counts
 
 
 def mean_by_distance(env, per_room: dict[int, float]) -> list[float]:
@@ -43,15 +43,15 @@ def main(argv=None) -> int:
           "exponent  t_ratio")
     for q in args.q:
         motion = MotionParams(q_scale=q)
-        trajs = run_ensemble(env, motion, auto, args.trials, args.seed,
-                             args.duration, workers=args.workers)
-        f = visit_frequencies(trajs)
+        counts = visit_counts(env, motion, auto, args.trials, args.seed,
+                              args.duration, workers=args.workers)
+        f = counts.visit_frequencies()
         grouped = mean_by_distance(env, f)
         mean = sum(f.values()) / len(f)
         b = float("nan")
         if all(v > 0 for v in f.values()):
             b = fit_power_law([(room_distance_to_end(env, r), f[r]) for r in rooms]).b
-        tf = mean_by_distance(env, time_fractions(trajs))
+        tf = mean_by_distance(env, counts.time_fractions())
         ratio = tf[0] / tf[-1] if tf[-1] > 0 else float("inf")
         print(f"{q:7.3f} {mean:7.3f} " +
               " ".join(f"{g:7.3f}" for g in grouped) +

@@ -271,6 +271,12 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _print_evaluation(index, q, mean, score, seed, seconds) -> None:
+    print(f"evaluation {index}: q_scale={q:.6f} mean_freq={mean:.4f} "
+          f"score={score:.6f} ensemble_seed={seed} ({seconds:.2f} s)",
+          file=sys.stderr)
+
+
 def cmd_calibrate(args) -> int:
     _check_workers(args)
     _check_positive("--tol", args.tol)
@@ -285,6 +291,7 @@ def cmd_calibrate(args) -> int:
         env, cfg.motion, cfg.automaton, target,
         n_trials=cfg.n_trials, base_seed=cfg.base_seed, tol=args.tol,
         duration=cfg.duration_ticks, workers=args.workers,
+        progress=_print_evaluation,
     )
     doc = {
         "q_scale": result.q_scale,
@@ -390,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override base_seed")
     p.add_argument("--duration", type=int, help="override duration_ticks")
     p.add_argument("--tol", type=float, default=1.0 / 64.0,
-                   help="bisection bracket tolerance")
+                   help="smallest q_scale move worth another ensemble")
     p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
     p.add_argument("--out", help="write the calibration report JSON here")
     p.set_defaults(func=cmd_calibrate)

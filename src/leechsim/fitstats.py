@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import math
+import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .automaton import AutomatonParams
 from .geometry import EnvironmentTemplate, room_distance_to_end
-from .locomotion import MotionParams
-from .montecarlo import derive_trial_seed, run_ensemble, visit_frequencies
+from .locomotion import MotionParams, VisitCounts, entry_trigger_probability
+from .montecarlo import (
+    derive_trial_seed,
+    run_ensemble,  # noqa: F401  (perfbench's tracer assigns it here)
+    visit_counts,
+    visit_frequencies,  # noqa: F401  (perfbench's tracer wraps it here)
+)
 
 
 class CalibrationError(RuntimeError):
@@ -81,12 +90,13 @@ def chi_square(observed, expected) -> float:
 class CalibrationResult:
     """Outcome of the entry-trigger search.
 
-    ``feasible`` is False when even q_scale = 1 undershoots the target in
-    every room; ``achieved`` then reports the q = 1 curve.  ``evaluations``
-    lists (q_scale, mean_visit_freq, score) in evaluation order.
-    ``ensemble_seed`` is the base seed of the ensemble whose frequencies are
-    ``achieved``: evaluation i runs base seed derive_trial_seed(base_seed, i),
-    so ``run_ensemble`` at q_scale with this seed reproduces them.
+    ``feasible`` is False when an evaluation at q_scale = 1 undershoots the
+    target in every room; ``achieved`` then reports that q = 1 curve.
+    ``evaluations`` lists (q_scale, mean_visit_freq, score) in evaluation
+    order.  ``ensemble_seed`` is the base seed of the ensemble whose
+    frequencies are ``achieved``: every evaluation runs base seed
+    derive_trial_seed(base_seed, 0), so ``run_ensemble`` at q_scale with this
+    seed reproduces them.
     """
 
     q_scale: float
@@ -99,7 +109,39 @@ class CalibrationResult:
     ensemble_seed: int
 
 
-_PLATEAU_TOL = 1e-4  # score change below which the search stops early
+_MAX_ENSEMBLES = 3  # q = 0, the predicted q, one correction
+_GRID = 1024  # intervals of each of the two q grids the prediction is minimized on
+
+
+def _predicted_frequencies(qs, distances, auto: AutomatonParams,
+                           passes: np.ndarray) -> np.ndarray:
+    """Visit frequency of each room at each q, predicted from q = 0 window passes.
+
+    f_r(q) = 1 - mean_i (1 - p_r(q))^N_ir: N_ir = ``passes[i, r]`` counts
+    trial i's passes over room r's trigger window, and p_r(q) is the kernel's
+    per-pass trigger probability (:func:`entry_trigger_probability`), each
+    pass triggering on its own.  Returns a (len(qs), rooms) array.
+    """
+    out = np.empty((len(qs), len(distances)))
+    for j, x in enumerate(distances):
+        p = np.array([entry_trigger_probability(x, auto, q) for q in qs])
+        values, counts = np.unique(passes[:, j + 1], return_counts=True)
+        out[:, j] = 1.0 - (1.0 - p[:, None]) ** values @ counts / passes.shape[0]
+    return out
+
+
+def _predicted_argmin(distances, auto: AutomatonParams, passes: np.ndarray,
+                      targets: np.ndarray) -> float:
+    """q in [0, 1] whose predicted frequencies have the least squared error
+    against ``targets``: the best of a grid over [0, 1], refined on a grid
+    between that point's neighbours."""
+    lo, hi = 0.0, 1.0
+    for _ in range(2):
+        qs = np.linspace(lo, hi, _GRID + 1)
+        freq = _predicted_frequencies(qs, distances, auto, passes)
+        j = int(np.argmin(((freq - targets) ** 2).sum(axis=1)))
+        lo, hi = qs[max(j - 1, 0)], qs[min(j + 1, _GRID)]
+    return float(qs[j])
 
 
 def calibrate_entry_prob(
@@ -112,73 +154,93 @@ def calibrate_entry_prob(
     tol: float = 1.0 / 64.0,
     duration: int = 1800,
     workers: int = 1,
+    progress: Callable[[int, float, float, float, int, float], None] | None = None,
 ) -> CalibrationResult:
-    """Bisect q_scale so simulated visit frequencies match the target curve.
+    """Fit q_scale so simulated visit frequencies match the target curve,
+    running at most 3 ensembles.
 
-    Each candidate q_scale runs a fresh ensemble (seeded from (base_seed,
-    evaluation index), so results are schedule-independent) and is scored by
-    the equally weighted squared error against the target evaluated at each
-    room's distance-to-end.  Mean visit frequency is monotone in q_scale;
-    the search asserts that empirically, with slack for binomial noise, and
-    bisects the sign of the mean mismatch.  Terminates when the bracket is
-    narrower than ``tol`` or the score changes by less than 1e-4.
+    Every evaluation runs ``n_trials`` trials from base seed
+    derive_trial_seed(base_seed, 0), so evaluations differ only through
+    q_scale (common random numbers), and reads the ensemble's
+    :class:`~leechsim.locomotion.VisitCounts`; no trajectory is stored.  A
+    q_scale is scored by the equally weighted squared error against the
+    target evaluated at each room's distance-to-end.
+
+    Evaluation 0 runs q_scale = 0 and counts each trial's passes over each
+    room's trigger window; these predict the frequencies at any q_scale
+    (:func:`_predicted_frequencies`).  Evaluation 1 runs the q_scale whose
+    prediction scores best, or 1 when no trial passed a window, since the
+    prediction then carries no information.  One correction may follow: the
+    prediction is shifted, room by room, onto the frequencies observed at
+    the last evaluation, and the best q_scale of the shifted prediction is
+    evaluated if it moves q_scale by at least ``tol``.  ``converged`` means
+    the last such move was smaller than ``tol``.
+
+    An evaluation at q_scale = 1 in which no room reaches its target ends
+    the search as infeasible and is the result; otherwise the result is the
+    evaluation with the lowest score.  Mean visit frequency must not fall as
+    q_scale grows; the search asserts that, with slack for binomial noise.
+    ``progress(index, q_scale, mean_freq, score, ensemble_seed, seconds)``,
+    when given, is called after each evaluation.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     rooms = list(range(1, env.n_rooms + 1))
+    distances = [room_distance_to_end(env, room) for room in rooms]
     targets = {}
-    for room in rooms:
-        x = room_distance_to_end(env, room)
+    for room, x in zip(rooms, distances):
         y = target(x)
         if not 0.0 < y <= 1.0:
             raise ValueError(
                 f"target {target.a}*x^{target.b} leaves (0, 1] at x={x}: {y}"
             )
         targets[room] = y
-    target_mean = sum(targets.values()) / len(rooms)
+    target_values = np.array([targets[r] for r in rooms])
 
+    seed = derive_trial_seed(base_seed, 0)
     evaluations: list[tuple[float, float, float]] = []
-    runs: dict[float, tuple[int, dict[int, float]]] = {}  # q -> (seed, freq)
+    runs: dict[float, dict[int, float]] = {}  # q -> freq
 
-    def evaluate(q: float) -> tuple[float, float]:
-        seed = derive_trial_seed(base_seed, len(evaluations))
-        trajs = run_ensemble(env, replace(motion, q_scale=q), auto,
-                             n_trials, seed, duration, workers)
-        freq = visit_frequencies(trajs)
+    def evaluate(q: float) -> VisitCounts:
+        start = time.perf_counter()
+        counts = visit_counts(env, replace(motion, q_scale=q), auto,
+                              n_trials, seed, duration, workers)
+        freq = counts.visit_frequencies()
         mean = sum(freq.values()) / len(rooms)
         score = sum((freq[r] - targets[r]) ** 2 for r in rooms)
         _assert_monotone(evaluations, q, mean, n_trials, len(rooms))
         evaluations.append((q, mean, score))
-        runs[q] = (seed, freq)
-        return mean, score
+        runs[q] = freq
+        if progress is not None:
+            progress(len(evaluations) - 1, q, mean, score, seed,
+                     time.perf_counter() - start)
+        return counts
 
-    mean_hi, score_hi = evaluate(1.0)
-    feasible = any(runs[1.0][1][r] >= targets[r] for r in rooms)
-
-    lo, hi = 0.0, 1.0
-    best_q, best_score = 1.0, score_hi
-    prev_score = score_hi
-    converged = False
-    while feasible and hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        mean_mid, score_mid = evaluate(mid)
-        if score_mid < best_score:
-            best_q, best_score = mid, score_mid
-        if mean_mid < target_mean:
-            lo = mid
-        else:
-            hi = mid
-        if abs(score_mid - prev_score) < _PLATEAU_TOL:
-            converged = True
-            break
-        prev_score = score_mid
+    passes = evaluate(0.0).passes
+    if passes[:, 1:].any():
+        q = _predicted_argmin(distances, auto, passes, target_values)
     else:
-        converged = feasible  # the bracket closed, unless there was none
+        q = 1.0
+    feasible = True
+    for _ in range(_MAX_ENSEMBLES - 1):
+        if q not in runs:
+            evaluate(q)
+        freq = runs[q]
+        if q == 1.0 and all(freq[r] < targets[r] for r in rooms):
+            feasible = converged = False
+            break
+        observed = np.array([freq[r] for r in rooms])
+        shift = observed - _predicted_frequencies([q], distances, auto, passes)[0]
+        proposed = _predicted_argmin(distances, auto, passes, target_values - shift)
+        converged = abs(proposed - q) < tol
+        if converged:
+            break
+        q = proposed
 
-    seed, freq = runs[best_q]
+    q, _, score = min(evaluations, key=lambda e: e[2]) if feasible else evaluations[-1]
     return CalibrationResult(
-        q_scale=best_q, score=best_score, feasible=feasible, converged=converged,
-        achieved=freq, target_values=targets, evaluations=evaluations,
+        q_scale=q, score=score, feasible=feasible, converged=converged,
+        achieved=runs[q], target_values=targets, evaluations=evaluations,
         ensemble_seed=seed,
     )
 

@@ -10,9 +10,10 @@ continuous steering.
 
 The kernel, :func:`run_trials`, steps a whole batch of trials in lockstep:
 each tick is computed for every trial at once with masked numpy operations
-over per-trial state arrays, and tick k of trial i is written to column k of
-row i of caller-visible :class:`TrialArrays` (ensembles put these in memory
-shared with their worker processes, see :mod:`leechsim.montecarlo`).
+over per-trial state arrays and handed to an output object: :class:`TrialArrays`
+writes tick k of trial i to column k of row i, :class:`VisitCounts` only
+counts ticks and trigger-window passes per room (ensembles put either in
+memory shared with their worker processes, see :mod:`leechsim.montecarlo`).
 :func:`run_trial` is a batch of one.
 
 Randomness: trial i owns ``default_rng(seed_i)`` and reads it, in stream
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -256,8 +257,36 @@ def _contact(ctx: _SimContext, x: np.ndarray, y: np.ndarray,
 _BLOCK = 256  # ticks between refills of the per-trial draw buffers
 
 
+def _shared_arrays(n_trials: int, width: int, dtypes: dict) -> dict[str, np.ndarray]:
+    """Zeroed (n_trials, width) arrays, one per ``dtypes`` entry, in one
+    anonymous shared memory mapping.
+
+    Processes forked after the allocation write through to the same pages,
+    so an ensemble's workers can fill their rows in place.  List the widest
+    dtype first, so every array stays aligned inside the one buffer.
+    """
+    size = n_trials * width
+    itemsizes = sum(np.dtype(d).itemsize for d in dtypes.values())
+    buffer = mmap.mmap(-1, max(size * itemsizes, 1))  # mmap refuses length 0
+    arrays, offset = {}, 0
+    for name, dtype in dtypes.items():
+        arrays[name] = np.frombuffer(buffer, dtype, size, offset).reshape(
+            n_trials, width)
+        offset += arrays[name].nbytes
+    return arrays
+
+
+class _TrialRows:
+    """Kernel output whose ``_DTYPES`` fields hold one row per trial."""
+
+    _DTYPES: dict
+
+    def rows(self, lo: int, hi: int):
+        return replace(self, **{k: getattr(self, k)[lo:hi] for k in self._DTYPES})
+
+
 @dataclass(frozen=True)
-class TrialArrays:
+class TrialArrays(_TrialRows):
     """Per-tick fields of a batch of trials, one (n_trials, duration) array each.
 
     Trial i's record is row i of every field; :meth:`trajectories` hands the
@@ -270,31 +299,25 @@ class TrialArrays:
     modes: np.ndarray
     ms: np.ndarray
 
-    # widest dtype first, so every field stays aligned inside one buffer
     _DTYPES = {"xs": np.float64, "ys": np.float64, "regions": np.int16,
                "modes": np.uint8, "ms": np.uint8}
 
     @classmethod
     def allocate(cls, n_trials: int, duration: int) -> "TrialArrays":
-        """Uninitialized fields in one anonymous shared memory mapping.
-
-        Processes forked after the allocation write through to the same
-        pages, so an ensemble's workers can fill their rows in place.
-        """
+        """Fields in shared memory, see :func:`_shared_arrays`."""
         if duration < 1:
             raise ValueError(f"duration must be >= 1 tick, got {duration}")
-        size = n_trials * duration
-        itemsizes = sum(np.dtype(d).itemsize for d in cls._DTYPES.values())
-        buffer = mmap.mmap(-1, max(size * itemsizes, 1))  # mmap refuses length 0
-        fields, offset = {}, 0
-        for name, dtype in cls._DTYPES.items():
-            fields[name] = np.frombuffer(buffer, dtype, size, offset).reshape(
-                n_trials, duration)
-            offset += fields[name].nbytes
-        return cls(**fields)
+        return cls(**_shared_arrays(n_trials, duration, cls._DTYPES))
 
-    def rows(self, lo: int, hi: int) -> "TrialArrays":
-        return TrialArrays(**{k: getattr(self, k)[lo:hi] for k in self._DTYPES})
+    @property
+    def duration(self) -> int:
+        return self.xs.shape[1]
+
+    def record(self, k, x, y, mode, region, m, passed) -> None:
+        """Store tick ``k`` of every trial in column ``k``."""
+        for field, value in ((self.xs, x), (self.ys, y), (self.modes, mode),
+                             (self.regions, region), (self.ms, m)):
+            field[:, k] = value
 
     def trajectories(self, env, seeds, trial_ids) -> list[Trajectory]:
         return [
@@ -304,15 +327,62 @@ class TrialArrays:
         ]
 
 
-def _simulate(ctx: _SimContext, seeds, out: TrialArrays) -> None:
-    """Run one trial per seed in lockstep, writing tick k into column k of ``out``.
+@dataclass(frozen=True)
+class VisitCounts(_TrialRows):
+    """Per-trial room counts of a batch of trials, O(trials x rooms) in all.
+
+    Column c of ``ticks`` counts the ticks trial i spent in region code c
+    (column 0 the corridor), so room c was visited iff ``ticks[i, c] > 0``.
+    Column c >= 1 of ``passes`` counts the ticks trial i crawled over room
+    c's trigger window (the kernel's own test for a possible entry, made
+    whatever ``q_scale`` is); column 0 counts the other ticks.
+    """
+
+    duration: int
+    ticks: np.ndarray
+    passes: np.ndarray
+
+    _DTYPES = {"ticks": np.int32, "passes": np.int32}
+
+    @classmethod
+    def allocate(cls, n_trials: int, n_rooms: int, duration: int) -> "VisitCounts":
+        """Zeroed counts in shared memory, see :func:`_shared_arrays`."""
+        if duration < 1:
+            raise ValueError(f"duration must be >= 1 tick, got {duration}")
+        return cls(duration, **_shared_arrays(n_trials, n_rooms + 1, cls._DTYPES))
+
+    def record(self, k, x, y, mode, region, m, passed) -> None:
+        """Count tick ``k``: one tick in ``region`` and one in ``passed``."""
+        trials = np.arange(region.size)
+        self.ticks[trials, region] += 1
+        self.passes[trials, passed] += 1
+
+    def visit_frequencies(self) -> dict[int, float]:
+        """Fraction of trials in which each room shows up for at least one tick."""
+        visits = (self.ticks[:, 1:] > 0).sum(axis=0).tolist()
+        n = self.ticks.shape[0]
+        return {room: c / n for room, c in enumerate(visits, start=1)}
+
+    def time_fractions(self) -> dict[int, float]:
+        """Per-room share of all ticks across the batch."""
+        total = self.ticks.shape[0] * self.duration
+        ticks = self.ticks[:, 1:].sum(axis=0).tolist()
+        return {room: c / total for room, c in enumerate(ticks, start=1)}
+
+
+def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
+    """Run one trial per seed in lockstep, handing each tick to ``out.record``.
+
+    ``record(k, x, y, mode, region, m, passed)`` gets the state of every
+    trial after tick k, plus the room whose trigger window each trial
+    crawled over during the tick (0 for none).
 
     Trial b reads its uniforms from row b of ``draws`` at cursor ``cur[b]``;
     a tick consumes at most 3 of them, so refilling every ``_BLOCK`` ticks
     (unread tail shifted to the front, the rest drawn anew from the trial's
     own generator) never lets a cursor run off its row.
     """
-    n, duration = out.xs.shape
+    n, duration = len(seeds), out.duration
     if n == 0:
         return
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -337,11 +407,8 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays) -> None:
     t = np.zeros(n, dtype=np.intp)
     region = np.zeros(n, dtype=np.intp)
     m = _contact(ctx, x, y, region)
-    fields = (out.xs, out.ys, out.modes, out.regions, out.ms)
-    for field, value in zip(fields, (x, y, mode, region, m)):
-        field[:, 0] = value
+    out.record(0, x, y, mode, region, m, np.zeros(n, dtype=np.intp))
 
-    no_trigger = np.zeros(n)
     for k in range(1, duration):
         if k > 1 and (k - 1) % _BLOCK == 0:
             for rng, row, used in zip(rngs, draws, cur.tolist()):
@@ -370,12 +437,13 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays) -> None:
         # (2) sense
         m = _contact(ctx, x, y, region)
 
-        # (3) entry trigger while crawling over an opening window
-        q = no_trigger
-        if ctx.any_q:
-            w = np.minimum(np.searchsorted(ctx.win_hi, x), ctx.win_hi.size - 1)
-            over = crawl & (ctx.win_lo[w] <= x) & (x <= ctx.win_hi[w])
-            q = np.where(over, ctx.win_q[w], 0.0)
+        # (3) entry trigger while crawling over an opening window; at
+        # q_scale = 0 every trigger is 0.0, so the window passes are still
+        # counted and nothing else changes
+        w = np.minimum(np.searchsorted(ctx.win_hi, x), ctx.win_hi.size - 1)
+        over = crawl & (ctx.win_lo[w] <= x) & (x <= ctx.win_hi[w])
+        q = np.where(over, ctx.win_q[w], 0.0)
+        passed = np.where(over, ctx.win_room[w], 0)
 
         # (4) one automaton transition
         new_mode, t = sample_transitions(mode, t, m, q, ctx.tau_s, ctx.tau_a,
@@ -386,7 +454,7 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays) -> None:
         if ctx.any_q:
             enter = np.flatnonzero(over & (new_mode == 2))
             if enter.size:
-                room = ctx.win_room[w[enter]]
+                room = passed[enter]
                 region[enter] = room
                 x[enter] = ctx.cx[room]
                 y[enter] = ctx.entry_y
@@ -401,9 +469,7 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays) -> None:
             hx[leave] = np.where(draws[leave, cur[leave]] < 0.5, -1.0, 1.0)
             cur[leave] += 1
         mode = new_mode
-
-        for field, value in zip(fields, (x, y, mode, region, m)):
-            field[:, k] = value
+        out.record(k, x, y, mode, region, m, passed)
 
 
 def run_trials(env: EnvironmentTemplate, motion: MotionParams,

@@ -24,6 +24,7 @@ from .locomotion import (
     MotionParams,
     TrialArrays,
     Trajectory,
+    VisitCounts,
     _SimContext,
     _simulate,
     run_trial,  # noqa: F401  (perfbench's tracer wraps montecarlo.run_trial)
@@ -59,7 +60,7 @@ _ERROR_BYTES = 1024  # room for a failed worker's exception message
 
 
 def _fill_and_sink(ctx: _SimContext, env: EnvironmentTemplate, seeds, trial_ids,
-                   out: TrialArrays, sink) -> None:
+                   out: TrialArrays | VisitCounts, sink) -> None:
     """Fill ``out`` with one trial per seed, then pass each trajectory to ``sink``."""
     _simulate(ctx, seeds, out)
     if sink is not None:
@@ -68,7 +69,7 @@ def _fill_and_sink(ctx: _SimContext, env: EnvironmentTemplate, seeds, trial_ids,
 
 
 def _run_slice(ctx: _SimContext, env: EnvironmentTemplate, seeds, trial_ids,
-               out: TrialArrays, sink, error) -> None:
+               out: TrialArrays | VisitCounts, sink, error) -> None:
     """Forked worker body: :func:`_fill_and_sink` one slice of the ensemble.
 
     A failure is written to the shared ``error`` buffer as ``Type: message``
@@ -83,41 +84,30 @@ def _run_slice(ctx: _SimContext, env: EnvironmentTemplate, seeds, trial_ids,
         sys.exit(1)
 
 
-def run_ensemble(
-    env: EnvironmentTemplate,
-    motion: MotionParams,
-    auto: AutomatonParams,
-    n_trials: int,
-    base_seed: int,
-    duration: int = 1800,
-    workers: int = 1,
-    sink: Callable[[Trajectory], None] | None = None,
-) -> list[Trajectory]:
-    """Run ``n_trials`` independent trials; identical output for any worker count.
-
-    Each of ``min(workers, n_trials)`` workers steps one contiguous slice of
-    the trials in lockstep.  The ensemble's field arrays live in an anonymous
-    shared mapping allocated before the worker processes fork; each fills its
-    rows in place, so no trajectory is pickled back.  The returned
-    trajectories are row views of those arrays.
-
-    ``sink``, when given, is called once per trajectory by the process that
-    simulated it, right after its slice is done (in this process when one
-    worker runs).  Forked workers inherit it, so it need not pickle.  A
-    failing worker raises ``RuntimeError`` here, carrying its exception's
-    message.
-    """
+def _ensemble_setup(env, motion, auto, n_trials, base_seed, workers):
+    """Checked arguments: the simulation context and the per-trial seeds."""
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    seeds = [derive_trial_seed(base_seed, i) for i in range(n_trials)]
-    n_workers = min(workers, n_trials)
     ctx = _SimContext(env, motion, auto)  # validate before any worker starts
-    out = TrialArrays.allocate(n_trials, duration)
+    return ctx, [derive_trial_seed(base_seed, i) for i in range(n_trials)]
+
+
+def _fill(ctx: _SimContext, env: EnvironmentTemplate, seeds,
+          out: TrialArrays | VisitCounts, workers: int, sink=None) -> None:
+    """Fill the shared ``out`` with one trial per seed on ``min(workers, trials)``
+    processes, each stepping one contiguous slice of the trials in lockstep.
+
+    The workers fork after ``out`` is allocated and fill their rows in place,
+    so nothing is pickled back.  A failing worker raises ``RuntimeError``
+    here, carrying its exception's message.
+    """
+    n_trials = len(seeds)
+    n_workers = min(workers, n_trials)
     if n_workers == 1:  # in-process, which also runs where fork is missing
         _fill_and_sink(ctx, env, seeds, range(n_trials), out, sink)
-        return out.trajectories(env, seeds, range(n_trials))
+        return
     # fork, so that the workers inherit the shared mapping and the sink
     fork = multiprocessing.get_context("fork")
     bounds = [n_trials * w // n_workers for w in range(n_workers + 1)]
@@ -142,7 +132,55 @@ def run_ensemble(
         causes = "; ".join(message or f"exit code {code}" for code, message in failed)
         raise RuntimeError(f"{len(failed)} of {n_workers} trial workers failed: "
                            f"{causes}")
+
+
+def run_ensemble(
+    env: EnvironmentTemplate,
+    motion: MotionParams,
+    auto: AutomatonParams,
+    n_trials: int,
+    base_seed: int,
+    duration: int = 1800,
+    workers: int = 1,
+    sink: Callable[[Trajectory], None] | None = None,
+) -> list[Trajectory]:
+    """Run ``n_trials`` independent trials; identical output for any worker count.
+
+    The ensemble's field arrays live in an anonymous shared mapping that
+    :func:`_fill`'s workers fill in place; the returned trajectories are
+    row views of those arrays.
+
+    ``sink``, when given, is called once per trajectory by the process that
+    simulated it, right after its slice is done (in this process when one
+    worker runs).  Forked workers inherit it, so it need not pickle.
+    """
+    ctx, seeds = _ensemble_setup(env, motion, auto, n_trials, base_seed, workers)
+    out = TrialArrays.allocate(n_trials, duration)
+    _fill(ctx, env, seeds, out, workers, sink)
     return out.trajectories(env, seeds, range(n_trials))
+
+
+def visit_counts(
+    env: EnvironmentTemplate,
+    motion: MotionParams,
+    auto: AutomatonParams,
+    n_trials: int,
+    base_seed: int,
+    duration: int = 1800,
+    workers: int = 1,
+) -> VisitCounts:
+    """The trials of :func:`run_ensemble`, reduced to per-trial room counts.
+
+    Same seeds, same kernel and same worker split, but the kernel counts
+    each tick into a :class:`~leechsim.locomotion.VisitCounts` instead of
+    storing it, so memory is O(trials x rooms) and no trajectory is built.
+    Its visit frequencies and time fractions equal those of
+    :func:`visit_frequencies` and :func:`time_fractions` on the ensemble.
+    """
+    ctx, seeds = _ensemble_setup(env, motion, auto, n_trials, base_seed, workers)
+    out = VisitCounts.allocate(n_trials, env.n_rooms, duration)
+    _fill(ctx, env, seeds, out, workers)
+    return out
 
 
 def _checked_env(trajs: list[Trajectory]) -> EnvironmentTemplate:

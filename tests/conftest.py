@@ -64,3 +64,24 @@ def wall_contact(env, p, radius=1.0):
     if not (0.0 <= x <= env.interior_width and 0.0 <= y <= env.interior_height):
         raise GeometryError(f"point {p} outside interior")
     return 1 if wall_distance(env, p) <= radius else 0
+
+
+def recount_passes(env, motion, trajs):
+    """Window passes per (trial, room) recounted offline from trajectories.
+
+    The independent oracle for the kernel's pass counter: tick k passes
+    room r's trigger window (its opening widened by half the contact radius
+    on each side) when the trial crawled in the corridor at tick k - 1 and
+    its x after tick k lies in that window.  A trial that entered room r at
+    tick k sits at the opening's center, which is inside r's window too.
+    Column 0 is left 0.
+    """
+    half = 0.5 * motion.contact_radius
+    passes = np.zeros((len(trajs), env.n_rooms + 1), dtype=int)
+    for i, traj in enumerate(trajs):
+        crawled = (traj.modes[:-1] == 1) & (traj.regions[:-1] == 0)
+        x = traj.xs[1:]
+        for room in range(1, env.n_rooms + 1):
+            lo, hi = env.opening_for_room(room).span
+            passes[i, room] = int((crawled & (lo - half <= x) & (x <= hi + half)).sum())
+    return passes

@@ -170,6 +170,7 @@ def test_criterion_5_calibration_self_consistency(corridor, calibrated):
     with criterion(5, "calibration self-consistency"):
         result, trajs = calibrated
         assert result.feasible and result.converged
+        assert len(result.evaluations) <= 3
         freq = result.achieved
         assert visit_frequencies(trajs) == freq  # shared run matches the search
         refit = fit_power_law([(room_distance_to_end(corridor, r), f)

@@ -349,7 +349,7 @@ def test_calibrate_rejects_bad_tol(tmp_path, capsys, tol):
     assert not out.exists()
 
 
-def test_calibrate_smoke(tmp_path):
+def test_calibrate_smoke(tmp_path, capsys):
     cfg = _small_config(tmp_path, n_trials=30, duration_ticks=300, base_seed=3)
     out = tmp_path / "calib.json"
     code = main(["calibrate", "--config", str(cfg), "--target-a", "0.35",
@@ -358,11 +358,32 @@ def test_calibrate_smoke(tmp_path):
     doc = json.loads(out.read_text())
     assert set(doc) == {"q_scale", "score", "feasible", "converged",
                         "ensemble_seed", "target", "achieved", "evaluations"}
-    evaluated = [e["q_scale"] for e in doc["evaluations"]]
-    assert doc["ensemble_seed"] == derive_trial_seed(3, evaluated.index(doc["q_scale"]))
+    assert doc["ensemble_seed"] == derive_trial_seed(3, 0)
     assert doc["feasible"] is True
     assert 0.0 <= doc["q_scale"] <= 1.0
     assert len(doc["achieved"]) == 8
+    # one progress line per evaluation, naming its q, score and seed
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == len(doc["evaluations"])
+    for i, (line, e) in enumerate(zip(lines, doc["evaluations"])):
+        assert line.startswith(f"evaluation {i}: q_scale={e['q_scale']:.6f} "
+                               f"mean_freq={e['mean_freq']:.4f} "
+                               f"score={e['score']:.6f} "
+                               f"ensemble_seed={doc['ensemble_seed']} ("), line
+        assert line.endswith(" s)"), line
+
+
+def test_calibrate_without_window_passes_exits_3(tmp_path, capsys):
+    """Too short for any window pass: q = 1 is tried, reported, exit 3."""
+    cfg = _small_config(tmp_path, n_trials=4, duration_ticks=1)
+    out = tmp_path / "calib.json"
+    assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    assert doc["feasible"] is False and doc["converged"] is False
+    assert doc["q_scale"] == 1.0
+    assert [e["q_scale"] for e in doc["evaluations"]] == [0.0, 1.0]
+    assert all(a["freq"] == 0.0 for a in doc["achieved"])
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_render_overlay_and_activity(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from leechsim.fitstats import (
     fit_power_law,
 )
 from leechsim.geometry import build_corridor_template, room_distance_to_end
-from leechsim.locomotion import MotionParams
+from leechsim.locomotion import MotionParams, TrialArrays
 from leechsim.montecarlo import derive_trial_seed, run_ensemble, visit_frequencies
 
 
@@ -115,8 +117,6 @@ def test_calibrate_tiny_target_drives_q_to_zero():
 
 def test_zero_trigger_error_equals_sum_of_squared_targets():
     env, motion, auto = _small_setup()
-    from dataclasses import replace
-
     trajs = run_ensemble(env, replace(motion, q_scale=0.0), auto, 30, 8, duration=300)
     freq = visit_frequencies(trajs)
     assert all(v == 0.0 for v in freq.values())
@@ -143,10 +143,36 @@ def test_calibrate_infeasible_reports_achieved_curve():
     )
     assert not result.feasible and not result.converged
     assert result.q_scale == 1.0
-    assert len(result.evaluations) == 1
+    assert [q for q, _, _ in result.evaluations] == [0.0, 1.0]
     assert result.ensemble_seed == derive_trial_seed(6, 0)
     assert set(result.achieved) == set(range(1, 9))
     assert all(result.achieved[r] < result.target_values[r] for r in range(1, 9))
+
+
+def test_calibrate_evaluations_share_one_seed(monkeypatch):
+    """Every evaluation runs derive_trial_seed(base_seed, 0): its ensemble
+    at the returned q reproduces ``achieved``.  A tiny tol lets the
+    correction run, and the search still stops after 3 ensembles."""
+    env, motion, auto = _small_setup()
+    seen = []
+
+    def no_arrays(*args):
+        raise AssertionError("the search stores trajectories")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TrialArrays, "allocate", no_arrays)
+        result = calibrate_entry_prob(
+            env, motion, auto, PowerLawFit(0.35, -0.82), n_trials=40,
+            base_seed=10, tol=1e-9, duration=600,
+            progress=lambda *args: seen.append(args))
+    assert result.ensemble_seed == derive_trial_seed(10, 0)
+    assert len(result.evaluations) == 3
+    assert [args[:4] for args in seen] == [
+        (i, *e) for i, e in enumerate(result.evaluations)]
+    assert {args[4] for args in seen} == {result.ensemble_seed}
+    trajs = run_ensemble(env, replace(motion, q_scale=result.q_scale), auto, 40,
+                         result.ensemble_seed, duration=600)
+    assert visit_frequencies(trajs) == result.achieved
 
 
 def test_calibrate_rejects_bad_target():

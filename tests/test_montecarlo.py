@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import leechsim.locomotion as locomotion
 import leechsim.montecarlo as montecarlo
 from leechsim.automaton import Mode
 from leechsim.geometry import build_corridor_template
@@ -14,12 +15,13 @@ from leechsim.montecarlo import (
     read_stats_csv,
     run_ensemble,
     time_fractions,
+    visit_counts,
     visit_frequencies,
     write_dwell_csv,
     write_stats_csv,
 )
 
-from conftest import make_trajectory
+from conftest import make_trajectory, recount_passes
 
 
 def _splitmix_vectorized(base_seed, n):
@@ -89,6 +91,26 @@ def test_failed_worker_raises(env, auto, motion, monkeypatch):
     with pytest.raises(RuntimeError, match="2 of 2 trial workers failed: "
                                            "MemoryError: no room for the draw buffers"):
         run_ensemble(env, motion, auto, 4, base_seed=1, duration=10, workers=2)
+
+
+@pytest.mark.parametrize("q", [0.25, 0.0])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("block", [256, 5])
+def test_visit_counts_match_the_trajectories(env, auto, monkeypatch, q, workers, block):
+    """The kernel's counters reduce the same trials the arrays record."""
+    monkeypatch.setattr(locomotion, "_BLOCK", block)
+    motion = MotionParams(q_scale=q)
+    trajs = run_ensemble(env, motion, auto, 24, 31, duration=500, workers=workers)
+    counts = visit_counts(env, motion, auto, 24, 31, duration=500, workers=workers)
+    assert counts.visit_frequencies() == visit_frequencies(trajs)
+    assert counts.time_fractions() == time_fractions(trajs)
+    recount = recount_passes(env, motion, trajs)
+    assert np.array_equal(counts.passes[:, 1:], recount[:, 1:])
+    assert (counts.ticks.sum(axis=1) == 500).all()
+    assert (counts.passes.sum(axis=1) == 500).all()
+    assert counts.passes[:, 1:].sum() > 0
+    if q == 0.0:  # passes are counted, but nothing enters a room
+        assert (counts.ticks[:, 1:] == 0).all()
 
 
 def test_visit_frequencies_counting(env):
