@@ -225,6 +225,11 @@ def cmd_simulate(args) -> int:
 
 
 def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, list[Trajectory]]:
+    """The manifest's config and template, and its trials read from their CSVs.
+
+    Every trial file must be present, carry its own index as trial id and
+    hold ``duration_ticks`` rows; no other ``trial_*.csv`` may be there.
+    """
     manifest = run_dir / "manifest.json"
     if not manifest.is_file():
         raise ConfigError(f"no manifest.json in {run_dir}")
@@ -239,7 +244,20 @@ def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, list[T
     if extra:
         raise RuntimeError(f"{extra[0]}: not one of the {cfg.n_trials} trials "
                            f"{manifest} lists (stale file from another run?)")
-    return cfg, env, [read_trajectory_csv(p, env) for p in files]
+    trajs = []
+    for index, path in enumerate(files):
+        traj = read_trajectory_csv(path, env)
+        if traj.trial_id != index:
+            raise RuntimeError(f"{path}:2: trial id {traj.trial_id}, but the file "
+                               f"name gives trial {index}")
+        if traj.n_ticks != cfg.duration_ticks:
+            # name the first row past duration_ticks; a cut file has none
+            line = (f":{cfg.duration_ticks + 2}"
+                    if traj.n_ticks > cfg.duration_ticks else "")
+            raise RuntimeError(f"{path}{line}: {traj.n_ticks} ticks, but {manifest} "
+                               f"gives duration_ticks {cfg.duration_ticks}")
+        trajs.append(traj)
+    return cfg, env, trajs
 
 
 def cmd_stats(args) -> int:

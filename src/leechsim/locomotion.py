@@ -34,6 +34,7 @@ IEEE add, multiply, min and max, which numpy rounds identically.
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 from dataclasses import dataclass, replace
@@ -528,16 +529,47 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 _MODE_CODES = {"STILL": 0, "CRAWL": 1, "EXPLORE": 2, "UNKNOWN": MODE_UNKNOWN}
 
 
-def _region(label: str, env: EnvironmentTemplate | None, path, lineno: int) -> int:
+def _region(label: str, env: EnvironmentTemplate | None) -> int:
+    """The code of a region label; ``ValueError`` if the writer could not
+    have written it for ``env``."""
     try:
         code = region_code(label)
     except GeometryError:
-        raise TrajectoryFormatError(f"{path}:{lineno}: bad region {label!r}") from None
+        raise ValueError(f"bad region {label!r}") from None
     if env is not None and code > env.n_rooms:
-        raise TrajectoryFormatError(
-            f"{path}:{lineno}: region {label!r}, but the template has "
-            f"{env.n_rooms} rooms")
+        raise ValueError(f"region {label!r}, but the template has {env.n_rooms} rooms")
     return code
+
+
+def _first_mismatch(values, expected) -> int | None:
+    """Index of the first position where two lists (or two tuples) differ, or
+    None if they are equal.  When one is a prefix of the other, the first
+    missing element counts.
+    """
+    if values == expected:
+        return None
+    return next((i for i, (a, b) in enumerate(zip(values, expected)) if a != b),
+                min(len(values), len(expected)))
+
+
+@functools.lru_cache(maxsize=1)
+def _tick_labels(n: int) -> tuple[str, ...]:
+    """The tick column of an ``n``-row file; a run's files share their length."""
+    return tuple(map(str, range(n)))
+
+
+def _floats(column: list[str]) -> tuple[list[float], ValueError | None]:
+    """``float()`` of each string; at a bad one, the values before it and its error.
+
+    ``extend`` keeps what it appended before the conversion raised, so the
+    bad string's index is the length of the values returned with its error.
+    """
+    values: list[float] = []
+    try:
+        values.extend(map(float, column))
+    except ValueError as exc:
+        return values, exc
+    return values, None
 
 
 def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Trajectory:
@@ -546,9 +578,13 @@ def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Traject
     Ticks must run 0, 1, 2, ... and every row must carry line 2's trial id.
     Regions must be labels :func:`~leechsim.geometry.region_label` writes,
     and with a template given, rooms it has.
+
+    The data lines are parsed by column.  A bad file is reported at its
+    earliest bad line, with the first failing check of that line in the
+    order field count, trial id, tick, x/y, mode, region; a non-finite
+    coordinate is checked last, over the whole file.
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != _CSV_HEADER:
         raise TrajectoryFormatError(f"{path}:1: bad or missing header")
     if len(lines) < 2:
@@ -558,34 +594,49 @@ def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Traject
         trial_id = int(first_id)
     except ValueError as exc:
         raise TrajectoryFormatError(f"{path}:2: {exc}") from None
-    xs, ys, modes, regions = [], [], [], []
-    region_codes = {}  # label -> code, checked once per distinct label
-    for tick, line in enumerate(lines[1:]):
-        lineno = tick + 2
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise TrajectoryFormatError(f"{path}:{lineno}: expected 6 fields")
-        if parts[0] != first_id:
-            raise TrajectoryFormatError(
-                f"{path}:{lineno}: trial id {parts[0]!r} differs from line 2's "
-                f"{first_id!r}")
-        if parts[1] != str(tick):
-            raise TrajectoryFormatError(
-                f"{path}:{lineno}: tick {parts[1]!r}, expected {tick}")
+    # Every line ends in a "\n" field, which no line from splitlines holds, so
+    # field 7k + 6 is that separator exactly when lines 0..k have 6 fields each.
+    n = len(lines) - 1
+    fields = (",\n,".join(lines[1:]) + ",\n").split(",")
+    del lines  # free the line strings before the columns are converted
+    # each check reads only the rows before the earliest bad row found so far
+    rows, error = n, None
+    bad = _first_mismatch(fields[6::7], ["\n"] * n)
+    if bad is not None:
+        rows, error = bad, "expected 6 fields"
+    ids = fields[0:7 * rows:7]
+    bad = _first_mismatch(ids, [first_id] * rows)
+    if bad is not None:
+        rows, error = bad, f"trial id {ids[bad]!r} differs from line 2's {first_id!r}"
+    ticks = tuple(fields[1:7 * rows:7])
+    bad = _first_mismatch(ticks, _tick_labels(rows))
+    if bad is not None:
+        rows, error = bad, f"tick {ticks[bad]!r}, expected {bad}"
+    xs, exc = _floats(fields[2:7 * rows:7])
+    if exc is not None:
+        rows, error = len(xs), str(exc)
+    ys, exc = _floats(fields[3:7 * rows:7])
+    if exc is not None:
+        rows, error = len(ys), str(exc)
+    modes = fields[4:7 * rows:7]
+    mode_codes = list(map(_MODE_CODES.get, modes))
+    if None in mode_codes:
+        bad = mode_codes.index(None)
+        rows, error = bad, f"bad mode {modes[bad]!r}"
+    labels = fields[5:7 * rows:7]
+    region_codes = {}
+    # the last per-line check, over rows before any earlier failure: its
+    # first bad label, in first-seen order, is the earliest bad line
+    for label in dict.fromkeys(labels):
         try:
-            xs.append(float(parts[2]))
-            ys.append(float(parts[3]))
+            region_codes[label] = _region(label, env)
         except ValueError as exc:
-            raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
-        if parts[4] not in _MODE_CODES:
-            raise TrajectoryFormatError(f"{path}:{lineno}: bad mode {parts[4]!r}")
-        modes.append(_MODE_CODES[parts[4]])
-        code = region_codes.get(parts[5])
-        if code is None:
-            code = region_codes[parts[5]] = _region(parts[5], env, path, lineno)
-        regions.append(code)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+            raise TrajectoryFormatError(
+                f"{path}:{labels.index(label) + 2}: {exc}") from None
+    if error is not None:
+        raise TrajectoryFormatError(f"{path}:{rows + 2}: {error}")
+    xs = np.array(xs, dtype=float)
+    ys = np.array(ys, dtype=float)
     finite = np.isfinite(xs) & np.isfinite(ys)
     if not finite.all():
         row = int(np.argmin(finite))
@@ -597,7 +648,7 @@ def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Traject
         seed=0,
         xs=xs,
         ys=ys,
-        modes=np.asarray(modes, dtype=np.uint8),
-        regions=np.asarray(regions, dtype=np.int16),
-        ms=np.zeros(len(xs), dtype=np.uint8),
+        modes=np.array(mode_codes, dtype=np.uint8),
+        regions=np.array(list(map(region_codes.__getitem__, labels)), dtype=np.int16),
+        ms=np.zeros(n, dtype=np.uint8),
     )

@@ -195,49 +195,72 @@ def _checked_env(trajs: list[Trajectory]) -> EnvironmentTemplate:
     return env
 
 
+def _room_ticks(trajs: list[Trajectory]) -> np.ndarray:
+    """(trajectories, rooms + 1) int64 table of each trajectory's ticks per room.
+
+    Column c >= 1 counts the ticks in room c; column 0 counts the rest (the
+    corridor, WALL and UNKNOWN).  One ``bincount`` per trajectory.
+    """
+    env = _checked_env(trajs)
+    width = env.n_rooms + 1
+    ticks = np.zeros((len(trajs), width), dtype=np.int64)
+    for row, traj in zip(ticks, trajs):
+        counts = np.bincount(np.maximum(traj.regions, 0), minlength=width)
+        if counts.size > width:
+            raise ValueError(f"trial {traj.trial_id} is in room {counts.size - 1}, "
+                             f"but the template has {env.n_rooms} rooms")
+        row[:] = counts
+    return ticks
+
+
+def _visit_freq(ticks: np.ndarray) -> dict[int, float]:
+    visits = (ticks[:, 1:] > 0).sum(axis=0).tolist()
+    return {room: c / ticks.shape[0] for room, c in enumerate(visits, start=1)}
+
+
+def _time_fraction(ticks: np.ndarray) -> dict[int, float]:
+    total = int(ticks.sum())  # each tick of each trajectory is in one column
+    room_ticks = ticks[:, 1:].sum(axis=0).tolist()
+    return {room: c / total for room, c in enumerate(room_ticks, start=1)}
+
+
 def visit_frequencies(trajs: list[Trajectory]) -> dict[int, float]:
     """Fraction of trials in which each room shows up for at least one tick."""
-    env = _checked_env(trajs)
-    n = len(trajs)
-    counts = dict.fromkeys(range(1, env.n_rooms + 1), 0)
-    for traj in trajs:
-        for room in np.unique(traj.regions):
-            if room > 0:
-                counts[int(room)] += 1
-    return {room: c / n for room, c in counts.items()}
+    return _visit_freq(_room_ticks(trajs))
 
 
 def time_fractions(trajs: list[Trajectory]) -> dict[int, float]:
     """Per-room share of all ticks across the ensemble."""
-    env = _checked_env(trajs)
-    total = sum(t.n_ticks for t in trajs)
-    ticks = dict.fromkeys(range(1, env.n_rooms + 1), 0)
-    for traj in trajs:
-        rooms, counts = np.unique(traj.regions[traj.regions > 0], return_counts=True)
-        for room, c in zip(rooms, counts):
-            ticks[int(room)] += int(c)
-    return {room: c / total for room, c in ticks.items()}
+    return _time_fraction(_room_ticks(trajs))
 
 
 def mode_dwell_histograms(trajs: list[Trajectory]) -> dict[Mode, list[int]]:
-    """Lengths of maximal constant-mode runs, pooled per mode."""
+    """Lengths of maximal constant-mode runs, pooled per mode.
+
+    Each mode's list holds its runs in trajectory order, then in time order;
+    a run never continues across trajectories.
+    """
     dwell: dict[Mode, list[int]] = {m: [] for m in Mode}
     for traj in trajs:
         modes = traj.modes
         if modes.size == 0:
             continue
         cuts = np.flatnonzero(np.diff(modes)) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [modes.size]))
-        for s, e in zip(starts, ends):
-            dwell[Mode(int(modes[s]))].append(int(e - s))
+        run_modes = modes[np.concatenate(([0], cuts))]
+        run_lengths = np.diff(cuts, prepend=0, append=modes.size)
+        unknown = run_modes[run_modes > max(Mode)]
+        if unknown.size:
+            raise ValueError(f"{unknown[0]} is not a valid Mode")
+        for mode, runs in dwell.items():
+            runs.extend(run_lengths[run_modes == mode].tolist())
     return dwell
 
 
 def ensemble_stats(trajs: list[Trajectory]) -> EnsembleStats:
+    ticks = _room_ticks(trajs)
     return EnsembleStats(
-        visit_freq=visit_frequencies(trajs),
-        time_fraction=time_fractions(trajs),
+        visit_freq=_visit_freq(ticks),
+        time_fraction=_time_fraction(ticks),
         mode_dwell=mode_dwell_histograms(trajs),
     )
 

@@ -51,34 +51,26 @@ def blank_frame(width: int, height: int, color=(255, 255, 255)) -> Frame:
     return Frame(width, height, pixels)
 
 
-def _dark_mask(frame: Frame, threshold: int) -> np.ndarray:
-    """(height, width) bool mask of the pixels dark in every channel.
-
-    A pixel counts as dark only when max(R, G, B) < threshold, the strictest
-    reading of an RGB darkness cut; the mask grows monotonically with the
-    threshold.  The channel maximum takes two elementwise passes over the
-    channel planes, several times cheaper than reducing the length-3 axis.
-    """
-    if not 1 <= threshold <= 255:
-        raise TrackError(f"threshold {threshold} outside [1, 255]")
-    p = frame.pixels
-    return np.maximum(np.maximum(p[..., 0], p[..., 1]), p[..., 2]) < threshold
-
-
 def _dark_centroid(frame: Frame, threshold: int) -> tuple[float, float] | None:
     """Mean (x, y) of the dark pixels, or None when there are none.
 
-    Built from the per-column and per-row dark counts; every sum is an exact
-    integer, so the result equals the mean of the coordinate list bit for bit.
+    A pixel is dark only when max(R, G, B) < threshold, the strictest
+    reading of an RGB darkness cut.  The frame is scanned once for its dark
+    channel bytes; in that sorted index list, pixel p is dark exactly when
+    byte 3p is followed two entries later by byte 3p + 2.  The coordinate
+    sums are exact integers, so the result equals the mean of the coordinate
+    list bit for bit.
     """
-    mask = _dark_mask(frame, threshold)
-    cols = np.count_nonzero(mask, axis=0)
-    n = int(cols.sum())
+    if not 1 <= threshold <= 255:
+        raise TrackError(f"threshold {threshold} outside [1, 255]")
+    idx = np.flatnonzero(frame.pixels.reshape(-1) < threshold)
+    head = idx[:-2]
+    p = head[(head % 3 == 0) & (idx[2:] - head == 2)] // 3
+    n = p.size
     if n == 0:
         return None
-    rows = np.count_nonzero(mask, axis=1)
-    return (int(np.arange(cols.size) @ cols) / n,
-            int(np.arange(rows.size) @ rows) / n)
+    y, x = np.divmod(p, frame.width)
+    return int(x.sum()) / n, int(y.sum()) / n
 
 
 def time_color(u: float) -> tuple[int, int, int]:

@@ -1,11 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from leechsim.automaton import AutomatonParams
-from leechsim.geometry import GeometryError, build_corridor_template
-from leechsim.locomotion import MotionParams, Trajectory
+from leechsim.geometry import GeometryError, build_corridor_template, region_code
+from leechsim.locomotion import (
+    _CSV_HEADER,
+    _MODE_CODES,
+    MotionParams,
+    Trajectory,
+    TrajectoryFormatError,
+)
 
 
 @pytest.fixture(scope="session")
@@ -85,3 +92,77 @@ def recount_passes(env, motion, trajs):
             lo, hi = env.opening_for_room(room).span
             passes[i, room] = int((crawled & (lo - half <= x) & (x <= hi + half)).sum())
     return passes
+
+
+def _region_per_line(label, env, path, lineno):
+    try:
+        code = region_code(label)
+    except GeometryError:
+        raise TrajectoryFormatError(f"{path}:{lineno}: bad region {label!r}") from None
+    if env is not None and code > env.n_rooms:
+        raise TrajectoryFormatError(
+            f"{path}:{lineno}: region {label!r}, but the template has "
+            f"{env.n_rooms} rooms")
+    return code
+
+
+def read_trajectory_csv_per_line(path, env=None):
+    """The trajectory CSV reader as a loop over lines, one row at a time.
+
+    The oracle for the columnar ``read_trajectory_csv``: same arrays for
+    every file it accepts, same message for every file it rejects.
+    """
+    text = Path(path).read_text()
+    lines = text.splitlines()
+    if not lines or lines[0] != _CSV_HEADER:
+        raise TrajectoryFormatError(f"{path}:1: bad or missing header")
+    if len(lines) < 2:
+        raise TrajectoryFormatError(f"{path}:1: no data rows")
+    first_id = lines[1].split(",", 1)[0]
+    try:
+        trial_id = int(first_id)
+    except ValueError as exc:
+        raise TrajectoryFormatError(f"{path}:2: {exc}") from None
+    xs, ys, modes, regions = [], [], [], []
+    region_codes = {}  # label -> code, checked once per distinct label
+    for tick, line in enumerate(lines[1:]):
+        lineno = tick + 2
+        parts = line.split(",")
+        if len(parts) != 6:
+            raise TrajectoryFormatError(f"{path}:{lineno}: expected 6 fields")
+        if parts[0] != first_id:
+            raise TrajectoryFormatError(
+                f"{path}:{lineno}: trial id {parts[0]!r} differs from line 2's "
+                f"{first_id!r}")
+        if parts[1] != str(tick):
+            raise TrajectoryFormatError(
+                f"{path}:{lineno}: tick {parts[1]!r}, expected {tick}")
+        try:
+            xs.append(float(parts[2]))
+            ys.append(float(parts[3]))
+        except ValueError as exc:
+            raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
+        if parts[4] not in _MODE_CODES:
+            raise TrajectoryFormatError(f"{path}:{lineno}: bad mode {parts[4]!r}")
+        modes.append(_MODE_CODES[parts[4]])
+        code = region_codes.get(parts[5])
+        if code is None:
+            code = region_codes[parts[5]] = _region_per_line(parts[5], env, path, lineno)
+        regions.append(code)
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise TrajectoryFormatError(
+            f"{path}:{row + 2}: non-finite coordinate ({xs[row]}, {ys[row]})")
+    return Trajectory(
+        env=env,
+        trial_id=trial_id,
+        seed=0,
+        xs=xs,
+        ys=ys,
+        modes=np.asarray(modes, dtype=np.uint8),
+        regions=np.asarray(regions, dtype=np.int16),
+        ms=np.zeros(len(xs), dtype=np.uint8),
+    )

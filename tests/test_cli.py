@@ -219,6 +219,32 @@ def test_stats_rejects_missing_trial_file(tmp_path, capsys):
     assert str(victim) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage,where", [
+    ("cut", "trial_0001.csv: 6 ticks, but"),
+    ("extended", "trial_0001.csv:12: 11 ticks, but"),
+    ("renumbered", "trial_0001.csv:2: trial id 9, but the file name gives trial 1"),
+], ids=["cut", "extended", "renumbered"])
+def test_stats_rejects_trial_files_that_disagree_with_the_manifest(
+        tmp_path, capsys, damage, where):
+    cfg = _small_config(tmp_path, n_trials=3, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    victim = tmp_path / "run" / "trial_0001.csv"
+    lines = victim.read_text().splitlines()
+    if damage == "cut":
+        lines = lines[:7]
+    elif damage == "extended":
+        lines.append(lines[-1].replace(",9,", ",10,", 1))
+    else:
+        lines[1:] = ["9" + line[1:] for line in lines[1:]]
+    victim.write_text("\n".join(lines) + "\n")
+    assert main(["stats", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert where in err
+    if damage != "renumbered":
+        assert "gives duration_ticks 10" in err
+    assert not (tmp_path / "run" / "visits.csv").exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("n_trials", True),
     ("duration_ticks", 10.9),

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leechsim.locomotion as locomotion
 from leechsim.automaton import AutomatonParams, Mode
@@ -26,7 +28,7 @@ from leechsim.locomotion import (
     write_trajectory_csv,
 )
 
-from conftest import wall_contact
+from conftest import read_trajectory_csv_per_line, wall_contact
 
 # crawl that never stops on its own within a test's duration
 NO_SWITCHING = AutomatonParams(tau_s=10**6, tau_a=10**6)
@@ -318,3 +320,110 @@ def test_csv_rejects_non_finite_coordinates(tmp_path, x, y):
     with pytest.raises(TrajectoryFormatError) as err:
         read_trajectory_csv(path)
     assert "bad.csv:3" in str(err.value)
+
+
+# --- the columnar reader against the per-line oracle ---------------------------
+
+_FUZZ_BASE = ("trial_id,tick,x_mm,y_mm,mode,region\n"
+              "3,0,130.000,22.000,CRAWL,C\n"
+              "3,1,127.000,22.000,CRAWL,C\n"
+              "3,2,67.000,13.000,EXPLORE,R4\n"
+              "3,3,67.000,13.000,STILL,R4\n"
+              "3,4,1.500,2.250,UNKNOWN,W\n"
+              "3,5,-0.000,0.000,STILL,UNKNOWN\n")
+
+# single characters, and per column whole fields, that a damaged or hostile
+# file may hold; int() and float() accept the Arabic-Indic digits
+_CHARS = [",", "\n", "\r", "\x1c", " ", "0", "9", "-", ".", "e", "R", "\u00e9"]
+_FIELDS = [
+    ["", "4", "03", "+3", " 3", "\u0663"],
+    ["", "01", "+1", "9", "1_0", "\u0661"],
+    ["", "nan", "inf", "-inf", "1e999", "0x1", "1_0", " 2", "4", "\u0664"],
+    ["", "NaN", "+inf", "-Infinity", "1e-999", "2.", ".5", "4", "\u0664.5"],
+    ["", "crawl", "CRAWL\u00e9", "STILL", "EXPLORE", "UNKNOWN"],
+    ["", "R\u00b2", "R\u00e9", "R0", "R08", "R9", "R8", "W", "UNKNOWN", "C"],
+]
+_TOKENS = sorted({token for column in _FIELDS for token in column})
+_MUTATIONS = ["truncate", "flip", "duplicate", "drop", "extra_field",
+              "missing_field", "crlf", "header"] + ["field"] * 6
+
+
+@st.composite
+def _damaged_csv(draw):
+    """The valid ``_FUZZ_BASE`` after up to three random mutations.
+
+    Only the "header" mutation edits line 1, so most files get past the
+    header check and fail (or pass) on their data rows.
+    """
+    text = _FUZZ_BASE
+    start = _FUZZ_BASE.index("\n") + 1  # first character of line 2
+    for kind in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3)):
+        if kind == "truncate":
+            text = text[:draw(st.integers(min(start, len(text)), len(text)))]
+            continue
+        if kind == "flip":
+            if len(text) > start:
+                at = draw(st.integers(start, len(text) - 1))
+                text = text[:at] + draw(st.sampled_from(_CHARS)) + text[at + 1:]
+            continue
+        if kind == "crlf":
+            text = text.replace("\n", "\r\n")
+            continue
+        lines = text.split("\n")
+        row = draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))
+        if kind == "duplicate":
+            lines.insert(row, lines[row])
+        elif kind == "drop":
+            del lines[row]
+        elif kind == "extra_field":
+            lines[row] += "," + draw(st.sampled_from(_TOKENS))
+        elif kind == "missing_field":
+            lines[row] = lines[row].rpartition(",")[0]
+        elif kind == "field":
+            fields = lines[row].split(",")
+            col = draw(st.integers(0, len(fields) - 1))
+            tokens = _FIELDS[col] if col < len(_FIELDS) else _TOKENS
+            fields[col] = draw(st.sampled_from(tokens))
+            lines[row] = ",".join(fields)
+        elif kind == "header":
+            lines[0] = draw(st.sampled_from(["", "trial_id,tick,x_mm,y_mm,mode",
+                                             "TRIAL_ID,tick,x_mm,y_mm,mode,region",
+                                             "trial_id,tick,x_mm,y_mm,mode,region,"]))
+        text = "\n".join(lines)
+    return text
+
+
+def _read_outcome(reader, path, env):
+    """Every array of the read trajectory with its dtype, or the error raised."""
+    try:
+        traj = reader(path, env)
+    except Exception as exc:  # the outcome is compared, not handled
+        return type(exc), str(exc)
+    arrays = (traj.xs, traj.ys, traj.modes, traj.regions, traj.ms)
+    return (traj.trial_id, traj.seed, traj.env is env,
+            [(a.dtype.str, a.tobytes()) for a in arrays])
+
+
+@pytest.fixture(scope="module")
+def fuzz_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "trial.csv"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_damaged_csv(), with_env=st.booleans())
+def test_csv_reader_matches_the_per_line_oracle(fuzz_csv, env, text, with_env):
+    fuzz_csv.write_text(text, encoding="utf-8", newline="")
+    template = env if with_env else None
+    expected = _read_outcome(read_trajectory_csv_per_line, fuzz_csv, template)
+    assert _read_outcome(read_trajectory_csv, fuzz_csv, template) == expected
+    if isinstance(expected[0], type):
+        assert expected[0] is TrajectoryFormatError
+
+
+def test_csv_reader_matches_the_oracle_on_the_undamaged_file(fuzz_csv, env):
+    fuzz_csv.write_text(_FUZZ_BASE)
+    traj = read_trajectory_csv(fuzz_csv, env)
+    assert traj.regions.tolist() == [0, 0, 4, 4, -1, -2]
+    assert traj.modes.tolist() == [1, 1, 2, 0, MODE_UNKNOWN, 0]
+    assert (_read_outcome(read_trajectory_csv, fuzz_csv, env)
+            == _read_outcome(read_trajectory_csv_per_line, fuzz_csv, env))

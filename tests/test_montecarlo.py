@@ -2,11 +2,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import leechsim.locomotion as locomotion
 import leechsim.montecarlo as montecarlo
 from leechsim.automaton import Mode
-from leechsim.geometry import build_corridor_template
+from leechsim.geometry import UNKNOWN, WALL, build_corridor_template
 from leechsim.locomotion import MotionParams, run_trial
 from leechsim.montecarlo import (
     derive_trial_seed,
@@ -22,6 +24,53 @@ from leechsim.montecarlo import (
 )
 
 from conftest import make_trajectory, recount_passes
+
+
+# --- the per-trajectory, per-run reducers: oracles for the numpy ones ---------
+
+
+def visit_frequencies_per_run(trajs):
+    n = len(trajs)
+    counts = dict.fromkeys(range(1, trajs[0].env.n_rooms + 1), 0)
+    for traj in trajs:
+        for room in np.unique(traj.regions):
+            if room > 0:
+                counts[int(room)] += 1
+    return {room: c / n for room, c in counts.items()}
+
+
+def time_fractions_per_run(trajs):
+    total = sum(t.n_ticks for t in trajs)
+    ticks = dict.fromkeys(range(1, trajs[0].env.n_rooms + 1), 0)
+    for traj in trajs:
+        rooms, counts = np.unique(traj.regions[traj.regions > 0], return_counts=True)
+        for room, c in zip(rooms, counts):
+            ticks[int(room)] += int(c)
+    return {room: c / total for room, c in ticks.items()}
+
+
+def mode_dwell_histograms_per_run(trajs):
+    dwell = {m: [] for m in Mode}
+    for traj in trajs:
+        modes = traj.modes
+        if modes.size == 0:
+            continue
+        cuts = np.flatnonzero(np.diff(modes)) + 1
+        starts = np.concatenate(([0], cuts))
+        ends = np.concatenate((cuts, [modes.size]))
+        for s, e in zip(starts, ends):
+            dwell[Mode(int(modes[s]))].append(int(e - s))
+    return dwell
+
+
+def _assert_reducers_match_oracles(trajs):
+    freq, frac, dwell = (visit_frequencies(trajs), time_fractions(trajs),
+                         mode_dwell_histograms(trajs))
+    assert freq == visit_frequencies_per_run(trajs)
+    assert frac == time_fractions_per_run(trajs)
+    assert dwell == mode_dwell_histograms_per_run(trajs)
+    stats = ensemble_stats(trajs)
+    assert (stats.visit_freq, stats.time_fraction, stats.mode_dwell) == (freq, frac, dwell)
 
 
 def _splitmix_vectorized(base_seed, n):
@@ -201,3 +250,43 @@ def test_dwell_csv_format(tmp_path, env):
     assert "STILL,1,1" in lines
     assert "STILL,2,1" in lines
     assert "CRAWL,3,1" in lines
+
+
+def test_reducers_match_the_per_run_oracles_on_a_ragged_ensemble(env):
+    trajs = [
+        make_trajectory(env, [3], modes=[0]),  # one tick, in a room
+        make_trajectory(env, [0, WALL, UNKNOWN, 0, 1, 1], modes=[1, 1, 1, 2, 2, 1]),
+        make_trajectory(env, [UNKNOWN], modes=[1]),  # one tick; CRAWL runs on
+        make_trajectory(env, [1, 1, 8, 0], modes=[1, 1, 0, 0]),
+    ]
+    _assert_reducers_match_oracles(trajs)
+    assert [room for room, f in visit_frequencies(trajs).items() if f == 0] == [2, 4, 5, 6, 7]
+    assert time_fractions(trajs)[1] == 4 / 12
+    # CRAWL ends trial 1 and starts trials 2 and 3: three runs, not one
+    assert mode_dwell_histograms(trajs)[Mode.CRAWL] == [3, 1, 1, 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reducers_match_the_per_run_oracles(env, seed):
+    """Random ragged ensembles, each trajectory over its own subset of the
+    region codes (so some rooms go unvisited) with random mode runs."""
+    rng = np.random.default_rng(seed)
+    codes = np.arange(UNKNOWN, env.n_rooms + 1)
+    trajs = []
+    for _ in range(rng.integers(1, 7)):
+        n = int(rng.integers(1, 41))
+        pool = rng.choice(codes, size=int(rng.integers(1, codes.size + 1)))
+        modes = np.repeat(rng.integers(0, 3, n), rng.integers(1, 6, n))[:n]
+        trajs.append(make_trajectory(env, rng.choice(pool, n), modes))
+    _assert_reducers_match_oracles(trajs)
+
+
+def test_mode_dwell_rejects_modes_the_automaton_lacks(env):
+    with pytest.raises(ValueError, match="255 is not a valid Mode"):
+        mode_dwell_histograms([make_trajectory(env, [0, 0], modes=[1, 255])])
+
+
+def test_visit_frequencies_reject_rooms_the_template_lacks(env):
+    with pytest.raises(ValueError, match="room 9, but the template has 8 rooms"):
+        visit_frequencies([make_trajectory(env, [0, 9])])

@@ -10,7 +10,6 @@ from leechsim.locomotion import MODE_UNKNOWN, MotionParams, run_trial
 from leechsim.trackio import (
     Frame,
     TrackError,
-    _dark_mask,
     _parse_pnm_header,
     blank_frame,
     frame_filename,
@@ -24,6 +23,18 @@ from leechsim.trackio import (
     write_pgm,
     write_ppm,
 )
+
+
+def _dark_mask(frame, threshold):
+    """(height, width) bool mask of the pixels dark in every channel.
+
+    A pixel counts as dark only when max(R, G, B) < threshold; the mask grows
+    monotonically with the threshold.
+    """
+    if not 1 <= threshold <= 255:
+        raise TrackError(f"threshold {threshold} outside [1, 255]")
+    p = frame.pixels
+    return np.maximum(np.maximum(p[..., 0], p[..., 1]), p[..., 2]) < threshold
 
 
 def extract_dark_pixels(frame, threshold=40):
@@ -318,6 +329,21 @@ def test_tracker_matches_reference(data, threshold, mm_per_px):
         return
     traj = frames_to_trajectory(frames, threshold=threshold, mm_per_px=mm_per_px)
     assert list(zip(traj.xs.tolist(), traj.ys.tolist())) == expected
+
+
+def test_dark_centroid_pairs_channel_bytes_across_row_ends():
+    """Partly dark pixels end rows 0-2 right before fully dark pixels start
+    rows 1-3; the frame's last pixel is fully dark."""
+    from leechsim.trackio import _dark_centroid
+
+    frame = _frame_with([((3, 0), (0, 0, 255)), ((0, 1), (5, 5, 5)),
+                         ((3, 1), (0, 255, 0)), ((0, 2), (5, 5, 5)),
+                         ((3, 2), (255, 0, 0)), ((0, 3), (5, 5, 5)),
+                         ((3, 3), (39, 39, 39))], width=4, height=4)
+    assert [tuple(p) for p in extract_dark_pixels(frame)] == [(0, 1), (0, 2),
+                                                             (0, 3), (3, 3)]
+    assert _dark_centroid(frame, 40) == (3 / 4, 9 / 4) == _reference_centroid(frame, 40)
+    assert _dark_centroid(frame, 39) == (0.0, 2.0)
 
 
 def _pinned_frames(env):
