@@ -14,10 +14,11 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .automaton import AutomatonParams, config_doc, parse_config
+from .automaton import AutomatonParams, Mode, config_doc, parse_config
 from .fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
 from .geometry import EnvironmentTemplate, GeometryError, build_corridor_template
 from .locomotion import (
+    MODE_UNKNOWN,
     MotionParams,
     Trajectory,
     read_trajectory_csv,
@@ -227,8 +228,9 @@ def cmd_simulate(args) -> int:
 def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, list[Trajectory]]:
     """The manifest's config and template, and its trials read from their CSVs.
 
-    Every trial file must be present, carry its own index as trial id and
-    hold ``duration_ticks`` rows; no other ``trial_*.csv`` may be there.
+    Every trial file must be present, carry its own index as trial id,
+    hold ``duration_ticks`` rows and no mode the automaton lacks (tracked
+    data's UNKNOWN); no other ``trial_*.csv`` may be there.
     """
     manifest = run_dir / "manifest.json"
     if not manifest.is_file():
@@ -256,6 +258,12 @@ def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, list[T
                     if traj.n_ticks > cfg.duration_ticks else "")
             raise RuntimeError(f"{path}{line}: {traj.n_ticks} ticks, but {manifest} "
                                f"gives duration_ticks {cfg.duration_ticks}")
+        unknown = traj.modes == MODE_UNKNOWN
+        if unknown.any():
+            names = [mode.name for mode in Mode]
+            raise RuntimeError(f"{path}:{unknown.argmax() + 2}: mode UNKNOWN, but "
+                               f"simulated trials are {', '.join(names[:-1])} or "
+                               f"{names[-1]}")
         trajs.append(traj)
     return cfg, env, trajs
 

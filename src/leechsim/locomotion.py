@@ -498,32 +498,108 @@ def run_trial(env: EnvironmentTemplate, motion: MotionParams,
     return run_trials(env, motion, auto, [seed], duration, [trial_id])[0]
 
 
-def _labels(codes: np.ndarray, label) -> list[str]:
-    """``label(code)`` per element, calling ``label`` once per distinct code."""
-    codes = codes.tolist()
-    table = {code: label(code) for code in set(codes)}
-    return [table[code] for code in codes]
-
-
 _CSV_HEADER = "trial_id,tick,x_mm,y_mm,mode,region"
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write ``trial_id,tick,x_mm,y_mm,mode,region`` rows, floats at 3 decimals.
+def _words(texts: list[str], align, width: int = 0) -> np.ndarray:
+    """Column i holds ``texts[i]`` as ASCII cells, four to a uint32 word,
+    placed by ``str.rjust`` or ``str.ljust`` in the fewest words that hold
+    every text, and at least ``width``, with NUL in the other cells;
+    read-only."""
+    width = max(width, -(-max(map(len, texts), default=0) // 4))
+    data = "".join(align(text, 4 * width, "\0") for text in texts).encode()
+    return np.frombuffer(data, np.uint32).reshape(len(texts), width).T
 
-    The whole file is one ``%`` format over the columns as Python lists,
-    which gives the same bytes as formatting each numpy element on its own.
+
+def _table(texts: list[bytes]) -> np.ndarray:
+    """Word i holds the 4 cells of ``texts[i]``, a space standing for NUL."""
+    return np.frombuffer(b"".join(texts).replace(b" ", b"\0"), np.uint32)
+
+
+# 3-digit groups of an integer part: word g is "%03d" of g, word 1000 + g the
+# lowest group when it leads ("%3d", so 0 is "  0"), word 2000 + g a higher
+# group when it leads (so 0 is blank); the first cell stays NUL
+_GROUPS = _table([b" %03d" % g for g in range(1000)]
+                 + [b" %3d" % g for g in range(1000)]
+                 + [b"    "] + [b" %3d" % g for g in range(1, 1000)])
+_FRACTIONS = _table([b".%03d" % g for g in range(1000)])
+_COMMA = _table([b",   "])[0]  # OR-ed into a number's free first cell
+
+
+def _number_words(values: np.ndarray) -> np.ndarray:
+    """``',%.3f' % v`` of each value, right-aligned in a column of words.
+
+    With s = 1000 v and r = rint(s), r is the correctly rounded milli-value
+    that ``'%.3f'`` prints when v has no sign bit, s < 2**32 (so 0 <= s, and
+    s is not nan) and |s - r| < 0.5 - 1e-6: the product s is then within
+    2.4e-7 of the exact 1000 v, which is therefore nearer to r than to any
+    other integer.  Every other value (nan, inf, negative, -0.0, huge, or
+    near a tie) is formatted by ``'%.3f'`` itself.
     """
+    v = np.asarray(values, dtype=np.float64)  # float32 prints as tolist() does
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = v * 1000.0
+        r = np.rint(s)
+        exact = ~np.signbit(v) & (s < 2.0**32) & (np.abs(s - r) < 0.5 - 1e-6)
+    rest, frac = np.divmod(np.where(exact, r, 0.0).astype(np.int64), 1000)
+    words = [_FRACTIONS[frac]]  # lowest first
+    for k in range((len(str(int(rest.max(initial=0)))) + 2) // 3):
+        rest, g = np.divmod(rest, 1000)
+        words.append(_GROUPS[g + (1000 if k == 0 else 2000) * (rest == 0)])
+    words[-1] |= _COMMA
+    words = np.stack(words[::-1])
+    bad = np.flatnonzero(~exact)
+    if bad.size:
+        slow = _words([",%.3f" % x for x in v[bad].tolist()], str.rjust, len(words))
+        words = np.pad(words, ((len(slow) - len(words), 0), (0, 0)))
+        words[:, bad] = slow
+    return words
+
+
+@functools.lru_cache(maxsize=1)
+def _tick_words(n: int) -> np.ndarray:
+    """The tick column of an ``n``-row file; a run's files share their length."""
+    return _words(list(map(str, range(n))), str.rjust)
+
+
+def _code_index(codes: np.ndarray, label) -> tuple[list[str], np.ndarray]:
+    """``label`` of each distinct code, ascending, and the position of each
+    element's code among them; ``label`` is called once per distinct code."""
+    lo = int(codes.min(initial=0))
+    shifted = codes.astype(np.intp) - lo
+    counts = np.bincount(shifted)
+    try:
+        labels = [label(code) for code in (np.flatnonzero(counts) + lo).tolist()]
+    except ValueError:
+        # raise for the bad code that ``set`` order reaches first, the one
+        # labelling the column through a set of its elements names
+        for code in set(codes.tolist()):
+            label(code)
+        raise
+    return labels, (np.cumsum(counts > 0) - 1)[shifted]
+
+
+def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write ``trial_id,tick,x_mm,y_mm,mode,region`` rows, floats as ``'%.3f'``.
+
+    The bytes are those of one ``%`` format per row.  The file is built as
+    one (words, rows) matrix of 4-cell words, see :func:`_words`: each field
+    sits right-aligned (numbers) or left-aligned (labels) in whole words,
+    and NUL fills the cells it leaves unused.  Transposed to rows and
+    stripped of NUL, the matrix is the file.
+    """
+    modes, mode_at = _code_index(traj.modes, mode_label)
+    regions, region_at = _code_index(traj.regions, region_label)
+    tails = _words([f",{mode},{region}\n" for mode in modes for region in regions],
+                   str.ljust)
     n = traj.n_ticks
-    fields = [None] * (5 * n)
-    fields[0::5] = range(n)
-    fields[1::5] = traj.xs.tolist()
-    fields[2::5] = traj.ys.tolist()
-    fields[3::5] = _labels(traj.modes, mode_label)
-    fields[4::5] = _labels(traj.regions, region_label)
-    row = f"{traj.trial_id},%d,%.3f,%.3f,%s,%s\n"
-    Path(path).write_text(f"{_CSV_HEADER}\n" + (row * n) % tuple(fields),
-                          newline="\n")
+    prefix = _words([f"{traj.trial_id},"], str.rjust)
+    matrix = np.concatenate(
+        [np.broadcast_to(prefix, (len(prefix), n)), _tick_words(n),
+         _number_words(traj.xs), _number_words(traj.ys),
+         tails.take(mode_at * len(regions) + region_at, axis=1)])
+    Path(path).write_bytes(f"{_CSV_HEADER}\n".encode()
+                           + matrix.T.tobytes().translate(None, b"\0"))
 
 
 _MODE_CODES = {"STILL": 0, "CRAWL": 1, "EXPLORE": 2, "UNKNOWN": MODE_UNKNOWN}

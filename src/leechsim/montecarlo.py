@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .automaton import AutomatonParams, Mode
-from .geometry import EnvironmentTemplate, room_distance_to_end
+from .geometry import MAX_ROOM, EnvironmentTemplate, room_distance_to_end
 from .locomotion import (
     MotionParams,
     TrialArrays,
@@ -287,7 +287,8 @@ def write_dwell_csv(stats: EnsembleStats, path) -> None:
 
 
 def read_stats_csv(path) -> list[tuple[int, int, float, float]]:
-    """Read rows written by :func:`write_stats_csv`: one per room, values in [0, 1]."""
+    """Read rows written by :func:`write_stats_csv`: one per room, room and
+    distance_x in [1, MAX_ROOM], frequencies and fractions in [0, 1]."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != "room,distance_x,visit_freq,time_fraction":
         raise ValueError(f"{path}:1: bad or missing stats header")
@@ -300,6 +301,10 @@ def read_stats_csv(path) -> list[tuple[int, int, float, float]]:
             row = (int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        for name, value in zip(("room", "distance_x"), row):
+            if not 1 <= value <= MAX_ROOM:
+                raise ValueError(
+                    f"{path}:{lineno}: {name} {value} outside [1, {MAX_ROOM}]")
         if not (math.isfinite(row[2]) and math.isfinite(row[3])):
             raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
         if not (0.0 <= row[2] <= 1.0 and 0.0 <= row[3] <= 1.0):

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from leechsim.automaton import AutomatonParams
-from leechsim.geometry import GeometryError, build_corridor_template, region_code
+from leechsim.geometry import (GeometryError, build_corridor_template, region_code,
+                               region_label)
 from leechsim.locomotion import (
     _CSV_HEADER,
     _MODE_CODES,
     MotionParams,
     Trajectory,
     TrajectoryFormatError,
+    mode_label,
 )
 
 
@@ -166,3 +168,26 @@ def read_trajectory_csv_per_line(path, env=None):
         regions=np.asarray(regions, dtype=np.int16),
         ms=np.zeros(len(xs), dtype=np.uint8),
     )
+
+
+def write_trajectory_csv_per_row(traj, path):
+    """The trajectory CSV writer as one ``%`` format over Python lists.
+
+    The oracle for the byte-matrix ``write_trajectory_csv``: same bytes for
+    every trajectory it writes, same exception for every one it rejects.
+    """
+    def labels(codes, label):  # label(code) per element, called once per code
+        codes = codes.tolist()
+        table = {code: label(code) for code in set(codes)}
+        return [table[code] for code in codes]
+
+    n = traj.n_ticks
+    fields = [None] * (5 * n)
+    fields[0::5] = range(n)
+    fields[1::5] = traj.xs.tolist()
+    fields[2::5] = traj.ys.tolist()
+    fields[3::5] = labels(traj.modes, mode_label)
+    fields[4::5] = labels(traj.regions, region_label)
+    row = f"{traj.trial_id},%d,%.3f,%.3f,%s,%s\n"
+    Path(path).write_text(f"{_CSV_HEADER}\n" + (row * n) % tuple(fields),
+                          newline="\n")

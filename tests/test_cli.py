@@ -223,7 +223,9 @@ def test_stats_rejects_missing_trial_file(tmp_path, capsys):
     ("cut", "trial_0001.csv: 6 ticks, but"),
     ("extended", "trial_0001.csv:12: 11 ticks, but"),
     ("renumbered", "trial_0001.csv:2: trial id 9, but the file name gives trial 1"),
-], ids=["cut", "extended", "renumbered"])
+    ("unknown-mode", "trial_0001.csv:2: mode UNKNOWN, but simulated trials are "
+                     "STILL, CRAWL or EXPLORE"),
+], ids=["cut", "extended", "renumbered", "unknown-mode"])
 def test_stats_rejects_trial_files_that_disagree_with_the_manifest(
         tmp_path, capsys, damage, where):
     cfg = _small_config(tmp_path, n_trials=3, duration_ticks=10)
@@ -234,13 +236,18 @@ def test_stats_rejects_trial_files_that_disagree_with_the_manifest(
         lines = lines[:7]
     elif damage == "extended":
         lines.append(lines[-1].replace(",9,", ",10,", 1))
-    else:
+    elif damage == "renumbered":
         lines[1:] = ["9" + line[1:] for line in lines[1:]]
+    else:
+        for i, line in enumerate(lines[1:], start=1):
+            fields = line.split(",")
+            fields[4] = "UNKNOWN"
+            lines[i] = ",".join(fields)
     victim.write_text("\n".join(lines) + "\n")
     assert main(["stats", str(tmp_path / "run")]) == 3
     err = capsys.readouterr().err
     assert where in err
-    if damage != "renumbered":
+    if damage in ("cut", "extended"):
         assert "gives duration_ticks 10" in err
     assert not (tmp_path / "run" / "visits.csv").exists()
 
@@ -362,6 +369,24 @@ def test_fit_rejects_stats_the_writer_cannot_write(tmp_path, capsys, rows, error
     assert main(["fit", str(stats_csv)]) == 3
     captured = capsys.readouterr()
     assert error in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("row, error", [
+    ("1,0,0.35,0.1", "visits.csv:2: distance_x 0 outside [1, 32767]"),
+    ("1,-3,0.35,0.1", "visits.csv:2: distance_x -3 outside [1, 32767]"),
+    (f"1,{10**400},0.35,0.1", f"visits.csv:2: distance_x {10**400} outside"),
+    ("0,1,0.35,0.1", "visits.csv:2: room 0 outside [1, 32767]"),
+], ids=["distance-0", "distance-negative", "distance-huge", "room-0"])
+def test_fit_rejects_rooms_and_distances_outside_the_room_codes(
+        tmp_path, capsys, row, error):
+    stats_csv = tmp_path / "visits.csv"
+    stats_csv.write_text("room,distance_x,visit_freq,time_fraction\n"
+                         f"{row}\n2,2,0.198,0.05\n")
+    assert main(["fit", str(stats_csv)]) == 3
+    captured = capsys.readouterr()
+    assert error in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -1,8 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leechsim.locomotion as locomotion
@@ -28,7 +29,8 @@ from leechsim.locomotion import (
     write_trajectory_csv,
 )
 
-from conftest import read_trajectory_csv_per_line, wall_contact
+from conftest import (read_trajectory_csv_per_line, wall_contact,
+                      write_trajectory_csv_per_row)
 
 # crawl that never stops on its own within a test's duration
 NO_SWITCHING = AutomatonParams(tau_s=10**6, tau_a=10**6)
@@ -427,3 +429,79 @@ def test_csv_reader_matches_the_oracle_on_the_undamaged_file(fuzz_csv, env):
     assert traj.modes.tolist() == [1, 1, 2, 0, MODE_UNKNOWN, 0]
     assert (_read_outcome(read_trajectory_csv, fuzz_csv, env)
             == _read_outcome(read_trajectory_csv_per_line, fuzz_csv, env))
+
+
+# --- the byte-matrix writer against the per-row oracle ------------------------
+
+# values the integer digit path must hand to '%.3f', or must round exactly:
+# ties k/1000 + 0.0005 and the dyadic ties n/16, near-ties such as 2.675, -0.0,
+# negatives that print as -0.000, subnormals, nan, inf, and 2**32/1000 with
+# its neighbours (1000 v at and above 2**32)
+_EDGE = 2.0**32 / 1000
+_VALUES = [0.0, -0.0, 0.0005, 1.0005, 99.9995, 0.0625, 0.1875, 4.5625, 2.675,
+           -2.675, -0.0004, -123456.7895, 5e-324, 2.2250738585072014e-308,
+           1e-310, math.nan, -math.nan, math.inf, -math.inf, _EDGE,
+           math.nextafter(_EDGE, 0.0), math.nextafter(_EDGE, math.inf),
+           _EDGE - 0.0005, 999.9995, 1e6 - 0.0004, 1e15, 1e300]
+_MODES = [0, 1, 2, MODE_UNKNOWN]
+_BAD_MODES = [3, 32, 254]
+_REGIONS = [-2, -1, 0, 1, 2, 8, 9, 99, 32767]
+_BAD_REGIONS = [-3, -7, -8, -32768]
+
+
+def _column(rng, pool, n, spread):
+    """``n`` values: each drawn from ``pool`` or, with even odds, from
+    [0, spread)."""
+    return np.where(rng.random(n) < 0.5, rng.choice(np.array(pool), n),
+                    rng.uniform(0.0, spread, n))
+
+
+@st.composite
+def _trajectories(draw):
+    n = draw(st.sampled_from([1000, 10, 0, 1, 10001]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = st.one_of(st.sampled_from(_VALUES), st.floats(),
+                       st.integers(0, 10**6).map(lambda k: k / 1000 + 0.0005))
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    # spreads with 1, 2 and 3 integer digit groups, the last past 2**32/1000
+    spreads = st.sampled_from([140.0, 1e4, 5e6])
+    with np.errstate(over="ignore"):  # float32 turns huge values into inf
+        xs, ys = (_column(rng, draw(st.lists(values, min_size=1, max_size=6)),
+                          n, draw(spreads)).astype(dtype) for _ in "xy")
+    codes = []
+    for good, bad in ((_MODES, _BAD_MODES),
+                      (_REGIONS, _BAD_REGIONS)):
+        codes.append(draw(st.lists(st.sampled_from(good), min_size=1, max_size=5)))
+        if draw(st.integers(0, 4)) == 0:  # one column in five holds bad codes
+            codes[-1] += draw(st.lists(st.sampled_from(bad), min_size=1, max_size=3))
+    modes, regions = codes
+    return Trajectory(None, draw(st.integers(0, 2**40)), 0, xs, ys,
+                      rng.choice(np.array(modes, np.uint8), n),
+                      rng.choice(np.array(regions, np.int16), n),
+                      np.zeros(n, np.uint8))
+
+
+def _write_outcome(writer, traj, path):
+    """The bytes written, or the error raised."""
+    try:
+        writer(traj, path)
+    except Exception as exc:  # the outcome is compared, not handled
+        return type(exc), str(exc)
+    return path.read_bytes()
+
+
+def _coded(modes, regions):
+    n = len(modes)
+    return Trajectory(None, 0, 0, np.zeros(n), np.zeros(n), np.array(modes, np.uint8),
+                      np.array(regions, np.int16), np.zeros(n, np.uint8))
+
+
+@settings(max_examples=50, deadline=None)
+@given(traj=_trajectories())
+# two bad codes that a set orders by insertion, not by value: the error
+# names the one that came first
+@example(traj=_coded([0, 32, 3], [0, 0, 0]))
+@example(traj=_coded([0, 0, 0], [0, -7, -8]))
+def test_csv_writer_matches_the_per_row_oracle(fuzz_csv, traj):
+    expected = _write_outcome(write_trajectory_csv_per_row, traj, fuzz_csv)
+    assert _write_outcome(write_trajectory_csv, traj, fuzz_csv) == expected
