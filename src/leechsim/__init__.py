@@ -28,7 +28,6 @@ from .fitstats import (
     CalibrationResult,
     PowerLawFit,
     calibrate_entry_prob,
-    chi_square,
     fit_power_law,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "Trajectory",
     "build_corridor_template",
     "calibrate_entry_prob",
-    "chi_square",
     "derive_trial_seed",
     "ensemble_stats",
     "fit_power_law",

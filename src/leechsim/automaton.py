@@ -168,18 +168,16 @@ def transition_kernel(
     return (p2, (1.0 - p2) * (1 - m), (1.0 - p2) * m)
 
 
-def sample_transitions(mode, t, m, q_enter, tau_s: int, tau_a: int, u):
-    """Array sampler: one automaton step per element given uniform draws ``u``.
+def transition_thresholds(mode, t, m, q_enter, tau_s: int, tau_a: int):
+    """The inverse-CDF thresholds of one automaton step, elementwise.
 
-    Element-wise inverse-CDF sampling over :func:`transition_kernel` in the
-    fixed (Still, Crawl, Explore) order, with the same float thresholds: the
-    new mode is the first whose cumulative probability exceeds ``u``.  The
-    timer resets to 0 exactly on Still<->active boundary crossings and
-    increments otherwise, so a Crawl<->Explore switch does not reset it.
-    ``mode``, ``t`` and ``u`` are equal-length arrays; ``m`` (0/1) and
-    ``q_enter`` are arrays of that length or scalars, and ``q_enter`` only
-    acts on Crawl.
-    Returns the new (mode, t) arrays.
+    :func:`transition_kernel`'s cumulative probabilities in the fixed
+    (Still, Crawl, Explore) order, in the same floats: a step with uniform
+    ``u`` goes to Still below ``first``, to Crawl below ``second`` and to
+    Explore otherwise (:func:`next_modes`).  ``mode`` and ``t`` are
+    equal-length arrays; ``m`` (0/1) and ``q_enter`` are arrays of that
+    length or scalars, and ``q_enter`` only acts on Crawl.
+    Returns the (first, second) arrays.
     """
     still = mode == 0
     cap = np.where(still, tau_s, tau_a)
@@ -195,5 +193,29 @@ def sample_transitions(mode, t, m, q_enter, tau_s: int, tau_a: int, u):
     p_crawl = p_stay * (1 - m) * (1.0 - np.where(mode == 1, q_enter, 0.0))
     first = np.where(still, p_stay, p_exit)
     second = np.where(still, p_stay + 0.5 * p_exit, p_exit + p_crawl)
-    new_mode = 2 - (u < first) - (u < second)
-    return new_mode, np.where(still == (new_mode == 0), t + 1, 0)
+    return first, second
+
+
+def next_modes(u, first, second):
+    """The mode after one automaton step per element, given its uniform
+    ``u`` and its :func:`transition_thresholds`: the first mode whose
+    threshold exceeds ``u``."""
+    return 2 - (u < first) - (u < second)
+
+
+def next_timers(mode, t, new_mode):
+    """The timer after a step from ``mode`` with timer ``t`` to ``new_mode``:
+    it resets to 0 exactly on Still<->active boundary crossings and
+    increments otherwise, so a Crawl<->Explore switch does not reset it."""
+    return np.where((mode == 0) == (new_mode == 0), t + 1, 0)
+
+
+def sample_transitions(mode, t, m, q_enter, tau_s: int, tau_a: int, u):
+    """Array sampler: one automaton step per element given uniform draws ``u``.
+
+    :func:`next_modes` and :func:`next_timers` over
+    :func:`transition_thresholds`, which take the arguments of the same
+    names.  Returns the new (mode, t) arrays.
+    """
+    new_mode = next_modes(u, *transition_thresholds(mode, t, m, q_enter, tau_s, tau_a))
+    return new_mode, next_timers(mode, t, new_mode)

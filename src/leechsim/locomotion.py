@@ -1,4 +1,4 @@
-"""Per-tick kinematics closing the loop between geometry and the automaton.
+"""Kinematics closing the loop between geometry and the automaton.
 
 One tick of one trial: move according to the current mode, sense wall
 contact, compute the room-entry trigger, advance the automaton, then apply
@@ -8,28 +8,34 @@ inside a room) is a random waypoint walk clipped to the containing region.
 Room entry is trigger-then-teleport through the opening rather than
 continuous steering.
 
-The kernel, :func:`run_trials`, steps a whole batch of trials in lockstep:
-each tick is computed for every trial at once with masked numpy operations
-over per-trial state arrays and handed to an output object: :class:`TrialArrays`
-writes tick k of trial i to column k of row i, :class:`VisitCounts` only
-counts ticks and trigger-window passes per room (ensembles put either in
-memory shared with their worker processes, see :mod:`leechsim.montecarlo`).
-:func:`run_trial` is a batch of one.
+The kernel, :func:`run_trials`, advances a batch of trials by events, not
+by ticks (next-event time advance).  Each trial keeps its own clock, and
+each lockstep iteration advances every unfinished trial by one event: a
+whole Still run, a whole corridor Crawl run, or any other single tick (see
+:func:`_simulate`).  Each event's ticks go to an output object:
+:class:`TrialArrays` writes tick k of trial i to column k of row i, and
+:class:`VisitCounts` only counts ticks and trigger-window passes per room
+(ensembles put either in memory shared with their worker processes, see
+:mod:`leechsim.montecarlo`).  :func:`run_trial` is a batch of one.
 
 Randomness: trial i owns ``default_rng(seed_i)`` and reads it, in stream
 order, through its own row of a draw buffer and a cursor.  A centered
 release first draws the heading coin; then each tick draws the waypoint
 angle (only when the mode moves randomly), one automaton uniform, and the
-exit-heading coin (only when leaving a room), in that order.  Buffers are
-refilled in blocks; a block draw yields exactly the values of as many single
-draws, so the block width changes no output.  A trial's record therefore
-depends on its seed alone, not on which trials share its batch, which is why
-splitting an ensemble over any number of workers gives identical bytes.
+exit-heading coin (only when leaving a room), in that order, whether the
+tick is computed alone or inside a run.  Rows are refilled in blocks; a
+block draw yields exactly the values of as many single draws, so refill
+points change no output.  A trial's record therefore depends on its seed
+alone, not on which trials share its batch, which is why splitting an
+ensemble over any number of workers gives identical bytes.
 
 The floats are the ones a scalar evaluation with Python's ``math`` gives:
 angles go through ``math.cos``/``math.sin`` and corner distances through
-``math.hypot`` on just the elements that need them, and everything else is
-IEEE add, multiply, min and max, which numpy rounds identically.
+``math.hypot`` on just the elements that need them; a crawl run's positions
+are ``np.add.accumulate``'s left-to-right sums, the same adds one step at a
+time makes; the automaton's thresholds are those of
+:func:`~leechsim.automaton.transition_thresholds`; everything else is IEEE
+add, multiply, min and max, which numpy rounds identically.
 """
 
 from __future__ import annotations
@@ -41,9 +47,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .automaton import (AutomatonParams, Mode, config_doc, p_visit, parse_config,
-                        sample_transitions)
+                        next_modes, next_timers, transition_thresholds)
 from .geometry import (
     CORRIDOR,
     EnvironmentTemplate,
@@ -68,11 +75,15 @@ def entry_trigger_probability(x: float, auto: AutomatonParams,
     """Per-tick room-entry trigger while crawling over an opening.
 
     The shape is the hazard equivalent of the visit law, ln(1/(1-p_visit(x))),
-    scaled by ``q_scale``: entries per trial are then near-Poisson with a rate
-    proportional to that hazard, so the calibrated at-least-once frequencies
-    1 - exp(-rate) reproduce the visit law's distance profile rather than a
-    saturation-flattened copy of it.  A certain visit (p_visit = 1) is an
-    infinite hazard, so it triggers on every pass unless ``q_scale`` is 0.
+    scaled by ``q_scale``, so that each pass over an opening adds entry rate
+    in proportion to that hazard rather than to a saturation-flattened copy
+    of the law.  Entries per trial are over-dispersed, not Poisson: 400
+    default trials (base seed 1, ``q_scale`` 0.25) make 10.7 entries on
+    average with variance 14.7, a variance/mean of 1.38 (1.28 to 1.38 over
+    base seeds 1, 2, 3 and 7).  The calibration assumes no entry law; it
+    predicts from each trial's own window passes.  A certain visit
+    (p_visit = 1) is an infinite hazard, so it triggers on every pass unless
+    ``q_scale`` is 0.
     """
     p = p_visit(x, auto)
     if p == 1.0:
@@ -207,8 +218,16 @@ class _SimContext:
                                        motion.q_scale), i)
             for i, o in enumerate(openings, start=1)
         ))
-        self.win_lo, self.win_hi, self.win_q, self.win_room = (
+        win_lo, self.win_hi, win_q, win_room = (
             np.array(column) for column in zip(*self.windows))
+        # x lies in window w = searchsorted(win_hi, x) iff win_start[w] <= x;
+        # code w + 1 names that window and code 0 none.  A code indexes the
+        # room passed and the window's trigger, as an index into the
+        # distinct trigger values q_levels (q_levels[0] = 0.0).
+        self.win_start = np.append(win_lo, np.inf)
+        self.q_levels = np.array(sorted({0.0, *win_q.tolist()}))
+        self.code_room = np.concatenate(([0], win_room))
+        self.code_q = np.concatenate(([0], np.searchsorted(self.q_levels, win_q)))
 
         # contact bits at the teleport landing points, indexed by room
         cx = self.cx[1:]
@@ -255,7 +274,7 @@ def _contact(ctx: _SimContext, x: np.ndarray, y: np.ndarray,
     return m
 
 
-_BLOCK = 256  # ticks between refills of the per-trial draw buffers
+_BLOCK = 256  # ticks a run looks ahead; each draw row holds 3 look-aheads
 
 
 def _shared_arrays(n_trials: int, width: int, dtypes: dict) -> dict[str, np.ndarray]:
@@ -314,11 +333,15 @@ class TrialArrays(_TrialRows):
     def duration(self) -> int:
         return self.xs.shape[1]
 
-    def record(self, k, x, y, mode, region, m, passed) -> None:
-        """Store tick ``k`` of every trial in column ``k``."""
+    def record(self, rows, k, n, x, y, mode, region, m, passed) -> None:
+        """Fill the columns of each run, one scatter per field at the
+        row-major index of each tick; see :func:`_simulate`.  The fields
+        are whole rows of C-ordered arrays, so ``reshape(-1)`` is a view."""
+        at = (np.repeat(rows * self.duration + k - np.cumsum(n) + n, n)
+              + np.arange(n.sum()))
         for field, value in ((self.xs, x), (self.ys, y), (self.modes, mode),
                              (self.regions, region), (self.ms, m)):
-            field[:, k] = value
+            field.reshape(-1)[at] = np.repeat(value, n)
 
     def trajectories(self, env, seeds, trial_ids) -> list[Trajectory]:
         return [
@@ -352,11 +375,13 @@ class VisitCounts(_TrialRows):
             raise ValueError(f"duration must be >= 1 tick, got {duration}")
         return cls(duration, **_shared_arrays(n_trials, n_rooms + 1, cls._DTYPES))
 
-    def record(self, k, x, y, mode, region, m, passed) -> None:
-        """Count tick ``k``: one tick in ``region`` and one in ``passed``."""
-        trials = np.arange(region.size)
-        self.ticks[trials, region] += 1
-        self.passes[trials, passed] += 1
+    def record(self, rows, k, n, x, y, mode, region, m, passed) -> None:
+        """Add each run's length to its trial's count of its region and of
+        its window passed, one ``bincount`` per table; see :func:`_simulate`."""
+        row_start = rows * self.ticks.shape[1]
+        for counts, codes in ((self.ticks, region), (self.passes, passed)):
+            added = np.bincount(row_start + codes, n, counts.size)
+            counts += added.reshape(counts.shape).astype(counts.dtype)
 
     def visit_frequencies(self) -> dict[int, float]:
         """Fraction of trials in which each room shows up for at least one tick."""
@@ -371,26 +396,81 @@ class VisitCounts(_TrialRows):
         return {room: c / total for room, c in enumerate(ticks, start=1)}
 
 
-def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
-    """Run one trial per seed in lockstep, handing each tick to ``out.record``.
+def _thresholds(ctx: _SimContext, duration: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """:func:`transition_thresholds` of every step a ``duration``-tick run
+    can sample, at flat index ``((mode * 2 + m) * n_q + q) * stride + t``,
+    where q indexes ``ctx.q_levels``; and ``stride``.  A timer never exceeds
+    the ticks elapsed or its phase's cap, so t < stride covers every step."""
+    stride = min(max(ctx.tau_s, ctx.tau_a), duration) + 1
+    t = np.arange(stride)
+    rows = [transition_thresholds(np.full(stride, mode), np.minimum(t, cap), m, q,
+                                  ctx.tau_s, ctx.tau_a)
+            for mode, cap in ((0, ctx.tau_s), (1, ctx.tau_a), (2, ctx.tau_a))
+            for m in (0, 1) for q in ctx.q_levels.tolist()]
+    first, second = (np.concatenate(column) for column in zip(*rows))
+    return first, second, stride
 
-    ``record(k, x, y, mode, region, m, passed)`` gets the state of every
-    trial after tick k, plus the room whose trigger window each trial
+
+def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
+    """Run one trial per seed, advancing every trial by one event per step.
+
+    Each trial keeps its own clock ``k``, the next tick it computes, and
+    each lockstep iteration advances every trial whose clock is short of
+    ``out.duration`` by one event (next-event time advance):
+
+    * a Still run: position, region and contact stay fixed and each tick
+      reads one uniform, so the run ends at the first uniform of the trial's
+      draw row at or above the Still threshold for its timer; the ticks
+      before that one are recorded as one run, and the last is sampled like
+      a single tick;
+    * a corridor Crawl run: x moves by one fixed step a tick, so positions
+      come from ``np.add.accumulate``, contact and the window trigger from
+      those positions, and the run ends at the first tick whose sampled mode
+      is not Crawl; a step that reflects at an end puts x at 0 or L, in
+      contact, so a run reflects on its last tick at most, which is checked;
+    * any other tick (Explore, or Crawl inside a room), one at a time.
+
+    A run looks at most ``_BLOCK`` ticks ahead, and the look-aheads of one
+    iteration hold at most ``budget`` ticks in all; a longer run goes on as
+    the next event, which changes no output.  The sampled ticks of all
+    events sit in one flat array, event i's from ``starts[i]`` on, in the
+    order single ticks, Crawl runs, last ticks of Still runs.  Contact is
+    computed for the ticks that moved, and every tick compares its uniform
+    with the thresholds of :func:`_thresholds` (:func:`next_modes`), which
+    are those of :func:`~leechsim.automaton.sample_transitions`.
+
+    ``out.record(rows, k, n, x, y, mode, region, m, passed)`` gets runs:
+    trial ``rows[i]`` spends ticks ``k[i]`` to ``k[i] + n[i] - 1`` with the
+    i-th value of each field; a look-ahead tick past its event's end is a
+    run of 0 ticks.  ``passed`` is the room whose trigger window the trial
     crawled over during the tick (0 for none).
 
-    Trial b reads its uniforms from row b of ``draws`` at cursor ``cur[b]``;
-    a tick consumes at most 3 of them, so refilling every ``_BLOCK`` ticks
-    (unread tail shifted to the front, the rest drawn anew from the trial's
-    own generator) never lets a cursor run off its row.
+    Trial b reads its uniforms from row b of ``draws`` at cursor ``cur[b]``,
+    in the order a tick-by-tick run reads them.  An event reads at most
+    ``look`` uniforms, so a row is refilled (unread tail shifted to the
+    front, the rest drawn anew from the trial's own generator) whenever its
+    cursor is within ``look`` of the row end.
     """
     n, duration = len(seeds), out.duration
     if n == 0:
         return
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    width = 3 * _BLOCK + 1  # + the release heading coin
+    first, second, stride = _thresholds(ctx, duration)
+    n_q = np.intp(ctx.q_levels.size)  # an intp, so that m * n_q cannot wrap
+    look = max(_BLOCK, 3)  # a run reads one uniform a tick, any other tick 3
+    width = 3 * look
     draws = np.empty((n, width))
     for rng, row in zip(rngs, draws):
         rng.random(out=row)
+    # look-ahead ticks one iteration may hold; only the release, when every
+    # trial starts a Crawl run, comes near it in a default run
+    budget = max(8 * n, _BLOCK)
+    # Still look-aheads: _BLOCK uniforms from a cursor, and the thresholds
+    # below which Still stays, from a timer on (0.0 past the cap)
+    ahead_u = sliding_window_view(draws, _BLOCK, axis=1)
+    ahead_stay = sliding_window_view(np.concatenate((first[:stride], np.zeros(_BLOCK))),
+                                     _BLOCK)
+    span = np.arange(_BLOCK)
     cur = np.zeros(n, dtype=np.intp)
     trials = np.arange(n)
 
@@ -408,69 +488,136 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
     t = np.zeros(n, dtype=np.intp)
     region = np.zeros(n, dtype=np.intp)
     m = _contact(ctx, x, y, region)
-    out.record(0, x, y, mode, region, m, np.zeros(n, dtype=np.intp))
+    k = np.ones(n, dtype=np.intp)
+    out.record(trials, k - 1, k, x, y, mode, region, m, region)
 
-    for k in range(1, duration):
-        if k > 1 and (k - 1) % _BLOCK == 0:
-            for rng, row, used in zip(rngs, draws, cur.tolist()):
-                row[:width - used] = row[used:]
-                rng.random(out=row[width - used:])
-            cur[:] = 0
+    live = trials[k < duration]
+    while live.size:
+        for b in live[cur[live] > width - look].tolist():
+            used = cur[b]
+            draws[b, :width - used] = draws[b, used:]
+            rngs[b].random(out=draws[b, width - used:])
+            cur[b] = 0
 
-        # (1) move: corridor crawl reflects at the ends; other moving
-        # modes take a waypoint step clipped to their region's box
-        corridor = region == 0
-        crawl = (mode == 1) & corridor
-        xc = x + ctx.v_c * hx
-        hx = np.where(crawl & (xc <= 0.0), 1.0,
-                      np.where(crawl & (xc >= ctx.L), -1.0, hx))
-        x = np.where(crawl, np.minimum(np.maximum(xc, 0.0), ctx.L), x)
-        walk = np.flatnonzero((mode != 0) & ~crawl)
-        if walk.size:
-            ang = (draws[walk, cur[walk]] * _TWO_PI).tolist()
-            cur[walk] += 1
-            box = region[walk]
-            nx = x[walk] + ctx.v_e * np.fromiter(map(math.cos, ang), float, walk.size)
-            ny = y[walk] + ctx.v_e * np.fromiter(map(math.sin, ang), float, walk.size)
-            x[walk] = np.minimum(np.maximum(nx, ctx.xlo[box]), ctx.xhi[box])
-            y[walk] = np.minimum(np.maximum(ny, ctx.ylo[box]), ctx.yhi[box])
+        # events: single ticks (0), then corridor Crawl runs (1), Still runs (2)
+        kind = mode[live]
+        kind = np.where(kind == 0, 2, (kind == 1) & (region[live] == 0))
+        g = live[np.argsort(kind, kind="stable")]
+        n_other, n_crawl, n_still = np.bincount(kind, minlength=3).tolist()
+        runs = slice(n_other, n_other + n_crawl)
 
-        # (2) sense
-        m = _contact(ctx, x, y, region)
+        # Still runs: record the ticks before the last one of the look-ahead
+        # as one run, and go on from that last tick
+        if n_still:
+            s = g[runs.stop:]
+            ks, ts = k[s], t[s]
+            ahead = np.minimum(np.minimum(duration - ks, ctx.tau_s - ts + 1),
+                               max(1, min(_BLOCK, budget // n_still)))
+            w = ahead.max()
+            stays = ((ahead_u[s, cur[s], :w] >= ahead_stay[ts, :w])
+                     | (span[:w] == ahead[:, None] - 1)).argmax(axis=1)
+            zero = np.zeros(n_still, dtype=np.intp)
+            out.record(s, ks, stays, x[s], y[s], zero, region[s], m[s], zero)
+            k[s] = ks + stays
+            t[s] = ts + stays
+            cur[s] += stays
+
+        # corridor Crawl runs look ahead to an end of the corridor at most
+        crawlers = g[runs]
+        h, x0 = hx[crawlers], x[crawlers]
+        reach = np.minimum(np.where(h < 0.0, x0, ctx.L - x0) // ctx.v_c + 2,
+                           max(1, min(_BLOCK, (budget - n_other - n_still) // max(n_crawl, 1))))
+        limit = np.ones(g.size, dtype=np.intp)
+        limit[runs] = np.minimum(np.minimum(duration - k[crawlers],
+                                            ctx.tau_a - t[crawlers] + 1), reach)
+        starts = np.cumsum(limit) - limit
+        b = np.repeat(g, limit)
+        tick = np.arange(b.size)  # tick i of event e is tick i - starts[e] of its trial
+        xs, ys, regions, modes = x[b], y[b], region[b], mode[b]
+        ms = np.empty(b.size, dtype=np.uint8)
+        ms[starts[runs.stop:]] = m[g[runs.stop:]]
+        u = g * width + cur[g] - starts  # flat index into draws, less tick
+        u[:n_other] += 1  # after the waypoint angle
+
+        # (1) move: a waypoint step clipped to the region's box, or crawl
+        # steps along the heading, accumulated; Still stays put
+        walkers, box = g[:n_other], regions[:n_other]
+        if n_other:
+            ang = (draws[walkers, cur[walkers]] * _TWO_PI).tolist()
+            nx = xs[:n_other] + ctx.v_e * np.fromiter(map(math.cos, ang), float, n_other)
+            ny = ys[:n_other] + ctx.v_e * np.fromiter(map(math.sin, ang), float, n_other)
+            xs[:n_other] = np.minimum(np.maximum(nx, ctx.xlo[box]), ctx.xhi[box])
+            ys[:n_other] = np.minimum(np.maximum(ny, ctx.ylo[box]), ctx.yhi[box])
+        crawling = slice(n_other, starts[runs.stop] if n_still else b.size)
+        if n_crawl:
+            steps = np.empty((n_crawl, limit[runs].max() + 1))
+            steps[:, 0] = x0
+            steps[:, 1:] = (ctx.v_c * h)[:, None]
+            xc = np.add.accumulate(steps, axis=1)[:, 1:][span[:steps.shape[1] - 1]
+                                                         < limit[runs, None]]
+            xs[crawling] = np.minimum(np.maximum(xc, 0.0), ctx.L)
+
+        # (2) sense, for the ticks that moved
+        moved = slice(0, crawling.stop)
+        ms[moved] = _contact(ctx, xs[moved], ys[moved], regions[moved])
 
         # (3) entry trigger while crawling over an opening window; at
         # q_scale = 0 every trigger is 0.0, so the window passes are still
         # counted and nothing else changes
-        w = np.minimum(np.searchsorted(ctx.win_hi, x), ctx.win_hi.size - 1)
-        over = crawl & (ctx.win_lo[w] <= x) & (x <= ctx.win_hi[w])
-        q = np.where(over, ctx.win_q[w], 0.0)
-        passed = np.where(over, ctx.win_room[w], 0)
+        code = np.zeros(b.size, dtype=np.intp)
+        if n_crawl:
+            xa = xs[crawling]
+            w = np.searchsorted(ctx.win_hi, xa)
+            code[crawling] = np.where(ctx.win_start[w] <= xa, w + 1, 0)
+        passed = ctx.code_room[code]
 
-        # (4) one automaton transition
-        new_mode, t = sample_transitions(mode, t, m, q, ctx.tau_s, ctx.tau_a,
-                                         draws[trials, cur])
-        cur += 1
+        # (4) one automaton transition a tick, at the tabulated thresholds;
+        # a run ends at its first change of mode
+        at = (np.repeat(mode[g] * 2 * n_q * stride + t[g] - starts, limit) + tick
+              + (ms * n_q + ctx.code_q[code]) * stride)
+        new_mode = next_modes(draws.ravel()[np.repeat(u, limit) + tick], first[at], second[at])
+        last = np.minimum(np.minimum.reduceat(np.where(new_mode != modes, tick, b.size),
+                                              starts), starts + limit - 1)
+        ticks = last - starts + 1
+        keep = (tick <= np.repeat(last, limit)).astype(np.intp)  # 1 tick or none
 
-        # (5) teleports through the opening
-        if ctx.any_q:
-            enter = np.flatnonzero(over & (new_mode == 2))
-            if enter.size:
+        # (5) heading after a reflection, and teleports through the opening
+        used = ticks.copy()  # uniforms read
+        if n_crawl:
+            # a reflecting step ends in contact, so it samples another mode
+            # and can only be the run's last tick
+            if (new_mode[crawling][(xc <= 0.0) | (xc >= ctx.L)] == 1).any():
+                raise AssertionError("a corridor Crawl run reflected before its last tick")
+            ends = last[runs]
+            xl = xc[ends - n_other]
+            hx[crawlers] = np.where(xl <= 0.0, 1.0, np.where(xl >= ctx.L, -1.0, h))
+            if ctx.any_q:
+                enter = ends[(passed[ends] != 0) & (new_mode[ends] == 2)]
                 room = passed[enter]
-                region[enter] = room
-                x[enter] = ctx.cx[room]
-                y[enter] = ctx.entry_y
-                m[enter] = ctx.entry_m[room]
-        leave = np.flatnonzero(~corridor & (mode == 2) & (new_mode == 1))
-        if leave.size:
-            room = region[leave]
-            x[leave] = ctx.cx[room]
-            y[leave] = ctx.cor_mid
-            m[leave] = ctx.exit_m[room]
-            region[leave] = 0
-            hx[leave] = np.where(draws[leave, cur[leave]] < 0.5, -1.0, 1.0)
-            cur[leave] += 1
-        mode = new_mode
-        out.record(k, x, y, mode, region, m, passed)
+                regions[enter] = room
+                xs[enter] = ctx.cx[room]
+                ys[enter] = ctx.entry_y
+                ms[enter] = ctx.entry_m[room]
+        if n_other:
+            used[:n_other] += 1  # the waypoint angle
+            leave = np.flatnonzero((box != 0) & (modes[:n_other] == 2)
+                                   & (new_mode[:n_other] == 1))
+            if leave.size:
+                room = box[leave]
+                xs[leave] = ctx.cx[room]
+                ys[leave] = ctx.cor_mid
+                ms[leave] = ctx.exit_m[room]
+                regions[leave] = 0
+                hx[g[leave]] = np.where(draws[g[leave], cur[g[leave]] + 2] < 0.5, -1.0, 1.0)
+                used[leave] += 1
+        out.record(b, np.repeat(k[g] - starts, limit) + tick, keep, xs, ys, new_mode,
+                   regions, ms, passed)
+        x[g], y[g], region[g], m[g] = xs[last], ys[last], regions[last], ms[last]
+        t[g] = next_timers(mode[g], t[g] + ticks - 1, new_mode[last])
+        mode[g] = new_mode[last]
+        cur[g] += used
+        k[g] += ticks
+        live = live[k[live] < duration]
 
 
 def run_trials(env: EnvironmentTemplate, motion: MotionParams,
@@ -679,7 +826,10 @@ def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Traject
     rows, error = n, None
     bad = _first_mismatch(fields[6::7], ["\n"] * n)
     if bad is not None:
-        rows, error = bad, "expected 6 fields"
+        # A short line can put a later line's separator where its own
+        # belongs; line i has 6 fields iff the i-th separator is at 7i + 6.
+        seps = [i for i, field in enumerate(fields[:7 * bad + 7]) if field == "\n"]
+        rows, error = _first_mismatch(seps, list(range(6, 7 * bad + 7, 7))), "expected 6 fields"
     ids = fields[0:7 * rows:7]
     bad = _first_mismatch(ids, [first_id] * rows)
     if bad is not None:

@@ -97,7 +97,8 @@ def _ensemble_setup(env, motion, auto, n_trials, base_seed, workers):
 def _fill(ctx: _SimContext, env: EnvironmentTemplate, seeds,
           out: TrialArrays | VisitCounts, workers: int, sink=None) -> None:
     """Fill the shared ``out`` with one trial per seed on ``min(workers, trials)``
-    processes, each stepping one contiguous slice of the trials in lockstep.
+    processes, each running the event-driven kernel on one contiguous slice
+    of the trials.
 
     The workers fork after ``out`` is allocated and fill their rows in place,
     so nothing is pickled back.  A failing worker raises ``RuntimeError``

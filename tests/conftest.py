@@ -50,6 +50,23 @@ def make_trajectory(env, regions, modes=None, trial_id=0):
     )
 
 
+def chi_square(observed, expected) -> float:
+    """Pearson statistic sum (O_i - N p_i)^2 / (N p_i) for count data."""
+    obs = [float(o) for o in observed]
+    exp = [float(p) for p in expected]
+    if len(obs) != len(exp):
+        raise ValueError("observed and expected lengths differ")
+    n = sum(obs)
+    if n <= 0:
+        raise ValueError("observed counts sum to zero")
+    for p in exp:
+        if p <= 0:
+            raise ValueError("expected probabilities must be > 0")
+    if abs(sum(exp) - 1.0) > 1e-9:
+        raise ValueError(f"expected probabilities sum to {sum(exp)}, not 1")
+    return sum((o - n * p) ** 2 / (n * p) for o, p in zip(obs, exp))
+
+
 def wall_distance(env, p):
     """Distance from an interior point to the nearest wall surface.
 

@@ -21,11 +21,13 @@ from leechsim.automaton import (
     transition_kernel,
 )
 from leechsim.cli import RunConfig, main
-from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, chi_square, fit_power_law
+from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
 from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams, run_trials
 from leechsim.montecarlo import run_ensemble, time_fractions, visit_frequencies
 from leechsim.trackio import frames_to_trajectory, render_frames, time_color
+
+from conftest import chi_square
 
 # chi-square critical values at the 99.9% level
 CHI2_999 = {1: 10.8276, 2: 13.8155}

@@ -4,15 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leechsim.fitstats import (
-    PowerLawFit,
-    calibrate_entry_prob,
-    chi_square,
-    fit_power_law,
-)
+from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
 from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams, TrialArrays
 from leechsim.montecarlo import derive_trial_seed, run_ensemble, visit_frequencies
+
+from conftest import chi_square
 
 
 def test_fit_recovers_visit_law_sample():

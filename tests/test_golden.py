@@ -1,9 +1,13 @@
 """Golden determinism: `leechsim simulate` output bytes are frozen.
 
 ``golden_simulate.json`` holds the sha256 of every trial CSV and of
-``manifest.json`` for two runs, as written by the per-trial scalar tick
-kernel that preceded the lockstep batch kernel.  Any kernel or CSV change
-must reproduce them exactly, for every worker count.
+``manifest.json`` for six runs.  The per-trial scalar tick kernel wrote
+``default_64x1800`` and ``q1_64x600``.  The lockstep tick kernel, which
+advanced every trial by one tick per iteration, wrote the other four; they
+aim at the runs the event-driven kernel advances whole: q = 0, runs ending
+at short timer caps, contact radius 0, and a duration that cuts runs midway.
+Any kernel or CSV change must reproduce them exactly, for every worker
+count.
 """
 
 import hashlib
@@ -18,11 +22,38 @@ from leechsim.cli import RunConfig, main
 from leechsim.montecarlo import run_ensemble
 
 GOLDEN = Path(__file__).with_name("golden_simulate.json")
+GOLDEN_ARRAYS = Path(__file__).with_name("golden_arrays.json")
+ARRAY_TRIALS = 16
 
+# Each case is a partial config: top-level keys replace the default's, and a
+# section ("automaton", "motion") replaces only the keys it names.
 CASES = {
     "default_64x1800": {"n_trials": 64, "duration_ticks": 1800},
-    "q1_64x600": {"n_trials": 64, "duration_ticks": 600, "q_scale": 1.0},
+    "q1_64x600": {"n_trials": 64, "duration_ticks": 600,
+                  "motion": {"q_scale": 1.0}},
+    # calibrate's first ensemble: passes are sampled, nothing enters a room
+    "q0_64x1800": {"n_trials": 64, "duration_ticks": 1800,
+                   "motion": {"q_scale": 0.0}},
+    # short caps: many runs end at the cap, where the stay threshold is 0.0
+    "caps_64x600": {"n_trials": 64, "duration_ticks": 600,
+                    "automaton": {"tau_s_ticks": 3, "tau_a_ticks": 5}},
+    # end contact only where the clamp puts x at exactly 0 or L
+    "r0_64x300": {"n_trials": 64, "duration_ticks": 300,
+                  "motion": {"contact_radius_mm": 0.0}},
+    # a duration that cuts most runs midway
+    "cut_64x37": {"n_trials": 64, "duration_ticks": 37},
 }
+
+
+def case_config(case: str) -> dict:
+    """The default config document with one case's keys."""
+    doc = RunConfig().to_dict()
+    for key, value in CASES[case].items():
+        if isinstance(value, dict):
+            doc[key].update(value)
+        else:
+            doc[key] = value
+    return doc
 
 
 def simulate_digests(case_dir: Path, case: str, workers: int) -> dict[str, str]:
@@ -31,10 +62,8 @@ def simulate_digests(case_dir: Path, case: str, workers: int) -> dict[str, str]:
     The run writes to the relative directory ``run`` so that the manifest,
     which records ``out_dir``, does not depend on where the test runs.
     """
-    spec = dict(CASES[case])
-    doc = RunConfig().to_dict()
-    doc["motion"]["q_scale"] = spec.pop("q_scale", doc["motion"]["q_scale"])
-    doc.update(spec, out_dir="run")
+    doc = case_config(case)
+    doc["out_dir"] = "run"
     case_dir.mkdir(parents=True)
     (case_dir / "config.json").write_text(json.dumps(doc))
     cwd = Path.cwd()
@@ -57,6 +86,25 @@ def test_simulate_matches_golden_digests(tmp_path, case, workers):
     assert len(got) == CASES[case]["n_trials"] + 1
     mismatched = [name for name in golden if got[name] != golden[name]]
     assert not mismatched, mismatched
+
+
+def array_digests(case: str, workers: int) -> dict[str, str]:
+    """sha256 of each field's raw bytes over the case's first 16 trials."""
+    cfg = RunConfig.from_dict(case_config(case))
+    trajs = run_ensemble(cfg.environment.build(), cfg.motion, cfg.automaton,
+                         ARRAY_TRIALS, cfg.base_seed, cfg.duration_ticks, workers)
+    return {name: hashlib.sha256(b"".join(getattr(t, name).tobytes() for t in trajs))
+            .hexdigest() for name in ("xs", "ys", "modes", "regions", "ms")}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernel_arrays_match_golden_digests(case, workers):
+    """The CSVs print coordinates to 3 decimals, so a last-bit change in a
+    position can leave them unchanged; these digests pin every bit, and the
+    contact bits, which no CSV holds."""
+    golden = json.loads(GOLDEN_ARRAYS.read_text())[case]
+    assert array_digests(case, workers) == golden
 
 
 @pytest.mark.parametrize("n_trials", [7, 2])

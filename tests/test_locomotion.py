@@ -248,17 +248,67 @@ def test_initial_heading_points_to_far_end(env, auto, motion):
     assert traj.xs[1] > traj.xs[0]
 
 
+def _kernel_outputs(ctx, n_rooms, seeds, duration):
+    """The arrays and the counts of one kernel run, each from its own pass."""
+    arrays = locomotion.TrialArrays.allocate(len(seeds), duration)
+    counts = locomotion.VisitCounts.allocate(len(seeds), n_rooms, duration)
+    locomotion._simulate(ctx, seeds, arrays)
+    locomotion._simulate(ctx, seeds, counts)
+    return arrays, counts
+
+
+def _longest_run(modes, mode):
+    runs = np.diff(np.flatnonzero(np.diff(np.concatenate(([0], modes == mode, [0])))))
+    return int(runs[::2].max(initial=0))
+
+
 def test_draw_buffer_width_changes_no_output(env, auto, monkeypatch):
-    """Refilling the per-trial draw buffers at any block length is invisible."""
-    motion = MotionParams(q_scale=1.0)
+    """Refilling the per-trial draw buffers at any block length is invisible,
+    also to Still runs many look-aheads long and to Crawl runs split across
+    events, in the arrays and in the counts."""
     center = replace(env, start_point=(env.interior_width / 2, 22.0))
-    reference = run_trials(center, motion, auto, range(6), duration=700)
-    for block in (1, 7):
-        monkeypatch.setattr(locomotion, "_BLOCK", block)
-        for a, b in zip(reference, run_trials(center, motion, auto, range(6),
-                                              duration=700)):
+    for q in (1.0, 0.0):
+        monkeypatch.setattr(locomotion, "_BLOCK", 256)
+        ctx = _SimContext(center, MotionParams(q_scale=q), auto)
+        arrays, counts = _kernel_outputs(ctx, env.n_rooms, range(6), 700)
+        assert max(_longest_run(row, Mode.STILL) for row in arrays.modes) > 7
+        assert max(_longest_run(row, Mode.CRAWL) for row in arrays.modes) > 7
+        for block in (1, 7):
+            monkeypatch.setattr(locomotion, "_BLOCK", block)
+            got_arrays, got_counts = _kernel_outputs(ctx, env.n_rooms, range(6), 700)
             for name in ("xs", "ys", "modes", "regions", "ms"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), (block, name)
+                assert np.array_equal(getattr(got_arrays, name), getattr(arrays, name)), \
+                    (q, block, name)
+            assert np.array_equal(got_counts.ticks, counts.ticks), (q, block)
+            assert np.array_equal(got_counts.passes, counts.passes), (q, block)
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_crawl_runs_reflect_on_their_last_tick_only(env, auto, q):
+    """Trials released next to either corridor end crawl to the far end,
+    where a step reflects into contact.  The kernel checks every such step
+    of a Crawl run, and the check passes: the reflecting tick samples
+    another mode, so it ends its run."""
+    L = env.interior_width
+    reflected = 0
+    for x0 in (0.5, L - 0.5):
+        start = replace(env, start_point=(x0, env.start_point[1]))
+        for traj in run_trials(start, MotionParams(q_scale=q), auto, range(30), 600):
+            crawled = (traj.modes[:-1] == Mode.CRAWL) & (traj.regions[:-1] == 0)
+            steps = np.flatnonzero(crawled & ((traj.xs[1:] == 0.0) | (traj.xs[1:] == L))) + 1
+            assert (traj.modes[steps] != Mode.CRAWL).all()
+            assert (traj.ms[steps] == 1).all()
+            reflected += steps.size
+    assert reflected > 30
+
+
+def test_crawl_run_through_a_reflection_is_refused(env, auto, monkeypatch):
+    """Without end contact a Crawl run would go on past a reflection, where
+    its accumulated positions keep the old heading; the kernel raises."""
+    monkeypatch.setattr(locomotion, "_contact",
+                        lambda ctx, x, y, region: np.zeros(np.shape(x), np.uint8))
+    with pytest.raises(AssertionError, match="reflected before its last tick"):
+        run_trials(env, MotionParams(q_scale=0.0), auto, range(8), duration=300)
 
 
 def test_batch_rows_equal_single_trials(env, auto):
