@@ -2,11 +2,13 @@
 """Reproduce the room-visit statistics end to end through the leechsim CLI.
 
 Calibrates the entry-trigger scale against the automaton's visit law
-0.35 * x^-0.82, reruns the calibrated ensemble, refits the power law to the
-simulated frequencies, and renders a time overlay plus an activity map of
-trial 0.  Also runs a 40-trial batch at the calibrated scale for a
-like-for-like comparison with a 40-experiment dataset.  The trial CSVs of
-both runs go to a temporary directory that is removed at the end.
+0.35 * x^-0.82, which also writes the calibrated ensemble's visit and dwell
+stats, refits the power law to its frequencies, simulates trial 0 of that
+ensemble again (a trial's seed does not depend on the number of trials) and
+renders a time overlay plus an activity map of it.  Also runs a 40-trial
+batch at the calibrated scale for a like-for-like comparison with a
+40-experiment dataset.  The trial CSVs of both runs go to a temporary
+directory that is removed at the end.
 
 Outputs land in --out (default runs/reproduction): calibration.json,
 visits.csv, dwell.csv, fit.json, trial_0000.csv, overlay.ppm, activity.pgm,
@@ -46,10 +48,9 @@ def main(argv=None) -> int:
         config.write_text(json.dumps({"motion": {"q_scale": report["q_scale"]}}))
         trial = str(run / "trial_0000.csv")
         steps = [
-            ["simulate", "--config", str(config), "--trials", str(args.trials),
-             "--seed", str(report["ensemble_seed"]), *run_opts, "--out", str(run)],
-            ["stats", str(run), "--out", str(out)],
             ["fit", str(out / "visits.csv"), "--out", str(out / "fit.json")],
+            ["simulate", "--config", str(config), "--trials", "1",
+             "--seed", str(report["ensemble_seed"]), *run_opts, "--out", str(run)],
             ["render", trial, "--mode", "overlay", "--out", str(out / "overlay.ppm")],
             ["render", trial, "--mode", "activity", "--out", str(out / "activity.pgm")],
             ["simulate", "--config", str(config), "--trials", "40",

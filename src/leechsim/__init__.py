@@ -14,14 +14,12 @@ from .geometry import (
     locate,
     room_distance_to_end,
 )
-from .locomotion import MotionParams, Trajectory, run_trial, run_trials
+from .locomotion import MotionParams, Trajectory, VisitCounts, run_trial, run_trials
 from .montecarlo import (
-    EnsembleStats,
     derive_trial_seed,
     ensemble_stats,
-    mode_dwell_histograms,
     run_ensemble,
-    time_fractions,
+    visit_counts,
     visit_frequencies,
 )
 from .fitstats import (
@@ -36,23 +34,22 @@ __version__ = "0.1.0"
 __all__ = [
     "AutomatonParams",
     "CalibrationResult",
-    "EnsembleStats",
     "EnvironmentTemplate",
     "Mode",
     "MotionParams",
     "PowerLawFit",
     "Trajectory",
+    "VisitCounts",
     "build_corridor_template",
     "calibrate_entry_prob",
     "derive_trial_seed",
     "ensemble_stats",
     "fit_power_law",
     "locate",
-    "mode_dwell_histograms",
     "room_distance_to_end",
     "run_ensemble",
     "run_trial",
     "run_trials",
-    "time_fractions",
+    "visit_counts",
     "visit_frequencies",
 ]

@@ -268,15 +268,19 @@ def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, list[T
     return cfg, env, trajs
 
 
+def _write_stats(env: EnvironmentTemplate, counts, out: Path) -> None:
+    write_stats_csv(env, counts, out / "visits.csv")
+    write_dwell_csv(counts, out / "dwell.csv")
+    print(f"wrote visits.csv and dwell.csv to {out}")
+
+
 def cmd_stats(args) -> int:
     run_dir = Path(args.run_dir)
     _, env, trajs = _load_run_dir(run_dir)
-    stats = ensemble_stats(trajs)
+    counts = ensemble_stats(trajs)
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
-    write_stats_csv(env, stats, out / "visits.csv")
-    write_dwell_csv(stats, out / "dwell.csv")
-    print(f"wrote visits.csv and dwell.csv to {out}")
+    _write_stats(env, counts, out)
     return 0
 
 
@@ -309,6 +313,11 @@ def cmd_calibrate(args) -> int:
     cfg = load_run_config(args.config) if args.config else RunConfig()
     cfg = _apply_overrides(cfg, args)
     env = cfg.environment.build()
+    if args.out:
+        out = Path(args.out)
+        if out.name in ("visits.csv", "dwell.csv"):
+            raise ConfigError(f"--out {out}: calibrate writes its own {out.name} there")
+        out.parent.mkdir(parents=True, exist_ok=True)
     target = PowerLawFit(
         a=cfg.automaton.a if args.target_a is None else args.target_a,
         b=cfg.automaton.b if args.target_b is None else args.target_b,
@@ -336,6 +345,8 @@ def cmd_calibrate(args) -> int:
         ],
     }
     _report(doc, args.out, "calibration report")
+    if args.out:
+        _write_stats(env, result.counts, out.parent)
     return 0 if result.feasible else 3
 
 

@@ -76,10 +76,10 @@ class CalibrationResult:
     ``feasible`` is False when an evaluation at q_scale = 1 undershoots the
     target in every room; ``achieved`` then reports that q = 1 curve.
     ``evaluations`` lists (q_scale, mean_visit_freq, score) in evaluation
-    order.  ``ensemble_seed`` is the base seed of the ensemble whose
-    frequencies are ``achieved``: every evaluation runs base seed
-    derive_trial_seed(base_seed, 0), so ``run_ensemble`` at q_scale with this
-    seed reproduces them.
+    order.  ``counts`` are the room counts and mode runs of the ensemble
+    whose frequencies are ``achieved``, and ``ensemble_seed`` is its base
+    seed: every evaluation runs base seed derive_trial_seed(base_seed, 0),
+    so ``run_ensemble`` at q_scale with this seed reproduces it.
     """
 
     q_scale: float
@@ -90,6 +90,7 @@ class CalibrationResult:
     target_values: dict[int, float]
     evaluations: list[tuple[float, float, float]]
     ensemble_seed: int
+    counts: VisitCounts
 
 
 _MAX_ENSEMBLES = 3  # q = 0, the predicted q, one correction
@@ -182,7 +183,7 @@ def calibrate_entry_prob(
 
     seed = derive_trial_seed(base_seed, 0)
     evaluations: list[tuple[float, float, float]] = []
-    runs: dict[float, dict[int, float]] = {}  # q -> freq
+    runs: dict[float, VisitCounts] = {}  # q -> its ensemble's counts
 
     def evaluate(q: float) -> VisitCounts:
         start = time.perf_counter()
@@ -193,7 +194,7 @@ def calibrate_entry_prob(
         score = sum((freq[r] - targets[r]) ** 2 for r in rooms)
         _assert_monotone(evaluations, q, mean, n_trials, len(rooms))
         evaluations.append((q, mean, score))
-        runs[q] = freq
+        runs[q] = counts
         if progress is not None:
             progress(len(evaluations) - 1, q, mean, score, seed,
                      time.perf_counter() - start)
@@ -208,7 +209,7 @@ def calibrate_entry_prob(
     for _ in range(_MAX_ENSEMBLES - 1):
         if q not in runs:
             evaluate(q)
-        freq = runs[q]
+        freq = runs[q].visit_frequencies()
         if q == 1.0 and all(freq[r] < targets[r] for r in rooms):
             feasible = converged = False
             break
@@ -223,8 +224,8 @@ def calibrate_entry_prob(
     q, _, score = min(evaluations, key=lambda e: e[2]) if feasible else evaluations[-1]
     return CalibrationResult(
         q_scale=q, score=score, feasible=feasible, converged=converged,
-        achieved=runs[q], target_values=targets, evaluations=evaluations,
-        ensemble_seed=seed,
+        achieved=runs[q].visit_frequencies(), target_values=targets,
+        evaluations=evaluations, ensemble_seed=seed, counts=runs[q],
     )
 
 

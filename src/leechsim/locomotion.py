@@ -277,36 +277,26 @@ def _contact(ctx: _SimContext, x: np.ndarray, y: np.ndarray,
 _BLOCK = 256  # ticks a run looks ahead; each draw row holds 3 look-aheads
 
 
-def _shared_arrays(n_trials: int, width: int, dtypes: dict) -> dict[str, np.ndarray]:
-    """Zeroed (n_trials, width) arrays, one per ``dtypes`` entry, in one
-    anonymous shared memory mapping.
+def _shared_arrays(fields: dict) -> dict[str, np.ndarray]:
+    """Zeroed arrays, one per ``name: (shape, dtype)`` entry of ``fields``,
+    in one anonymous shared memory mapping.
 
     Processes forked after the allocation write through to the same pages,
     so an ensemble's workers can fill their rows in place.  List the widest
     dtype first, so every array stays aligned inside the one buffer.
     """
-    size = n_trials * width
-    itemsizes = sum(np.dtype(d).itemsize for d in dtypes.values())
-    buffer = mmap.mmap(-1, max(size * itemsizes, 1))  # mmap refuses length 0
+    nbytes = sum(math.prod(shape) * np.dtype(dtype).itemsize
+                 for shape, dtype in fields.values())
+    buffer = mmap.mmap(-1, max(nbytes, 1))  # mmap refuses length 0
     arrays, offset = {}, 0
-    for name, dtype in dtypes.items():
-        arrays[name] = np.frombuffer(buffer, dtype, size, offset).reshape(
-            n_trials, width)
+    for name, (shape, dtype) in fields.items():
+        arrays[name] = np.frombuffer(buffer, dtype, math.prod(shape), offset).reshape(shape)
         offset += arrays[name].nbytes
     return arrays
 
 
-class _TrialRows:
-    """Kernel output whose ``_DTYPES`` fields hold one row per trial."""
-
-    _DTYPES: dict
-
-    def rows(self, lo: int, hi: int):
-        return replace(self, **{k: getattr(self, k)[lo:hi] for k in self._DTYPES})
-
-
 @dataclass(frozen=True)
-class TrialArrays(_TrialRows):
+class TrialArrays:
     """Per-tick fields of a batch of trials, one (n_trials, duration) array each.
 
     Trial i's record is row i of every field; :meth:`trajectories` hands the
@@ -327,11 +317,16 @@ class TrialArrays(_TrialRows):
         """Fields in shared memory, see :func:`_shared_arrays`."""
         if duration < 1:
             raise ValueError(f"duration must be >= 1 tick, got {duration}")
-        return cls(**_shared_arrays(n_trials, duration, cls._DTYPES))
+        return cls(**_shared_arrays({name: ((n_trials, duration), dtype)
+                                     for name, dtype in cls._DTYPES.items()}))
 
     @property
     def duration(self) -> int:
         return self.xs.shape[1]
+
+    def part(self, s: int, lo: int, hi: int) -> "TrialArrays":
+        """Rows lo..hi, which worker slice s fills."""
+        return replace(self, **{k: getattr(self, k)[lo:hi] for k in self._DTYPES})
 
     def record(self, rows, k, n, x, y, mode, region, m, passed) -> None:
         """Fill the columns of each run, one scatter per field at the
@@ -352,36 +347,78 @@ class TrialArrays(_TrialRows):
 
 
 @dataclass(frozen=True)
-class VisitCounts(_TrialRows):
-    """Per-trial room counts of a batch of trials, O(trials x rooms) in all.
+class VisitCounts:
+    """Per-trial room counts and pooled mode runs of a batch of trials,
+    O(trials x rooms + slices x duration) in all.
 
     Column c of ``ticks`` counts the ticks trial i spent in region code c
     (column 0 the corridor), so room c was visited iff ``ticks[i, c] > 0``.
     Column c >= 1 of ``passes`` counts the ticks trial i crawled over room
     c's trigger window (the kernel's own test for a possible entry, made
     whatever ``q_scale`` is); column 0 counts the other ticks.
+
+    Mode runs, the maximal runs of ticks in one mode, are counted as they
+    close: trial i's open run began at tick ``run_start[i]`` in mode
+    ``run_mode[i]``, and ``runs[s, mode, d]`` counts the closed runs of d
+    ticks of worker slice s (:meth:`part`).  A trial's open run starts as a
+    STILL run at tick 0, so a first tick in another mode closes a run of 0
+    ticks, which :meth:`mode_runs` drops.
     """
 
     duration: int
     ticks: np.ndarray
     passes: np.ndarray
-
-    _DTYPES = {"ticks": np.int32, "passes": np.int32}
+    run_start: np.ndarray
+    run_mode: np.ndarray
+    runs: np.ndarray
 
     @classmethod
-    def allocate(cls, n_trials: int, n_rooms: int, duration: int) -> "VisitCounts":
-        """Zeroed counts in shared memory, see :func:`_shared_arrays`."""
+    def allocate(cls, n_trials: int, n_rooms: int, duration: int,
+                 slices: int) -> "VisitCounts":
+        """Zeroed counts in shared memory (see :func:`_shared_arrays`), with a
+        run table for each of ``slices`` worker slices."""
         if duration < 1:
             raise ValueError(f"duration must be >= 1 tick, got {duration}")
-        return cls(duration, **_shared_arrays(n_trials, n_rooms + 1, cls._DTYPES))
+        rooms, trials = (n_trials, n_rooms + 1), (n_trials,)
+        return cls(duration, **_shared_arrays({
+            "runs": ((slices, len(Mode), duration + 1), np.int64),
+            "run_start": (trials, np.intp), "run_mode": (trials, np.intp),
+            "ticks": (rooms, np.int32), "passes": (rooms, np.int32)}))
+
+    def part(self, s: int, lo: int, hi: int) -> "VisitCounts":
+        """Rows lo..hi, which count their closed runs in slice s's table."""
+        return replace(self, ticks=self.ticks[lo:hi], passes=self.passes[lo:hi],
+                       run_start=self.run_start[lo:hi], run_mode=self.run_mode[lo:hi],
+                       runs=self.runs[s:s + 1])
 
     def record(self, rows, k, n, x, y, mode, region, m, passed) -> None:
         """Add each run's length to its trial's count of its region and of
-        its window passed, one ``bincount`` per table; see :func:`_simulate`."""
+        its window passed, one ``bincount`` per table, and count the mode
+        runs that close; see :func:`_simulate`.
+
+        A trial's records within one call must be consecutive and in tick
+        order, with its records of 0 ticks last; any number of them may
+        change mode.
+        """
         row_start = rows * self.ticks.shape[1]
         for counts, codes in ((self.ticks, region), (self.passes, passed)):
             added = np.bincount(row_start + codes, n, counts.size)
             counts += added.reshape(counts.shape).astype(counts.dtype)
+        # a run closes where a trial's mode differs from its previous tick's
+        same = rows[1:] == rows[:-1]  # record j + 1 goes on with record j's trial
+        before = self.run_mode[rows]
+        np.copyto(before[1:], mode[:-1], where=same)
+        change = ((mode != before) & (n > 0)).nonzero()[0]
+        if change.size == 0:
+            return
+        rows, k, before = rows[change], k[change], before[change]
+        began = self.run_start[rows]
+        same = rows[1:] == rows[:-1]
+        np.copyto(began[1:], k[:-1], where=same)
+        np.add.at(self.runs[0], (before, k - began), 1)
+        last = np.append(~same, True)  # a trial's last change here
+        self.run_start[rows[last]] = k[last]
+        self.run_mode[rows[last]] = mode[change[last]]
 
     def visit_frequencies(self) -> dict[int, float]:
         """Fraction of trials in which each room shows up for at least one tick."""
@@ -391,9 +428,19 @@ class VisitCounts(_TrialRows):
 
     def time_fractions(self) -> dict[int, float]:
         """Per-room share of all ticks across the batch."""
-        total = self.ticks.shape[0] * self.duration
+        total = int(self.ticks.sum())  # each tick of each trial is in one column
         ticks = self.ticks[:, 1:].sum(axis=0).tolist()
         return {room: c / total for room, c in enumerate(ticks, start=1)}
+
+    def mode_runs(self) -> np.ndarray:
+        """(len(Mode), duration + 1) table whose [mode, d] counts the mode's
+        runs of d >= 1 ticks, pooled over all slices, each trial's open run
+        closed at its last tick; column 0 is 0."""
+        table = self.runs.sum(axis=0)
+        ends = self.ticks.sum(axis=1)  # each trial's ticks
+        np.add.at(table, (self.run_mode, ends - self.run_start), 1)
+        table[:, 0] = 0
+        return table
 
 
 def _thresholds(ctx: _SimContext, duration: int) -> tuple[np.ndarray, np.ndarray, int]:

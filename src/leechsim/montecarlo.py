@@ -3,7 +3,10 @@
 Per-trial seeds derive from (base_seed, trial_index) through a splitmix64
 finalizer, so results are independent of execution order and of how many
 workers run the trials.  Aggregations are plain counts and therefore
-order-independent.
+order-independent; one reducer, :class:`~leechsim.locomotion.VisitCounts`,
+makes them, whether the kernel hands it an ensemble's ticks
+(:func:`visit_counts`) or trajectories read from files do
+(:func:`ensemble_stats`).
 """
 
 from __future__ import annotations
@@ -11,9 +14,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import sys
-from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,15 +46,6 @@ def derive_trial_seed(base_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-@dataclass
-class EnsembleStats:
-    """Visit frequencies, time fractions and mode dwell lists for one ensemble."""
-
-    visit_freq: dict[int, float]
-    time_fraction: dict[int, float]
-    mode_dwell: dict[Mode, list[int]]
 
 
 _ERROR_BYTES = 1024  # room for a failed worker's exception message
@@ -100,9 +92,9 @@ def _fill(ctx: _SimContext, env: EnvironmentTemplate, seeds,
     processes, each running the event-driven kernel on one contiguous slice
     of the trials.
 
-    The workers fork after ``out`` is allocated and fill their rows in place,
-    so nothing is pickled back.  A failing worker raises ``RuntimeError``
-    here, carrying its exception's message.
+    The workers fork after ``out`` is allocated and fill their ``part`` of
+    it in place, so nothing is pickled back.  A failing worker raises
+    ``RuntimeError`` here, carrying its exception's message.
     """
     n_trials = len(seeds)
     n_workers = min(workers, n_trials)
@@ -115,8 +107,8 @@ def _fill(ctx: _SimContext, env: EnvironmentTemplate, seeds,
     errors = [fork.RawArray("c", _ERROR_BYTES) for _ in range(n_workers)]
     procs = [fork.Process(target=_run_slice,
                           args=(ctx, env, seeds[lo:hi], range(lo, hi),
-                                out.rows(lo, hi), sink, error))
-             for lo, hi, error in zip(bounds, bounds[1:], errors)]
+                                out.part(s, lo, hi), sink, error))
+             for s, (lo, hi, error) in enumerate(zip(bounds, bounds[1:], errors))]
     try:
         for proc in procs:
             proc.start()
@@ -170,120 +162,71 @@ def visit_counts(
     duration: int = 1800,
     workers: int = 1,
 ) -> VisitCounts:
-    """The trials of :func:`run_ensemble`, reduced to per-trial room counts.
+    """The trials of :func:`run_ensemble`, reduced to per-trial room counts
+    and pooled mode runs.
 
     Same seeds, same kernel and same worker split, but the kernel counts
     each tick into a :class:`~leechsim.locomotion.VisitCounts` instead of
-    storing it, so memory is O(trials x rooms) and no trajectory is built.
-    Its visit frequencies and time fractions equal those of
-    :func:`visit_frequencies` and :func:`time_fractions` on the ensemble.
+    storing it, so memory is O(trials x rooms + workers x duration) and no
+    trajectory is built.  It equals :func:`ensemble_stats` of the
+    ensemble's trajectories, except that only the kernel counts window
+    passes.
     """
     ctx, seeds = _ensemble_setup(env, motion, auto, n_trials, base_seed, workers)
-    out = VisitCounts.allocate(n_trials, env.n_rooms, duration)
+    out = VisitCounts.allocate(n_trials, env.n_rooms, duration, min(workers, n_trials))
     _fill(ctx, env, seeds, out, workers)
     return out
 
 
-def _checked_env(trajs: list[Trajectory]) -> EnvironmentTemplate:
+def ensemble_stats(trajs: list[Trajectory]) -> VisitCounts:
+    """The trajectories' room counts and mode runs, made by the kernel's
+    reducer: each trajectory is one record of 1-tick runs.
+
+    WALL and UNKNOWN ticks count as corridor ticks.  Window passes are not
+    known from a trajectory, so every tick counts in ``passes`` column 0.
+    """
     if not trajs:
         raise ValueError("empty ensemble")
     env = trajs[0].env
     if env is None:
         raise ValueError("trajectories carry no environment")
-    for t in trajs[1:]:
-        if t.env != env:
+    counts = VisitCounts.allocate(len(trajs), env.n_rooms, max(t.n_ticks for t in trajs), 1)
+    for row, traj in enumerate(trajs):
+        if traj.env != env:
             raise ValueError("mixed environments in ensemble")
-    return env
-
-
-def _room_ticks(trajs: list[Trajectory]) -> np.ndarray:
-    """(trajectories, rooms + 1) int64 table of each trajectory's ticks per room.
-
-    Column c >= 1 counts the ticks in room c; column 0 counts the rest (the
-    corridor, WALL and UNKNOWN).  One ``bincount`` per trajectory.
-    """
-    env = _checked_env(trajs)
-    width = env.n_rooms + 1
-    ticks = np.zeros((len(trajs), width), dtype=np.int64)
-    for row, traj in zip(ticks, trajs):
-        counts = np.bincount(np.maximum(traj.regions, 0), minlength=width)
-        if counts.size > width:
-            raise ValueError(f"trial {traj.trial_id} is in room {counts.size - 1}, "
+        if traj.regions.max(initial=0) > env.n_rooms:
+            raise ValueError(f"trial {traj.trial_id} is in room {traj.regions.max()}, "
                              f"but the template has {env.n_rooms} rooms")
-        row[:] = counts
-    return ticks
-
-
-def _visit_freq(ticks: np.ndarray) -> dict[int, float]:
-    visits = (ticks[:, 1:] > 0).sum(axis=0).tolist()
-    return {room: c / ticks.shape[0] for room, c in enumerate(visits, start=1)}
-
-
-def _time_fraction(ticks: np.ndarray) -> dict[int, float]:
-    total = int(ticks.sum())  # each tick of each trajectory is in one column
-    room_ticks = ticks[:, 1:].sum(axis=0).tolist()
-    return {room: c / total for room, c in enumerate(room_ticks, start=1)}
+        if traj.modes.max(initial=0) > max(Mode):
+            raise ValueError(f"{traj.modes[traj.modes > max(Mode)][0]} is not a valid Mode")
+        ticks = np.arange(traj.n_ticks)
+        counts.record(np.full_like(ticks, row), ticks, np.ones_like(ticks), traj.xs, traj.ys,
+                      traj.modes, np.maximum(traj.regions, 0), traj.ms, np.zeros_like(ticks))
+    return counts
 
 
 def visit_frequencies(trajs: list[Trajectory]) -> dict[int, float]:
     """Fraction of trials in which each room shows up for at least one tick."""
-    return _visit_freq(_room_ticks(trajs))
+    return ensemble_stats(trajs).visit_frequencies()
 
 
-def time_fractions(trajs: list[Trajectory]) -> dict[int, float]:
-    """Per-room share of all ticks across the ensemble."""
-    return _time_fraction(_room_ticks(trajs))
-
-
-def mode_dwell_histograms(trajs: list[Trajectory]) -> dict[Mode, list[int]]:
-    """Lengths of maximal constant-mode runs, pooled per mode.
-
-    Each mode's list holds its runs in trajectory order, then in time order;
-    a run never continues across trajectories.
-    """
-    dwell: dict[Mode, list[int]] = {m: [] for m in Mode}
-    for traj in trajs:
-        modes = traj.modes
-        if modes.size == 0:
-            continue
-        cuts = np.flatnonzero(np.diff(modes)) + 1
-        run_modes = modes[np.concatenate(([0], cuts))]
-        run_lengths = np.diff(cuts, prepend=0, append=modes.size)
-        unknown = run_modes[run_modes > max(Mode)]
-        if unknown.size:
-            raise ValueError(f"{unknown[0]} is not a valid Mode")
-        for mode, runs in dwell.items():
-            runs.extend(run_lengths[run_modes == mode].tolist())
-    return dwell
-
-
-def ensemble_stats(trajs: list[Trajectory]) -> EnsembleStats:
-    ticks = _room_ticks(trajs)
-    return EnsembleStats(
-        visit_freq=_visit_freq(ticks),
-        time_fraction=_time_fraction(ticks),
-        mode_dwell=mode_dwell_histograms(trajs),
-    )
-
-
-def write_stats_csv(env: EnvironmentTemplate, stats: EnsembleStats, path) -> None:
+def write_stats_csv(env: EnvironmentTemplate, counts: VisitCounts, path) -> None:
     """Write ``room,distance_x,visit_freq,time_fraction`` rows."""
+    freq, frac = counts.visit_frequencies(), counts.time_fractions()
     lines = ["room,distance_x,visit_freq,time_fraction"]
-    for room in sorted(stats.visit_freq):
-        lines.append(
-            f"{room},{room_distance_to_end(env, room)},"
-            f"{stats.visit_freq[room]:.6f},{stats.time_fraction[room]:.6f}"
-        )
+    for room in sorted(freq):
+        lines.append(f"{room},{room_distance_to_end(env, room)},"
+                     f"{freq[room]:.6f},{frac[room]:.6f}")
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def write_dwell_csv(stats: EnsembleStats, path) -> None:
+def write_dwell_csv(counts: VisitCounts, path) -> None:
     """Write ``mode,duration_ticks,count`` histogram rows."""
     lines = ["mode,duration_ticks,count"]
+    table = counts.mode_runs()
     for mode in Mode:
-        hist = Counter(stats.mode_dwell[mode])
-        for duration in sorted(hist):
-            lines.append(f"{mode.name},{duration},{hist[duration]}")
+        for duration in np.flatnonzero(table[mode]).tolist():
+            lines.append(f"{mode.name},{duration},{table[mode, duration]}")
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 

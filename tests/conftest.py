@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from leechsim.automaton import AutomatonParams
 from leechsim.geometry import (GeometryError, build_corridor_template, region_code,
@@ -15,6 +16,12 @@ from leechsim.locomotion import (
     TrajectoryFormatError,
     mode_label,
 )
+
+# Each property draws the same examples on every run, seeded from the test,
+# so whether a rare failing example turns up does not depend on the run.
+# Properties still choose their own max_examples.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,7 @@ from leechsim.cli import RunConfig, main
 from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
 from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams, run_trials
-from leechsim.montecarlo import run_ensemble, time_fractions, visit_frequencies
+from leechsim.montecarlo import run_ensemble, visit_frequencies
 from leechsim.trackio import frames_to_trajectory, render_frames, time_color
 
 from conftest import chi_square
@@ -61,19 +61,14 @@ def _mean_by_distance(env, per_room):
 
 @pytest.fixture(scope="module")
 def calibrated(corridor):
-    """Criterion 5's calibration run, shared with criterion 6."""
-    auto = AutomatonParams()
-    motion = MotionParams()
-    base_seed = 7
-    result = calibrate_entry_prob(
-        corridor, motion, auto, PowerLawFit(0.35, -0.82),
-        n_trials=1000, base_seed=base_seed, tol=1 / 64, duration=1800,
+    """Criterion 5's calibration run, shared with criterion 6, which reads
+    the counts of the ensemble it reports.  ``test_cli`` checks that
+    ``calibrate`` writes the stats that ``simulate`` then ``stats`` write
+    for that ensemble."""
+    return calibrate_entry_prob(
+        corridor, MotionParams(), AutomatonParams(), PowerLawFit(0.35, -0.82),
+        n_trials=1000, base_seed=7, tol=1 / 64, duration=1800,
     )
-    trajs = run_ensemble(
-        corridor, replace(motion, q_scale=result.q_scale), auto, 1000,
-        result.ensemble_seed, 1800,
-    )
-    return result, trajs
 
 
 def test_criterion_1_kernel_soundness():
@@ -170,11 +165,11 @@ def test_criterion_5_calibration_self_consistency(corridor, calibrated):
     """Calibration converges; refit exponent lands in [-0.97, -0.67]; visit
     frequency decreases strictly in distance-to-end (rooms grouped)."""
     with criterion(5, "calibration self-consistency"):
-        result, trajs = calibrated
+        result = calibrated
         assert result.feasible and result.converged
         assert len(result.evaluations) <= 3
         freq = result.achieved
-        assert visit_frequencies(trajs) == freq  # shared run matches the search
+        assert result.counts.visit_frequencies() == freq
         refit = fit_power_law([(room_distance_to_end(corridor, r), f)
                                for r, f in sorted(freq.items())])
         assert -0.97 <= refit.b <= -0.67, refit
@@ -185,8 +180,7 @@ def test_criterion_5_calibration_self_consistency(corridor, calibrated):
 def test_criterion_6_dwell_ratio_direction(corridor, calibrated):
     """End rooms (x=1) hold at least twice the time fraction of x=4 rooms."""
     with criterion(6, "dwell-ratio direction"):
-        _, trajs = calibrated
-        by_distance = _mean_by_distance(corridor, time_fractions(trajs))
+        by_distance = _mean_by_distance(corridor, calibrated.counts.time_fractions())
         end = by_distance[0]
         inner = by_distance[-1]
         assert inner > 0

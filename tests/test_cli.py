@@ -142,14 +142,15 @@ def test_stats_matches_library(tmp_path, env, auto, motion):
     loaded = load_run_config(run_dir / "manifest.json")
     trajs = run_ensemble(loaded.environment.build(), loaded.motion, loaded.automaton,
                          loaded.n_trials, loaded.base_seed, loaded.duration_ticks)
-    stats = ensemble_stats(trajs)
+    counts = ensemble_stats(trajs)
+    visit_freq, time_fraction = counts.visit_frequencies(), counts.time_fractions()
     lines = (run_dir / "visits.csv").read_text().splitlines()
     assert lines[0] == "room,distance_x,visit_freq,time_fraction"
     for line in lines[1:]:
         room, x, freq, frac = line.split(",")
         assert int(x) == min(int(room), 9 - int(room))
-        assert float(freq) == pytest.approx(stats.visit_freq[int(room)], abs=1e-6)
-        assert float(frac) == pytest.approx(stats.time_fraction[int(room)], abs=1e-6)
+        assert float(freq) == pytest.approx(visit_freq[int(room)], abs=1e-6)
+        assert float(frac) == pytest.approx(time_fraction[int(room)], abs=1e-6)
     assert (run_dir / "dwell.csv").read_text().startswith("mode,duration_ticks,count")
 
 
@@ -422,6 +423,39 @@ def test_calibrate_smoke(tmp_path, capsys):
                                f"score={e['score']:.6f} "
                                f"ensemble_seed={doc['ensemble_seed']} ("), line
         assert line.endswith(" s)"), line
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_calibrate_writes_the_stats_of_the_ensemble_it_reports(tmp_path, workers):
+    """``calibrate --out A/calibration.json`` creates the missing A before
+    its first ensemble and writes that ensemble's visits.csv and dwell.csv
+    beside the report: the bytes ``simulate`` at the reported q_scale and
+    ensemble_seed, then ``stats``, write."""
+    cfg = _small_config(tmp_path, n_trials=40, duration_ticks=600, base_seed=5)
+    report = tmp_path / "new" / "A" / "calibration.json"
+    assert main(["calibrate", "--config", str(cfg), "--workers", str(workers),
+                 "--out", str(report)]) == 0
+    calibrated = report.parent
+    assert sorted(p.name for p in calibrated.iterdir()) == [
+        "calibration.json", "dwell.csv", "visits.csv"]
+    doc = json.loads(report.read_text())
+    rerun = _write_config(tmp_path / "rerun.json", n_trials=40, duration_ticks=600,
+                          base_seed=doc["ensemble_seed"],
+                          motion={**MotionParams().to_config(), "q_scale": doc["q_scale"]},
+                          out_dir=str(tmp_path / "run"))
+    assert main(["simulate", "--config", str(rerun), "--workers", str(workers)]) == 0
+    assert main(["stats", str(tmp_path / "run"), "--out", str(tmp_path / "stats")]) == 0
+    assert _dir_bytes(tmp_path / "stats") == {
+        name: (calibrated / name).read_bytes() for name in ("dwell.csv", "visits.csv")}
+
+
+@pytest.mark.parametrize("name", ["visits.csv", "dwell.csv"])
+def test_calibrate_refuses_a_report_path_its_stats_would_overwrite(tmp_path, capsys,
+                                                                   name):
+    cfg = _small_config(tmp_path, n_trials=2, duration_ticks=20)
+    assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
+    assert f"calibrate writes its own {name} there" in capsys.readouterr().err
+    assert not (tmp_path / name).exists()
 
 
 def test_calibrate_without_window_passes_exits_3(tmp_path, capsys):

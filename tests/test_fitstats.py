@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
 from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams, TrialArrays
-from leechsim.montecarlo import derive_trial_seed, run_ensemble, visit_frequencies
+from leechsim.montecarlo import (derive_trial_seed, ensemble_stats, run_ensemble,
+                                 visit_frequencies)
 
 from conftest import chi_square
 
@@ -170,6 +172,7 @@ def test_calibrate_evaluations_share_one_seed(monkeypatch):
     trajs = run_ensemble(env, replace(motion, q_scale=result.q_scale), auto, 40,
                          result.ensemble_seed, duration=600)
     assert visit_frequencies(trajs) == result.achieved
+    assert np.array_equal(ensemble_stats(trajs).mode_runs(), result.counts.mode_runs())
 
 
 def test_calibrate_rejects_bad_target():

@@ -1,13 +1,14 @@
 """Golden determinism: `leechsim simulate` output bytes are frozen.
 
 ``golden_simulate.json`` holds the sha256 of every trial CSV and of
-``manifest.json`` for six runs.  The per-trial scalar tick kernel wrote
-``default_64x1800`` and ``q1_64x600``.  The lockstep tick kernel, which
-advanced every trial by one tick per iteration, wrote the other four; they
-aim at the runs the event-driven kernel advances whole: q = 0, runs ending
-at short timer caps, contact radius 0, and a duration that cuts runs midway.
-Any kernel or CSV change must reproduce them exactly, for every worker
-count.
+``manifest.json`` for six runs, and ``golden_stats.json`` the sha256 of the
+``visits.csv`` and ``dwell.csv`` that ``stats`` writes for each.  The
+per-trial scalar tick kernel wrote ``default_64x1800`` and ``q1_64x600``.
+The lockstep tick kernel, which advanced every trial by one tick per
+iteration, wrote the other four; they aim at the runs the event-driven
+kernel advances whole: q = 0, runs ending at short timer caps, contact
+radius 0, and a duration that cuts runs midway.  Any kernel or CSV change
+must reproduce them exactly, for every worker count.
 """
 
 import hashlib
@@ -19,10 +20,11 @@ import numpy as np
 import pytest
 
 from leechsim.cli import RunConfig, main
-from leechsim.montecarlo import run_ensemble
+from leechsim.montecarlo import run_ensemble, visit_counts, write_dwell_csv, write_stats_csv
 
 GOLDEN = Path(__file__).with_name("golden_simulate.json")
 GOLDEN_ARRAYS = Path(__file__).with_name("golden_arrays.json")
+GOLDEN_STATS = Path(__file__).with_name("golden_stats.json")
 ARRAY_TRIALS = 16
 
 # Each case is a partial config: top-level keys replace the default's, and a
@@ -56,8 +58,14 @@ def case_config(case: str) -> dict:
     return doc
 
 
+def _digests(directory: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(directory.iterdir())}
+
+
 def simulate_digests(case_dir: Path, case: str, workers: int) -> dict[str, str]:
-    """Run ``simulate`` for one case inside ``case_dir`` and hash its outputs.
+    """Run ``simulate`` for one case inside ``case_dir``, then ``stats`` on
+    its run into ``case_dir/stats``, and hash the run's outputs.
 
     The run writes to the relative directory ``run`` so that the manifest,
     which records ``out_dir``, does not depend on where the test runs.
@@ -71,10 +79,10 @@ def simulate_digests(case_dir: Path, case: str, workers: int) -> dict[str, str]:
     try:
         assert main(["simulate", "--config", "config.json",
                      "--workers", str(workers)]) == 0
+        assert main(["stats", "run", "--out", "stats"]) == 0
     finally:
         os.chdir(cwd)
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted((case_dir / "run").iterdir())}
+    return _digests(case_dir / "run")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -86,6 +94,7 @@ def test_simulate_matches_golden_digests(tmp_path, case, workers):
     assert len(got) == CASES[case]["n_trials"] + 1
     mismatched = [name for name in golden if got[name] != golden[name]]
     assert not mismatched, mismatched
+    assert _digests(tmp_path / case / "stats") == json.loads(GOLDEN_STATS.read_text())[case]
 
 
 def array_digests(case: str, workers: int) -> dict[str, str]:
@@ -105,6 +114,21 @@ def test_kernel_arrays_match_golden_digests(case, workers):
     contact bits, which no CSV holds."""
     golden = json.loads(GOLDEN_ARRAYS.read_text())[case]
     assert array_digests(case, workers) == golden
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_visit_counts_match_golden_stats_digests(tmp_path, case, workers):
+    """The kernel's reducer writes the bytes ``stats`` writes from the files.
+    With 3 workers the 64 trials split 21/21/22, so each slice's run table
+    closes different runs; their sum must not depend on the split."""
+    cfg = RunConfig.from_dict(case_config(case))
+    env = cfg.environment.build()
+    counts = visit_counts(env, cfg.motion, cfg.automaton, cfg.n_trials, cfg.base_seed,
+                          cfg.duration_ticks, workers)
+    write_stats_csv(env, counts, tmp_path / "visits.csv")
+    write_dwell_csv(counts, tmp_path / "dwell.csv")
+    assert _digests(tmp_path) == json.loads(GOLDEN_STATS.read_text())[case]
 
 
 @pytest.mark.parametrize("n_trials", [7, 2])

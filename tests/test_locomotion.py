@@ -251,7 +251,7 @@ def test_initial_heading_points_to_far_end(env, auto, motion):
 def _kernel_outputs(ctx, n_rooms, seeds, duration):
     """The arrays and the counts of one kernel run, each from its own pass."""
     arrays = locomotion.TrialArrays.allocate(len(seeds), duration)
-    counts = locomotion.VisitCounts.allocate(len(seeds), n_rooms, duration)
+    counts = locomotion.VisitCounts.allocate(len(seeds), n_rooms, duration, 1)
     locomotion._simulate(ctx, seeds, arrays)
     locomotion._simulate(ctx, seeds, counts)
     return arrays, counts
@@ -281,6 +281,7 @@ def test_draw_buffer_width_changes_no_output(env, auto, monkeypatch):
                     (q, block, name)
             assert np.array_equal(got_counts.ticks, counts.ticks), (q, block)
             assert np.array_equal(got_counts.passes, counts.passes), (q, block)
+            assert np.array_equal(got_counts.mode_runs(), counts.mode_runs()), (q, block)
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0])

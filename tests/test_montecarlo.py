@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,10 +14,8 @@ from leechsim.locomotion import MotionParams, run_trial
 from leechsim.montecarlo import (
     derive_trial_seed,
     ensemble_stats,
-    mode_dwell_histograms,
     read_stats_csv,
     run_ensemble,
-    time_fractions,
     visit_counts,
     visit_frequencies,
     write_dwell_csv,
@@ -26,7 +25,7 @@ from leechsim.montecarlo import (
 from conftest import make_trajectory, recount_passes
 
 
-# --- the per-trajectory, per-run reducers: oracles for the numpy ones ---------
+# --- the per-trajectory, per-run reducers: oracles for VisitCounts -----------
 
 
 def visit_frequencies_per_run(trajs):
@@ -63,14 +62,19 @@ def mode_dwell_histograms_per_run(trajs):
     return dwell
 
 
+def mode_dwell(counts):
+    """``counts.mode_runs()`` as {mode: {duration: count}}."""
+    table = counts.mode_runs()
+    return {m: {int(d): int(table[m, d]) for d in np.flatnonzero(table[m])} for m in Mode}
+
+
 def _assert_reducers_match_oracles(trajs):
-    freq, frac, dwell = (visit_frequencies(trajs), time_fractions(trajs),
-                         mode_dwell_histograms(trajs))
-    assert freq == visit_frequencies_per_run(trajs)
-    assert frac == time_fractions_per_run(trajs)
-    assert dwell == mode_dwell_histograms_per_run(trajs)
-    stats = ensemble_stats(trajs)
-    assert (stats.visit_freq, stats.time_fraction, stats.mode_dwell) == (freq, frac, dwell)
+    counts = ensemble_stats(trajs)
+    assert counts.visit_frequencies() == visit_frequencies_per_run(trajs)
+    assert visit_frequencies(trajs) == counts.visit_frequencies()
+    assert counts.time_fractions() == time_fractions_per_run(trajs)
+    dwell = mode_dwell_histograms_per_run(trajs)
+    assert mode_dwell(counts) == {m: dict(Counter(runs)) for m, runs in dwell.items()}
 
 
 def _splitmix_vectorized(base_seed, n):
@@ -151,8 +155,11 @@ def test_visit_counts_match_the_trajectories(env, auto, monkeypatch, q, workers,
     motion = MotionParams(q_scale=q)
     trajs = run_ensemble(env, motion, auto, 24, 31, duration=500, workers=workers)
     counts = visit_counts(env, motion, auto, 24, 31, duration=500, workers=workers)
-    assert counts.visit_frequencies() == visit_frequencies(trajs)
-    assert counts.time_fractions() == time_fractions(trajs)
+    stats = ensemble_stats(trajs)
+    assert counts.visit_frequencies() == stats.visit_frequencies()
+    assert counts.time_fractions() == stats.time_fractions()
+    assert np.array_equal(counts.mode_runs(), stats.mode_runs())
+    assert np.array_equal(counts.ticks, stats.ticks)
     recount = recount_passes(env, motion, trajs)
     assert np.array_equal(counts.passes[:, 1:], recount[:, 1:])
     assert (counts.ticks.sum(axis=1) == 500).all()
@@ -178,27 +185,27 @@ def test_visit_frequencies_all_corridor(env):
 
 def test_time_fractions_counting(env):
     regions = [0] * 75 + [2] * 25
-    frac = time_fractions([make_trajectory(env, regions)])
+    frac = ensemble_stats([make_trajectory(env, regions)]).time_fractions()
     assert frac[2] == 0.25
     assert frac[1] == 0.0
 
 
 def test_mode_dwell_runs(env):
     modes = [0] * 5 + [1] * 3
-    dwell = mode_dwell_histograms([make_trajectory(env, [0] * 8, modes=modes)])
-    assert dwell[Mode.STILL] == [5]
-    assert dwell[Mode.CRAWL] == [3]
-    assert dwell[Mode.EXPLORE] == []
+    dwell = mode_dwell(ensemble_stats([make_trajectory(env, [0] * 8, modes=modes)]))
+    assert dwell[Mode.STILL] == {5: 1}
+    assert dwell[Mode.CRAWL] == {3: 1}
+    assert dwell[Mode.EXPLORE] == {}
 
 
 def test_aggregation_order_independent(env, auto):
     trajs = run_ensemble(env, MotionParams(q_scale=0.3), auto, 12, 21, duration=400)
-    base_freq = visit_frequencies(trajs)
-    base_frac = time_fractions(trajs)
+    base = ensemble_stats(trajs)
     shuffled = trajs[:]
     random.Random(0).shuffle(shuffled)
-    assert visit_frequencies(shuffled) == base_freq
-    assert time_fractions(shuffled) == base_frac
+    assert visit_frequencies(shuffled) == base.visit_frequencies()
+    assert ensemble_stats(shuffled).time_fractions() == base.time_fractions()
+    assert np.array_equal(ensemble_stats(shuffled).mode_runs(), base.mode_runs())
 
 
 def test_visit_frequency_boolean_scan_oracle(env, auto):
@@ -231,9 +238,8 @@ def test_missing_env_rejected(env):
 
 def test_stats_csv_round_trip(tmp_path, env):
     trajs = [make_trajectory(env, [0] * 8 + [1, 1])]
-    stats = ensemble_stats(trajs)
     path = tmp_path / "visits.csv"
-    write_stats_csv(env, stats, path)
+    write_stats_csv(env, ensemble_stats(trajs), path)
     rows = read_stats_csv(path)
     assert rows[0] == (1, 1, 1.0, 0.2)
     assert [r[0] for r in rows] == list(range(1, 9))
@@ -242,9 +248,9 @@ def test_stats_csv_round_trip(tmp_path, env):
 
 def test_dwell_csv_format(tmp_path, env):
     modes = [0, 0, 1, 1, 1, 0]
-    stats = ensemble_stats([make_trajectory(env, [0] * 6, modes=modes)])
+    counts = ensemble_stats([make_trajectory(env, [0] * 6, modes=modes)])
     path = tmp_path / "dwell.csv"
-    write_dwell_csv(stats, path)
+    write_dwell_csv(counts, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "mode,duration_ticks,count"
     assert "STILL,1,1" in lines
@@ -260,10 +266,11 @@ def test_reducers_match_the_per_run_oracles_on_a_ragged_ensemble(env):
         make_trajectory(env, [1, 1, 8, 0], modes=[1, 1, 0, 0]),
     ]
     _assert_reducers_match_oracles(trajs)
-    assert [room for room, f in visit_frequencies(trajs).items() if f == 0] == [2, 4, 5, 6, 7]
-    assert time_fractions(trajs)[1] == 4 / 12
+    counts = ensemble_stats(trajs)
+    assert [room for room, f in counts.visit_frequencies().items() if f == 0] == [2, 4, 5, 6, 7]
+    assert counts.time_fractions()[1] == 4 / 12
     # CRAWL ends trial 1 and starts trials 2 and 3: three runs, not one
-    assert mode_dwell_histograms(trajs)[Mode.CRAWL] == [3, 1, 1, 2]
+    assert mode_dwell(counts)[Mode.CRAWL] == {3: 1, 1: 2, 2: 1}
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,7 +291,7 @@ def test_reducers_match_the_per_run_oracles(env, seed):
 
 def test_mode_dwell_rejects_modes_the_automaton_lacks(env):
     with pytest.raises(ValueError, match="255 is not a valid Mode"):
-        mode_dwell_histograms([make_trajectory(env, [0, 0], modes=[1, 255])])
+        ensemble_stats([make_trajectory(env, [0, 0], modes=[1, 255])])
 
 
 def test_visit_frequencies_reject_rooms_the_template_lacks(env):
