@@ -22,6 +22,7 @@ from .locomotion import (
     MotionParams,
     Trajectory,
     read_trajectory_csv,
+    utf8_text,
     write_trajectory_csv,
 )
 from .montecarlo import (
@@ -135,7 +136,7 @@ def load_run_config(path) -> RunConfig:
     A manifest must carry the seed_derivation and trial_seeds simulate writes.
     """
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(utf8_text(Path(path).read_bytes(), path, ConfigError))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:

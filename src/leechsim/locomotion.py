@@ -53,6 +53,9 @@ from .automaton import (AutomatonParams, Mode, config_doc, p_visit, parse_config
                         next_modes, next_timers, transition_thresholds)
 from .geometry import (
     CORRIDOR,
+    MAX_ROOM,
+    UNKNOWN,
+    WALL,
     EnvironmentTemplate,
     GeometryError,
     locate,
@@ -799,47 +802,196 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 _MODE_CODES = {"STILL": 0, "CRAWL": 1, "EXPLORE": 2, "UNKNOWN": MODE_UNKNOWN}
 
 
-def _region(label: str, env: EnvironmentTemplate | None) -> int:
+def _region(label: str, rooms: int | None) -> int:
     """The code of a region label; ``ValueError`` if the writer could not
-    have written it for ``env``."""
+    have written it for a template of ``rooms`` rooms (any, for None)."""
     try:
         code = region_code(label)
     except GeometryError:
         raise ValueError(f"bad region {label!r}") from None
-    if env is not None and code > env.n_rooms:
-        raise ValueError(f"region {label!r}, but the template has {env.n_rooms} rooms")
+    if rooms is not None and code > rooms:
+        raise ValueError(f"region {label!r}, but the template has {rooms} rooms")
     return code
 
 
-def _first_mismatch(values, expected) -> int | None:
-    """Index of the first position where two lists (or two tuples) differ, or
-    None if they are equal.  When one is a prefix of the other, the first
-    missing element counts.
+def utf8_text(data: bytes, path, error: type[Exception] = ValueError) -> str:
+    """``data`` decoded as UTF-8; at an undecodable byte, ``error`` naming
+    ``path`` and the line that holds the byte, counted as ``str.splitlines``
+    counts lines."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise error(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 "
+                    f"({exc.reason})") from None
+
+
+# ASCII bytes that str.splitlines (and universal newlines) break lines at,
+# besides "\n"
+_LINE_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_WORD = np.dtype("<u8")  # 8 bytes of a file, the first one lowest
+
+
+def _windows(data: bytes, width: int, offset: int = 0) -> np.ndarray:
+    """Element p holds the ``width`` bytes of ``data`` from byte p + ``offset`` on."""
+    return np.ndarray((len(data) - width - offset + 1,), f"V{width}", data, offset, (1,))
+
+
+def _word_pairs(texts: list[bytes]) -> np.ndarray:
+    """Row i holds the 16 bytes of ``texts[i]`` as two words."""
+    return np.frombuffer(b"".join(texts), _WORD).reshape(len(texts), 2)
+
+
+# Tables indexed by a field's width w plus 1, the distance between the
+# separators around it; ``take(mode="clip")`` maps any larger distance to a
+# table's last entry.
+#
+# A number "d...d.ddd" of 5 <= w <= 16 bytes lies right-aligned in the 16
+# bytes before its comma.  XOR-ed with _NUMBER_XOR[w + 1] and masked with
+# _NUMBER_MASKS[w + 1], its digits become their values and its "." a 0, and
+# the bytes before it become 0.  For any other w the XOR is 0xFF throughout,
+# which takes every byte of UTF-8 text, all below 0xF5, above 9.
+_NUMBER_XOR = _word_pairs([b"0" * 12 + b".000" if 6 <= d <= 17 else b"\xff" * 16
+                           for d in range(19)])
+_NUMBER_MASKS = _word_pairs([b"\0" * (17 - d) + b"\xff" * (d - 1) if 6 <= d <= 17
+                             else b"\xff" * 16 for d in range(19)])
+# b | (b & 0x7F) + limit has its top bit set exactly when byte b exceeds
+# 0x7F - limit: 9 in a digit's byte, 0 in the "."'s
+_LIMITS = _word_pairs([b"\x76" * 12 + b"\x7f" + b"\x76" * 3])[0]
+_LOW7 = np.uint64(0x7F7F7F7F7F7F7F7F)
+_HIGH = np.uint64(0x8080808080808080)
+# the place value, in thousandths, of the number in each 4 of the 16 bytes
+_GROUP_PLACES = np.array([1e11, 1e7, 1e3, 1.0])
+_EVEN_BYTES = np.uint64(0x00FF00FF00FF00FF)
+# A label's key is the word of its first 8 bytes with bytes w to 7 set to
+# 0xFF, which no UTF-8 text holds: so the key of a label of w <= 7 bytes is
+# no other field's.
+_LABEL_FILLS = np.array([(1 << 64) - (1 << 8 * min(max(d - 1, 0), 8)) for d in range(10)],
+                        np.uint64)
+_SLOT_SHIFT = np.uint64(54)  # a slot is the top 10 bits of key * multiplier
+
+
+def _label_key(label: str) -> int:
+    return int.from_bytes(label.encode().ljust(8, b"\xff"), "little")
+
+
+@functools.lru_cache(maxsize=2)
+def _label_table(rooms: int | None) -> tuple[np.ndarray, np.ndarray, np.uint64]:
+    """The mode and region labels the writer writes for a template of
+    ``rooms`` rooms (any number for None), by slot: the key of each, its
+    mode and region code (-1 for no mode, -32768 for no region), and the
+    multiplier that gives a key its slot.
+
+    The multiplier is the first of (t + 1) * 0x9E3779B97F4A7C15 | 1, for
+    t < 256, that gives each label a slot of its own; the labels of 150
+    rooms need t = 113.  Failing that it is the first, and a label whose
+    slot an earlier one took reads through :func:`_parse_row`.
     """
-    if values == expected:
-        return None
-    return next((i for i, (a, b) in enumerate(zip(values, expected)) if a != b),
-                min(len(values), len(expected)))
+    rooms_listed = min(MAX_ROOM if rooms is None else rooms, 1024)
+    regions = (CORRIDOR, WALL, UNKNOWN, *range(1, rooms_listed + 1))
+    labels = list(dict.fromkeys([*_MODE_CODES, *map(region_label, regions)]))
+    label_keys = np.array(list(map(_label_key, labels)), np.uint64)
+    multipliers = [np.uint64((t + 1) * 0x9E3779B97F4A7C15 % 2**64 | 1) for t in range(256)]
+    multiplier = next((m for m in multipliers
+                       if len(np.unique(label_keys * m >> _SLOT_SHIFT)) == len(labels)),
+                      multipliers[0])
+    keys = np.zeros(1024, np.uint64)
+    codes = np.array([[-1], [-32768]], np.int16).repeat(1024, axis=1)
+    for label, key, slot in zip(labels, label_keys,
+                                (label_keys * multiplier >> _SLOT_SHIFT).tolist()):
+        if keys[slot]:
+            continue
+        keys[slot] = key
+        codes[0, slot] = _MODE_CODES.get(label, -1)
+        try:
+            codes[1, slot] = _region(label, rooms)
+        except ValueError:
+            pass
+    keys.flags.writeable = codes.flags.writeable = False  # every caller shares them
+    return keys, codes, multiplier
 
 
 @functools.lru_cache(maxsize=1)
-def _tick_labels(n: int) -> tuple[str, ...]:
-    """The tick column of an ``n``-row file; a run's files share their length."""
-    return tuple(map(str, range(n)))
+def _tick_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``str(i) + ","`` of each row i of an ``n``-row file as a word, and the
+    mask of its bytes."""
+    texts = [b"%d," % i for i in range(n)]
+    # a tick too long for a word gets the mask 0, which no nonzero word matches
+    words = [int.from_bytes(t, "little") if len(t) <= 8 else 1 for t in texts]
+    masks = [(1 << 8 * len(t)) - 1 if len(t) <= 8 else 0 for t in texts]
+    words, masks = np.array(words, np.uint64), np.array(masks, np.uint64)
+    words.flags.writeable = masks.flags.writeable = False  # every caller shares them
+    return words, masks
 
 
-def _floats(column: list[str]) -> tuple[list[float], ValueError | None]:
-    """``float()`` of each string; at a bad one, the values before it and its error.
+def _parse_row(line: str, tick: int, first_id: str,
+               rooms: int | None) -> tuple[float, float, int, int]:
+    """x, y, mode and region code of one data row, checked field by field;
+    ``ValueError`` with the message of the first check that fails."""
+    fields = line.split(",")
+    if len(fields) != 6:
+        raise ValueError("expected 6 fields")
+    if fields[0] != first_id:
+        raise ValueError(f"trial id {fields[0]!r} differs from line 2's {first_id!r}")
+    if fields[1] != str(tick):
+        raise ValueError(f"tick {fields[1]!r}, expected {tick}")
+    x, y = float(fields[2]), float(fields[3])
+    if fields[4] not in _MODE_CODES:
+        raise ValueError(f"bad mode {fields[4]!r}")
+    return x, y, _MODE_CODES[fields[4]], _region(fields[5], rooms)
 
-    ``extend`` keeps what it appended before the conversion raised, so the
-    bad string's index is the length of the values returned with its error.
-    """
-    values: list[float] = []
-    try:
-        values.extend(map(float, column))
-    except ValueError as exc:
-        return values, exc
-    return values, None
+
+def _grammar_rows(data: bytes, first_id: str, rooms: int | None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The data rows of a file that starts with the header, parsed by column
+    in the writer's grammar (see :func:`read_trajectory_csv`): the position
+    of each line's "\\n", whether each row is in the grammar, and x and y,
+    mode and region code of the rows that are.  ``data`` ends in a "\\n"
+    and 16 bytes more."""
+    buf = np.frombuffer(data, np.uint8)
+    # every "," and "\n" from the header's "\n" on; the header has 5 commas
+    sep = np.flatnonzero((buf == 44) | (buf == 10))[5:]
+    ends = np.flatnonzero(buf.take(sep) == 10)
+    n = len(ends) - 1
+    # the 7 separators from the "\n" before each row to its own: the row
+    # has 6 fields exactly when the 7th is its "\n"
+    seps = sep.take(ends[:-1] + np.arange(7)[:, None], mode="clip")
+    ok = np.diff(ends) == 6
+    ends = sep.take(ends)
+
+    # trial id, tick, mode and region: the word after each one's separator
+    words = _windows(data, 8, 1)[seps[[0, 1, 4, 5]]].view(_WORD)
+    id_text = first_id.encode() + b","
+    if len(id_text) <= 8:
+        ok &= (words[0] & np.uint64((1 << 8 * len(id_text)) - 1)
+               == int.from_bytes(id_text, "little"))
+    else:
+        ok[:] = False
+    tick_words, tick_masks = _tick_keys(n)
+    ok &= (words[1] & tick_masks) == tick_words
+    keys = words[2:] | _LABEL_FILLS.take(seps[5:] - seps[4:6], mode="clip")
+    table_keys, table_codes, multiplier = _label_table(rooms)
+    slots = keys * multiplier >> _SLOT_SHIFT
+    found = table_keys.take(slots) == keys
+    modes, regions = table_codes[0].take(slots[0]), table_codes[1].take(slots[1])
+    ok &= found[0] & found[1] & (modes >= 0) & (regions != -32768)
+
+    # x and y: the 16 bytes before each one's comma
+    after = seps[3:5].ravel()
+    widths = after - seps[2:4].ravel()
+    digits = ((_windows(data, 16)[after - 16].view(_WORD).reshape(2 * n, 2)
+               ^ _NUMBER_XOR.take(widths, axis=0, mode="clip"))
+              & _NUMBER_MASKS.take(widths, axis=0, mode="clip"))
+    over = (digits | (digits & _LOW7) + _LIMITS) & _HIGH
+    ok &= (over[:n, 0] | over[:n, 1] | over[n:, 0] | over[n:, 1]) == 0
+    # 10 b + b' of neighbouring digits b, b' is at most 99, and 100 p + p' of
+    # neighbouring pairs at most 9999: so each 4 bytes' digits become one
+    # number in 16 bits, the "." giving the fraction's leading 0
+    pairs = (digits * np.uint64(10) + (digits >> np.uint64(8))) & _EVEN_BYTES
+    groups = (pairs * np.uint64(100) + (pairs >> np.uint64(16))).astype(_WORD, copy=False)
+    groups = groups.view("<u2")[:, ::2]
+    xy = (groups @ _GROUP_PLACES).reshape(2, n) / 1000.0
+    return ends, ok, xy, modes.astype(np.uint8), regions
 
 
 def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Trajectory:
@@ -847,81 +999,52 @@ def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Traject
 
     Ticks must run 0, 1, 2, ... and every row must carry line 2's trial id.
     Regions must be labels :func:`~leechsim.geometry.region_label` writes,
-    and with a template given, rooms it has.
-
-    The data lines are parsed by column.  A bad file is reported at its
+    and with a template given, rooms it has.  A bad file is reported at its
     earliest bad line, with the first failing check of that line in the
     order field count, trial id, tick, x/y, mode, region; a non-finite
-    coordinate is checked last, over the whole file.
+    coordinate is checked last, over the whole file.  An undecodable byte
+    is reported at its line.
+
+    Lines are split at "\\n".  An ASCII file without the other line breaks
+    of ``str.splitlines`` is split as it is; any other file is decoded and
+    split as text first.  Rows in the writer's grammar are parsed from their
+    bytes, by column (:func:`_grammar_rows`): line 2's trial id, ``str`` of
+    the row index, x and y as 1 to 12 digits, ".", 3 digits, and mode and
+    region labels the template allows.  Such
+    a number reads as its integer thousandths over 1000.0, which is
+    ``float()`` of its text: both are the correctly rounded quotient, as the
+    thousandths stay below 2**53.  Every other row goes through
+    :func:`_parse_row`, which checks it field by field.
     """
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != _CSV_HEADER:
+    data = Path(path).read_bytes()
+    if not data.isascii() or any(b in data for b in _LINE_BREAKS):
+        data = "".join(line + "\n" for line in
+                       utf8_text(data, path, TrajectoryFormatError).splitlines()).encode()
+    elif data and not data.endswith(b"\n"):
+        data += b"\n"
+    header = _CSV_HEADER.encode() + b"\n"
+    if not data.startswith(header):
         raise TrajectoryFormatError(f"{path}:1: bad or missing header")
-    if len(lines) < 2:
+    if len(data) == len(header):
         raise TrajectoryFormatError(f"{path}:1: no data rows")
-    first_id = lines[1].split(",", 1)[0]
+    first_id = data[len(header):data.index(b"\n", len(header))].split(b",", 1)[0].decode()
     try:
         trial_id = int(first_id)
     except ValueError as exc:
         raise TrajectoryFormatError(f"{path}:2: {exc}") from None
-    # Every line ends in a "\n" field, which no line from splitlines holds, so
-    # field 7k + 6 is that separator exactly when lines 0..k have 6 fields each.
-    n = len(lines) - 1
-    fields = (",\n,".join(lines[1:]) + ",\n").split(",")
-    del lines  # free the line strings before the columns are converted
-    # each check reads only the rows before the earliest bad row found so far
-    rows, error = n, None
-    bad = _first_mismatch(fields[6::7], ["\n"] * n)
-    if bad is not None:
-        # A short line can put a later line's separator where its own
-        # belongs; line i has 6 fields iff the i-th separator is at 7i + 6.
-        seps = [i for i, field in enumerate(fields[:7 * bad + 7]) if field == "\n"]
-        rows, error = _first_mismatch(seps, list(range(6, 7 * bad + 7, 7))), "expected 6 fields"
-    ids = fields[0:7 * rows:7]
-    bad = _first_mismatch(ids, [first_id] * rows)
-    if bad is not None:
-        rows, error = bad, f"trial id {ids[bad]!r} differs from line 2's {first_id!r}"
-    ticks = tuple(fields[1:7 * rows:7])
-    bad = _first_mismatch(ticks, _tick_labels(rows))
-    if bad is not None:
-        rows, error = bad, f"tick {ticks[bad]!r}, expected {bad}"
-    xs, exc = _floats(fields[2:7 * rows:7])
-    if exc is not None:
-        rows, error = len(xs), str(exc)
-    ys, exc = _floats(fields[3:7 * rows:7])
-    if exc is not None:
-        rows, error = len(ys), str(exc)
-    modes = fields[4:7 * rows:7]
-    mode_codes = list(map(_MODE_CODES.get, modes))
-    if None in mode_codes:
-        bad = mode_codes.index(None)
-        rows, error = bad, f"bad mode {modes[bad]!r}"
-    labels = fields[5:7 * rows:7]
-    region_codes = {}
-    # the last per-line check, over rows before any earlier failure: its
-    # first bad label, in first-seen order, is the earliest bad line
-    for label in dict.fromkeys(labels):
+
+    rooms = env.n_rooms if env is not None else None
+    ends, ok, (xs, ys), modes, regions = _grammar_rows(data + bytes(16), first_id, rooms)
+    for row in np.flatnonzero(~ok).tolist():
+        line = data[ends[row] + 1:ends[row + 1]].decode()
         try:
-            region_codes[label] = _region(label, env)
+            xs[row], ys[row], modes[row], regions[row] = _parse_row(line, row, first_id, rooms)
         except ValueError as exc:
-            raise TrajectoryFormatError(
-                f"{path}:{labels.index(label) + 2}: {exc}") from None
-    if error is not None:
-        raise TrajectoryFormatError(f"{path}:{rows + 2}: {error}")
-    xs = np.array(xs, dtype=float)
-    ys = np.array(ys, dtype=float)
+            raise TrajectoryFormatError(f"{path}:{row + 2}: {exc}") from None
     finite = np.isfinite(xs) & np.isfinite(ys)
     if not finite.all():
         row = int(np.argmin(finite))
         raise TrajectoryFormatError(
             f"{path}:{row + 2}: non-finite coordinate ({xs[row]}, {ys[row]})")
-    return Trajectory(
-        env=env,
-        trial_id=trial_id,
-        seed=0,
-        xs=xs,
-        ys=ys,
-        modes=np.array(mode_codes, dtype=np.uint8),
-        regions=np.array(list(map(region_codes.__getitem__, labels)), dtype=np.int16),
-        ms=np.zeros(n, dtype=np.uint8),
-    )
+    return Trajectory(env=env, trial_id=trial_id, seed=0, xs=xs, ys=ys, modes=modes,
+                      regions=regions, ms=np.zeros(len(xs), dtype=np.uint8))

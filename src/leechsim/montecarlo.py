@@ -29,6 +29,7 @@ from .locomotion import (
     _SimContext,
     _simulate,
     run_trial,  # noqa: F401  (perfbench's tracer wraps montecarlo.run_trial)
+    utf8_text,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -233,7 +234,7 @@ def write_dwell_csv(counts: VisitCounts, path) -> None:
 def read_stats_csv(path) -> list[tuple[int, int, float, float]]:
     """Read rows written by :func:`write_stats_csv`: one per room, room and
     distance_x in [1, MAX_ROOM], frequencies and fractions in [0, 1]."""
-    lines = Path(path).read_text().splitlines()
+    lines = utf8_text(Path(path).read_bytes(), path).splitlines()
     if not lines or lines[0] != "room,distance_x,visit_freq,time_fraction":
         raise ValueError(f"{path}:1: bad or missing stats header")
     rows, rooms = [], set()

@@ -132,14 +132,28 @@ def _region_per_line(label, env, path, lineno):
     return code
 
 
+def _text_per_line(path):
+    """The file decoded as UTF-8, or the error naming the line of its first
+    undecodable byte: the first line that holds an escaped byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = data.decode("utf-8", "surrogateescape").splitlines()
+        lineno, byte = next((lineno, ord(char) - 0xDC00)
+                            for lineno, line in enumerate(lines, start=1)
+                            for char in line if "\udc80" <= char <= "\udcff")
+        raise TrajectoryFormatError(f"{path}:{lineno}: byte {byte:#04x} is not UTF-8 "
+                                    f"({exc.reason})") from None
+
+
 def read_trajectory_csv_per_line(path, env=None):
     """The trajectory CSV reader as a loop over lines, one row at a time.
 
-    The oracle for the columnar ``read_trajectory_csv``: same arrays for
-    every file it accepts, same message for every file it rejects.
+    The oracle for ``read_trajectory_csv`` and its byte lane: same arrays
+    for every file it accepts, same message for every file it rejects.
     """
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = _text_per_line(path).splitlines()
     if not lines or lines[0] != _CSV_HEADER:
         raise TrajectoryFormatError(f"{path}:1: bad or missing header")
     if len(lines) < 2:

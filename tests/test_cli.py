@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leechsim.cli import RunConfig, load_run_config, main
 from leechsim.locomotion import MotionParams, read_trajectory_csv, run_trial
@@ -164,6 +168,24 @@ def test_stats_on_malformed_csv_names_file_and_line(tmp_path, capsys):
     assert main(["stats", str(tmp_path / "run")]) == 3
     err = capsys.readouterr().err
     assert "trial_0000.csv:4" in err
+
+
+def test_stats_names_the_line_of_an_undecodable_byte(tmp_path, capsys):
+    cfg = _small_config(tmp_path, n_trials=2, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    victim = tmp_path / "run" / "trial_0001.csv"
+    victim.write_bytes(victim.read_bytes() + b"\xff")
+    assert main(["stats", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "trial_0001.csv:12: byte 0xff is not UTF-8 (invalid start byte)" in err
+    assert "Traceback" not in err
+
+
+def test_config_with_an_undecodable_byte_is_config_error(tmp_path, capsys):
+    cfg = _small_config(tmp_path)
+    cfg.write_bytes(cfg.read_bytes().replace(b'"n_trials"', b'"n_tri\xe9ls"'))
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert "config.json:1: byte 0xe9 is not UTF-8" in capsys.readouterr().err
 
 
 def test_stats_rejects_room_the_template_lacks(tmp_path, capsys):
@@ -371,6 +393,76 @@ def test_fit_rejects_stats_the_writer_cannot_write(tmp_path, capsys, rows, error
     captured = capsys.readouterr()
     assert error in captured.err
     assert captured.out == ""
+
+
+def test_fit_names_the_line_of_an_undecodable_byte(tmp_path, capsys):
+    stats_csv = tmp_path / "visits.csv"
+    stats_csv.write_bytes(b"room,distance_x,visit_freq,time_fraction\r\n"
+                          b"1,1,0.35,0.1\r\n2,2,0.19\xe9,0.05\r\n")
+    assert main(["fit", str(stats_csv)]) == 3
+    captured = capsys.readouterr()
+    assert "visits.csv:3: byte 0xe9 is not UTF-8 (invalid continuation byte)" in captured.err
+    assert captured.out == ""
+
+
+# a visits.csv as stats writes it, for the hostile-input property
+_VISITS = "room,distance_x,visit_freq,time_fraction\n" + "".join(
+    f"{room},{min(room, 9 - room)},{0.35 * min(room, 9 - room) ** -0.82:.6f},"
+    f"{0.01 * room:.6f}\n" for room in range(1, 9))
+_DRAW_STATS_KINDS = st.lists(st.sampled_from(["truncate", "flip", "duplicate", "huge"]),
+                             max_size=3)
+_DRAW_INDEX = st.integers(0, 2**16)
+_DRAW_BYTE = st.integers(0, 255)
+_DRAW_HUGE = st.sampled_from(["9" * 20, "9" * 400, "1" + "0" * 4299, "9" * 4301,
+                              "-" + "9" * 30, "1" * 400 + ".5", "1e400", "0." + "0" * 400 + "1"])
+
+
+@st.composite
+def _hostile_stats(draw):
+    """``_VISITS`` cut short, with bytes flipped to any value (UTF-8 or
+    not), rows duplicated, or a field replaced by a huge number; the header
+    line stays as it is."""
+    data = _VISITS.encode()
+    start = data.index(b"\n") + 1
+    for kind in draw(_DRAW_STATS_KINDS):
+        at = start + draw(_DRAW_INDEX) % max(len(data) - start, 1)
+        if kind == "truncate":
+            data = data[:at]
+        elif kind == "flip" and data:
+            data = data[:at] + bytes([draw(_DRAW_BYTE)]) + data[at + 1:]
+        else:
+            lines = data.split(b"\n")
+            row = 1 + draw(_DRAW_INDEX) % max(len(lines) - 1, 1)
+            if row >= len(lines):
+                continue
+            if kind == "duplicate":
+                lines.insert(row, lines[row])
+            else:
+                fields = lines[row].split(b",")
+                fields[at % len(fields)] = draw(_DRAW_HUGE).encode()
+                lines[row] = b",".join(fields)
+            data = b"\n".join(lines)
+    return data
+
+
+@pytest.fixture(scope="module")
+def hostile_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile") / "visits.csv"
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=_hostile_stats())
+def test_fit_on_hostile_stats_ends_in_exit_0_2_or_3(hostile_csv, data):
+    """No input raises out of ``main``; a refused one prints no report."""
+    hostile_csv.write_bytes(data)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["fit", str(hostile_csv)])
+    assert code in (0, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+    else:
+        assert len(json.loads(out.getvalue())["points"]) >= 2
 
 
 @pytest.mark.parametrize("row, error", [

@@ -28,6 +28,7 @@ from leechsim.locomotion import (
     run_trials,
     write_trajectory_csv,
 )
+from leechsim.montecarlo import run_ensemble
 
 from conftest import (read_trajectory_csv_per_line, wall_contact,
                       write_trajectory_csv_per_row)
@@ -386,64 +387,96 @@ _FUZZ_BASE = ("trial_id,tick,x_mm,y_mm,mode,region\n"
               "3,5,-0.000,0.000,STILL,UNKNOWN\n")
 
 # single characters, and per column whole fields, that a damaged or hostile
-# file may hold; int() and float() accept the Arabic-Indic digits
-_CHARS = [",", "\n", "\r", "\x1c", " ", "0", "9", "-", ".", "e", "R", "\u00e9"]
+# file may hold; int() and float() accept the Arabic-Indic digits.  The
+# numbers lie at or just past an edge of the writer's grammar (1 to 12
+# digits, ".", 3 digits), and float() reads most of them; some labels run
+# past 7 bytes, or end in NUL.
+_CHARS = [",", "\n", "\r", "\x0b", "\x0c", "\x1c", " ", "0", "9", "-", ".", "e", "R",
+          "\u00e9"]
+_NEAR_MISSES = ["1.", ".5", "1.5", "1.2345", "01.500", "+2.000", "-0.000", " 1.000",
+                "1e3", "1/500", "123456789012.000", "1234567890123.000",
+                "1234567890123456.000"]
 _FIELDS = [
-    ["", "4", "03", "+3", " 3", "\u0663"],
+    ["", "4", "00", "03", "+3", " 3", "\u0663"],
     ["", "01", "+1", "9", "1_0", "\u0661"],
-    ["", "nan", "inf", "-inf", "1e999", "0x1", "1_0", " 2", "4", "\u0664"],
-    ["", "NaN", "+inf", "-Infinity", "1e-999", "2.", ".5", "4", "\u0664.5"],
-    ["", "crawl", "CRAWL\u00e9", "STILL", "EXPLORE", "UNKNOWN"],
-    ["", "R\u00b2", "R\u00e9", "R0", "R08", "R9", "R8", "W", "UNKNOWN", "C"],
+    ["", "nan", "inf", "-inf", "1e999", "0x1", "1_0", " 2", "4", "\u0664", *_NEAR_MISSES],
+    ["", "NaN", "+inf", "-Infinity", "1e-999", "2.", ".5", "4", "\u0664.5", *_NEAR_MISSES],
+    ["", "crawl", "CRAWL\u00e9", "STILL", "EXPLORE", "UNKNOWN", "EXPLORER", "CRAWL\0",
+     "C", "R4"],
+    ["", "R\u00b2", "R\u00e9", "R0", "R08", "R9", "R8", "W", "UNKNOWN", "C", "R32767",
+     "UNKNOWNS", "C\0"],
 ]
 _TOKENS = sorted({token for column in _FIELDS for token in column})
-_MUTATIONS = ["truncate", "flip", "duplicate", "drop", "extra_field",
-              "missing_field", "crlf", "header"] + ["field"] * 6
+_MUTATIONS = ["truncate", "flip", "insert", "duplicate", "drop", "extra_field",
+              "missing_field", "crlf", "crlf_row", "header"] + ["field"] * 6
+# byte sequences no UTF-8 decoder accepts: a stray continuation byte, bytes
+# UTF-8 never uses, and lead bytes cut short or followed by ASCII
+_UNDECODABLE = [b"\x80", b"\xff", b"\xc3(", b"\xe2\x82", b"\xf5"]
+
+
+# strategies built once: hypothesis validates each new strategy object
+_DRAW_KINDS = st.lists(st.sampled_from(_MUTATIONS), max_size=3)
+_DRAW_CHAR = st.sampled_from(_CHARS)
+_DRAW_FIELD = [st.sampled_from(column) for column in _FIELDS] + [st.sampled_from(_TOKENS)]
+_DRAW_HEADER = st.sampled_from(["", "trial_id,tick,x_mm,y_mm,mode",
+                                "TRIAL_ID,tick,x_mm,y_mm,mode,region",
+                                "trial_id,tick,x_mm,y_mm,mode,region,"])
+_DRAW_UNDECODABLE = st.sampled_from([None] * 10 + _UNDECODABLE)
+_DRAW_INDEX = st.integers(0, 2**16)
 
 
 @st.composite
 def _damaged_csv(draw):
-    """The valid ``_FUZZ_BASE`` after up to three random mutations.
+    """The bytes of the valid ``_FUZZ_BASE`` after up to three random
+    mutations, about one file in three with an undecodable byte sequence
+    added.
 
     Only the "header" mutation edits line 1, so most files get past the
     header check and fail (or pass) on their data rows.
     """
+    def index(lo, hi):  # in [lo, hi], or lo for an empty range
+        return lo + draw(_DRAW_INDEX) % max(hi - lo + 1, 1)
+
     text = _FUZZ_BASE
     start = _FUZZ_BASE.index("\n") + 1  # first character of line 2
-    for kind in draw(st.lists(st.sampled_from(_MUTATIONS), max_size=3)):
+    for kind in draw(_DRAW_KINDS):
         if kind == "truncate":
-            text = text[:draw(st.integers(min(start, len(text)), len(text)))]
+            text = text[:index(min(start, len(text)), len(text))]
             continue
-        if kind == "flip":
+        if kind in ("flip", "insert"):
             if len(text) > start:
-                at = draw(st.integers(start, len(text) - 1))
-                text = text[:at] + draw(st.sampled_from(_CHARS)) + text[at + 1:]
+                at = index(start, len(text) - 1)
+                text = text[:at] + draw(_DRAW_CHAR) + text[at + (kind == "flip"):]
             continue
         if kind == "crlf":
             text = text.replace("\n", "\r\n")
             continue
         lines = text.split("\n")
-        row = draw(st.integers(min(1, len(lines) - 1), len(lines) - 1))
+        row = index(min(1, len(lines) - 1), len(lines) - 1)
         if kind == "duplicate":
             lines.insert(row, lines[row])
         elif kind == "drop":
             del lines[row]
+        elif kind == "crlf_row":
+            lines[row] += "\r"
         elif kind == "extra_field":
-            lines[row] += "," + draw(st.sampled_from(_TOKENS))
+            lines[row] += "," + draw(_DRAW_FIELD[-1])
         elif kind == "missing_field":
             lines[row] = lines[row].rpartition(",")[0]
         elif kind == "field":
             fields = lines[row].split(",")
-            col = draw(st.integers(0, len(fields) - 1))
-            tokens = _FIELDS[col] if col < len(_FIELDS) else _TOKENS
-            fields[col] = draw(st.sampled_from(tokens))
+            col = index(0, len(fields) - 1)
+            fields[col] = draw(_DRAW_FIELD[min(col, len(_FIELDS))])
             lines[row] = ",".join(fields)
         elif kind == "header":
-            lines[0] = draw(st.sampled_from(["", "trial_id,tick,x_mm,y_mm,mode",
-                                             "TRIAL_ID,tick,x_mm,y_mm,mode,region",
-                                             "trial_id,tick,x_mm,y_mm,mode,region,"]))
+            lines[0] = draw(_DRAW_HEADER)
         text = "\n".join(lines)
-    return text
+    data = text.encode()
+    bad = draw(_DRAW_UNDECODABLE)
+    if bad is not None:
+        at = index(min(start, len(data)), len(data))
+        data = data[:at] + bad + data[at:]
+    return data
 
 
 def _read_outcome(reader, path, env):
@@ -462,15 +495,27 @@ def fuzz_csv(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "trial.csv"
 
 
-@settings(max_examples=150, deadline=None)
-@given(text=_damaged_csv(), with_env=st.booleans())
-def test_csv_reader_matches_the_per_line_oracle(fuzz_csv, env, text, with_env):
-    fuzz_csv.write_text(text, encoding="utf-8", newline="")
+@settings(max_examples=250, deadline=None)
+@given(data=_damaged_csv(), with_env=st.booleans())
+def test_csv_reader_matches_the_per_line_oracle(fuzz_csv, env, data, with_env):
+    fuzz_csv.write_bytes(data)
     template = env if with_env else None
     expected = _read_outcome(read_trajectory_csv_per_line, fuzz_csv, template)
     assert _read_outcome(read_trajectory_csv, fuzz_csv, template) == expected
     if isinstance(expected[0], type):
         assert expected[0] is TrajectoryFormatError
+
+
+def test_csv_reader_matches_the_oracle_on_every_token_in_every_column(fuzz_csv, env):
+    lines = _FUZZ_BASE.split("\n")
+    for col in range(6):
+        for token in _TOKENS:
+            fields = lines[3].split(",")
+            fields[col] = token
+            fuzz_csv.write_text("\n".join([*lines[:3], ",".join(fields), *lines[4:]]),
+                                encoding="utf-8", newline="")
+            assert (_read_outcome(read_trajectory_csv, fuzz_csv, env)
+                    == _read_outcome(read_trajectory_csv_per_line, fuzz_csv, env)), (col, token)
 
 
 def test_csv_reader_matches_the_oracle_on_the_undamaged_file(fuzz_csv, env):
@@ -508,7 +553,9 @@ def _column(rng, pool, n, spread):
 
 
 @st.composite
-def _trajectories(draw):
+def _trajectories(draw, bad_codes=True):
+    """Trajectories of the writer's edge values; with ``bad_codes``, one
+    column in five also holds codes it refuses."""
     n = draw(st.sampled_from([1000, 10, 0, 1, 10001]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = st.one_of(st.sampled_from(_VALUES), st.floats(),
@@ -523,10 +570,12 @@ def _trajectories(draw):
     for good, bad in ((_MODES, _BAD_MODES),
                       (_REGIONS, _BAD_REGIONS)):
         codes.append(draw(st.lists(st.sampled_from(good), min_size=1, max_size=5)))
-        if draw(st.integers(0, 4)) == 0:  # one column in five holds bad codes
+        if bad_codes and draw(st.integers(0, 4)) == 0:
             codes[-1] += draw(st.lists(st.sampled_from(bad), min_size=1, max_size=3))
     modes, regions = codes
-    return Trajectory(None, draw(st.integers(0, 2**40)), 0, xs, ys,
+    # ids of up to 7 digits fit the byte lane's word, longer ones do not
+    trial_id = draw(st.one_of(st.integers(0, 9999), st.integers(0, 2**40)))
+    return Trajectory(None, trial_id, 0, xs, ys,
                       rng.choice(np.array(modes, np.uint8), n),
                       rng.choice(np.array(regions, np.int16), n),
                       np.zeros(n, np.uint8))
@@ -556,3 +605,31 @@ def _coded(modes, regions):
 def test_csv_writer_matches_the_per_row_oracle(fuzz_csv, traj):
     expected = _write_outcome(write_trajectory_csv_per_row, traj, fuzz_csv)
     assert _write_outcome(write_trajectory_csv, traj, fuzz_csv) == expected
+
+
+# --- written files read back --------------------------------------------------
+
+@settings(max_examples=30, deadline=None)
+@given(traj=_trajectories(bad_codes=False))
+def test_written_files_read_back_as_through_the_per_line_oracle(fuzz_csv, traj):
+    """The writer's fast digits take the byte lane, its '%.3f' fallback
+    (negatives, -0.0, 1e15, nan, inf) the per-row lane: either way the
+    outcome is the oracle's."""
+    write_trajectory_csv(traj, fuzz_csv)
+    assert (_read_outcome(read_trajectory_csv, fuzz_csv, None)
+            == _read_outcome(read_trajectory_csv_per_line, fuzz_csv, None))
+
+
+def test_writer_files_take_the_byte_lane(tmp_path, env, auto, motion, monkeypatch):
+    """Every row of a 64-trial default run parses from its bytes; the
+    per-row lane, made to fail here, is never called."""
+    def refuse(*args):
+        raise AssertionError("a written row left the byte lane")
+
+    paths = []
+    for traj in run_ensemble(env, motion, auto, 64, base_seed=1, duration=1800):
+        paths.append(tmp_path / f"trial_{traj.trial_id:04d}.csv")
+        write_trajectory_csv(traj, paths[-1])
+    expected = [_read_outcome(read_trajectory_csv_per_line, path, env) for path in paths]
+    monkeypatch.setattr(locomotion, "_parse_row", refuse)
+    assert [_read_outcome(read_trajectory_csv, path, env) for path in paths] == expected
