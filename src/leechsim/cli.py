@@ -136,18 +136,27 @@ def load_run_config(path) -> RunConfig:
     A manifest must carry the seed_derivation and trial_seeds simulate writes.
     """
     try:
-        doc = json.loads(utf8_text(Path(path).read_bytes(), path, ConfigError))
+        text = utf8_text(Path(path).read_bytes(), path, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # also an integer longer than int() reads
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    if "config" not in doc:
-        return RunConfig.from_dict(doc)
-    if not isinstance(doc["config"], dict):
+    manifest = "config" in doc
+    if manifest and not isinstance(doc["config"], dict):
         raise ConfigError(f"{path}: manifest config must be a JSON object")
-    cfg = RunConfig.from_dict(doc["config"])
+    try:
+        cfg = RunConfig.from_dict(doc["config"] if manifest else doc)
+        cfg.environment.build()  # so that a bad template names the file too
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    if not manifest:
+        return cfg
     if doc.get("seed_derivation") != SEED_DERIVATION:
         raise ConfigError(f"{path}: seed_derivation must be {SEED_DERIVATION!r}")
     if doc.get("trial_seeds") != _trial_seeds(cfg):
@@ -291,7 +300,10 @@ def cmd_fit(args) -> int:
     dropped = len(rows) - len(points)
     if dropped:
         print(f"dropped {dropped} zero-frequency rows", file=sys.stderr)
-    fit = fit_power_law(points)
+    try:
+        fit = fit_power_law(points)
+    except ValueError as exc:
+        raise ValueError(f"{args.stats_csv}: {exc}") from None
     doc = {
         "a": fit.a,
         "b": fit.b,

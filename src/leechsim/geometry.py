@@ -13,6 +13,7 @@ file labels ``C``, ``R<i>``, ``W`` and ``UNKNOWN``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -136,6 +137,8 @@ def build_corridor_template(
     height = room_size + wall + corridor_width
     if length <= 0 or height <= 0:
         raise GeometryError("dimensions leave no interior space")
+    if not (math.isfinite(length) and math.isfinite(height)):
+        raise GeometryError(f"interior {length} x {height} mm is not finite")
 
     band_y0, band_y1 = room_size, room_size + wall
     regions = [Region(CORRIDOR, (0.0, band_y1, length, height))]

@@ -12,11 +12,13 @@ The kernel, :func:`run_trials`, advances a batch of trials by events, not
 by ticks (next-event time advance).  Each trial keeps its own clock, and
 each lockstep iteration advances every unfinished trial by one event: a
 whole Still run, a whole corridor Crawl run, or any other single tick (see
-:func:`_simulate`).  Each event's ticks go to an output object:
-:class:`TrialArrays` writes tick k of trial i to column k of row i, and
-:class:`VisitCounts` only counts ticks and trigger-window passes per room
-(ensembles put either in memory shared with their worker processes, see
-:mod:`leechsim.montecarlo`).  :func:`run_trial` is a batch of one.
+:func:`_simulate`).  Both kinds of run are sampled tick by tick from a
+look-ahead, and each iteration hands the ticks that happened to an output
+object in one call: :class:`TrialArrays` writes tick k of trial i to
+column k of row i, and :class:`VisitCounts` only counts ticks and
+trigger-window passes per room (ensembles put either in memory shared with
+their worker processes, see :mod:`leechsim.montecarlo`).  :func:`run_trial`
+is a batch of one.
 
 Randomness: trial i owns ``default_rng(seed_i)`` and reads it, in stream
 order, through its own row of a draw buffer and a cursor.  A centered
@@ -47,7 +49,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .automaton import (AutomatonParams, Mode, config_doc, p_visit, parse_config,
                         next_modes, next_timers, transition_thresholds)
@@ -331,15 +332,14 @@ class TrialArrays:
         """Rows lo..hi, which worker slice s fills."""
         return replace(self, **{k: getattr(self, k)[lo:hi] for k in self._DTYPES})
 
-    def record(self, rows, k, n, x, y, mode, region, m, passed) -> None:
-        """Fill the columns of each run, one scatter per field at the
-        row-major index of each tick; see :func:`_simulate`.  The fields
-        are whole rows of C-ordered arrays, so ``reshape(-1)`` is a view."""
-        at = (np.repeat(rows * self.duration + k - np.cumsum(n) + n, n)
-              + np.arange(n.sum()))
+    def record(self, rows, k, x, y, mode, region, m, passed) -> None:
+        """Write tick ``k[i]`` of trial ``rows[i]``, one scatter per field at
+        its row-major index; see :func:`_simulate`.  The fields are whole
+        rows of C-ordered arrays, so ``reshape(-1)`` is a view."""
+        at = rows * self.duration + k
         for field, value in ((self.xs, x), (self.ys, y), (self.modes, mode),
                              (self.regions, region), (self.ms, m)):
-            field.reshape(-1)[at] = np.repeat(value, n)
+            field.reshape(-1)[at] = value
 
     def trajectories(self, env, seeds, trial_ids) -> list[Trajectory]:
         return [
@@ -394,24 +394,23 @@ class VisitCounts:
                        run_start=self.run_start[lo:hi], run_mode=self.run_mode[lo:hi],
                        runs=self.runs[s:s + 1])
 
-    def record(self, rows, k, n, x, y, mode, region, m, passed) -> None:
-        """Add each run's length to its trial's count of its region and of
-        its window passed, one ``bincount`` per table, and count the mode
-        runs that close; see :func:`_simulate`.
+    def record(self, rows, k, x, y, mode, region, m, passed) -> None:
+        """Count tick ``k[i]`` of trial ``rows[i]`` in the trial's columns of
+        its region and of its window passed, one ``bincount`` per table, and
+        count the mode runs that close; see :func:`_simulate`.
 
-        A trial's records within one call must be consecutive and in tick
-        order, with its records of 0 ticks last; any number of them may
-        change mode.
+        A trial's ticks within one call must be consecutive and in tick
+        order.
         """
         row_start = rows * self.ticks.shape[1]
         for counts, codes in ((self.ticks, region), (self.passes, passed)):
-            added = np.bincount(row_start + codes, n, counts.size)
+            added = np.bincount(row_start + codes, minlength=counts.size)
             counts += added.reshape(counts.shape).astype(counts.dtype)
         # a run closes where a trial's mode differs from its previous tick's
-        same = rows[1:] == rows[:-1]  # record j + 1 goes on with record j's trial
+        same = rows[1:] == rows[:-1]  # tick j + 1 goes on with tick j's trial
         before = self.run_mode[rows]
         np.copyto(before[1:], mode[:-1], where=same)
-        change = ((mode != before) & (n > 0)).nonzero()[0]
+        change = (mode != before).nonzero()[0]
         if change.size == 0:
             return
         rows, k, before = rows[change], k[change], before[change]
@@ -468,11 +467,9 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
     each lockstep iteration advances every trial whose clock is short of
     ``out.duration`` by one event (next-event time advance):
 
-    * a Still run: position, region and contact stay fixed and each tick
-      reads one uniform, so the run ends at the first uniform of the trial's
-      draw row at or above the Still threshold for its timer; the ticks
-      before that one are recorded as one run, and the last is sampled like
-      a single tick;
+    * a Still run: position, region and contact stay fixed, so each tick
+      reads one uniform and the run ends at the first tick whose sampled
+      mode is not Still;
     * a corridor Crawl run: x moves by one fixed step a tick, so positions
       come from ``np.add.accumulate``, contact and the window trigger from
       those positions, and the run ends at the first tick whose sampled mode
@@ -480,20 +477,22 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
       contact, so a run reflects on its last tick at most, which is checked;
     * any other tick (Explore, or Crawl inside a room), one at a time.
 
-    A run looks at most ``_BLOCK`` ticks ahead, and the look-aheads of one
-    iteration hold at most ``budget`` ticks in all; a longer run goes on as
-    the next event, which changes no output.  The sampled ticks of all
+    A run looks at most ``_BLOCK`` ticks ahead, and a longer run goes on as
+    the next event, which changes no output.  The single ticks and Crawl
+    look-aheads of one iteration hold at most ``budget`` ticks, and its
+    Still look-aheads at most ``budget`` more.  The sampled ticks of all
     events sit in one flat array, event i's from ``starts[i]`` on, in the
-    order single ticks, Crawl runs, last ticks of Still runs.  Contact is
-    computed for the ticks that moved, and every tick compares its uniform
-    with the thresholds of :func:`_thresholds` (:func:`next_modes`), which
-    are those of :func:`~leechsim.automaton.sample_transitions`.
+    order single ticks, Crawl runs, Still runs.  Contact is computed for the
+    ticks that moved, and every tick compares its uniform with the
+    thresholds of :func:`_thresholds` (:func:`next_modes`), which are those
+    of :func:`~leechsim.automaton.sample_transitions`.
 
-    ``out.record(rows, k, n, x, y, mode, region, m, passed)`` gets runs:
-    trial ``rows[i]`` spends ticks ``k[i]`` to ``k[i] + n[i] - 1`` with the
-    i-th value of each field; a look-ahead tick past its event's end is a
-    run of 0 ticks.  ``passed`` is the room whose trigger window the trial
-    crawled over during the tick (0 for none).
+    ``out.record(rows, k, x, y, mode, region, m, passed)`` gets the ticks
+    that happened, in one call per iteration and one for the release: trial
+    ``rows[i]`` ends tick ``k[i]`` with the i-th value of each field, and
+    each trial's ticks are consecutive and in tick order.  ``passed`` is
+    the room whose trigger window the trial crawled over during the tick
+    (0 for none).
 
     Trial b reads its uniforms from row b of ``draws`` at cursor ``cur[b]``,
     in the order a tick-by-tick run reads them.  An event reads at most
@@ -512,14 +511,10 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
     draws = np.empty((n, width))
     for rng, row in zip(rngs, draws):
         rng.random(out=row)
-    # look-ahead ticks one iteration may hold; only the release, when every
-    # trial starts a Crawl run, comes near it in a default run
+    # look-ahead ticks one iteration's single ticks and Crawl runs may hold,
+    # and its Still runs too; only the release, when every trial starts a
+    # Crawl run, comes near it in a default run
     budget = max(8 * n, _BLOCK)
-    # Still look-aheads: _BLOCK uniforms from a cursor, and the thresholds
-    # below which Still stays, from a timer on (0.0 past the cap)
-    ahead_u = sliding_window_view(draws, _BLOCK, axis=1)
-    ahead_stay = sliding_window_view(np.concatenate((first[:stride], np.zeros(_BLOCK))),
-                                     _BLOCK)
     span = np.arange(_BLOCK)
     cur = np.zeros(n, dtype=np.intp)
     trials = np.arange(n)
@@ -539,7 +534,7 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
     region = np.zeros(n, dtype=np.intp)
     m = _contact(ctx, x, y, region)
     k = np.ones(n, dtype=np.intp)
-    out.record(trials, k - 1, k, x, y, mode, region, m, region)
+    out.record(trials, k - 1, x, y, mode, region, m, region)
 
     live = trials[k < duration]
     while live.size:
@@ -555,37 +550,22 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
         g = live[np.argsort(kind, kind="stable")]
         n_other, n_crawl, n_still = np.bincount(kind, minlength=3).tolist()
         runs = slice(n_other, n_other + n_crawl)
-
-        # Still runs: record the ticks before the last one of the look-ahead
-        # as one run, and go on from that last tick
-        if n_still:
-            s = g[runs.stop:]
-            ks, ts = k[s], t[s]
-            ahead = np.minimum(np.minimum(duration - ks, ctx.tau_s - ts + 1),
-                               max(1, min(_BLOCK, budget // n_still)))
-            w = ahead.max()
-            stays = ((ahead_u[s, cur[s], :w] >= ahead_stay[ts, :w])
-                     | (span[:w] == ahead[:, None] - 1)).argmax(axis=1)
-            zero = np.zeros(n_still, dtype=np.intp)
-            out.record(s, ks, stays, x[s], y[s], zero, region[s], m[s], zero)
-            k[s] = ks + stays
-            t[s] = ts + stays
-            cur[s] += stays
-
-        # corridor Crawl runs look ahead to an end of the corridor at most
         crawlers = g[runs]
+
+        # a run looks ahead to its timer's cap at most, and a corridor Crawl
+        # run to an end of the corridor; the Crawl runs share what the budget
+        # leaves after a tick per other event, the Still runs all of it
+        crawl_cap = max(1, min(_BLOCK, (budget - n_other - n_still) // max(n_crawl, 1)))
+        reach = np.repeat([1, crawl_cap, max(1, min(_BLOCK, budget // max(n_still, 1)))],
+                          [n_other, n_crawl, n_still])
         h, x0 = hx[crawlers], x[crawlers]
-        reach = np.minimum(np.where(h < 0.0, x0, ctx.L - x0) // ctx.v_c + 2,
-                           max(1, min(_BLOCK, (budget - n_other - n_still) // max(n_crawl, 1))))
-        limit = np.ones(g.size, dtype=np.intp)
-        limit[runs] = np.minimum(np.minimum(duration - k[crawlers],
-                                            ctx.tau_a - t[crawlers] + 1), reach)
+        reach[runs] = np.minimum(np.where(h < 0.0, x0, ctx.L - x0) // ctx.v_c + 2, crawl_cap)
+        limit = np.minimum(np.minimum(duration - k[g], reach),
+                           np.where(mode[g] == 0, ctx.tau_s, ctx.tau_a) - t[g] + 1)
         starts = np.cumsum(limit) - limit
         b = np.repeat(g, limit)
         tick = np.arange(b.size)  # tick i of event e is tick i - starts[e] of its trial
-        xs, ys, regions, modes = x[b], y[b], region[b], mode[b]
-        ms = np.empty(b.size, dtype=np.uint8)
-        ms[starts[runs.stop:]] = m[g[runs.stop:]]
+        xs, ys, regions, modes, ms = x[b], y[b], region[b], mode[b], m[b]
         u = g * width + cur[g] - starts  # flat index into draws, less tick
         u[:n_other] += 1  # after the waypoint angle
 
@@ -629,7 +609,6 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
         last = np.minimum(np.minimum.reduceat(np.where(new_mode != modes, tick, b.size),
                                               starts), starts + limit - 1)
         ticks = last - starts + 1
-        keep = (tick <= np.repeat(last, limit)).astype(np.intp)  # 1 tick or none
 
         # (5) heading after a reflection, and teleports through the opening
         used = ticks.copy()  # uniforms read
@@ -660,8 +639,9 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
                 regions[leave] = 0
                 hx[g[leave]] = np.where(draws[g[leave], cur[g[leave]] + 2] < 0.5, -1.0, 1.0)
                 used[leave] += 1
-        out.record(b, np.repeat(k[g] - starts, limit) + tick, keep, xs, ys, new_mode,
-                   regions, ms, passed)
+        keep = tick <= np.repeat(last, limit)  # the ticks that happened
+        out.record(b[keep], (np.repeat(k[g] - starts, limit) + tick)[keep], xs[keep],
+                   ys[keep], new_mode[keep], regions[keep], ms[keep], passed[keep])
         x[g], y[g], region[g], m[g] = xs[last], ys[last], regions[last], ms[last]
         t[g] = next_timers(mode[g], t[g] + ticks - 1, new_mode[last])
         mode[g] = new_mode[last]

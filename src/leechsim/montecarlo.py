@@ -181,7 +181,7 @@ def visit_counts(
 
 def ensemble_stats(trajs: list[Trajectory]) -> VisitCounts:
     """The trajectories' room counts and mode runs, made by the kernel's
-    reducer: each trajectory is one record of 1-tick runs.
+    reducer: each trajectory is one record of its ticks.
 
     WALL and UNKNOWN ticks count as corridor ticks.  Window passes are not
     known from a trajectory, so every tick counts in ``passes`` column 0.
@@ -201,8 +201,8 @@ def ensemble_stats(trajs: list[Trajectory]) -> VisitCounts:
         if traj.modes.max(initial=0) > max(Mode):
             raise ValueError(f"{traj.modes[traj.modes > max(Mode)][0]} is not a valid Mode")
         ticks = np.arange(traj.n_ticks)
-        counts.record(np.full_like(ticks, row), ticks, np.ones_like(ticks), traj.xs, traj.ys,
-                      traj.modes, np.maximum(traj.regions, 0), traj.ms, np.zeros_like(ticks))
+        counts.record(np.full_like(ticks, row), ticks, traj.xs, traj.ys, traj.modes,
+                      np.maximum(traj.regions, 0), traj.ms, np.zeros_like(ticks))
     return counts
 
 

@@ -326,6 +326,37 @@ def test_config_section_must_be_object(tmp_path, capsys):
     assert "'motion'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, error", [
+    ('{"n_trials": ' + "1" * 5000 + "}", "invalid JSON: Exceeds the limit"),
+    ('{"n_trials": ' + "[" * 100_000 + "]" * 100_000 + "}", "invalid JSON: nested too deeply"),
+    (json.dumps({"environment": {"room_size_mm": 1e308, "opening_mm": 1.0}}),
+     "interior inf x 1e+308 mm is not finite"),
+], ids=["5000-digit-int", "100000-deep", "infinite-interior"])
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+def test_config_the_program_cannot_use_is_config_error(tmp_path, capsys, command, text,
+                                                        error):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run" / "o")]) == 2
+    assert f"config error: {cfg}: {error}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("damage", ["5000-digit-int", "100000-deep"])
+def test_manifest_the_program_cannot_read_is_config_error(tmp_path, capsys, damage):
+    cfg = _small_config(tmp_path)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    manifest = tmp_path / "run" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    seeds = json.dumps(doc.pop("trial_seeds"))
+    seeds = "1" * 5000 if damage == "5000-digit-int" else "[" * 100_000 + seeds + "]" * 100_000
+    manifest.write_text(json.dumps(doc)[:-1] + f', "trial_seeds": {seeds}}}')
+    capsys.readouterr()
+    assert main(["stats", str(tmp_path / "run")]) == 2
+    assert f"config error: {manifest}: invalid JSON: " in capsys.readouterr().err
+    assert not (tmp_path / "run" / "visits.csv").exists()
+
+
 def test_render_rejects_non_finite_coordinates(tmp_path, capsys):
     cfg = _small_config(tmp_path, n_trials=1, duration_ticks=10)
     assert main(["simulate", "--config", str(cfg)]) == 0
@@ -402,6 +433,20 @@ def test_fit_names_the_line_of_an_undecodable_byte(tmp_path, capsys):
     assert main(["fit", str(stats_csv)]) == 3
     captured = capsys.readouterr()
     assert "visits.csv:3: byte 0xe9 is not UTF-8 (invalid continuation byte)" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("rows, error", [
+    (["1,1,0.000000,0.1", "2,2,0.000000,0.05"], "need at least 2 points, got 0"),
+    (["1,2,0.35,0.1", "2,2,0.198,0.05"], "all x equal: log-log system is singular"),
+], ids=["all-zero", "one-distance"])
+def test_fit_it_cannot_make_names_the_stats_file(tmp_path, capsys, rows, error):
+    stats_csv = tmp_path / "visits.csv"
+    stats_csv.write_text("room,distance_x,visit_freq,time_fraction\n"
+                         + "".join(row + "\n" for row in rows))
+    assert main(["fit", str(stats_csv)]) == 3
+    captured = capsys.readouterr()
+    assert f"error: {stats_csv}: {error}" in captured.err
     assert captured.out == ""
 
 

@@ -66,6 +66,8 @@ def test_start_point_in_corridor(env):
     {"corridor_width": -5.0},
     {"opening": 0.0},
     {"opening": 16.0},  # wider than the room
+    {"room_size": 1e308, "opening": 1.0},  # an infinite interior width
+    {"rooms": 1, "room_size": 1e308, "corridor_width": 1e308},  # and height
 ])
 def test_bad_dimensions_raise(kwargs):
     with pytest.raises(GeometryError):

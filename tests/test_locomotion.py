@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leechsim.locomotion as locomotion
-from leechsim.automaton import AutomatonParams, Mode
+from leechsim.automaton import AutomatonParams, Mode, next_modes
 from leechsim.geometry import (
     WALL,
     build_corridor_template,
@@ -285,6 +285,47 @@ def test_draw_buffer_width_changes_no_output(env, auto, monkeypatch):
             assert np.array_equal(got_counts.mode_runs(), counts.mode_runs()), (q, block)
 
 
+class _CallLog:
+    """An output that logs the trials and ticks of each ``record`` call."""
+
+    def __init__(self, duration):
+        self.duration = duration
+        self.calls = []
+
+    def record(self, rows, k, x, y, mode, region, m, passed):
+        assert len({len(a) for a in (rows, k, x, y, mode, region, m, passed)}) == 1
+        self.calls.append((np.array(rows), np.array(k)))
+
+
+@pytest.mark.parametrize("block", [256, 5])
+@pytest.mark.parametrize("q", [0.25, 0.0])
+def test_record_gets_each_tick_once_in_one_call_per_iteration(env, auto, monkeypatch,
+                                                              q, block):
+    """Every (trial, tick) is recorded exactly once; within a call each
+    trial's ticks are consecutive and increasing; and the kernel makes one
+    call for the release and one per lockstep iteration, each of which
+    samples its ticks in one ``next_modes`` call."""
+    iterations = []
+
+    def counted(*args):
+        iterations.append(1)
+        return next_modes(*args)
+
+    monkeypatch.setattr(locomotion, "_BLOCK", block)
+    monkeypatch.setattr(locomotion, "next_modes", counted)
+    n, duration = 64, 1800
+    out = _CallLog(duration)
+    locomotion._simulate(_SimContext(env, MotionParams(q_scale=q), auto), range(n), out)
+    assert len(out.calls) == len(iterations) + 1
+    assert out.calls[0][0].tolist() == list(range(n)) and not out.calls[0][1].any()
+    rows, k = (np.concatenate(column) for column in zip(*out.calls))
+    assert np.array_equal(np.sort(rows * duration + k), np.arange(n * duration))
+    for rows, k in out.calls:
+        same = rows[1:] == rows[:-1]
+        assert (np.diff(k)[same] == 1).all()
+        assert np.count_nonzero(~same) + 1 == np.unique(rows).size  # one block a trial
+
+
 @pytest.mark.parametrize("q", [0.0, 1.0])
 def test_crawl_runs_reflect_on_their_last_tick_only(env, auto, q):
     """Trials released next to either corridor end crawl to the far end,
@@ -552,29 +593,40 @@ def _column(rng, pool, n, spread):
                     rng.uniform(0.0, spread, n))
 
 
+# built once, as _damaged_csv's are
+_DRAW_LENGTH = st.sampled_from([1000, 10, 0, 1, 10001])
+_DRAW_SEED = st.integers(0, 2**32 - 1)
+_DRAW_VALUES = st.lists(st.one_of(st.sampled_from(_VALUES), st.floats(),
+                                  st.integers(0, 10**6).map(lambda k: k / 1000 + 0.0005)),
+                        min_size=1, max_size=6)
+_DRAW_DTYPE = st.sampled_from([np.float64, np.float32])
+# spreads with 1, 2 and 3 integer digit groups, the last past 2**32/1000
+_DRAW_SPREAD = st.sampled_from([140.0, 1e4, 5e6])
+_DRAW_CODES = [(st.lists(st.sampled_from(good), min_size=1, max_size=5),
+                st.lists(st.sampled_from(bad), min_size=1, max_size=3))
+               for good, bad in ((_MODES, _BAD_MODES), (_REGIONS, _BAD_REGIONS))]
+_DRAW_ONE_IN_FIVE = st.integers(0, 4)
+# ids of up to 7 digits fit the byte lane's word, longer ones do not
+_DRAW_TRIAL_ID = st.one_of(st.integers(0, 9999), st.integers(0, 2**40))
+
+
 @st.composite
 def _trajectories(draw, bad_codes=True):
     """Trajectories of the writer's edge values; with ``bad_codes``, one
     column in five also holds codes it refuses."""
-    n = draw(st.sampled_from([1000, 10, 0, 1, 10001]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = st.one_of(st.sampled_from(_VALUES), st.floats(),
-                       st.integers(0, 10**6).map(lambda k: k / 1000 + 0.0005))
-    dtype = draw(st.sampled_from([np.float64, np.float32]))
-    # spreads with 1, 2 and 3 integer digit groups, the last past 2**32/1000
-    spreads = st.sampled_from([140.0, 1e4, 5e6])
+    n = draw(_DRAW_LENGTH)
+    rng = np.random.default_rng(draw(_DRAW_SEED))
+    dtype = draw(_DRAW_DTYPE)
     with np.errstate(over="ignore"):  # float32 turns huge values into inf
-        xs, ys = (_column(rng, draw(st.lists(values, min_size=1, max_size=6)),
-                          n, draw(spreads)).astype(dtype) for _ in "xy")
+        xs, ys = (_column(rng, draw(_DRAW_VALUES), n, draw(_DRAW_SPREAD)).astype(dtype)
+                  for _ in "xy")
     codes = []
-    for good, bad in ((_MODES, _BAD_MODES),
-                      (_REGIONS, _BAD_REGIONS)):
-        codes.append(draw(st.lists(st.sampled_from(good), min_size=1, max_size=5)))
-        if bad_codes and draw(st.integers(0, 4)) == 0:
-            codes[-1] += draw(st.lists(st.sampled_from(bad), min_size=1, max_size=3))
+    for good, bad in _DRAW_CODES:
+        codes.append(draw(good))
+        if bad_codes and draw(_DRAW_ONE_IN_FIVE) == 0:
+            codes[-1] += draw(bad)
     modes, regions = codes
-    # ids of up to 7 digits fit the byte lane's word, longer ones do not
-    trial_id = draw(st.one_of(st.integers(0, 9999), st.integers(0, 2**40)))
+    trial_id = draw(_DRAW_TRIAL_ID)
     return Trajectory(None, trial_id, 0, xs, ys,
                       rng.choice(np.array(modes, np.uint8), n),
                       rng.choice(np.array(regions, np.int16), n),
