@@ -10,6 +10,7 @@ deliberately not a state.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -67,7 +68,7 @@ def config_value(doc: dict, key: str, default, kind: type):
 
     Nothing is coerced: an int must be a JSON integer (not ``true``, ``10.9``
     or ``"3"``), a float a finite JSON number and a str a JSON string.
-    Raises ValueError naming the key.
+    Raises ValueError naming the key and echoing a shortened repr of the value.
     """
     value = doc.get(key, default)
     if kind is str:
@@ -80,7 +81,7 @@ def config_value(doc: dict, key: str, default, kind: type):
         ok = isinstance(value, (int, float)) and math.isfinite(value)
     if not ok:
         raise ValueError(f"config key {key!r} must be of type {kind.__name__}, "
-                         f"got {value!r}")
+                         f"got {reprlib.repr(value)}")
     return kind(value)
 
 

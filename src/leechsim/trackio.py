@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,9 +47,7 @@ class Frame:
 
 
 def blank_frame(width: int, height: int, color=(255, 255, 255)) -> Frame:
-    pixels = np.empty((height, width, 3), dtype=np.uint8)
-    pixels[:, :] = color
-    return Frame(width, height, pixels)
+    return Frame(width, height, np.full((height, width, 3), color, dtype=np.uint8))
 
 
 def _dark_centroid(frame: Frame, threshold: int) -> tuple[float, float] | None:
@@ -73,14 +72,19 @@ def _dark_centroid(frame: Frame, threshold: int) -> tuple[float, float] | None:
     return int(x.sum()) / n, int(y.sum()) / n
 
 
-def time_color(u: float) -> tuple[int, int, int]:
-    """Normalized time to RGB: blue at 0, green at 0.5, red at 1; u is clamped."""
-    u = min(max(u, 0.0), 1.0)
-    if u <= 0.5:
-        w = u / 0.5
-        return (0, round(255 * w), round(255 * (1.0 - w)))
-    w = (u - 0.5) / 0.5
-    return (round(255 * w), round(255 * (1.0 - w)), 0)
+def time_color(u):
+    """Normalized time to RGB: blue at 0, green at 0.5, red at 1; u is clamped.
+
+    A number gives an int tuple; an array of them gives a (..., 3) uint8
+    array.  Channels round half to even, as ``round`` does.
+    """
+    u = np.clip(u, 0.0, 1.0)
+    late = u > 0.5
+    w = np.where(late, u - 0.5, u) / 0.5
+    rise, fall = np.rint(255 * w), np.rint(255 * (1.0 - w))
+    rgb = np.stack([np.where(late, rise, 0), np.where(late, fall, rise),
+                    np.where(late, 0, fall)], axis=-1).astype(np.uint8)
+    return rgb if rgb.ndim > 1 else tuple(rgb.tolist())
 
 
 class _Projection:
@@ -93,49 +97,51 @@ class _Projection:
         self.width = int(round(env.interior_width * px_per_mm)) + 1
         self.height = int(round(env.interior_height * px_per_mm)) + 1
 
-    def to_px(self, x: float, y: float) -> tuple[int, int]:
-        return (int(round(x * self.scale)),
-                self.height - 1 - int(round(y * self.scale)))
+    def to_px(self, x, y):
+        """Pixel columns and rows of template points, rounded half to even.
 
-    def rect_to_px(self, rect) -> tuple[int, int, int, int]:
-        x0, y0 = self.to_px(rect[0], rect[3])
-        x1, y1 = self.to_px(rect[2], rect[1])
-        return x0, y0, x1, y1
+        Points far off the canvas clip to 3 px outside it, past the reach of
+        a disc, so that any finite coordinate casts to an off-canvas pixel.
+        """
+        with np.errstate(over="ignore"):  # a product past the float range clips too
+            col = np.clip(np.rint(x * self.scale), -3, self.width + 2)
+            row = np.clip(np.rint(y * self.scale), -3, self.height + 2)
+        return col.astype(np.int64), self.height - 1 - row.astype(np.int64)
+
+    @contextmanager
+    def allocating(self):
+        """Turn a failed canvas allocation into a TrackError naming the canvas."""
+        try:
+            yield
+        except MemoryError:
+            raise TrackError(f"a {self.width}x{self.height} px canvas "
+                             f"({self.scale:g} px/mm) is too large to allocate") from None
+
+    def stamps(self, traj: Trajectory, disc: np.ndarray):
+        """Flat canvas index of every on-canvas pixel of every sample's disc,
+        in sample order, and the sample each pixel belongs to."""
+        px, py = self.to_px(traj.xs, traj.ys)
+        x = px[:, None] + disc[:, 0]
+        y = py[:, None] + disc[:, 1]
+        on = (0 <= x) & (x < self.width) & (0 <= y) & (y < self.height)
+        return y[on] * self.width + x[on], np.nonzero(on)[0]
 
 
-def _disc_offsets(radius: int) -> list[tuple[int, int]]:
-    return [
-        (dx, dy)
-        for dx in range(-radius, radius + 1)
-        for dy in range(-radius, radius + 1)
-        if dx * dx + dy * dy <= radius * radius
-    ]
-
-
-def _stamp_disc(pixels: np.ndarray, px: int, py: int, offsets, color) -> None:
-    h, w = pixels.shape[:2]
-    for dx, dy in offsets:
-        x, y = px + dx, py + dy
-        if 0 <= x < w and 0 <= y < h:
-            pixels[y, x] = color
+_DISC = np.argwhere((np.mgrid[-2:3, -2:3] ** 2).sum(axis=0) <= 4) - 2  # radius 2 px
 
 
 def _draw_walls(pixels: np.ndarray, env: EnvironmentTemplate, proj: _Projection,
                 color, fill: bool) -> None:
-    h, w = pixels.shape[:2]
-    pixels[0, :] = color
-    pixels[h - 1, :] = color
-    pixels[:, 0] = color
-    pixels[:, w - 1] = color
+    pixels[[0, -1], :] = color
+    pixels[:, [0, -1]] = color
     for rect in env.wall_rects:
-        x0, y0, x1, y1 = proj.rect_to_px(rect)
+        x0, y0 = proj.to_px(rect[0], rect[3])
+        x1, y1 = proj.to_px(rect[2], rect[1])
         if fill:
             pixels[y0:y1 + 1, x0:x1 + 1] = color
         else:
-            pixels[y0, x0:x1 + 1] = color
-            pixels[y1, x0:x1 + 1] = color
-            pixels[y0:y1 + 1, x0] = color
-            pixels[y0:y1 + 1, x1] = color
+            pixels[[y0, y1], x0:x1 + 1] = color
+            pixels[y0:y1 + 1, [x0, x1]] = color
 
 
 def render_time_overlay(traj: Trajectory, env: EnvironmentTemplate,
@@ -143,19 +149,20 @@ def render_time_overlay(traj: Trajectory, env: EnvironmentTemplate,
     """All samples on one white canvas, colored by normalized time.
 
     Walls are drawn as 1 px black outlines; each sample is a filled disc of
-    radius 2 px and later samples overdraw earlier ones.
+    radius 2 px and later samples overdraw earlier ones: each pixel takes
+    the color of the latest sample whose disc covers it.
     """
     if traj.n_ticks == 0:
         raise TrackError("empty trajectory")
     proj = _Projection(env, px_per_mm)
-    frame = blank_frame(proj.width, proj.height)
-    _draw_walls(frame.pixels, env, proj, (0, 0, 0), fill=False)
-    offsets = _disc_offsets(2)
-    last = traj.n_ticks - 1
-    for k in range(traj.n_ticks):
-        u = k / last if last else 0.0
-        px, py = proj.to_px(traj.xs[k], traj.ys[k])
-        _stamp_disc(frame.pixels, px, py, offsets, time_color(u))
+    with proj.allocating():
+        frame = blank_frame(proj.width, proj.height)
+        _draw_walls(frame.pixels, env, proj, (0, 0, 0), fill=False)
+        index, sample = proj.stamps(traj, _DISC)
+        latest = np.full(proj.width * proj.height, -1)
+        np.maximum.at(latest, index, sample)  # assignment to repeated indices has no order
+        hit = np.flatnonzero(latest >= 0)
+        frame.pixels.reshape(-1, 3)[hit] = time_color(latest[hit] / max(traj.n_ticks - 1, 1))
     return frame
 
 
@@ -169,19 +176,14 @@ def render_activity_map(traj: Trajectory, env: EnvironmentTemplate,
     if traj.n_ticks == 0:
         raise TrackError("empty trajectory")
     proj = _Projection(env, px_per_mm)
-    counts = np.zeros((proj.height, proj.width), dtype=np.int64)
-    for k in range(traj.n_ticks):
-        px, py = proj.to_px(traj.xs[k], traj.ys[k])
-        if 0 <= px < proj.width and 0 <= py < proj.height:
-            counts[py, px] += 1
-    peak = counts.max()
-    if peak == 0:
-        return np.zeros_like(counts, dtype=np.uint8)
-    return np.rint(counts * (255.0 / peak)).astype(np.uint8)
+    with proj.allocating():
+        index, _ = proj.stamps(traj, np.zeros((1, 2), dtype=np.int64))
+        counts = np.bincount(index, minlength=proj.width * proj.height)
+        gray = np.rint(counts * (255.0 / max(counts.max(), 1))).astype(np.uint8)
+    return gray.reshape(proj.height, proj.width)
 
 
 _LEECH_COLOR = (20, 20, 20)
-_LEECH_RADIUS_PX = 2
 _WALL_GRAY = (200, 200, 200)  # visible but above any sane darkness threshold
 
 
@@ -193,13 +195,13 @@ def render_frames(traj: Trajectory, env: EnvironmentTemplate,
     this is the forward model for the tracking round trip.
     """
     proj = _Projection(env, px_per_mm)
-    offsets = _disc_offsets(_LEECH_RADIUS_PX)
     background = blank_frame(proj.width, proj.height)
     _draw_walls(background.pixels, env, proj, _WALL_GRAY, fill=True)
-    for k in range(traj.n_ticks):
+    index, sample = proj.stamps(traj, _DISC)
+    ends = np.searchsorted(sample, np.arange(traj.n_ticks + 1))
+    for lo, hi in zip(ends[:-1], ends[1:]):
         pixels = background.pixels.copy()
-        px, py = proj.to_px(traj.xs[k], traj.ys[k])
-        _stamp_disc(pixels, px, py, offsets, _LEECH_COLOR)
+        pixels.reshape(-1, 3)[index[lo:hi]] = _LEECH_COLOR
         yield Frame(proj.width, proj.height, pixels)
 
 
@@ -280,44 +282,42 @@ def write_pgm(path, gray: np.ndarray) -> None:
     Path(path).write_bytes(header + gray.tobytes())
 
 
+# The magic, which whitespace or a comment must follow, then width, height
+# and maxval: each a run of non-space bytes after any whitespace and
+# comments.  A comment runs from '#' to the end of its line.
+_PNM_HEADER = re.compile(rb"(P\d)(?![^\s#])" + rb"(?:\s|#[^\n]*)*(\S*)" * 3)
+
+
 def _parse_pnm_header(data: bytes, magic: bytes, path) -> tuple[int, int, int]:
-    if not data.startswith(magic):
+    """Width, height and the offset of the pixel data: one whitespace byte
+    past maxval, which must be 255."""
+    match = _PNM_HEADER.match(data)
+    if match is None or match[1] != magic:
         raise TrackError(f"{path}: expected {magic.decode()} file")
-    fields: list[int] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":  # comment to end of line
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
+    fields = []
+    for token in match.groups()[1:]:
         if not token.isdigit():
             raise TrackError(f"{path}: bad header token {token!r}")
-        fields.append(int(token))
-    pos += 1  # single whitespace byte after maxval
+        try:
+            fields.append(int(token))
+        except ValueError:  # more digits than int() converts
+            raise TrackError(f"{path}: header token of {len(token)} digits "
+                             "is too long") from None
     width, height, maxval = fields
     if maxval != 255:
         raise TrackError(f"{path}: only maxval 255 is supported")
-    return width, height, pos
+    return width, height, match.end() + 1
 
 
 def read_ppm(path) -> Frame:
+    """The frame of a binary PPM (P6) file, as a read-only view of its bytes."""
     data = Path(path).read_bytes()
     width, height, pos = _parse_pnm_header(data, b"P6", path)
     expected = width * height * 3
-    raw = data[pos:pos + expected]
-    if len(raw) != expected:
+    if len(data) - pos < expected:
         raise TrackError(f"{path}: truncated pixel data")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(height, width, 3).copy()
+    pixels = np.frombuffer(data, np.uint8, expected, pos).reshape(height, width, 3)
     return Frame(width, height, pixels)
-
-
-_FRAME_NAME = re.compile(r"frame_(\d{6})\.ppm$")
 
 
 def frame_filename(index: int) -> str:
@@ -325,14 +325,10 @@ def frame_filename(index: int) -> str:
 
 
 def read_frame_dir(path):
-    """Yield frames from ``frame_%06d.ppm`` files in index order."""
+    """Yield frames from ``frame_%06d.ppm`` files (six ASCII digits) in index order."""
     directory = Path(path)
-    named = []
-    for p in directory.iterdir():
-        match = _FRAME_NAME.match(p.name)
-        if match:
-            named.append((int(match.group(1)), p))
-    if not named:
+    paths = sorted(directory.glob("frame_" + "[0-9]" * 6 + ".ppm"))
+    if not paths:
         raise TrackError(f"no frame_%06d.ppm files in {directory}")
-    for _, p in sorted(named):
+    for p in paths:
         yield read_ppm(p)

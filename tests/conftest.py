@@ -16,6 +16,7 @@ from leechsim.locomotion import (
     TrajectoryFormatError,
     mode_label,
 )
+from leechsim.trackio import _LEECH_COLOR, _WALL_GRAY, Frame, TrackError, _Projection
 
 # Each property draws the same examples on every run, seeded from the test,
 # so whether a rare failing example turns up does not depend on the run.
@@ -229,3 +230,120 @@ def write_trajectory_csv_per_row(traj, path):
     row = f"{traj.trial_id},%d,%.3f,%.3f,%s,%s\n"
     Path(path).write_text(f"{_CSV_HEADER}\n" + (row * n) % tuple(fields),
                           newline="\n")
+
+
+def parse_pnm_header_per_byte(data, magic, path):
+    """The PNM header parser as a loop over bytes.
+
+    The oracle for the regex ``_parse_pnm_header``: same result and same
+    message for every header, except that the oracle also reads a magic
+    followed directly by a non-space byte (``P61 1 255``).
+    """
+    if not data.startswith(magic):
+        raise TrackError(f"{path}: expected {magic.decode()} file")
+    fields = []
+    pos = 2
+    while len(fields) < 3:
+        while pos < len(data) and data[pos:pos + 1].isspace():
+            pos += 1
+        if data[pos:pos + 1] == b"#":  # comment to end of line
+            while pos < len(data) and data[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos:pos + 1].isspace():
+            pos += 1
+        token = data[start:pos]
+        if not token.isdigit():
+            raise TrackError(f"{path}: bad header token {token!r}")
+        try:
+            fields.append(int(token))
+        except ValueError:
+            raise TrackError(f"{path}: header token of {len(token)} digits "
+                             "is too long") from None
+    pos += 1  # single whitespace byte after maxval
+    width, height, maxval = fields
+    if maxval != 255:
+        raise TrackError(f"{path}: only maxval 255 is supported")
+    return width, height, pos
+
+
+def time_color_per_sample(u):
+    """The scalar time color: the oracle for ``time_color`` on arrays."""
+    u = min(max(u, 0.0), 1.0)
+    if u <= 0.5:
+        w = u / 0.5
+        return (0, round(255 * w), round(255 * (1.0 - w)))
+    w = (u - 0.5) / 0.5
+    return (round(255 * w), round(255 * (1.0 - w)), 0)
+
+
+_DISC_PER_PIXEL = [(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)
+                   if dx * dx + dy * dy <= 4]
+
+
+def _px_per_sample(proj, x, y):
+    return int(round(x * proj.scale)), proj.height - 1 - int(round(y * proj.scale))
+
+
+def _stamp_per_pixel(pixels, px, py, color):
+    h, w = pixels.shape[:2]
+    for dx, dy in _DISC_PER_PIXEL:
+        x, y = px + dx, py + dy
+        if 0 <= x < w and 0 <= y < h:
+            pixels[y, x] = color
+
+
+def _canvas(env, px_per_mm, color, fill):
+    """The renderers' white canvas with its border and wall blocks in
+    ``color``, filled or outlined 1 px wide."""
+    proj = _Projection(env, px_per_mm)
+    pixels = np.full((proj.height, proj.width, 3), 255, dtype=np.uint8)
+    pixels[0, :] = pixels[-1, :] = pixels[:, 0] = pixels[:, -1] = color
+    for left, bottom, right, top in env.wall_rects:
+        x0, y0 = _px_per_sample(proj, left, top)
+        x1, y1 = _px_per_sample(proj, right, bottom)
+        if fill:
+            pixels[y0:y1 + 1, x0:x1 + 1] = color
+        else:
+            pixels[y0, x0:x1 + 1] = pixels[y1, x0:x1 + 1] = color
+            pixels[y0:y1 + 1, x0] = pixels[y0:y1 + 1, x1] = color
+    return proj, Frame(proj.width, proj.height, pixels)
+
+
+def render_time_overlay_per_sample(traj, env, px_per_mm):
+    """The overlay renderer as a loop over samples and disc pixels: the
+    oracle for ``render_time_overlay``."""
+    proj, frame = _canvas(env, px_per_mm, (0, 0, 0), fill=False)
+    last = traj.n_ticks - 1
+    for k in range(traj.n_ticks):
+        u = k / last if last else 0.0
+        _stamp_per_pixel(frame.pixels, *_px_per_sample(proj, traj.xs[k], traj.ys[k]),
+                         time_color_per_sample(u))
+    return frame
+
+
+def render_activity_map_per_sample(traj, env, px_per_mm):
+    """The activity renderer as a loop over samples: the oracle for
+    ``render_activity_map``."""
+    proj = _Projection(env, px_per_mm)
+    counts = np.zeros((proj.height, proj.width), dtype=np.int64)
+    for k in range(traj.n_ticks):
+        px, py = _px_per_sample(proj, traj.xs[k], traj.ys[k])
+        if 0 <= px < proj.width and 0 <= py < proj.height:
+            counts[py, px] += 1
+    peak = counts.max()
+    if peak == 0:
+        return np.zeros_like(counts, dtype=np.uint8)
+    return np.rint(counts * (255.0 / peak)).astype(np.uint8)
+
+
+def render_frames_per_sample(traj, env, px_per_mm):
+    """One frame per sample, its disc stamped pixel by pixel: the oracle for
+    ``render_frames``."""
+    proj, background = _canvas(env, px_per_mm, _WALL_GRAY, fill=True)
+    for k in range(traj.n_ticks):
+        pixels = background.pixels.copy()
+        _stamp_per_pixel(pixels, *_px_per_sample(proj, traj.xs[k], traj.ys[k]),
+                         _LEECH_COLOR)
+        yield Frame(proj.width, proj.height, pixels)

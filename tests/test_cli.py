@@ -684,3 +684,26 @@ def test_track_empty_dir_is_runtime_error(tmp_path, capsys):
     empty = tmp_path / "frames"
     empty.mkdir()
     assert main(["track", str(empty)]) == 3
+
+
+@pytest.mark.parametrize("mode", ["overlay", "activity"])
+def test_render_canvas_too_large_to_allocate_is_exit_3(tmp_path, capsys, mode):
+    # 1e6 px/mm makes the template a 134,000,001 x 27,000,001 px canvas, 9.64 PiB
+    # as RGB: past any address space, so its allocation fails at once
+    cfg = _small_config(tmp_path, n_trials=1, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    out = tmp_path / "image"
+    assert main(["render", str(tmp_path / "run" / "trial_0000.csv"), "--mode", mode,
+                 "--px-per-mm", "1e6", "--out", str(out)]) == 3
+    assert "134000001x27000001 px canvas" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_value_of_wrong_type_is_echoed_short(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    nested = "[" * 900 + "]" * 900
+    cfg.write_text(json.dumps(RunConfig().to_dict())[:-1] + f', "n_trials": {nested}}}')
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "config key 'n_trials' must be of type int, got [[[[[[[...]]]]]]]" in err
+    assert err.count("\n") == 1 and len(err) < 200

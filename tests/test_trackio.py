@@ -1,8 +1,10 @@
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leechsim.cli import main
@@ -135,6 +137,16 @@ def test_time_color_monotone_hue():
             assert b2 <= b1 and g2 >= g1
         if u > 0.5:
             assert g2 <= g1 and r2 >= r1
+
+
+def test_time_color_on_arrays_matches_the_scalar_oracle():
+    # 255 * w is an even integer plus one half at u = 1 / 1020
+    from conftest import time_color_per_sample
+
+    for last in (1, 2, 1020, 1799):
+        u = np.append(np.arange(last + 1) / last, [-0.5, 1.5])
+        assert list(map(tuple, time_color(u).tolist())) == \
+            [time_color_per_sample(x) for x in u.tolist()]
 
 
 def test_overlay_single_sample_is_blue(env, auto, motion):
@@ -386,3 +398,184 @@ def test_track_cli_output_is_pinned(tmp_path, env):
     assert main(["track", str(frame_dir), "--threshold", "40", "--px-per-mm", "2",
                  "--manifest", str(config), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TRACK_SHA256
+
+
+# --- PNM headers and renderers against their per-byte and per-sample oracles --
+
+
+def test_magic_must_be_followed_by_whitespace_or_a_comment(tmp_path):
+    path = tmp_path / "f.ppm"
+    path.write_bytes(b"P61 1 255\n" + bytes(3))
+    with pytest.raises(TrackError, match="expected P6 file"):
+        read_ppm(path)
+    path.write_bytes(b"P6#c\n1 1 255\n" + bytes(3))
+    assert read_ppm(path).width == 1
+
+
+def test_header_token_too_long_names_the_file(tmp_path, capsys):
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    path = frame_dir / frame_filename(0)
+    path.write_bytes(b"P6\n" + b"1" * 5000 + b" 1\n255\n" + bytes(3))
+    assert main(["track", str(frame_dir), "--out", str(tmp_path / "t.csv")]) == 3
+    assert f"{path}: header token of 5000 digits is too long" in capsys.readouterr().err
+
+
+def test_frame_names_take_ascii_digits_only(tmp_path):
+    for name in (frame_filename(0), "frame_\u0660\u0660\u0660\u0660\u0660\u0661.ppm"):
+        write_ppm(tmp_path / name, blank_frame(3, 2))
+    assert len(list(read_frame_dir(tmp_path))) == 1
+
+
+def test_read_frames_are_read_only_views(tmp_path):
+    path = tmp_path / "f.ppm"
+    write_ppm(path, blank_frame(3, 2))
+    assert not read_ppm(path).pixels.flags.writeable
+
+
+_ASCII_SPACES = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+_SEPARATORS = st.lists(_ASCII_SPACES | st.binary(max_size=6).map(
+    lambda b: b"#" + b.replace(b"\n", b"") + b"\n"), min_size=1, max_size=3).map(b"".join)
+# every character str.isspace accepts, UTF-8 encoded (bytes.isspace, like the
+# header grammar, knows only the six ASCII ones), a comment with any bytes, or
+# nothing at all
+_ODD_SEPARATORS = st.sampled_from([c.encode() for c in map(chr, range(0x3001))
+                                   if c.isspace()] + [b""]) \
+    | st.binary(max_size=6).map(lambda b: b"#" + b)
+_NUMBERS = st.integers(0, 300).map(lambda n: str(n).encode())
+_MAXVALS = st.sampled_from([b"255", b"255", b"255", b"0255", b"256"])
+_ODD_TOKENS = st.sampled_from([b"9" * 20, b"1" + b"0" * 4299, b"9" * 4301,
+                               b"1" * 5000, b"-1", b"\xc2\xb2", b"3#4"]) \
+    | st.binary(min_size=1, max_size=3)
+
+
+@st.composite
+def _pnm_headers(draw, magic):
+    """Mostly ``magic`` and three numbers, each after whitespace and
+    comments, then payload bytes; sometimes another magic, an odd token or
+    separator, or the whole cut short."""
+    def odd():
+        return draw(st.integers(0, 3)) == 3
+
+    data = draw(st.sampled_from([b"P5", b"P6", b"P3"])) if odd() else magic
+    for field in (_NUMBERS, _NUMBERS, _MAXVALS):
+        data += draw(_ODD_SEPARATORS if odd() else _SEPARATORS)
+        data += draw(_ODD_TOKENS if odd() else field)
+    data += draw(_ODD_SEPARATORS if odd() else _SEPARATORS) + draw(st.binary(max_size=4))
+    return data[:draw(st.integers(0, len(data)))] if odd() else data
+
+
+def _parsed(parse, data, magic):
+    try:
+        return parse(data, magic, "f.pnm")
+    except TrackError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(magic=st.sampled_from([b"P5", b"P6"]), draw=st.data())
+def test_header_parser_matches_the_per_byte_oracle(magic, draw):
+    from conftest import parse_pnm_header_per_byte
+
+    data = draw.draw(_pnm_headers(magic))
+    expected = _parsed(parse_pnm_header_per_byte, data, magic)
+    after = data[len(magic):len(magic) + 1]
+    if data.startswith(magic) and after and not (after.isspace() or after == b"#"):
+        expected = f"f.pnm: expected {magic.decode()} file"  # the oracle reads on
+    assert _parsed(_parse_pnm_header, data, magic) == expected
+
+
+_COORDS = st.floats(-3.0, 140.0) | st.sampled_from([1e300, -1e300, -0.75, -0.5, -0.25,
+                                                   0.0, 27.0, 27.5, 134.0, 134.75])
+
+
+@st.composite
+def _paths(draw):
+    """1, 2 or many samples drawn from a few positions, so that discs
+    overdraw, some of them off the canvas or far beyond it."""
+    n = draw(st.sampled_from([1, 2]) | st.integers(3, 40))
+    pool = draw(st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=n))
+    return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1),
+                                           min_size=n, max_size=n))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(path=_paths(), px_per_mm=st.sampled_from([0.05, 0.5, 1.0, 2.0, 4.0, 6.5]))
+def test_renderers_match_the_per_sample_oracles(env, path, px_per_mm):
+    from conftest import (make_trajectory, render_activity_map_per_sample,
+                          render_frames_per_sample, render_time_overlay_per_sample)
+
+    traj = make_trajectory(env, [0] * len(path))
+    traj.xs[:], traj.ys[:] = zip(*path)
+
+    def images(*arrays):
+        return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
+
+    assert images(render_time_overlay(traj, env, px_per_mm).pixels) == \
+        images(render_time_overlay_per_sample(traj, env, px_per_mm).pixels)
+    assert images(render_activity_map(traj, env, px_per_mm)) == \
+        images(render_activity_map_per_sample(traj, env, px_per_mm))
+    assert images(*(f.pixels for f in render_frames(traj, env, px_per_mm))) == \
+        images(*(f.pixels for f in render_frames_per_sample(traj, env, px_per_mm)))
+
+
+_DRAW_FRAME_KINDS = st.lists(st.sampled_from(["truncate", "flip", "duplicate", "huge"]),
+                             min_size=1, max_size=3)
+_DRAW_INDEX = st.integers(0, 2**16)
+_DRAW_HUGE = st.sampled_from([b"9" * 20, str(2**64).encode(), b"1" + b"0" * 4299,
+                              b"9" * 4301, b"0" * 5000])
+
+
+@st.composite
+def _hostile_frames(draw, files):
+    """The valid frame files, one of them cut short, with bytes flipped to
+    any value, a run of bytes duplicated, or a header field replaced by a
+    huge integer."""
+    files = list(files)
+    k = draw(st.integers(0, len(files) - 1))
+    data = files[k]
+    for kind in draw(_DRAW_FRAME_KINDS):
+        at = draw(_DRAW_INDEX) % max(len(data), 1)
+        if kind == "truncate":
+            data = data[:at]
+        elif kind == "flip":
+            data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+        elif kind == "duplicate":
+            data = data[:at] + data[at:at + draw(st.integers(1, 64))] + data[at:]
+        else:
+            fields = data.split(b"\n", 3)
+            row = draw(st.integers(1, 2)) if len(fields) == 4 else 0
+            tokens = fields[row].split(b" ")
+            tokens[at % len(tokens)] = draw(_DRAW_HUGE)
+            fields[row] = b" ".join(tokens)
+            data = b"\n".join(fields)
+    files[k] = data
+    return files
+
+
+@pytest.fixture(scope="module")
+def valid_frames(tmp_path_factory, env, auto, motion):
+    """A directory for frame files, and three valid ones as bytes."""
+    traj = run_trial(env, motion, auto, seed=3, duration=3)
+    path = tmp_path_factory.mktemp("frames") / "f.ppm"
+    files = []
+    for frame in render_frames(traj, env, px_per_mm=0.5):
+        write_ppm(path, frame)
+        files.append(path.read_bytes())
+    return path.parent, files
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_track_on_hostile_frames_ends_in_exit_0_2_or_3(valid_frames, data):
+    """No frame file raises out of ``main``; a refused run writes no CSV."""
+    frame_dir, files = valid_frames
+    for i, raw in enumerate(data.draw(_hostile_frames(files))):
+        (frame_dir / frame_filename(i)).write_bytes(raw)
+    out = frame_dir / "tracked.csv"
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["track", str(frame_dir), "--px-per-mm", "0.5", "--out", str(out)])
+    assert code in (0, 2, 3)
+    assert out.exists() == (code == 0)
