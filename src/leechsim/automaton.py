@@ -9,8 +9,8 @@ deliberately not a state.
 
 from __future__ import annotations
 
-import math
 import reprlib
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -77,8 +77,8 @@ def config_value(doc: dict, key: str, default, kind: type):
         ok = False
     elif kind is int:
         ok = isinstance(value, int)
-    else:
-        ok = isinstance(value, (int, float)) and math.isfinite(value)
+    else:  # finite, which an int past the largest float is not
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if not ok:
         raise ValueError(f"config key {key!r} must be of type {kind.__name__}, "
                          f"got {reprlib.repr(value)}")
@@ -91,12 +91,13 @@ def parse_config(cls, doc: dict, section: str = ""):
     The table lists ``(field, key, type)``; absent keys keep the field's
     default and present ones go through :func:`config_value`.  A type with a
     table of its own is a nested section: a JSON object parsed the same way.
-    Keys the table lacks raise ValueError naming ``section``.
+    Keys the table lacks raise ValueError naming ``section``, their count
+    and a shortened repr of the first few.
     """
     unknown = set(doc) - {key for _, key, _ in cls._CONFIG}
     if unknown:
-        raise ValueError(f"unknown {section + ' ' if section else ''}config keys: "
-                         f"{sorted(unknown)}")
+        raise ValueError(f"unknown {section + ' ' if section else ''}config keys "
+                         f"({len(unknown)}): {reprlib.repr(sorted(unknown))}")
     defaults = cls()
     values = {}
     for name, key, kind in cls._CONFIG:
@@ -118,20 +119,6 @@ def config_doc(obj) -> dict:
     return doc
 
 
-def p_still_exit(t: int, params: AutomatonParams) -> float:
-    """Per-tick hazard of leaving Still: 1/(tau_s - t + 1), reaching 1 at the cap."""
-    if not 0 <= t <= params.tau_s:
-        raise ValueError(f"still timer {t} outside [0, {params.tau_s}]")
-    return 1.0 / (params.tau_s - t + 1)
-
-
-def p_active_exit(t: int, params: AutomatonParams) -> float:
-    """Per-tick hazard of leaving the active (crawl/explore) phase."""
-    if not 0 <= t <= params.tau_a:
-        raise ValueError(f"active timer {t} outside [0, {params.tau_a}]")
-    return 1.0 / (params.tau_a - t + 1)
-
-
 def p_visit(x: float, params: AutomatonParams) -> float:
     """Room-visit probability a*x**b at distance x (room-index units, x >= 1)."""
     if x < 1:
@@ -139,45 +126,26 @@ def p_visit(x: float, params: AutomatonParams) -> float:
     return min(1.0, params.a * x ** params.b)
 
 
-def transition_kernel(
-    mode: Mode, t: int, m: int, params: AutomatonParams, q_enter: float
-) -> tuple[float, float, float]:
-    """Probability vector over (Still, Crawl, Explore) for the next tick.
-
-    ``t`` is the timer of the current phase, the ticks since the last
-    still/active boundary crossing.  Rows (each sums to 1):
-
-    * Still:   stay with 1-p1, otherwise split evenly between Crawl and Explore.
-    * Crawl:   exit to Still with p2; conditional on staying active, contact
-      (m=1) forces Explore, otherwise Explore fires with probability q_enter
-      and Crawl continues with 1-q_enter.
-    * Explore: exit to Still with p2; conditional on staying active, Explore
-      persists while in contact and reverts to Crawl when contact is lost.
-    """
-    if m not in (0, 1):
-        raise ValueError(f"mechanoreceptor bit must be 0 or 1, got {m}")
-    if not 0.0 <= q_enter <= 1.0:
-        raise ValueError(f"q_enter {q_enter} outside [0, 1]")
-    if mode == Mode.STILL:
-        p1 = p_still_exit(t, params)
-        return (1.0 - p1, 0.5 * p1, 0.5 * p1)
-    p2 = p_active_exit(t, params)
-    if mode == Mode.CRAWL:
-        p_explore = (1.0 - p2) * (m + (1 - m) * q_enter)
-        p_crawl = (1.0 - p2) * (1 - m) * (1.0 - q_enter)
-        return (p2, p_crawl, p_explore)
-    return (p2, (1.0 - p2) * (1 - m), (1.0 - p2) * m)
-
-
 def transition_thresholds(mode, t, m, q_enter, tau_s: int, tau_a: int):
     """The inverse-CDF thresholds of one automaton step, elementwise.
 
-    :func:`transition_kernel`'s cumulative probabilities in the fixed
-    (Still, Crawl, Explore) order, in the same floats: a step with uniform
-    ``u`` goes to Still below ``first``, to Crawl below ``second`` and to
-    Explore otherwise (:func:`next_modes`).  ``mode`` and ``t`` are
-    equal-length arrays; ``m`` (0/1) and ``q_enter`` are arrays of that
-    length or scalars, and ``q_enter`` only acts on Crawl.
+    ``t`` is the timer of the current phase, the ticks since the last
+    still/active boundary crossing; the phase's exit hazard is
+    1/(cap - t + 1), which reaches 1 at the cap (``tau_s`` in Still,
+    ``tau_a`` in Crawl and Explore).  The step's probabilities over
+    (Still, Crawl, Explore):
+
+    * Still:   stay with 1-p1, otherwise split evenly between Crawl and Explore.
+    * Crawl:   exit to Still with p2; conditional on staying active, contact
+      (m=1) forces Explore, otherwise Explore fires with probability q_enter.
+    * Explore: exit to Still with p2; conditional on staying active, Explore
+      persists while in contact and reverts to Crawl when contact is lost.
+
+    The thresholds are their cumulative sums in that fixed order: a step
+    with uniform ``u`` goes to Still below ``first``, to Crawl below
+    ``second`` and to Explore otherwise (:func:`next_modes`).  ``mode`` and
+    ``t`` are equal-length arrays; ``m`` (0/1) and ``q_enter`` are arrays of
+    that length or scalars, and ``q_enter`` only acts on Crawl.
     Returns the (first, second) arrays.
     """
     still = mode == 0
@@ -209,14 +177,3 @@ def next_timers(mode, t, new_mode):
     it resets to 0 exactly on Still<->active boundary crossings and
     increments otherwise, so a Crawl<->Explore switch does not reset it."""
     return np.where((mode == 0) == (new_mode == 0), t + 1, 0)
-
-
-def sample_transitions(mode, t, m, q_enter, tau_s: int, tau_a: int, u):
-    """Array sampler: one automaton step per element given uniform draws ``u``.
-
-    :func:`next_modes` and :func:`next_timers` over
-    :func:`transition_thresholds`, which take the arguments of the same
-    names.  Returns the new (mode, t) arrays.
-    """
-    new_mode = next_modes(u, *transition_thresholds(mode, t, m, q_enter, tau_s, tau_a))
-    return new_mode, next_timers(mode, t, new_mode)

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,9 +68,8 @@ class EnvironmentConfig:
 
     def build(self) -> EnvironmentTemplate:
         if self.kind != "corridor":
-            raise ConfigError(
-                f"simulation supports only the corridor template, got {self.kind!r}"
-            )
+            raise ConfigError("simulation supports only the corridor template, "
+                              f"got {reprlib.repr(self.kind)}")
         try:
             return build_corridor_template(
                 rooms=self.rooms,
@@ -101,13 +102,12 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.n_trials < 1:
-            raise ConfigError(f"n_trials must be >= 1, got {self.n_trials}")
+            raise ConfigError(f"n_trials must be >= 1, got {reprlib.repr(self.n_trials)}")
         if self.duration_ticks < 1:
-            raise ConfigError(
-                f"duration_ticks must be >= 1, got {self.duration_ticks}"
-            )
+            raise ConfigError(f"duration_ticks must be >= 1, "
+                              f"got {reprlib.repr(self.duration_ticks)}")
         if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+            raise ConfigError(f"base_seed must be >= 0, got {reprlib.repr(self.base_seed)}")
         # the kernel checks this too, but only once a run has begun
         if self.motion.contact_radius > self.environment.wall_mm:
             raise ConfigError(
@@ -159,10 +159,14 @@ def load_run_config(path) -> RunConfig:
         return cfg
     if doc.get("seed_derivation") != SEED_DERIVATION:
         raise ConfigError(f"{path}: seed_derivation must be {SEED_DERIVATION!r}")
-    if doc.get("trial_seeds") != _trial_seeds(cfg):
+    seeds = doc.get("trial_seeds")
+    # compare lengths first, so that a huge n_trials derives no seeds
+    if (not isinstance(seeds, list) or len(seeds) != cfg.n_trials
+            or seeds != _trial_seeds(cfg)):
         raise ConfigError(
             f"{path}: trial_seeds are not {SEED_DERIVATION} for base_seed "
-            f"{cfg.base_seed} and trial_index 0..{cfg.n_trials - 1}")
+            f"{reprlib.repr(cfg.base_seed)} and trial_index "
+            f"0..{reprlib.repr(cfg.n_trials - 1)}")
     return cfg
 
 
@@ -235,12 +239,51 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, list[Trajectory]]:
-    """The manifest's config and template, and its trials read from their CSVs.
+@dataclass(frozen=True)
+class _RunTrials:
+    """A run's trajectories, each read from its CSV and checked as it is
+    iterated, so that one file's arrays are held at a time; ``len`` is the
+    trial count.
 
-    Every trial file must be present, carry its own index as trial id,
-    hold ``duration_ticks`` rows and no mode the automaton lacks (tracked
-    data's UNKNOWN); no other ``trial_*.csv`` may be there.
+    Each file must carry its own index as trial id, hold ``duration`` rows
+    and no mode the automaton lacks (tracked data's UNKNOWN).  The first
+    fault in file order is raised.
+    """
+
+    manifest: Path
+    duration: int
+    env: EnvironmentTemplate
+    files: list[Path]
+
+    def __len__(self) -> int:
+        return len(self.files)
+
+    def __iter__(self) -> Iterator[Trajectory]:
+        duration = self.duration
+        for index, path in enumerate(self.files):
+            traj = read_trajectory_csv(path, self.env)
+            if traj.trial_id != index:
+                raise RuntimeError(f"{path}:2: trial id {traj.trial_id}, but the file "
+                                   f"name gives trial {index}")
+            if traj.n_ticks != duration:
+                # name the first row past duration_ticks; a cut file has none
+                line = f":{duration + 2}" if traj.n_ticks > duration else ""
+                raise RuntimeError(f"{path}{line}: {traj.n_ticks} ticks, but "
+                                   f"{self.manifest} gives duration_ticks {duration}")
+            unknown = traj.modes == MODE_UNKNOWN
+            if unknown.any():
+                names = [mode.name for mode in Mode]
+                raise RuntimeError(f"{path}:{unknown.argmax() + 2}: mode UNKNOWN, but "
+                                   f"simulated trials are {', '.join(names[:-1])} or "
+                                   f"{names[-1]}")
+            yield traj
+
+
+def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, _RunTrials]:
+    """The manifest's config and template, and its trials as :class:`_RunTrials`.
+
+    Every trial file must be present, and no other ``trial_*.csv`` may be
+    there; the files themselves are read as the trials are iterated.
     """
     manifest = run_dir / "manifest.json"
     if not manifest.is_file():
@@ -256,26 +299,7 @@ def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, list[T
     if extra:
         raise RuntimeError(f"{extra[0]}: not one of the {cfg.n_trials} trials "
                            f"{manifest} lists (stale file from another run?)")
-    trajs = []
-    for index, path in enumerate(files):
-        traj = read_trajectory_csv(path, env)
-        if traj.trial_id != index:
-            raise RuntimeError(f"{path}:2: trial id {traj.trial_id}, but the file "
-                               f"name gives trial {index}")
-        if traj.n_ticks != cfg.duration_ticks:
-            # name the first row past duration_ticks; a cut file has none
-            line = (f":{cfg.duration_ticks + 2}"
-                    if traj.n_ticks > cfg.duration_ticks else "")
-            raise RuntimeError(f"{path}{line}: {traj.n_ticks} ticks, but {manifest} "
-                               f"gives duration_ticks {cfg.duration_ticks}")
-        unknown = traj.modes == MODE_UNKNOWN
-        if unknown.any():
-            names = [mode.name for mode in Mode]
-            raise RuntimeError(f"{path}:{unknown.argmax() + 2}: mode UNKNOWN, but "
-                               f"simulated trials are {', '.join(names[:-1])} or "
-                               f"{names[-1]}")
-        trajs.append(traj)
-    return cfg, env, trajs
+    return cfg, env, _RunTrials(manifest, cfg.duration_ticks, env, files)
 
 
 def _write_stats(env: EnvironmentTemplate, counts, out: Path) -> None:

@@ -14,6 +14,7 @@ file labels ``C``, ``R<i>``, ``W`` and ``UNKNOWN``.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 
@@ -125,7 +126,7 @@ def build_corridor_template(
     point sits 4 mm from the right interior wall at corridor mid-height.
     """
     if not 1 <= rooms <= MAX_ROOM:
-        raise GeometryError(f"rooms must lie in [1, {MAX_ROOM}], got {rooms}")
+        raise GeometryError(f"rooms must lie in [1, {MAX_ROOM}], got {reprlib.repr(rooms)}")
     for name, v in (("room_size", room_size), ("wall", wall),
                     ("corridor_width", corridor_width), ("opening", opening)):
         if v <= 0:

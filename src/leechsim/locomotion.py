@@ -484,8 +484,8 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
     events sit in one flat array, event i's from ``starts[i]`` on, in the
     order single ticks, Crawl runs, Still runs.  Contact is computed for the
     ticks that moved, and every tick compares its uniform with the
-    thresholds of :func:`_thresholds` (:func:`next_modes`), which are those
-    of :func:`~leechsim.automaton.sample_transitions`.
+    thresholds of :func:`_thresholds` (:func:`next_modes`), and each event
+    advances its trial's timer by :func:`next_timers`.
 
     ``out.record(rows, k, x, y, mode, region, m, passed)`` gets the ticks
     that happened, in one call per iteration and one for the release: trial

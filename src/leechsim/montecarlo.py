@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -179,20 +180,26 @@ def visit_counts(
     return out
 
 
-def ensemble_stats(trajs: list[Trajectory]) -> VisitCounts:
+def ensemble_stats(trajs: Iterable[Trajectory]) -> VisitCounts:
     """The trajectories' room counts and mode runs, made by the kernel's
     reducer: each trajectory is one record of its ticks.
 
+    ``trajs`` is any sized iterable, such as a list or a run directory's
+    files read one at a time, and is reduced in one pass: the counts are
+    allocated from ``len(trajs)`` and the first trajectory, and each later
+    one is recorded as it arrives.  A longer one widens the mode-run table.
     WALL and UNKNOWN ticks count as corridor ticks.  Window passes are not
     known from a trajectory, so every tick counts in ``passes`` column 0.
     """
-    if not trajs:
+    if not len(trajs):
         raise ValueError("empty ensemble")
-    env = trajs[0].env
-    if env is None:
-        raise ValueError("trajectories carry no environment")
-    counts = VisitCounts.allocate(len(trajs), env.n_rooms, max(t.n_ticks for t in trajs), 1)
+    counts = env = None
     for row, traj in enumerate(trajs):
+        if counts is None:
+            env = traj.env
+            if env is None:
+                raise ValueError("trajectories carry no environment")
+            counts = VisitCounts.allocate(len(trajs), env.n_rooms, traj.n_ticks, 1)
         if traj.env != env:
             raise ValueError("mixed environments in ensemble")
         if traj.regions.max(initial=0) > env.n_rooms:
@@ -200,6 +207,9 @@ def ensemble_stats(trajs: list[Trajectory]) -> VisitCounts:
                              f"but the template has {env.n_rooms} rooms")
         if traj.modes.max(initial=0) > max(Mode):
             raise ValueError(f"{traj.modes[traj.modes > max(Mode)][0]} is not a valid Mode")
+        if traj.n_ticks > counts.duration:
+            wider = ((0, 0), (0, 0), (0, traj.n_ticks - counts.duration))
+            counts = replace(counts, duration=traj.n_ticks, runs=np.pad(counts.runs, wider))
         ticks = np.arange(traj.n_ticks)
         counts.record(np.full_like(ticks, row), ticks, traj.xs, traj.ys, traj.modes,
                       np.maximum(traj.regions, 0), traj.ms, np.zeros_like(ticks))

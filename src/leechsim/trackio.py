@@ -316,7 +316,10 @@ def read_ppm(path) -> Frame:
     expected = width * height * 3
     if len(data) - pos < expected:
         raise TrackError(f"{path}: truncated pixel data")
-    pixels = np.frombuffer(data, np.uint8, expected, pos).reshape(height, width, 3)
+    try:
+        pixels = np.frombuffer(data, np.uint8, expected, pos).reshape(height, width, 3)
+    except ValueError as exc:  # a dimension past numpy's, in an empty image
+        raise TrackError(f"{path}: {exc}") from None
     return Frame(width, height, pixels)
 
 

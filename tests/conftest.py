@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from leechsim.automaton import AutomatonParams
+from leechsim.automaton import (AutomatonParams, Mode, next_modes, next_timers,
+                                transition_thresholds)
 from leechsim.geometry import (GeometryError, build_corridor_template, region_code,
                                region_label)
 from leechsim.locomotion import (
@@ -56,6 +57,63 @@ def make_trajectory(env, regions, modes=None, trial_id=0):
         regions=regions,
         ms=np.zeros(n, dtype=np.uint8),
     )
+
+
+# --- the scalar automaton spec: the oracle for the kernel's array sampler ----
+
+
+def p_still_exit(t: int, params: AutomatonParams) -> float:
+    """Per-tick hazard of leaving Still: 1/(tau_s - t + 1), reaching 1 at the cap."""
+    if not 0 <= t <= params.tau_s:
+        raise ValueError(f"still timer {t} outside [0, {params.tau_s}]")
+    return 1.0 / (params.tau_s - t + 1)
+
+
+def p_active_exit(t: int, params: AutomatonParams) -> float:
+    """Per-tick hazard of leaving the active (crawl/explore) phase."""
+    if not 0 <= t <= params.tau_a:
+        raise ValueError(f"active timer {t} outside [0, {params.tau_a}]")
+    return 1.0 / (params.tau_a - t + 1)
+
+
+def transition_kernel(mode: Mode, t: int, m: int, params: AutomatonParams,
+                      q_enter: float) -> tuple[float, float, float]:
+    """Probability vector over (Still, Crawl, Explore) for the next tick,
+    one row at a time: the scalar form of ``transition_thresholds``.
+
+    ``t`` is the timer of the current phase, the ticks since the last
+    still/active boundary crossing.  Rows (each sums to 1):
+
+    * Still:   stay with 1-p1, otherwise split evenly between Crawl and Explore.
+    * Crawl:   exit to Still with p2; conditional on staying active, contact
+      (m=1) forces Explore, otherwise Explore fires with probability q_enter
+      and Crawl continues with 1-q_enter.
+    * Explore: exit to Still with p2; conditional on staying active, Explore
+      persists while in contact and reverts to Crawl when contact is lost.
+    """
+    if m not in (0, 1):
+        raise ValueError(f"mechanoreceptor bit must be 0 or 1, got {m}")
+    if not 0.0 <= q_enter <= 1.0:
+        raise ValueError(f"q_enter {q_enter} outside [0, 1]")
+    if mode == Mode.STILL:
+        p1 = p_still_exit(t, params)
+        return (1.0 - p1, 0.5 * p1, 0.5 * p1)
+    p2 = p_active_exit(t, params)
+    if mode == Mode.CRAWL:
+        p_explore = (1.0 - p2) * (m + (1 - m) * q_enter)
+        p_crawl = (1.0 - p2) * (1 - m) * (1.0 - q_enter)
+        return (p2, p_crawl, p_explore)
+    return (p2, (1.0 - p2) * (1 - m), (1.0 - p2) * m)
+
+
+def sample_transitions(mode, t, m, q_enter, tau_s: int, tau_a: int, u):
+    """One automaton step per element given uniform draws ``u``: the
+    kernel's ``next_modes`` and ``next_timers`` over its
+    ``transition_thresholds``, which take the arguments of the same names.
+    Returns the new (mode, t) arrays.
+    """
+    new_mode = next_modes(u, *transition_thresholds(mode, t, m, q_enter, tau_s, tau_a))
+    return new_mode, next_timers(mode, t, new_mode)
 
 
 def chi_square(observed, expected) -> float:

@@ -13,13 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from leechsim.automaton import (
-    AutomatonParams,
-    Mode,
-    p_still_exit,
-    sample_transitions,
-    transition_kernel,
-)
+from leechsim.automaton import AutomatonParams, Mode
 from leechsim.cli import RunConfig, main
 from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
 from leechsim.geometry import build_corridor_template, room_distance_to_end
@@ -27,7 +21,7 @@ from leechsim.locomotion import MotionParams, run_trials
 from leechsim.montecarlo import run_ensemble, visit_frequencies
 from leechsim.trackio import frames_to_trajectory, render_frames, time_color
 
-from conftest import chi_square
+from conftest import chi_square, p_still_exit, sample_transitions, transition_kernel
 
 # chi-square critical values at the 99.9% level
 CHI2_999 = {1: 10.8276, 2: 13.8155}

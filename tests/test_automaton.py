@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leechsim.automaton import (
-    AutomatonParams,
-    Mode,
-    p_active_exit,
-    p_still_exit,
-    p_visit,
-    sample_transitions,
-    transition_kernel,
-)
+from leechsim.automaton import AutomatonParams, Mode, p_visit
+
+from conftest import p_active_exit, p_still_exit, sample_transitions, transition_kernel
 
 
 def test_p_still_exit_values(auto):

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import re
+import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +278,57 @@ def test_stats_rejects_trial_files_that_disagree_with_the_manifest(
     assert not (tmp_path / "run" / "visits.csv").exists()
 
 
+def test_stats_reports_the_first_fault_in_file_order(tmp_path, capsys):
+    """Each file is read, checked and counted before the next is read, so
+    trial 1's wrong id wins over trial 2's unreadable last row."""
+    cfg = _small_config(tmp_path, n_trials=3, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    run_dir = tmp_path / "run"
+    renumbered = run_dir / "trial_0001.csv"
+    text = renumbered.read_text()
+    lines = text.splitlines()
+    renumbered.write_text("\n".join(lines[:1] + ["9" + line[1:] for line in lines[1:]]))
+    cut = run_dir / "trial_0002.csv"
+    cut.write_bytes(cut.read_bytes()[:-9])
+    assert main(["stats", str(run_dir)]) == 3
+    err = capsys.readouterr().err
+    assert f"{renumbered}:2: trial id 9, but the file name gives trial 1" in err
+    assert "trial_0002" not in err
+    assert not (run_dir / "visits.csv").exists()
+    assert not (run_dir / "dwell.csv").exists()
+    renumbered.write_text(text)  # now trial 2's fault shows
+    assert main(["stats", str(run_dir)]) == 3
+    assert f"{cut}:11: expected 6 fields" in capsys.readouterr().err
+
+
+def _stats_peak_bytes(run_dir, out):
+    """tracemalloc's peak over one ``stats`` call."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["stats", str(run_dir), "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stats_memory_does_not_grow_with_the_file_count(tmp_path):
+    """``stats`` holds one trajectory at a time: 56 more files of 1800
+    ticks (36 KB of arrays each) may add their names and count rows, but
+    not a few trajectories."""
+    runs = {}
+    for n in (8, 64):
+        cfg = _small_config(tmp_path, f"run{n}", n_trials=n, duration_ticks=1800)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        runs[n] = tmp_path / f"run{n}"
+    traj = read_trajectory_csv(runs[8] / "trial_0000.csv")
+    traj_bytes = sum(a.nbytes for a in (traj.xs, traj.ys, traj.modes, traj.regions, traj.ms))
+    _stats_peak_bytes(runs[8], tmp_path / "warm-up")  # fill the reader's caches
+    grown = (_stats_peak_bytes(runs[64], tmp_path / "out64")
+             - _stats_peak_bytes(runs[8], tmp_path / "out8"))
+    assert grown < 3 * traj_bytes, (grown, traj_bytes)
+
+
 @pytest.mark.parametrize("key,value", [
     ("n_trials", True),
     ("duration_ticks", 10.9),
@@ -510,6 +564,108 @@ def test_fit_on_hostile_stats_ends_in_exit_0_2_or_3(hostile_csv, data):
         assert len(json.loads(out.getvalue())["points"]) >= 2
 
 
+# a scalar ``"key": value`` pair, and a number, in a JSON document's text
+_JSON_PAIR = re.compile(rb'"\w+": [^,{}\[\]\n]+')
+_JSON_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:e-?\d+)?")
+_DRAW_JSON_KINDS = st.lists(
+    st.sampled_from(["truncate", "flip", "duplicate", "huge", "nest"]), max_size=3)
+_DRAW_VALUE = st.sampled_from(["true", "null", '"3"', "-1", "0", "2.5", "9" * 30,
+                               "1" + "0" * 4299, "-" + "9" * 4299, '"' + "k" * 5000 + '"'])
+_DRAW_DEPTH = st.sampled_from([1, 40, 900, 100_000])
+
+
+@st.composite
+def _hostile_json(draw, text):
+    """``text`` cut short, with bytes flipped to any value (UTF-8 or not),
+    a key repeated with another value, or a number replaced by a huge one
+    or by arrays or objects nested up to 100,000 deep."""
+    data = text.encode()
+    for kind in draw(_DRAW_JSON_KINDS):
+        at = draw(_DRAW_INDEX)
+        if kind == "truncate":
+            data = data[:at % max(len(data), 1)]
+        elif kind == "flip" and data:
+            at %= len(data)
+            data = data[:at] + bytes([draw(_DRAW_BYTE)]) + data[at + 1:]
+        elif kind == "duplicate":
+            pairs = list(_JSON_PAIR.finditer(data))
+            if pairs:
+                pair = pairs[at % len(pairs)]
+                key = pair[0].split(b":")[0]
+                data = (data[:pair.end()] + b", " + key + b": "
+                        + draw(_DRAW_VALUE).encode() + data[pair.end():])
+        else:
+            numbers = list(_JSON_NUMBER.finditer(data))
+            if numbers:
+                number = numbers[at % len(numbers)]
+                if kind == "huge":
+                    value = draw(_DRAW_HUGE).encode()
+                else:
+                    depth = draw(_DRAW_DEPTH)
+                    value = (b"[" * depth + b"1" + b"]" * depth if at % 2 else
+                             b'{"a": ' * depth + b"1" + b"}" * depth)
+                data = data[:number.start()] + value + data[number.end():]
+    return data
+
+
+def _main_on_hostile(argv):
+    """Exit code and stderr of ``main(argv)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def hostile_run(tmp_path_factory):
+    """A config of 2 trials of 10 ticks, and the run directory it makes."""
+    tmp = tmp_path_factory.mktemp("hostile-json")
+    config = _small_config(tmp, n_trials=2, duration_ticks=10)
+    assert main(["simulate", "--config", str(config)]) == 0
+    return config, tmp / "run"
+
+
+_CONFIG_TEXT = json.dumps({**RunConfig().to_dict(), "n_trials": 2, "duration_ticks": 10})
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_hostile_json(_CONFIG_TEXT))
+def test_simulate_on_hostile_config_ends_in_exit_0_2_or_3(hostile_run, data):
+    """No config raises out of ``main``, and its error is one short line;
+    a refused one writes no manifest.  The size flags keep every run small
+    and the output in place, whatever the config says."""
+    config, run_dir = hostile_run
+    hostile = config.with_name("hostile.json")
+    hostile.write_bytes(data)
+    out = run_dir.with_name("hostile-run")
+    shutil.rmtree(out, ignore_errors=True)
+    code, err = _main_on_hostile(["simulate", "--config", str(hostile), "--out", str(out),
+                                  "--trials", "2", "--duration", "10"])
+    assert code in (0, 2, 3)
+    assert (out / "manifest.json").exists() == (code == 0)
+    assert err.count("\n") == (code != 0) and len(err) < 600 + len(str(hostile)), err
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_stats_on_hostile_manifest_ends_in_exit_0_2_or_3(hostile_run, data):
+    """No manifest raises out of ``main``, and its error is one short
+    line; a refused one writes no stats."""
+    _, run_dir = hostile_run
+    manifest = run_dir / "manifest.json"
+    text = manifest.read_text()
+    try:
+        manifest.write_bytes(data.draw(_hostile_json(text)))
+        out = run_dir.with_name("hostile-stats")
+        shutil.rmtree(out, ignore_errors=True)
+        code, err = _main_on_hostile(["stats", str(run_dir), "--out", str(out)])
+    finally:
+        manifest.write_text(text)
+    assert code in (0, 2, 3)
+    assert (out / "visits.csv").exists() == (code == 0)
+    assert err.count("\n") == (code != 0) and len(err) < 600 + len(str(manifest)), err
+
+
 @pytest.mark.parametrize("row, error", [
     ("1,0,0.35,0.1", "visits.csv:2: distance_x 0 outside [1, 32767]"),
     ("1,-3,0.35,0.1", "visits.csv:2: distance_x -3 outside [1, 32767]"),
@@ -707,3 +863,51 @@ def test_config_value_of_wrong_type_is_echoed_short(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config key 'n_trials' must be of type int, got [[[[[[[...]]]]]]]" in err
     assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_unknown_config_keys_are_counted_and_echoed_short(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    doc = RunConfig().to_dict()
+    doc.update({f"{i:02d}" + "k" * 298: 1 for i in range(50)})
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: unknown config keys (50): "
+                          "['00kkkkkkkkkk...kkkkkkkkkkkkk', '01kkkk")
+    assert err.endswith("', ...]\n")
+    assert err.count("\n") == 1 and len(err) < 400
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    (None, "n_trials", -10**4000), (None, "duration_ticks", -10**4000),
+    (None, "base_seed", -10**4000), ("environment", "rooms", 10**4000),
+    ("environment", "kind", "k" * 5000), ("automaton", "p3_a", 10**400),
+], ids=["n_trials", "duration_ticks", "base_seed", "rooms", "kind", "float-past-max"])
+def test_huge_config_values_are_refused_and_echoed_short(tmp_path, capsys, section,
+                                                         key, value):
+    """A value as long as JSON allows is refused in one short line, and an
+    integer past the largest float is no float value (not an OverflowError)."""
+    doc = RunConfig().to_dict()
+    (doc[section] if section else doc)[key] = value
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}: ")
+    assert err.count("\n") == 1 and len(err) < 200 + len(str(cfg)), err
+    assert not (tmp_path / "run").exists()
+
+
+def test_manifest_of_a_huge_trial_count_derives_no_seeds(tmp_path, capsys):
+    """The seed list's length is checked before any seed is derived, so a
+    manifest claiming 10**18 trials is refused at once."""
+    cfg = _small_config(tmp_path, n_trials=2, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    manifest = tmp_path / "run" / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["config"]["n_trials"] = 10**18
+    manifest.write_text(json.dumps(doc))
+    assert main(["stats", str(tmp_path / "run")]) == 2
+    assert (f"{manifest}: trial_seeds are not splitmix64(base_seed, trial_index) for "
+            f"base_seed 9 and trial_index 0..999999999999999999") in capsys.readouterr().err

@@ -421,6 +421,21 @@ def test_header_token_too_long_names_the_file(tmp_path, capsys):
     assert f"{path}: header token of 5000 digits is too long" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", [b"1" + b"0" * 30 + b" 0", b"0 1" + b"0" * 30],
+                         ids=["width", "height"])
+def test_empty_image_of_a_dimension_past_numpys_names_the_file(tmp_path, capsys, size):
+    """An image of 0 bytes passes the truncation check, so the dimension
+    only fails when the pixels take their shape."""
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    path = frame_dir / frame_filename(0)
+    path.write_bytes(b"P6\n" + size + b"\n255\n")
+    assert main(["track", str(frame_dir), "--out", str(tmp_path / "t.csv")]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {path}: Maximum allowed dimension exceeded" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_frame_names_take_ascii_digits_only(tmp_path):
     for name in (frame_filename(0), "frame_\u0660\u0660\u0660\u0660\u0660\u0661.ppm"):
         write_ppm(tmp_path / name, blank_frame(3, 2))
