@@ -55,13 +55,6 @@ class AutomatonParams:
                ("a", "p3_a", float), ("b", "p3_b", float),
                ("tick", "tick_seconds", float))
 
-    def to_config(self) -> dict:
-        return config_doc(self)
-
-    @classmethod
-    def from_config(cls, doc: dict) -> "AutomatonParams":
-        return parse_config(cls, doc, "automaton")
-
 
 def config_value(doc: dict, key: str, default, kind: type):
     """``doc[key]``, or ``default`` when absent, checked to be a ``kind`` value.

@@ -14,7 +14,6 @@ from .geometry import EnvironmentTemplate, room_distance_to_end
 from .locomotion import MotionParams, VisitCounts, entry_trigger_probability
 from .montecarlo import (
     derive_trial_seed,
-    run_ensemble,  # noqa: F401  (perfbench's tracer assigns it here)
     visit_counts,
     visit_frequencies,  # noqa: F401  (perfbench's tracer wraps it here)
 )
@@ -108,7 +107,7 @@ def _predicted_frequencies(qs, distances, auto: AutomatonParams,
     """
     out = np.empty((len(qs), len(distances)))
     for j, x in enumerate(distances):
-        p = np.array([entry_trigger_probability(x, auto, q) for q in qs])
+        p = entry_trigger_probability(x, auto, qs)
         values, counts = np.unique(passes[:, j + 1], return_counts=True)
         out[:, j] = 1.0 - (1.0 - p[:, None]) ** values @ counts / passes.shape[0]
     return out

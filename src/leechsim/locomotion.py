@@ -50,11 +50,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .automaton import (AutomatonParams, Mode, config_doc, p_visit, parse_config,
-                        next_modes, next_timers, transition_thresholds)
+from .automaton import (AutomatonParams, Mode, next_modes, next_timers, p_visit,
+                        transition_thresholds)
 from .geometry import (
     CORRIDOR,
-    MAX_ROOM,
     UNKNOWN,
     WALL,
     EnvironmentTemplate,
@@ -75,7 +74,7 @@ class TrajectoryFormatError(ValueError):
 
 
 def entry_trigger_probability(x: float, auto: AutomatonParams,
-                              q_scale: float) -> float:
+                              q_scale: float | np.ndarray) -> float | np.ndarray:
     """Per-tick room-entry trigger while crawling over an opening.
 
     The shape is the hazard equivalent of the visit law, ln(1/(1-p_visit(x))),
@@ -88,11 +87,14 @@ def entry_trigger_probability(x: float, auto: AutomatonParams,
     predicts from each trial's own window passes.  A certain visit
     (p_visit = 1) is an infinite hazard, so it triggers on every pass unless
     ``q_scale`` is 0.
+
+    ``q_scale`` may be an array, giving the trigger at each of its values;
+    a scalar gives a float.
     """
     p = p_visit(x, auto)
-    if p == 1.0:
-        return 1.0 if q_scale > 0 else 0.0
-    return min(1.0, q_scale * -math.log1p(-p))
+    q = np.asarray(q_scale, dtype=float)
+    trigger = np.where(q > 0, 1.0, 0.0) if p == 1.0 else np.minimum(1.0, q * -math.log1p(-p))
+    return trigger if trigger.ndim else float(trigger)
 
 
 @dataclass(frozen=True)
@@ -125,13 +127,6 @@ class MotionParams:
                ("v_explore", "v_explore_mm_s", float),
                ("contact_radius", "contact_radius_mm", float),
                ("q_scale", "q_scale", float))
-
-    def to_config(self) -> dict:
-        return config_doc(self)
-
-    @classmethod
-    def from_config(cls, doc: dict) -> "MotionParams":
-        return parse_config(cls, doc, "motion")
 
 
 @dataclass(frozen=True, eq=False)
@@ -848,7 +843,6 @@ _EVEN_BYTES = np.uint64(0x00FF00FF00FF00FF)
 # no other field's.
 _LABEL_FILLS = np.array([(1 << 64) - (1 << 8 * min(max(d - 1, 0), 8)) for d in range(10)],
                         np.uint64)
-_SLOT_SHIFT = np.uint64(54)  # a slot is the top 10 bits of key * multiplier
 
 
 def _label_key(label: str) -> int:
@@ -856,39 +850,24 @@ def _label_key(label: str) -> int:
 
 
 @functools.lru_cache(maxsize=2)
-def _label_table(rooms: int | None) -> tuple[np.ndarray, np.ndarray, np.uint64]:
+def _label_table(rooms: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The mode and region labels the writer writes for a template of
-    ``rooms`` rooms (any number for None), by slot: the key of each, its
-    mode and region code (-1 for no mode, -32768 for no region), and the
-    multiplier that gives a key its slot.
-
-    The multiplier is the first of (t + 1) * 0x9E3779B97F4A7C15 | 1, for
-    t < 256, that gives each label a slot of its own; the labels of 150
-    rooms need t = 113.  Failing that it is the first, and a label whose
-    slot an earlier one took reads through :func:`_parse_row`.
+    ``rooms`` rooms (rooms up to 1,024 for None): their keys in ascending
+    order, and each key's mode and region code (-1 for no mode, -32768 for
+    no region).  A room past 1,024 without a template reads through
+    :func:`_parse_row`.
     """
-    rooms_listed = min(MAX_ROOM if rooms is None else rooms, 1024)
-    regions = (CORRIDOR, WALL, UNKNOWN, *range(1, rooms_listed + 1))
-    labels = list(dict.fromkeys([*_MODE_CODES, *map(region_label, regions)]))
-    label_keys = np.array(list(map(_label_key, labels)), np.uint64)
-    multipliers = [np.uint64((t + 1) * 0x9E3779B97F4A7C15 % 2**64 | 1) for t in range(256)]
-    multiplier = next((m for m in multipliers
-                       if len(np.unique(label_keys * m >> _SLOT_SHIFT)) == len(labels)),
-                      multipliers[0])
-    keys = np.zeros(1024, np.uint64)
-    codes = np.array([[-1], [-32768]], np.int16).repeat(1024, axis=1)
-    for label, key, slot in zip(labels, label_keys,
-                                (label_keys * multiplier >> _SLOT_SHIFT).tolist()):
-        if keys[slot]:
-            continue
-        keys[slot] = key
-        codes[0, slot] = _MODE_CODES.get(label, -1)
-        try:
-            codes[1, slot] = _region(label, rooms)
-        except ValueError:
-            pass
+    listed = 1024 if rooms is None else rooms
+    regions = {region_label(code): code
+               for code in (CORRIDOR, WALL, UNKNOWN, *range(1, listed + 1))}
+    labels = list({**_MODE_CODES, **regions})
+    keys = np.array(list(map(_label_key, labels)), np.uint64)
+    codes = np.array([[_MODE_CODES.get(label, -1) for label in labels],
+                      [regions.get(label, -32768) for label in labels]], np.int16)
+    order = np.argsort(keys)
+    keys, codes = keys[order], codes[:, order]
     keys.flags.writeable = codes.flags.writeable = False  # every caller shares them
-    return keys, codes, multiplier
+    return keys, codes
 
 
 @functools.lru_cache(maxsize=1)
@@ -950,10 +929,11 @@ def _grammar_rows(data: bytes, first_id: str, rooms: int | None
     tick_words, tick_masks = _tick_keys(n)
     ok &= (words[1] & tick_masks) == tick_words
     keys = words[2:] | _LABEL_FILLS.take(seps[5:] - seps[4:6], mode="clip")
-    table_keys, table_codes, multiplier = _label_table(rooms)
-    slots = keys * multiplier >> _SLOT_SHIFT
-    found = table_keys.take(slots) == keys
-    modes, regions = table_codes[0].take(slots[0]), table_codes[1].take(slots[1])
+    table_keys, table_codes = _label_table(rooms)
+    at = table_keys.searchsorted(keys)
+    found = table_keys.take(at, mode="clip") == keys
+    modes = table_codes[0].take(at[0], mode="clip")
+    regions = table_codes[1].take(at[1], mode="clip")
     ok &= found[0] & found[1] & (modes >= 0) & (regions != -32768)
 
     # x and y: the 16 bytes before each one's comma

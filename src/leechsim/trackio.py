@@ -328,10 +328,15 @@ def frame_filename(index: int) -> str:
 
 
 def read_frame_dir(path):
-    """Yield frames from ``frame_%06d.ppm`` files (six ASCII digits) in index order."""
+    """Yield frames from ``frame_%06d.ppm`` files (six ASCII digits) in index
+    order; they must be numbered 0, 1, 2, ... without a gap."""
     directory = Path(path)
     paths = sorted(directory.glob("frame_" + "[0-9]" * 6 + ".ppm"))
     if not paths:
         raise TrackError(f"no frame_%06d.ppm files in {directory}")
+    for i, p in enumerate(paths):
+        if p.name != frame_filename(i):
+            raise TrackError(f"{directory / frame_filename(i)}: missing frame; "
+                             "frames are numbered from 0 without a gap")
     for p in paths:
         yield read_ppm(p)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leechsim.automaton import AutomatonParams, Mode, p_visit
+from leechsim.automaton import AutomatonParams, Mode, config_doc, p_visit, parse_config
 
 from conftest import p_active_exit, p_still_exit, sample_transitions, transition_kernel
 
@@ -164,7 +164,7 @@ def test_params_validation():
 
 
 def test_params_config_round_trip(auto):
-    doc = auto.to_config()
+    doc = config_doc(auto)
     assert doc == {
         "tau_s_ticks": 600,
         "tau_a_ticks": 900,
@@ -172,12 +172,12 @@ def test_params_config_round_trip(auto):
         "p3_b": -0.82,
         "tick_seconds": 1.0,
     }
-    assert AutomatonParams.from_config(doc) == auto
+    assert parse_config(AutomatonParams, doc, "automaton") == auto
 
 
 def test_params_config_rejects_unknown_keys():
     with pytest.raises(ValueError):
-        AutomatonParams.from_config({"tau_s": 600})
+        parse_config(AutomatonParams, {"tau_s": 600}, "automaton")
 
 
 @pytest.mark.parametrize("key,value", [
@@ -186,4 +186,4 @@ def test_params_config_rejects_unknown_keys():
 ])
 def test_params_config_rejects_coercible_values(key, value):
     with pytest.raises(ValueError, match=repr(key)):
-        AutomatonParams.from_config({key: value})
+        parse_config(AutomatonParams, {key: value}, "automaton")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leechsim.automaton import config_doc
 from leechsim.cli import RunConfig, load_run_config, main
 from leechsim.locomotion import MotionParams, read_trajectory_csv, run_trial
 from leechsim.montecarlo import derive_trial_seed, ensemble_stats, run_ensemble
@@ -108,7 +109,7 @@ def test_workers_below_one_is_config_error(tmp_path, capsys, command, workers):
 
 
 def test_contact_radius_above_wall_is_config_error(tmp_path, capsys):
-    motion = {**MotionParams().to_config(), "contact_radius_mm": 3.0}
+    motion = {**config_doc(MotionParams()), "contact_radius_mm": 3.0}
     cfg = _small_config(tmp_path, motion=motion)
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "contact_radius_mm" in capsys.readouterr().err
@@ -141,7 +142,7 @@ def test_unknown_nested_key_is_config_error(tmp_path, capsys):
 
 def test_stats_matches_library(tmp_path, env, auto, motion):
     cfg = _small_config(tmp_path, n_trials=4, duration_ticks=300,
-                        motion={**MotionParams().to_config(), "q_scale": 0.5})
+                        motion={**config_doc(MotionParams()), "q_scale": 0.5})
     assert main(["simulate", "--config", str(cfg)]) == 0
     run_dir = tmp_path / "run"
     assert main(["stats", str(run_dir)]) == 0
@@ -734,7 +735,7 @@ def test_calibrate_writes_the_stats_of_the_ensemble_it_reports(tmp_path, workers
     doc = json.loads(report.read_text())
     rerun = _write_config(tmp_path / "rerun.json", n_trials=40, duration_ticks=600,
                           base_seed=doc["ensemble_seed"],
-                          motion={**MotionParams().to_config(), "q_scale": doc["q_scale"]},
+                          motion={**config_doc(MotionParams()), "q_scale": doc["q_scale"]},
                           out_dir=str(tmp_path / "run"))
     assert main(["simulate", "--config", str(rerun), "--workers", str(workers)]) == 0
     assert main(["stats", str(tmp_path / "run"), "--out", str(tmp_path / "stats")]) == 0
@@ -840,6 +841,20 @@ def test_track_empty_dir_is_runtime_error(tmp_path, capsys):
     empty = tmp_path / "frames"
     empty.mkdir()
     assert main(["track", str(empty)]) == 3
+
+
+def test_track_refuses_a_gap_in_the_frame_numbering(tmp_path, capsys, env, auto):
+    traj = run_trial(env, MotionParams(q_scale=0.5), auto, seed=6, duration=10)
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    frames = list(render_frames(traj, env, px_per_mm=2.0))
+    for i in (0, 1, 3, 9):
+        write_ppm(frame_dir / frame_filename(i), frames[i])
+    out = tmp_path / "tracked.csv"
+    assert main(["track", str(frame_dir), "--threshold", "40",
+                 "--px-per-mm", "2", "--out", str(out)]) == 3
+    assert f"{frame_dir / frame_filename(2)}: missing frame" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["overlay", "activity"])

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import leechsim.locomotion as locomotion
-from leechsim.automaton import AutomatonParams, Mode, next_modes
+from leechsim.automaton import AutomatonParams, Mode, next_modes, p_visit
 from leechsim.geometry import (
     WALL,
     build_corridor_template,
@@ -139,6 +139,19 @@ def test_certain_visit_triggers_on_every_pass():
     assert entry_trigger_probability(1, auto, 0.25) == 1.0
     assert entry_trigger_probability(1, auto, 0.0) == 0.0
     assert entry_trigger_probability(2, auto, 0.25) < 1.0
+
+
+@pytest.mark.parametrize("a", [0.35, 1.0])  # at a = 1, p_visit(1) = 1
+def test_trigger_of_a_q_array_is_the_scalar_law_at_each_q(a):
+    auto = AutomatonParams(a=a)
+    qs = np.linspace(0.0, 1.0, 1025)  # a calibration grid, q = 0 included
+    for x in (1, 2, 4.5, 8):
+        p = p_visit(x, auto)
+        law = [(1.0 if q > 0 else 0.0) if p == 1.0 else min(1.0, q * -math.log1p(-p))
+               for q in qs.tolist()]
+        assert entry_trigger_probability(x, auto, qs).tobytes() == np.array(law).tobytes()
+        scalars = [entry_trigger_probability(x, auto, q) for q in qs.tolist()]
+        assert all(type(v) is float for v in scalars) and scalars == law
 
 
 def test_run_trial_duration_one(env, auto, motion):
@@ -672,16 +685,34 @@ def test_written_files_read_back_as_through_the_per_line_oracle(fuzz_csv, traj):
             == _read_outcome(read_trajectory_csv_per_line, fuzz_csv, None))
 
 
-def test_writer_files_take_the_byte_lane(tmp_path, env, auto, motion, monkeypatch):
-    """Every row of a 64-trial default run parses from its bytes; the
-    per-row lane, made to fail here, is never called."""
+def _assert_files_take_the_byte_lane(tmp_path, monkeypatch, trajs, templates):
+    """Every row of the files written from ``trajs`` parses from its bytes,
+    read with each of ``templates``; the per-row lane, made to fail here, is
+    never called."""
     def refuse(*args):
         raise AssertionError("a written row left the byte lane")
 
     paths = []
-    for traj in run_ensemble(env, motion, auto, 64, base_seed=1, duration=1800):
+    for traj in trajs:
         paths.append(tmp_path / f"trial_{traj.trial_id:04d}.csv")
         write_trajectory_csv(traj, paths[-1])
-    expected = [_read_outcome(read_trajectory_csv_per_line, path, env) for path in paths]
+    expected = [_read_outcome(read_trajectory_csv_per_line, path, template)
+                for path in paths for template in templates]
     monkeypatch.setattr(locomotion, "_parse_row", refuse)
-    assert [_read_outcome(read_trajectory_csv, path, env) for path in paths] == expected
+    assert [_read_outcome(read_trajectory_csv, path, template)
+            for path in paths for template in templates] == expected
+
+
+def test_writer_files_take_the_byte_lane(tmp_path, env, auto, motion, monkeypatch):
+    """Every row of a 64-trial default run parses from its bytes."""
+    trajs = run_ensemble(env, motion, auto, 64, base_seed=1, duration=1800)
+    _assert_files_take_the_byte_lane(tmp_path, monkeypatch, trajs, [env])
+
+
+def test_many_room_files_take_the_byte_lane(tmp_path, auto, monkeypatch):
+    """Rows in any of 400 rooms parse from their bytes too, read with the
+    template and without it."""
+    env = build_corridor_template(rooms=400)
+    trajs = run_ensemble(env, MotionParams(q_scale=1.0), auto, 16, base_seed=1)
+    assert sum(int((traj.regions > 0).sum()) for traj in trajs) > 100
+    _assert_files_take_the_byte_lane(tmp_path, monkeypatch, trajs, [env, None])
