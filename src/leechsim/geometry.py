@@ -82,7 +82,7 @@ class Opening:
 
 @dataclass(frozen=True)
 class EnvironmentTemplate:
-    """Immutable wall/region layout; safe to share across trial workers."""
+    """Immutable wall/region layout in room order; safe to share across trial workers."""
 
     interior_width: float
     interior_height: float
@@ -92,21 +92,24 @@ class EnvironmentTemplate:
     wall_rects: tuple[Rect, ...] = field(repr=False)
     wall_thickness: float = 2.0
 
+    def __post_init__(self) -> None:
+        ids = [r.id for r in self.regions] + [o.room for o in self.openings]
+        if ids != [*range(len(self.regions)), *range(1, len(self.regions))]:
+            raise GeometryError("regions must be corridor, rooms 1..n, and openings rooms 1..n")
+
     @property
     def n_rooms(self) -> int:
-        return sum(1 for r in self.regions if r.id > 0)
+        return len(self.openings)
 
     def room_rect(self, index: int) -> Rect:
-        for r in self.regions:
-            if r.id == index and index > 0:
-                return r.rect
-        raise GeometryError(f"no room {index} in template")
+        if not 0 < index <= self.n_rooms:
+            raise GeometryError(f"no room {index} in template")
+        return self.regions[index].rect
 
     def opening_for_room(self, index: int) -> Opening:
-        for o in self.openings:
-            if o.room == index:
-                return o
-        raise GeometryError(f"no opening for room {index}")
+        if not 0 < index <= self.n_rooms:
+            raise GeometryError(f"no opening for room {index}")
+        return self.openings[index - 1]
 
 
 def build_corridor_template(

@@ -191,18 +191,13 @@ class _SimContext:
         self.any_q = motion.q_scale > 0.0
         self.start = env.start_point
 
-        rects = [env.room_rect(i) for i in range(1, n + 1)]
-        self.xlo = np.array([0.0] + [rect[0] for rect in rects])
-        self.xhi = np.array([self.L] + [rect[2] for rect in rects])
-        self.ylo = np.array([self.band_y1] + [0.0] * n)
-        self.yhi = np.array([self.H] + [self.room_y1] * n)
-        openings = [env.opening_for_room(i) for i in range(1, n + 1)]
-        self.cx = np.array([math.nan] + [o.center for o in openings])
+        self.xlo, self.ylo, self.xhi, self.yhi = np.array([r.rect for r in env.regions]).T.copy()
+        self.cx = np.array([math.nan] + [o.center for o in env.openings])
 
         # Gap spans along x.  has_l/has_r tell whether a wall corner bounds
         # the gap on that side: row 0 as seen from the corridor, row 1 from
         # the gap's own room.
-        spans = sorted((o.span, rect) for o, rect in zip(openings, rects))
+        spans = sorted((o.span, r.rect) for o, r in zip(env.openings, env.regions[1:]))
         self.gap_lo = np.array([lo for (lo, _), _ in spans])
         self.gap_hi = np.array([hi for (_, hi), _ in spans])
         self.gap_has_l = ([lo > 0.0 for (lo, _), _ in spans],
@@ -215,7 +210,7 @@ class _SimContext:
             (o.span[0] - half, o.span[1] + half,
              entry_trigger_probability(room_distance_to_end(env, i), auto,
                                        motion.q_scale), i)
-            for i, o in enumerate(openings, start=1)
+            for i, o in enumerate(env.openings, start=1)
         ))
         win_lo, self.win_hi, win_q, win_room = (
             np.array(column) for column in zip(*self.windows))
@@ -274,6 +269,8 @@ def _contact(ctx: _SimContext, x: np.ndarray, y: np.ndarray,
 
 
 _BLOCK = 256  # ticks a run looks ahead; each draw row holds 3 look-aheads
+# _thresholds' row of a step from each mode without contact at trigger level 0, and contact's shift
+_MODE_ROW, _CONTACT_SHIFT = np.array([0, 4, 1]), np.array([0, -1, 1])
 
 
 def _shared_arrays(fields: dict) -> dict[str, np.ndarray]:
@@ -442,15 +439,16 @@ class VisitCounts:
 
 def _thresholds(ctx: _SimContext, duration: int) -> tuple[np.ndarray, np.ndarray, int]:
     """:func:`transition_thresholds` of every step a ``duration``-tick run
-    can sample, at flat index ``((mode * 2 + m) * n_q + q) * stride + t``,
-    where q indexes ``ctx.q_levels``; and ``stride``.  A timer never exceeds
-    the ticks elapsed or its phase's cap, so t < stride covers every step."""
+    can sample, at flat index ``row * stride + t``; and ``stride``.  Rows:
+    Still, Explore without and with contact, Crawl with contact, then Crawl
+    without contact at each level of ``ctx.q_levels``, the one step the
+    trigger acts on.  A timer never exceeds the ticks elapsed or its phase's
+    cap, so t < stride covers every step."""
     stride = min(max(ctx.tau_s, ctx.tau_a), duration) + 1
-    t = np.arange(stride)
-    rows = [transition_thresholds(np.full(stride, mode), np.minimum(t, cap), m, q,
-                                  ctx.tau_s, ctx.tau_a)
-            for mode, cap in ((0, ctx.tau_s), (1, ctx.tau_a), (2, ctx.tau_a))
-            for m in (0, 1) for q in ctx.q_levels.tolist()]
+    still, active = (np.minimum(np.arange(stride), cap) for cap in (ctx.tau_s, ctx.tau_a))
+    steps = [(0, still, 0, 0.0), (2, active, 0, 0.0), (2, active, 1, 0.0), (1, active, 1, 0.0)]
+    rows = [transition_thresholds(np.full(stride, mode), t, m, q, ctx.tau_s, ctx.tau_a)
+            for mode, t, m, q in steps + [(1, active, 0, q) for q in ctx.q_levels.tolist()]]
     first, second = (np.concatenate(column) for column in zip(*rows))
     return first, second, stride
 
@@ -500,7 +498,6 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
         return
     rngs = [np.random.default_rng(seed) for seed in seeds]
     first, second, stride = _thresholds(ctx, duration)
-    n_q = np.intp(ctx.q_levels.size)  # an intp, so that m * n_q cannot wrap
     look = max(_BLOCK, 3)  # a run reads one uniform a tick, any other tick 3
     width = 3 * look
     draws = np.empty((n, width))
@@ -598,8 +595,8 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
 
         # (4) one automaton transition a tick, at the tabulated thresholds;
         # a run ends at its first change of mode
-        at = (np.repeat(mode[g] * 2 * n_q * stride + t[g] - starts, limit) + tick
-              + (ms * n_q + ctx.code_q[code]) * stride)
+        at = (np.repeat(_MODE_ROW[mode[g]] * stride + t[g] - starts, limit) + tick
+              + np.where(ms, _CONTACT_SHIFT[modes], ctx.code_q[code]) * stride)
         new_mode = next_modes(draws.ravel()[np.repeat(u, limit) + tick], first[at], second[at])
         last = np.minimum(np.minimum.reduceat(np.where(new_mode != modes, tick, b.size),
                                               starts), starts + limit - 1)

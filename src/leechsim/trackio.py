@@ -331,7 +331,7 @@ def read_frame_dir(path):
     """Yield frames from ``frame_%06d.ppm`` files (six ASCII digits) in index
     order; they must be numbered 0, 1, 2, ... without a gap."""
     directory = Path(path)
-    paths = sorted(directory.glob("frame_" + "[0-9]" * 6 + ".ppm"))
+    paths = sorted(directory.glob("frame_" + "[0-9]" * 6 + ".ppm"), key=lambda p: p.name)
     if not paths:
         raise TrackError(f"no frame_%06d.ppm files in {directory}")
     for i, p in enumerate(paths):

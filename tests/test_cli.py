@@ -4,6 +4,7 @@ import json
 import math
 import re
 import shutil
+import signal
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from leechsim.automaton import config_doc
 from leechsim.cli import RunConfig, load_run_config, main
+from leechsim.geometry import MAX_ROOM
 from leechsim.locomotion import MotionParams, read_trajectory_csv, run_trial
 from leechsim.montecarlo import derive_trial_seed, ensemble_stats, run_ensemble
 from leechsim.trackio import frame_filename, read_ppm, render_frames, write_ppm
@@ -160,6 +162,28 @@ def test_stats_matches_library(tmp_path, env, auto, motion):
         assert float(freq) == pytest.approx(visit_freq[int(room)], abs=1e-6)
         assert float(frac) == pytest.approx(time_fraction[int(room)], abs=1e-6)
     assert (run_dir / "dwell.csv").read_text().startswith("mode,duration_ticks,count")
+
+
+def _raise_timeout(signum, frame):
+    raise TimeoutError("the run took longer than its alarm")
+
+
+def test_simulate_and_stats_on_the_largest_template(tmp_path):
+    """Per-room lookups on the template read by index, so a run on 32,767
+    rooms costs time linear in its rooms and ends well inside the alarm."""
+    environment = {**RunConfig().to_dict()["environment"], "rooms": MAX_ROOM}
+    cfg = _small_config(tmp_path, n_trials=2, duration_ticks=10, environment=environment)
+    previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    signal.alarm(60)
+    try:
+        assert main(["simulate", "--config", str(cfg), "--workers", "1"]) == 0
+        assert main(["stats", str(tmp_path / "run")]) == 0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    lines = (tmp_path / "run" / "visits.csv").read_text().splitlines()
+    assert len(lines) == 1 + MAX_ROOM
+    assert lines[-1].startswith(f"{MAX_ROOM},1,")
 
 
 def test_stats_on_malformed_csv_names_file_and_line(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -51,6 +53,28 @@ def test_single_room_template():
     assert env.interior_width == 15.0
     assert len(env.openings) == 1
     assert env.n_rooms == 1
+
+
+@pytest.mark.parametrize("field,order", [
+    ("regions", [0, 2, 1]), ("regions", [1, 0, 2]), ("regions", [0, 1]),
+    ("openings", [1, 0]), ("openings", [0]), ("openings", [0, 1, 1]),
+])
+def test_template_out_of_room_order_raises(field, order):
+    """Regions list the corridor then rooms 1..n, openings rooms 1..n, so
+    that each per-room lookup reads its index."""
+    env = build_corridor_template(rooms=2)
+    items = getattr(env, field)
+    with pytest.raises(GeometryError, match="rooms 1..n"):
+        replace(env, **{field: tuple(items[i] for i in order)})
+
+
+def test_room_lookups_check_their_range(env):
+    for index in (0, -1, 9):
+        with pytest.raises(GeometryError, match=f"no room {index} in template"):
+            env.room_rect(index)
+        with pytest.raises(GeometryError, match=f"no opening for room {index}$"):
+            env.opening_for_room(index)
+    assert env.opening_for_room(8).room == 8
 
 
 def test_start_point_in_corridor(env):
