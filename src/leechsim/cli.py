@@ -10,10 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import multiprocessing
+import os
 import reprlib
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .automaton import AutomatonParams, Mode, config_doc, parse_config
@@ -243,7 +245,7 @@ def cmd_simulate(args) -> int:
 class _RunTrials:
     """A run's trajectories, each read from its CSV and checked as it is
     iterated, so that one file's arrays are held at a time; ``len`` is the
-    trial count.
+    trial count, and ``trials[lo:hi]`` the trials lo..hi.
 
     Each file must carry its own index as trial id, hold ``duration`` rows
     and no mode the automaton lacks (tracked data's UNKNOWN).  The first
@@ -254,13 +256,18 @@ class _RunTrials:
     duration: int
     env: EnvironmentTemplate
     files: list[Path]
+    rows: range  # the trials, by index into files
 
     def __len__(self) -> int:
-        return len(self.files)
+        return len(self.rows)
+
+    def __getitem__(self, rows: slice) -> "_RunTrials":
+        return replace(self, rows=self.rows[rows])
 
     def __iter__(self) -> Iterator[Trajectory]:
         duration = self.duration
-        for index, path in enumerate(self.files):
+        for index in self.rows:
+            path = self.files[index]
             traj = read_trajectory_csv(path, self.env)
             if traj.trial_id != index:
                 raise RuntimeError(f"{path}:2: trial id {traj.trial_id}, but the file "
@@ -299,7 +306,7 @@ def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, _RunTr
     if extra:
         raise RuntimeError(f"{extra[0]}: not one of the {cfg.n_trials} trials "
                            f"{manifest} lists (stale file from another run?)")
-    return cfg, env, _RunTrials(manifest, cfg.duration_ticks, env, files)
+    return cfg, env, _RunTrials(manifest, cfg.duration_ticks, env, files, range(len(files)))
 
 
 def _write_stats(env: EnvironmentTemplate, counts, out: Path) -> None:
@@ -308,10 +315,21 @@ def _write_stats(env: EnvironmentTemplate, counts, out: Path) -> None:
     print(f"wrote visits.csv and dwell.csv to {out}")
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on, or 1 where fork is missing, so that
+    ``stats`` then reads its files in-process."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_stats(args) -> int:
     run_dir = Path(args.run_dir)
     _, env, trajs = _load_run_dir(run_dir)
-    counts = ensemble_stats(trajs)
+    # one slice of the files per CPU; the counts are the same for any split
+    counts = ensemble_stats(trajs, workers=_cpus())
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_stats(env, counts, out)

@@ -96,24 +96,38 @@ _MAX_ENSEMBLES = 3  # q = 0, the predicted q, one correction
 _GRID = 1024  # intervals of each of the two q grids the prediction is minimized on
 
 
+@dataclass(frozen=True)
+class _Passes:
+    """Window passes at q = 0: for each room r, the distinct pass counts N
+    of its column of ``VisitCounts.passes`` and how many trials made each,
+    over ``n_trials`` trials."""
+
+    rooms: list[tuple[np.ndarray, np.ndarray]]
+    n_trials: int
+
+    @classmethod
+    def of(cls, passes: np.ndarray) -> "_Passes":
+        return cls([np.unique(column, return_counts=True) for column in passes[:, 1:].T],
+                   passes.shape[0])
+
+
 def _predicted_frequencies(qs, distances, auto: AutomatonParams,
-                           passes: np.ndarray) -> np.ndarray:
+                           passes: _Passes) -> np.ndarray:
     """Visit frequency of each room at each q, predicted from q = 0 window passes.
 
-    f_r(q) = 1 - mean_i (1 - p_r(q))^N_ir: N_ir = ``passes[i, r]`` counts
-    trial i's passes over room r's trigger window, and p_r(q) is the kernel's
-    per-pass trigger probability (:func:`entry_trigger_probability`), each
-    pass triggering on its own.  Returns a (len(qs), rooms) array.
+    f_r(q) = 1 - mean_i (1 - p_r(q))^N_ir: N_ir counts trial i's passes over
+    room r's trigger window, and p_r(q) is the kernel's per-pass trigger
+    probability (:func:`entry_trigger_probability`), each pass triggering
+    on its own.  Returns a (len(qs), rooms) array.
     """
     out = np.empty((len(qs), len(distances)))
-    for j, x in enumerate(distances):
+    for j, (x, (values, counts)) in enumerate(zip(distances, passes.rooms)):
         p = entry_trigger_probability(x, auto, qs)
-        values, counts = np.unique(passes[:, j + 1], return_counts=True)
-        out[:, j] = 1.0 - (1.0 - p[:, None]) ** values @ counts / passes.shape[0]
+        out[:, j] = 1.0 - (1.0 - p[:, None]) ** values @ counts / passes.n_trials
     return out
 
 
-def _predicted_argmin(distances, auto: AutomatonParams, passes: np.ndarray,
+def _predicted_argmin(distances, auto: AutomatonParams, passes: _Passes,
                       targets: np.ndarray) -> float:
     """q in [0, 1] whose predicted frequencies have the least squared error
     against ``targets``: the best of a grid over [0, 1], refined on a grid
@@ -199,8 +213,9 @@ def calibrate_entry_prob(
                      time.perf_counter() - start)
         return counts
 
-    passes = evaluate(0.0).passes
-    if passes[:, 1:].any():
+    window_passes = evaluate(0.0).passes
+    passes = _Passes.of(window_passes)  # each room's, for every prediction
+    if window_passes[:, 1:].any():
         q = _predicted_argmin(distances, auto, passes, target_values)
     else:
         q = 1.0

@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+import reprlib
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -780,10 +781,20 @@ def _region(label: str, rooms: int | None) -> int:
     try:
         code = region_code(label)
     except GeometryError:
-        raise ValueError(f"bad region {label!r}") from None
+        raise ValueError(f"bad region {reprlib.repr(label)}") from None
     if rooms is not None and code > rooms:
-        raise ValueError(f"region {label!r}, but the template has {rooms} rooms")
+        raise ValueError(f"region {reprlib.repr(label)}, but the template has "
+                         f"{rooms} rooms")
     return code
+
+
+def _number(text: str, kind: type[int] | type[float]) -> int | float:
+    """``kind(text)``, whose ``ValueError`` echoes ``text`` short, through
+    ``reprlib.repr``, as every reader error echoes a field."""
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValueError(f"{str(exc).split(': ', 1)[0]}: {reprlib.repr(text)}") from None
 
 
 def utf8_text(data: bytes, path, error: type[Exception] = ValueError) -> str:
@@ -888,12 +899,13 @@ def _parse_row(line: str, tick: int, first_id: str,
     if len(fields) != 6:
         raise ValueError("expected 6 fields")
     if fields[0] != first_id:
-        raise ValueError(f"trial id {fields[0]!r} differs from line 2's {first_id!r}")
+        raise ValueError(f"trial id {reprlib.repr(fields[0])} differs from line 2's "
+                         f"{reprlib.repr(first_id)}")
     if fields[1] != str(tick):
-        raise ValueError(f"tick {fields[1]!r}, expected {tick}")
-    x, y = float(fields[2]), float(fields[3])
+        raise ValueError(f"tick {reprlib.repr(fields[1])}, expected {tick}")
+    x, y = _number(fields[2], float), _number(fields[3], float)
     if fields[4] not in _MODE_CODES:
-        raise ValueError(f"bad mode {fields[4]!r}")
+        raise ValueError(f"bad mode {reprlib.repr(fields[4])}")
     return x, y, _MODE_CODES[fields[4]], _region(fields[5], rooms)
 
 
@@ -986,7 +998,7 @@ def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Traject
         raise TrajectoryFormatError(f"{path}:1: no data rows")
     first_id = data[len(header):data.index(b"\n", len(header))].split(b",", 1)[0].decode()
     try:
-        trial_id = int(first_id)
+        trial_id = _number(first_id, int)
     except ValueError as exc:
         raise TrajectoryFormatError(f"{path}:2: {exc}") from None
 

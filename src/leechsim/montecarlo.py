@@ -16,6 +16,7 @@ import multiprocessing
 import sys
 from collections.abc import Callable, Iterable
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from .locomotion import (
     Trajectory,
     VisitCounts,
     _SimContext,
+    _shared_arrays,
     _simulate,
     run_trial,  # noqa: F401  (perfbench's tracer wraps montecarlo.run_trial)
     utf8_text,
@@ -53,25 +55,25 @@ def derive_trial_seed(base_seed: int, index: int) -> int:
 _ERROR_BYTES = 1024  # room for a failed worker's exception message
 
 
-def _fill_and_sink(ctx: _SimContext, env: EnvironmentTemplate, seeds, trial_ids,
-                   out: TrialArrays | VisitCounts, sink) -> None:
-    """Fill ``out`` with one trial per seed, then pass each trajectory to ``sink``."""
-    _simulate(ctx, seeds, out)
+def _run_trials(ctx: _SimContext, env: EnvironmentTemplate, seeds, sink,
+                part: TrialArrays | VisitCounts, lo: int, hi: int) -> None:
+    """:func:`_fill`'s body for an ensemble: run trials lo..hi into ``part``,
+    then pass each trajectory to ``sink``."""
+    _simulate(ctx, seeds[lo:hi], part)
     if sink is not None:
-        for traj in out.trajectories(env, seeds, trial_ids):
+        for traj in part.trajectories(env, seeds[lo:hi], range(lo, hi)):
             sink(traj)
 
 
-def _run_slice(ctx: _SimContext, env: EnvironmentTemplate, seeds, trial_ids,
-               out: TrialArrays | VisitCounts, sink, error) -> None:
-    """Forked worker body: :func:`_fill_and_sink` one slice of the ensemble.
+def _run_slice(body, part, lo: int, hi: int, error) -> None:
+    """Forked worker: ``body(part, lo, hi)``.
 
     A failure is written to the shared ``error`` buffer as ``Type: message``
     and ends the process with exit code 1, so the parent can name the cause
     and no traceback is printed.
     """
     try:
-        _fill_and_sink(ctx, env, seeds, trial_ids, out, sink)
+        body(part, lo, hi)
     except Exception as exc:
         message = f"{type(exc).__name__}: {exc}".encode(errors="replace")
         error.value = message[:len(error) - 1]
@@ -88,28 +90,26 @@ def _ensemble_setup(env, motion, auto, n_trials, base_seed, workers):
     return ctx, [derive_trial_seed(base_seed, i) for i in range(n_trials)]
 
 
-def _fill(ctx: _SimContext, env: EnvironmentTemplate, seeds,
-          out: TrialArrays | VisitCounts, workers: int, sink=None) -> None:
-    """Fill the shared ``out`` with one trial per seed on ``min(workers, trials)``
-    processes, each running the event-driven kernel on one contiguous slice
-    of the trials.
+def _fill(out: TrialArrays | VisitCounts, n: int, workers: int,
+          body: Callable[[TrialArrays | VisitCounts, int, int], None]) -> None:
+    """Fill rows 0..n of the shared ``out`` on ``min(workers, n)``
+    processes, each running ``body(part, lo, hi)`` on one contiguous slice
+    lo..hi of the rows, with ``part = out.part(s, lo, hi)`` for slice s.
 
     The workers fork after ``out`` is allocated and fill their ``part`` of
     it in place, so nothing is pickled back.  A failing worker raises
     ``RuntimeError`` here, carrying its exception's message.
     """
-    n_trials = len(seeds)
-    n_workers = min(workers, n_trials)
+    n_workers = min(workers, n)
     if n_workers == 1:  # in-process, which also runs where fork is missing
-        _fill_and_sink(ctx, env, seeds, range(n_trials), out, sink)
+        body(out, 0, n)
         return
-    # fork, so that the workers inherit the shared mapping and the sink
+    # fork, so that the workers inherit the shared mapping and the body
     fork = multiprocessing.get_context("fork")
-    bounds = [n_trials * w // n_workers for w in range(n_workers + 1)]
+    bounds = [n * w // n_workers for w in range(n_workers + 1)]
     errors = [fork.RawArray("c", _ERROR_BYTES) for _ in range(n_workers)]
     procs = [fork.Process(target=_run_slice,
-                          args=(ctx, env, seeds[lo:hi], range(lo, hi),
-                                out.part(s, lo, hi), sink, error))
+                          args=(body, out.part(s, lo, hi), lo, hi, error))
              for s, (lo, hi, error) in enumerate(zip(bounds, bounds[1:], errors))]
     try:
         for proc in procs:
@@ -151,7 +151,7 @@ def run_ensemble(
     """
     ctx, seeds = _ensemble_setup(env, motion, auto, n_trials, base_seed, workers)
     out = TrialArrays.allocate(n_trials, duration)
-    _fill(ctx, env, seeds, out, workers, sink)
+    _fill(out, n_trials, workers, partial(_run_trials, ctx, env, seeds, sink))
     return out.trajectories(env, seeds, range(n_trials))
 
 
@@ -176,11 +176,42 @@ def visit_counts(
     """
     ctx, seeds = _ensemble_setup(env, motion, auto, n_trials, base_seed, workers)
     out = VisitCounts.allocate(n_trials, env.n_rooms, duration, min(workers, n_trials))
-    _fill(ctx, env, seeds, out, workers)
+    _fill(out, n_trials, workers, partial(_run_trials, ctx, env, seeds, None))
     return out
 
 
-def ensemble_stats(trajs: Iterable[Trajectory]) -> VisitCounts:
+def _stats_counts(first: Trajectory, n: int, slices: int) -> VisitCounts:
+    """Counts of ``n`` trajectories, as wide as ``first`` and its template."""
+    if first.env is None:
+        raise ValueError("trajectories carry no environment")
+    return VisitCounts.allocate(n, first.env.n_rooms, first.n_ticks, slices)
+
+
+def _count_trajectory(counts: VisitCounts, row: int, traj: Trajectory,
+                      env: EnvironmentTemplate) -> VisitCounts:
+    """Check ``traj`` and record its ticks as ``row`` of ``counts``; a
+    longer one than ``counts.duration`` widens the mode-run table, so the
+    counts returned may be new."""
+    if traj.env != env:
+        raise ValueError("mixed environments in ensemble")
+    if traj.regions.max(initial=0) > env.n_rooms:
+        raise ValueError(f"trial {traj.trial_id} is in room {traj.regions.max()}, "
+                         f"but the template has {env.n_rooms} rooms")
+    if traj.modes.max(initial=0) > max(Mode):
+        raise ValueError(f"{traj.modes[traj.modes > max(Mode)][0]} is not a valid Mode")
+    if traj.n_ticks > counts.duration:
+        wider = ((0, 0), (0, 0), (0, traj.n_ticks - counts.duration))
+        counts = replace(counts, duration=traj.n_ticks, runs=np.pad(counts.runs, wider))
+    ticks = np.arange(traj.n_ticks)
+    # count into the trial's row alone: a count over the whole table would
+    # make each trajectory cost time in proportion to the trial count
+    counts.part(0, row, row + 1).record(
+        np.zeros_like(ticks), ticks, traj.xs, traj.ys, traj.modes,
+        np.maximum(traj.regions, 0), traj.ms, np.zeros_like(ticks))
+    return counts
+
+
+def ensemble_stats(trajs: Iterable[Trajectory], workers: int = 1) -> VisitCounts:
     """The trajectories' room counts and mode runs, made by the kernel's
     reducer: each trajectory is one record of its ticks.
 
@@ -190,29 +221,64 @@ def ensemble_stats(trajs: Iterable[Trajectory]) -> VisitCounts:
     one is recorded as it arrives.  A longer one widens the mode-run table.
     WALL and UNKNOWN ticks count as corridor ticks.  Window passes are not
     known from a trajectory, so every tick counts in ``passes`` column 0.
+
+    With ``workers`` > 1, ``trajs[lo:hi]`` must give trajectories lo..hi,
+    and :func:`_sliced_stats` reduces them on ``min(workers, len(trajs))``
+    processes into the same counts.
     """
-    if not len(trajs):
+    n = len(trajs)
+    if not n:
         raise ValueError("empty ensemble")
+    slices = min(workers, n)
+    if slices > 1:
+        return _sliced_stats(trajs, slices)
     counts = env = None
     for row, traj in enumerate(trajs):
         if counts is None:
-            env = traj.env
-            if env is None:
-                raise ValueError("trajectories carry no environment")
-            counts = VisitCounts.allocate(len(trajs), env.n_rooms, traj.n_ticks, 1)
-        if traj.env != env:
-            raise ValueError("mixed environments in ensemble")
-        if traj.regions.max(initial=0) > env.n_rooms:
-            raise ValueError(f"trial {traj.trial_id} is in room {traj.regions.max()}, "
-                             f"but the template has {env.n_rooms} rooms")
-        if traj.modes.max(initial=0) > max(Mode):
-            raise ValueError(f"{traj.modes[traj.modes > max(Mode)][0]} is not a valid Mode")
-        if traj.n_ticks > counts.duration:
-            wider = ((0, 0), (0, 0), (0, traj.n_ticks - counts.duration))
-            counts = replace(counts, duration=traj.n_ticks, runs=np.pad(counts.runs, wider))
-        ticks = np.arange(traj.n_ticks)
-        counts.record(np.full_like(ticks, row), ticks, traj.xs, traj.ys, traj.modes,
-                      np.maximum(traj.regions, 0), traj.ms, np.zeros_like(ticks))
+            env, counts = traj.env, _stats_counts(traj, n, 1)
+        counts = _count_trajectory(counts, row, traj, env)
+    return counts
+
+
+def _sliced_stats(trajs, slices: int) -> VisitCounts:
+    """:func:`ensemble_stats` of ``trajs`` in ``slices`` forked workers
+    (:func:`_fill`), each reducing one contiguous slice of them into the
+    shared counts.  Counts are sums, so they do not depend on the split.
+
+    The first trajectory is read here to allocate the counts, so no later
+    one may be longer.  A worker marks the trajectory it failed on; the
+    first marked one is then reduced again here, so that the error raised
+    is the one a reduction in one process raises, whole.
+    """
+    n = len(trajs)
+    first = next(iter(trajs[:1]))
+    env, counts = first.env, _stats_counts(first, n, slices)
+    del first  # each process holds at most one trajectory
+    failed = _shared_arrays({"failed": ((n,), np.bool_)})["failed"]
+
+    def count(part: VisitCounts, row: int, traj: Trajectory) -> None:
+        if traj.n_ticks > part.duration:
+            raise ValueError(f"trial {traj.trial_id} has {traj.n_ticks} ticks, more "
+                             f"than the first trajectory's {part.duration}")
+        _count_trajectory(part, row, traj, env)
+
+    def reduce(part: VisitCounts, lo: int, hi: int) -> None:
+        row = lo
+        try:
+            for traj in trajs[lo:hi]:
+                count(part, row - lo, traj)
+                row += 1
+        except Exception:
+            failed[row] = True
+            raise
+
+    try:
+        _fill(counts, n, slices, reduce)
+    except RuntimeError:
+        for row in np.flatnonzero(failed)[:1].tolist():
+            for traj in trajs[row:row + 1]:
+                count(counts.part(0, row, row + 1), 0, traj)
+        raise
     return counts
 
 

@@ -1,4 +1,5 @@
 import math
+import reprlib
 from pathlib import Path
 
 import numpy as np
@@ -179,14 +180,20 @@ def recount_passes(env, motion, trajs):
     return passes
 
 
+def _short_error(exc, text):
+    """A conversion error of ``text``: its cause, then ``text`` echoed short."""
+    return f"{str(exc).split(': ', 1)[0]}: {reprlib.repr(text)}"
+
+
 def _region_per_line(label, env, path, lineno):
     try:
         code = region_code(label)
     except GeometryError:
-        raise TrajectoryFormatError(f"{path}:{lineno}: bad region {label!r}") from None
+        raise TrajectoryFormatError(
+            f"{path}:{lineno}: bad region {reprlib.repr(label)}") from None
     if env is not None and code > env.n_rooms:
         raise TrajectoryFormatError(
-            f"{path}:{lineno}: region {label!r}, but the template has "
+            f"{path}:{lineno}: region {reprlib.repr(label)}, but the template has "
             f"{env.n_rooms} rooms")
     return code
 
@@ -221,7 +228,7 @@ def read_trajectory_csv_per_line(path, env=None):
     try:
         trial_id = int(first_id)
     except ValueError as exc:
-        raise TrajectoryFormatError(f"{path}:2: {exc}") from None
+        raise TrajectoryFormatError(f"{path}:2: {_short_error(exc, first_id)}") from None
     xs, ys, modes, regions = [], [], [], []
     region_codes = {}  # label -> code, checked once per distinct label
     for tick, line in enumerate(lines[1:]):
@@ -231,18 +238,20 @@ def read_trajectory_csv_per_line(path, env=None):
             raise TrajectoryFormatError(f"{path}:{lineno}: expected 6 fields")
         if parts[0] != first_id:
             raise TrajectoryFormatError(
-                f"{path}:{lineno}: trial id {parts[0]!r} differs from line 2's "
-                f"{first_id!r}")
+                f"{path}:{lineno}: trial id {reprlib.repr(parts[0])} differs from line 2's "
+                f"{reprlib.repr(first_id)}")
         if parts[1] != str(tick):
             raise TrajectoryFormatError(
-                f"{path}:{lineno}: tick {parts[1]!r}, expected {tick}")
-        try:
-            xs.append(float(parts[2]))
-            ys.append(float(parts[3]))
-        except ValueError as exc:
-            raise TrajectoryFormatError(f"{path}:{lineno}: {exc}") from None
+                f"{path}:{lineno}: tick {reprlib.repr(parts[1])}, expected {tick}")
+        for text, column in ((parts[2], xs), (parts[3], ys)):
+            try:
+                column.append(float(text))
+            except ValueError as exc:
+                raise TrajectoryFormatError(
+                    f"{path}:{lineno}: {_short_error(exc, text)}") from None
         if parts[4] not in _MODE_CODES:
-            raise TrajectoryFormatError(f"{path}:{lineno}: bad mode {parts[4]!r}")
+            raise TrajectoryFormatError(
+                f"{path}:{lineno}: bad mode {reprlib.repr(parts[4])}")
         modes.append(_MODE_CODES[parts[4]])
         code = region_codes.get(parts[5])
         if code is None:

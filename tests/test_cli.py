@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import multiprocessing
+import os
 import re
 import shutil
 import signal
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leechsim.montecarlo as montecarlo
 from leechsim.automaton import config_doc
 from leechsim.cli import RunConfig, load_run_config, main
 from leechsim.geometry import MAX_ROOM
@@ -228,6 +231,23 @@ def test_stats_rejects_room_the_template_lacks(tmp_path, capsys):
     assert not (tmp_path / "run" / "visits.csv").exists()
 
 
+@pytest.mark.parametrize("line,field", [(2, 0), (3, 0), (3, 1), (3, 2), (3, 4), (3, 5)],
+                         ids=["first-id", "id", "tick", "x", "mode", "region"])
+def test_stats_echoes_a_hostile_field_short(tmp_path, capsys, line, field):
+    cfg = _small_config(tmp_path, n_trials=2, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    victim = tmp_path / "run" / "trial_0001.csv"
+    lines = victim.read_text().splitlines()
+    fields = lines[line - 1].split(",")
+    fields[field] = "Z" * 5000
+    lines[line - 1] = ",".join(fields)
+    victim.write_text("\n".join(lines) + "\n")
+    assert main(["stats", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {victim}:{line}: ")
+    assert "'ZZZZ" in err and len(err) < len(str(victim)) + 100, err
+
+
 @pytest.mark.parametrize("command", ["stats", "simulate"])
 @pytest.mark.parametrize("damage", ["edit_seed", "drop_seeds", "derivation"])
 def test_manifest_seeds_must_match_config(tmp_path, capsys, command, damage):
@@ -326,6 +346,107 @@ def test_stats_reports_the_first_fault_in_file_order(tmp_path, capsys):
     assert f"{cut}:11: expected 6 fields" in capsys.readouterr().err
 
 
+def _pin_cpus(monkeypatch, n):
+    """Make ``stats`` see ``n`` CPUs; returns the slice counts it then runs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    slices, fill = [], montecarlo._fill
+
+    def counted_fill(out, rows, workers, body):
+        slices.append(min(workers, rows))
+        return fill(out, rows, workers, body)
+
+    monkeypatch.setattr(montecarlo, "_fill", counted_fill)
+    return slices
+
+
+def _stats_outputs(run_dir, out):
+    assert main(["stats", str(run_dir), "--out", str(out)]) == 0
+    return {name: (out / name).read_bytes() for name in ("visits.csv", "dwell.csv")}
+
+
+@pytest.mark.parametrize("trials,cpus,slices", [(5, 2, 2), (5, 3, 3), (2, 5, 2)],
+                         ids=["2-slices", "3-slices", "more-cpus-than-trials"])
+def test_stats_bytes_do_not_depend_on_the_slice_count(tmp_path, monkeypatch, trials,
+                                                      cpus, slices):
+    cfg = _small_config(tmp_path, n_trials=trials, duration_ticks=400,
+                        motion={**config_doc(MotionParams()), "q_scale": 0.5})
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    run_dir = tmp_path / "run"
+    with monkeypatch.context() as patch:
+        serial = _pin_cpus(patch, 1)
+        one = _stats_outputs(run_dir, tmp_path / "one")
+    assert serial == []  # in-process, without _fill
+    sliced = _pin_cpus(monkeypatch, cpus)
+    assert _stats_outputs(run_dir, tmp_path / "many") == one
+    assert sliced == [slices]
+
+
+def _fault_in_two_slices(tmp_path):
+    """A 4-trial run whose trials 1 and 3 are bad, so that each of 2 or 3
+    slices of it holds at most one of them; and trial 1's good text."""
+    cfg = _small_config(tmp_path, n_trials=4, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    run_dir = tmp_path / "run"
+    renumbered = run_dir / "trial_0001.csv"
+    text = renumbered.read_text()
+    lines = text.splitlines()
+    renumbered.write_text("\n".join(lines[:1] + ["9" + line[1:] for line in lines[1:]]))
+    cut = run_dir / "trial_0003.csv"
+    cut.write_bytes(cut.read_bytes()[:-9])
+    return run_dir, text
+
+
+def _stats_failure(run_dir, monkeypatch, cpus, capsys):
+    with monkeypatch.context() as patch:
+        slices = _pin_cpus(patch, cpus)
+        code = main(["stats", str(run_dir)])
+    assert slices == ([] if cpus == 1 else [cpus])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_stats_in_slices_reports_the_first_fault_in_file_order(tmp_path, monkeypatch,
+                                                               capsys, cpus):
+    run_dir, text = _fault_in_two_slices(tmp_path)
+    serial = _stats_failure(run_dir, monkeypatch, 1, capsys)
+    assert serial == (3, f"error: {run_dir / 'trial_0001.csv'}:2: trial id 9, but the "
+                         "file name gives trial 1\n")
+    assert _stats_failure(run_dir, monkeypatch, cpus, capsys) == serial
+    assert not (run_dir / "visits.csv").exists()
+    (run_dir / "trial_0001.csv").write_text(text)  # now trial 3's fault shows
+    serial = _stats_failure(run_dir, monkeypatch, 1, capsys)
+    assert serial == (3, f"error: {run_dir / 'trial_0003.csv'}:11: expected 6 fields\n")
+    assert _stats_failure(run_dir, monkeypatch, cpus, capsys) == serial
+    assert not (run_dir / "dwell.csv").exists()
+
+
+def test_stats_in_slices_reports_a_long_error_whole(tmp_path, monkeypatch, capsys):
+    """A run directory's path alone may outgrow a worker's error buffer;
+    the error still arrives whole, as one process reports it."""
+    deep = tmp_path.joinpath(*["d" * 200] * 6)
+    deep.mkdir(parents=True)
+    run_dir, _ = _fault_in_two_slices(deep)
+    serial = _stats_failure(run_dir, monkeypatch, 1, capsys)
+    assert serial[0] == 3 and len(serial[1]) > montecarlo._ERROR_BYTES
+    assert _stats_failure(run_dir, monkeypatch, 2, capsys) == serial
+
+
+def test_stats_without_fork_runs_in_process(tmp_path, monkeypatch):
+    cfg = _small_config(tmp_path, n_trials=4, duration_ticks=200)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    run_dir = tmp_path / "run"
+    expected = _stats_outputs(run_dir, tmp_path / "forked")
+
+    def no_fork(*args):
+        raise AssertionError("stats started a process")
+
+    slices = _pin_cpus(monkeypatch, 4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    assert _stats_outputs(run_dir, tmp_path / "in-process") == expected
+    assert slices == []
+
+
 def _stats_peak_bytes(run_dir, out):
     """tracemalloc's peak over one ``stats`` call."""
     tracemalloc.start()
@@ -337,10 +458,12 @@ def _stats_peak_bytes(run_dir, out):
         tracemalloc.stop()
 
 
-def test_stats_memory_does_not_grow_with_the_file_count(tmp_path):
+def test_stats_memory_does_not_grow_with_the_file_count(tmp_path, monkeypatch):
     """``stats`` holds one trajectory at a time: 56 more files of 1800
     ticks (36 KB of arrays each) may add their names and count rows, but
-    not a few trajectories."""
+    not a few trajectories.  One slice, since tracemalloc does not see
+    forked workers."""
+    _pin_cpus(monkeypatch, 1)
     runs = {}
     for n in (8, 64):
         cfg = _small_config(tmp_path, f"run{n}", n_trials=n, duration_ticks=1800)

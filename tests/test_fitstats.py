@@ -175,6 +175,25 @@ def test_calibrate_evaluations_share_one_seed(monkeypatch):
     assert np.array_equal(ensemble_stats(trajs).mode_runs(), result.counts.mode_runs())
 
 
+def test_calibrate_counts_each_room_s_passes_once(monkeypatch):
+    """The window passes of evaluation 0 feed every prediction, so each
+    room's distinct pass counts are found once, not once per grid and
+    correction."""
+    env, motion, auto = _small_setup()
+    calls = []
+    unique = np.unique
+
+    def counted_unique(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    result = calibrate_entry_prob(env, motion, auto, PowerLawFit(0.35, -0.82),
+                                  n_trials=40, base_seed=10, tol=1e-9, duration=600)
+    assert len(result.evaluations) == 3  # a prediction, then a correction
+    assert 0 < len(calls) <= env.n_rooms
+
+
 def test_calibrate_rejects_bad_target():
     env, motion, auto = _small_setup()
     with pytest.raises(ValueError):

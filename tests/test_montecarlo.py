@@ -130,6 +130,35 @@ def test_worker_count_does_not_change_results(env, auto, motion):
         assert np.array_equal(ts.modes, tp.modes)
 
 
+def test_ensemble_stats_in_slices_equal_one_process(env, auto, motion):
+    trajs = run_ensemble(env, motion, auto, 5, base_seed=3, duration=300)
+    one = ensemble_stats(trajs)
+    for workers in (2, 3, 8):
+        sliced = ensemble_stats(trajs, workers)
+        assert np.array_equal(sliced.ticks, one.ticks)
+        assert np.array_equal(sliced.mode_runs(), one.mode_runs())
+    longer = make_trajectory(env, [0] * 301, trial_id=5)
+    assert ensemble_stats(trajs + [longer]).duration == 301
+    with pytest.raises(ValueError, match="trial 5 has 301 ticks, more than the "
+                                         "first trajectory's 300"):
+        ensemble_stats(trajs + [longer], workers=2)
+
+
+def test_ensemble_stats_counts_each_trajectory_in_its_own_row(env, monkeypatch):
+    """Recording one trajectory touches one row of the counts, so a run's
+    trajectories cost time linear in the trial count, not quadratic."""
+    sizes, bincount = [], np.bincount
+
+    def counted_bincount(x, weights=None, minlength=0):
+        sizes.append(minlength)
+        return bincount(x, weights, minlength)
+
+    monkeypatch.setattr(np, "bincount", counted_bincount)
+    trajs = [make_trajectory(env, [0, 1, 1, 2], trial_id=i) for i in range(50)]
+    assert ensemble_stats(trajs).visit_frequencies()[1] == 1.0
+    assert sizes and max(sizes) == env.n_rooms + 1
+
+
 @pytest.mark.parametrize("workers", [0, -5])
 def test_worker_count_below_one_rejected(env, auto, motion, workers):
     with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
