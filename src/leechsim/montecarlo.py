@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import reprlib
 import sys
-from collections.abc import Callable, Iterable
-from dataclasses import replace
+from collections.abc import Callable, Sequence
 from functools import partial
 from pathlib import Path
 
@@ -29,6 +29,7 @@ from .locomotion import (
     Trajectory,
     VisitCounts,
     _SimContext,
+    _number,
     _shared_arrays,
     _simulate,
     run_trial,  # noqa: F401  (perfbench's tracer wraps montecarlo.run_trial)
@@ -180,18 +181,11 @@ def visit_counts(
     return out
 
 
-def _stats_counts(first: Trajectory, n: int, slices: int) -> VisitCounts:
-    """Counts of ``n`` trajectories, as wide as ``first`` and its template."""
-    if first.env is None:
-        raise ValueError("trajectories carry no environment")
-    return VisitCounts.allocate(n, first.env.n_rooms, first.n_ticks, slices)
-
-
 def _count_trajectory(counts: VisitCounts, row: int, traj: Trajectory,
-                      env: EnvironmentTemplate) -> VisitCounts:
-    """Check ``traj`` and record its ticks as ``row`` of ``counts``; a
-    longer one than ``counts.duration`` widens the mode-run table, so the
-    counts returned may be new."""
+                      env: EnvironmentTemplate, ticks: np.ndarray,
+                      zeros: np.ndarray) -> None:
+    """Check ``traj`` and record its ticks as ``row`` of ``counts``;
+    ``ticks`` and ``zeros`` are a tick index and zeros at least as long."""
     if traj.env != env:
         raise ValueError("mixed environments in ensemble")
     if traj.regions.max(initial=0) > env.n_rooms:
@@ -199,74 +193,54 @@ def _count_trajectory(counts: VisitCounts, row: int, traj: Trajectory,
                          f"but the template has {env.n_rooms} rooms")
     if traj.modes.max(initial=0) > max(Mode):
         raise ValueError(f"{traj.modes[traj.modes > max(Mode)][0]} is not a valid Mode")
-    if traj.n_ticks > counts.duration:
-        wider = ((0, 0), (0, 0), (0, traj.n_ticks - counts.duration))
-        counts = replace(counts, duration=traj.n_ticks, runs=np.pad(counts.runs, wider))
-    ticks = np.arange(traj.n_ticks)
+    n = traj.n_ticks
     # count into the trial's row alone: a count over the whole table would
     # make each trajectory cost time in proportion to the trial count
     counts.part(0, row, row + 1).record(
-        np.zeros_like(ticks), ticks, traj.xs, traj.ys, traj.modes,
-        np.maximum(traj.regions, 0), traj.ms, np.zeros_like(ticks))
-    return counts
+        zeros[:n], ticks[:n], traj.xs, traj.ys, traj.modes,
+        np.maximum(traj.regions, 0), traj.ms, zeros[:n])
 
 
-def ensemble_stats(trajs: Iterable[Trajectory], workers: int = 1) -> VisitCounts:
+def ensemble_stats(trajs: Sequence[Trajectory], workers: int = 1) -> VisitCounts:
     """The trajectories' room counts and mode runs, made by the kernel's
-    reducer: each trajectory is one record of its ticks.
+    reducer: each trajectory is one record of its ticks.  WALL and UNKNOWN
+    ticks count as corridor ticks.  Window passes are not known from a
+    trajectory, so every tick counts in ``passes`` column 0.
 
-    ``trajs`` is any sized iterable, such as a list or a run directory's
-    files read one at a time, and is reduced in one pass: the counts are
-    allocated from ``len(trajs)`` and the first trajectory, and each later
-    one is recorded as it arrives.  A longer one widens the mode-run table.
-    WALL and UNKNOWN ticks count as corridor ticks.  Window passes are not
-    known from a trajectory, so every tick counts in ``passes`` column 0.
-
-    With ``workers`` > 1, ``trajs[lo:hi]`` must give trajectories lo..hi,
-    and :func:`_sliced_stats` reduces them on ``min(workers, len(trajs))``
-    processes into the same counts.
+    ``trajs`` supports ``len`` and ``trajs[lo:hi]``, the trajectories
+    lo..hi: a list, or a run directory's files read one at a time.  The
+    counts are sized before any trajectory is reduced, from the ``env`` and
+    ``duration`` of ``trajs`` where it carries them, as a run directory
+    does, or else from the first trajectory's template and the longest
+    trajectory's ticks.  :func:`_fill` then reduces one contiguous slice of
+    ``trajs`` on each of ``min(workers, len(trajs))`` processes into the
+    shared counts, which are sums, so they do not depend on the split.  A
+    forked slice marks the trajectory it failed on; the first marked one is
+    reduced again here, so that the error raised is the one a single
+    process raises, whole.
     """
     n = len(trajs)
     if not n:
         raise ValueError("empty ensemble")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if hasattr(trajs, "duration"):  # a run's trials, not read yet
+        env, duration = trajs.env, trajs.duration
+    else:  # trajectories in memory
+        env, duration = trajs[0].env, max(traj.n_ticks for traj in trajs)
+    if env is None:
+        raise ValueError("trajectories carry no environment")
     slices = min(workers, n)
-    if slices > 1:
-        return _sliced_stats(trajs, slices)
-    counts = env = None
-    for row, traj in enumerate(trajs):
-        if counts is None:
-            env, counts = traj.env, _stats_counts(traj, n, 1)
-        counts = _count_trajectory(counts, row, traj, env)
-    return counts
-
-
-def _sliced_stats(trajs, slices: int) -> VisitCounts:
-    """:func:`ensemble_stats` of ``trajs`` in ``slices`` forked workers
-    (:func:`_fill`), each reducing one contiguous slice of them into the
-    shared counts.  Counts are sums, so they do not depend on the split.
-
-    The first trajectory is read here to allocate the counts, so no later
-    one may be longer.  A worker marks the trajectory it failed on; the
-    first marked one is then reduced again here, so that the error raised
-    is the one a reduction in one process raises, whole.
-    """
-    n = len(trajs)
-    first = next(iter(trajs[:1]))
-    env, counts = first.env, _stats_counts(first, n, slices)
-    del first  # each process holds at most one trajectory
+    counts = VisitCounts.allocate(n, env.n_rooms, duration, slices)
     failed = _shared_arrays({"failed": ((n,), np.bool_)})["failed"]
 
-    def count(part: VisitCounts, row: int, traj: Trajectory) -> None:
-        if traj.n_ticks > part.duration:
-            raise ValueError(f"trial {traj.trial_id} has {traj.n_ticks} ticks, more "
-                             f"than the first trajectory's {part.duration}")
-        _count_trajectory(part, row, traj, env)
-
     def reduce(part: VisitCounts, lo: int, hi: int) -> None:
+        ticks = np.arange(duration)
+        zeros = np.zeros_like(ticks)
         row = lo
         try:
             for traj in trajs[lo:hi]:
-                count(part, row - lo, traj)
+                _count_trajectory(part, row - lo, traj, env, ticks, zeros)
                 row += 1
         except Exception:
             failed[row] = True
@@ -275,9 +249,9 @@ def _sliced_stats(trajs, slices: int) -> VisitCounts:
     try:
         _fill(counts, n, slices, reduce)
     except RuntimeError:
-        for row in np.flatnonzero(failed)[:1].tolist():
-            for traj in trajs[row:row + 1]:
-                count(counts.part(0, row, row + 1), 0, traj)
+        if slices > 1:  # a forked slice's error arrives as its message alone
+            for row in np.flatnonzero(failed)[:1].tolist():
+                reduce(counts.part(0, row, row + 1), row, row + 1)
         raise
     return counts
 
@@ -319,7 +293,8 @@ def read_stats_csv(path) -> list[tuple[int, int, float, float]]:
         if len(parts) != 4:
             raise ValueError(f"{path}:{lineno}: expected 4 fields")
         try:
-            row = (int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3]))
+            row = (_number(parts[0], int), _number(parts[1], int),
+                   _number(parts[2], float), _number(parts[3], float))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         for name, value in zip(("room", "distance_x"), row):
@@ -327,9 +302,9 @@ def read_stats_csv(path) -> list[tuple[int, int, float, float]]:
                 raise ValueError(
                     f"{path}:{lineno}: {name} {value} outside [1, {MAX_ROOM}]")
         if not (math.isfinite(row[2]) and math.isfinite(row[3])):
-            raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+            raise ValueError(f"{path}:{lineno}: non-finite value in {reprlib.repr(line)}")
         if not (0.0 <= row[2] <= 1.0 and 0.0 <= row[3] <= 1.0):
-            raise ValueError(f"{path}:{lineno}: value outside [0, 1] in {line!r}")
+            raise ValueError(f"{path}:{lineno}: value outside [0, 1] in {reprlib.repr(line)}")
         if row[0] in rooms:
             raise ValueError(f"{path}:{lineno}: room {row[0]} listed twice")
         rooms.add(row[0])

@@ -375,7 +375,7 @@ def test_stats_bytes_do_not_depend_on_the_slice_count(tmp_path, monkeypatch, tri
     with monkeypatch.context() as patch:
         serial = _pin_cpus(patch, 1)
         one = _stats_outputs(run_dir, tmp_path / "one")
-    assert serial == []  # in-process, without _fill
+    assert serial == [1]  # one slice, in-process
     sliced = _pin_cpus(monkeypatch, cpus)
     assert _stats_outputs(run_dir, tmp_path / "many") == one
     assert sliced == [slices]
@@ -400,7 +400,7 @@ def _stats_failure(run_dir, monkeypatch, cpus, capsys):
     with monkeypatch.context() as patch:
         slices = _pin_cpus(patch, cpus)
         code = main(["stats", str(run_dir)])
-    assert slices == ([] if cpus == 1 else [cpus])
+    assert slices == [cpus]
     return code, capsys.readouterr().err
 
 
@@ -444,7 +444,7 @@ def test_stats_without_fork_runs_in_process(tmp_path, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     assert _stats_outputs(run_dir, tmp_path / "in-process") == expected
-    assert slices == []
+    assert slices == [1]
 
 
 def _stats_peak_bytes(run_dir, out):
@@ -829,6 +829,19 @@ def test_fit_rejects_rooms_and_distances_outside_the_room_codes(
     captured = capsys.readouterr()
     assert error in captured.err
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("visit_freq", ["9" * 5000, " " * 5000 + "nan", "x" + "y" * 5000],
+                         ids=["huge", "padded-nan", "not-a-number"])
+def test_fit_echoes_a_hostile_field_short(tmp_path, capsys, visit_freq):
+    stats_csv = tmp_path / "visits.csv"
+    stats_csv.write_text("room,distance_x,visit_freq,time_fraction\n"
+                         f"1,1,{visit_freq},0.1\n2,2,0.198,0.05\n")
+    assert main(["fit", str(stats_csv)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 300
+    assert "visits.csv:2: " in captured.err
     assert captured.out == ""
 
 

@@ -68,6 +68,12 @@ def mode_dwell(counts):
     return {m: {int(d): int(table[m, d]) for d in np.flatnonzero(table[m])} for m in Mode}
 
 
+def _count_bytes(counts):
+    """The tables a reduction gives, as bytes, with their shapes and dtypes."""
+    return [(a.shape, a.dtype, a.tobytes())
+            for a in (counts.ticks, counts.passes, counts.mode_runs())]
+
+
 def _assert_reducers_match_oracles(trajs):
     counts = ensemble_stats(trajs)
     assert counts.visit_frequencies() == visit_frequencies_per_run(trajs)
@@ -75,6 +81,8 @@ def _assert_reducers_match_oracles(trajs):
     assert counts.time_fractions() == time_fractions_per_run(trajs)
     dwell = mode_dwell_histograms_per_run(trajs)
     assert mode_dwell(counts) == {m: dict(Counter(runs)) for m, runs in dwell.items()}
+    for workers in (2, 3):
+        assert _count_bytes(ensemble_stats(trajs, workers)) == _count_bytes(counts)
 
 
 def _splitmix_vectorized(base_seed, n):
@@ -138,10 +146,20 @@ def test_ensemble_stats_in_slices_equal_one_process(env, auto, motion):
         assert np.array_equal(sliced.ticks, one.ticks)
         assert np.array_equal(sliced.mode_runs(), one.mode_runs())
     longer = make_trajectory(env, [0] * 301, trial_id=5)
-    assert ensemble_stats(trajs + [longer]).duration == 301
-    with pytest.raises(ValueError, match="trial 5 has 301 ticks, more than the "
-                                         "first trajectory's 300"):
-        ensemble_stats(trajs + [longer], workers=2)
+    for ragged in ([longer] + trajs, trajs + [longer]):
+        one = ensemble_stats(ragged)
+        assert one.duration == 301
+        for workers in (2, 3):
+            assert _count_bytes(ensemble_stats(ragged, workers)) == _count_bytes(one)
+
+
+def test_ensemble_stats_in_slices_raise_the_error_of_one_process(env):
+    """Trajectory 0 is bad, and no process reads it before the slices do."""
+    bad = [make_trajectory(env, [0, 0], modes=[1, 9])]
+    bad += [make_trajectory(env, [0, 1, 2], trial_id=i) for i in (1, 2, 3)]
+    for workers in (1, 2, 3):
+        with pytest.raises(ValueError, match="^9 is not a valid Mode$"):
+            ensemble_stats(bad, workers)
 
 
 def test_ensemble_stats_counts_each_trajectory_in_its_own_row(env, monkeypatch):
