@@ -317,7 +317,7 @@ def _write_stats(env: EnvironmentTemplate, counts, out: Path) -> None:
 
 def _cpus() -> int:
     """The CPUs this process may run on, or 1 where fork is missing, so that
-    ``stats`` then reads its files in-process."""
+    ``stats`` and ``track`` then read their files in-process."""
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -446,6 +446,7 @@ def cmd_track(args) -> int:
         threshold=args.threshold,
         mm_per_px=1.0 / args.px_per_mm,
         env=env,
+        workers=_cpus(),  # the positions are the same for any split
     )
     out = Path(args.out) if args.out else Path(args.frame_dir) / "trajectory.csv"
     write_trajectory_csv(traj, out)

@@ -181,11 +181,67 @@ def visit_counts(
     return out
 
 
-def _count_trajectory(counts: VisitCounts, row: int, traj: Trajectory,
-                      env: EnvironmentTemplate, ticks: np.ndarray,
-                      zeros: np.ndarray) -> None:
-    """Check ``traj`` and record its ticks as ``row`` of ``counts``;
-    ``ticks`` and ``zeros`` are a tick index and zeros at least as long."""
+def _fill_rows(out, items: Sequence, workers: int,
+               each: Callable[[object, int, object], None]) -> None:
+    """Call ``each(out.part(s, i, i + 1), i, items[i])`` once for every row i
+    of ``items``, where s is the one of :func:`_fill`'s ``min(workers,
+    len(items))`` slices that runs row i; ``out`` is shared as there.
+
+    ``items[lo:hi]`` is iterated once per chunk of rows lo..hi, so a sequence
+    that reads its items as it is iterated holds one at a time.  Each slice
+    claims the next chunk of about ``len(items) / (8 x slices)`` rows from a
+    shared counter until none is left (self-scheduling), so a slice the host
+    runs slowly hands its rows to the others.  One slice runs every chunk in
+    order, in-process.
+
+    A forked slice marks the row it failed on, and the first marked row is
+    run again here, so that the error raised is the one a single process
+    raises, whole.  Chunks are claimed in row order, so the first row that
+    fails is always reached and marked.
+    """
+    n = len(items)
+    if not n:
+        return
+    slices = min(workers, n)
+    chunk = -(-n // (8 * slices))
+    claimed = multiprocessing.Value("q", 0)
+    failed = _shared_arrays({"failed": ((n,), np.bool_)})["failed"]
+
+    def run(s: int, lo: int, hi: int) -> None:
+        row = lo
+        try:
+            for item in items[lo:hi]:
+                each(out.part(s, row, row + 1), row, item)
+                row += 1
+        except Exception:
+            failed[row] = True
+            raise
+
+    def claim(_, s: int, _end: int) -> None:  # _fill's rows here are the slices
+        while True:
+            with claimed.get_lock():
+                lo = claimed.value
+                claimed.value = lo + chunk
+            if lo >= n:
+                return
+            run(s, lo, min(lo + chunk, n))
+
+    try:
+        _fill(out, slices, slices, claim)
+    except RuntimeError:
+        if slices > 1:  # a forked slice's error arrives as its message alone
+            for row in np.flatnonzero(failed)[:1].tolist():
+                run(0, row, row + 1)
+        raise
+
+
+def _count_trajectory(env: EnvironmentTemplate, ticks: np.ndarray, zeros: np.ndarray,
+                      counts: VisitCounts, row: int, traj: Trajectory) -> None:
+    """:func:`_fill_rows`' ``each`` for :func:`ensemble_stats`: check
+    ``traj`` and record its ticks in ``counts``, the one row of trial
+    ``row``; ``ticks`` and ``zeros`` are a tick index and zeros at least as
+    long.  Counting into that row alone keeps each trajectory's cost
+    independent of the trial count."""
     if traj.env != env:
         raise ValueError("mixed environments in ensemble")
     if traj.regions.max(initial=0) > env.n_rooms:
@@ -194,11 +250,8 @@ def _count_trajectory(counts: VisitCounts, row: int, traj: Trajectory,
     if traj.modes.max(initial=0) > max(Mode):
         raise ValueError(f"{traj.modes[traj.modes > max(Mode)][0]} is not a valid Mode")
     n = traj.n_ticks
-    # count into the trial's row alone: a count over the whole table would
-    # make each trajectory cost time in proportion to the trial count
-    counts.part(0, row, row + 1).record(
-        zeros[:n], ticks[:n], traj.xs, traj.ys, traj.modes,
-        np.maximum(traj.regions, 0), traj.ms, zeros[:n])
+    counts.record(zeros[:n], ticks[:n], traj.xs, traj.ys, traj.modes,
+                  np.maximum(traj.regions, 0), traj.ms, zeros[:n])
 
 
 def ensemble_stats(trajs: Sequence[Trajectory], workers: int = 1) -> VisitCounts:
@@ -212,12 +265,10 @@ def ensemble_stats(trajs: Sequence[Trajectory], workers: int = 1) -> VisitCounts
     counts are sized before any trajectory is reduced, from the ``env`` and
     ``duration`` of ``trajs`` where it carries them, as a run directory
     does, or else from the first trajectory's template and the longest
-    trajectory's ticks.  :func:`_fill` then reduces one contiguous slice of
-    ``trajs`` on each of ``min(workers, len(trajs))`` processes into the
-    shared counts, which are sums, so they do not depend on the split.  A
-    forked slice marks the trajectory it failed on; the first marked one is
-    reduced again here, so that the error raised is the one a single
-    process raises, whole.
+    trajectory's ticks.  :func:`_fill_rows` then reduces the trajectories on
+    ``min(workers, len(trajs))`` processes into the shared counts, which are
+    sums, so they do not depend on the split, and raises the first fault in
+    ``trajs`` order.
     """
     n = len(trajs)
     if not n:
@@ -230,29 +281,10 @@ def ensemble_stats(trajs: Sequence[Trajectory], workers: int = 1) -> VisitCounts
         env, duration = trajs[0].env, max(traj.n_ticks for traj in trajs)
     if env is None:
         raise ValueError("trajectories carry no environment")
-    slices = min(workers, n)
-    counts = VisitCounts.allocate(n, env.n_rooms, duration, slices)
-    failed = _shared_arrays({"failed": ((n,), np.bool_)})["failed"]
-
-    def reduce(part: VisitCounts, lo: int, hi: int) -> None:
-        ticks = np.arange(duration)
-        zeros = np.zeros_like(ticks)
-        row = lo
-        try:
-            for traj in trajs[lo:hi]:
-                _count_trajectory(part, row - lo, traj, env, ticks, zeros)
-                row += 1
-        except Exception:
-            failed[row] = True
-            raise
-
-    try:
-        _fill(counts, n, slices, reduce)
-    except RuntimeError:
-        if slices > 1:  # a forked slice's error arrives as its message alone
-            for row in np.flatnonzero(failed)[:1].tolist():
-                reduce(counts.part(0, row, row + 1), row, row + 1)
-        raise
+    counts = VisitCounts.allocate(n, env.n_rooms, duration, min(workers, n))
+    ticks = np.arange(duration)
+    _fill_rows(counts, trajs, workers,
+               partial(_count_trajectory, env, ticks, np.zeros_like(ticks)))
     return counts
 
 
@@ -300,7 +332,8 @@ def read_stats_csv(path) -> list[tuple[int, int, float, float]]:
         for name, value in zip(("room", "distance_x"), row):
             if not 1 <= value <= MAX_ROOM:
                 raise ValueError(
-                    f"{path}:{lineno}: {name} {value} outside [1, {MAX_ROOM}]")
+                    f"{path}:{lineno}: {name} {reprlib.repr(value)} outside "
+                    f"[1, {MAX_ROOM}]")
         if not (math.isfinite(row[2]) and math.isfinite(row[3])):
             raise ValueError(f"{path}:{lineno}: non-finite value in {reprlib.repr(line)}")
         if not (0.0 <= row[2] <= 1.0 and 0.0 <= row[3] <= 1.0):

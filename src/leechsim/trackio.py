@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import UNKNOWN, EnvironmentTemplate, GeometryError, locate
-from .locomotion import MODE_UNKNOWN, Trajectory
+from .locomotion import MODE_UNKNOWN, Trajectory, _shared_arrays
+from .montecarlo import _fill_rows
 
 
 class TrackError(ValueError):
@@ -48,6 +51,27 @@ class Frame:
 
 def blank_frame(width: int, height: int, color=(255, 255, 255)) -> Frame:
     return Frame(width, height, np.full((height, width, 3), color, dtype=np.uint8))
+
+
+@dataclass(frozen=True)
+class _FrameSequence:
+    """Frames made one at a time, each only when it is accessed: frame i is
+    ``make(keys[i])``.  ``len`` is the frame count, ``frames[i]`` frame i and
+    ``frames[lo:hi]`` the frames lo..hi, as another such sequence."""
+
+    make: Callable[[object], Frame]
+    keys: Sequence
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return replace(self, keys=self.keys[index])
+        return self.make(self.keys[index])
+
+    def __iter__(self) -> Iterator[Frame]:
+        return map(self.make, self.keys)
 
 
 def _dark_centroid(frame: Frame, threshold: int) -> tuple[float, float] | None:
@@ -188,8 +212,9 @@ _WALL_GRAY = (200, 200, 200)  # visible but above any sane darkness threshold
 
 
 def render_frames(traj: Trajectory, env: EnvironmentTemplate,
-                  px_per_mm: float = 4.0):
-    """Yield one synthetic frame per sample: gray template, dark leech blob.
+                  px_per_mm: float = 4.0) -> _FrameSequence:
+    """One synthetic frame per sample, rendered when it is accessed: gray
+    template, dark leech blob.
 
     Walls are drawn light gray so dark-pixel extraction sees only the leech;
     this is the forward model for the tracking round trip.
@@ -199,61 +224,95 @@ def render_frames(traj: Trajectory, env: EnvironmentTemplate,
     _draw_walls(background.pixels, env, proj, _WALL_GRAY, fill=True)
     index, sample = proj.stamps(traj, _DISC)
     ends = np.searchsorted(sample, np.arange(traj.n_ticks + 1))
-    for lo, hi in zip(ends[:-1], ends[1:]):
+
+    def frame(k: int) -> Frame:
         pixels = background.pixels.copy()
-        pixels.reshape(-1, 3)[index[lo:hi]] = _LEECH_COLOR
-        yield Frame(proj.width, proj.height, pixels)
+        pixels.reshape(-1, 3)[index[ends[k]:ends[k + 1]]] = _LEECH_COLOR
+        return Frame(proj.width, proj.height, pixels)
+
+    return _FrameSequence(frame, range(traj.n_ticks))
+
+
+class _Rows(dict):
+    """Arrays by name whose part s, lo..hi is rows lo..hi of each, the same
+    for every slice s: an output of :func:`_fill_rows`."""
+
+    def part(self, s: int, lo: int, hi: int) -> "_Rows":
+        return _Rows({name: array[lo:hi] for name, array in self.items()})
+
+
+def _position(frame: Frame, threshold: int, mm_per_px: float) -> tuple[float, float] | None:
+    """The dark-pixel centroid in template mm, y flipped, rounded to 3
+    decimals; None when the frame has no dark pixels."""
+    centroid = _dark_centroid(frame, threshold)
+    if centroid is None:
+        return None
+    cx, cy = centroid
+    return round(cx * mm_per_px, 3), round((frame.height - 1 - cy) * mm_per_px, 3)
+
+
+def _track_frame(size: tuple[int, int], threshold: int, mm_per_px: float,
+                 out: _Rows, row: int, frame: Frame) -> None:
+    """:func:`_fill_rows`' ``each`` for the frames after the first: row i
+    is frame i + 1, whose position goes in ``out``'s one row."""
+    if (frame.width, frame.height) != size:
+        raise TrackError(
+            f"frame {row + 1} is {frame.width}x{frame.height}, "
+            f"expected {size[0]}x{size[1]}"
+        )
+    position = _position(frame, threshold, mm_per_px)
+    if position is not None:
+        out["xy"][0], out["found"][0] = position, True
 
 
 def frames_to_trajectory(
-    frames,
+    frames: Sequence[Frame],
     threshold: int = 40,
     mm_per_px: float = 0.25,
     env: EnvironmentTemplate | None = None,
+    workers: int = 1,
 ) -> Trajectory:
     """Centroid-track a frame sequence into a trajectory.
 
-    Per frame, the dark-pixel centroid (scaled by ``mm_per_px``, y flipped to
-    template coordinates, rounded to 3 decimals) becomes that tick's
-    position.  Frames with no dark pixels carry the previous position
-    forward; an empty first frame is an error.  Mode is UNKNOWN throughout;
-    the region column is filled via locate when an environment is given.
+    ``frames`` supports ``len``, ``frames[i]`` and ``frames[lo:hi]``: a
+    list, or what :func:`read_frame_dir` and :func:`render_frames` return,
+    which make one frame at a time.  Per frame, the dark-pixel centroid
+    (scaled by ``mm_per_px``, y flipped to template coordinates, rounded to
+    3 decimals) becomes that tick's position.  Frames with no dark pixels
+    carry the previous position forward; an empty first frame is an error.
+    Mode is UNKNOWN throughout; the region column is filled via locate when
+    an environment is given.
+
+    The first frame, which fixes the frame size, is read here; the others
+    are centroided by :func:`_fill_rows` on ``min(workers, len(frames) - 1)``
+    processes, and the first fault in frame order is raised.
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    regions: list[int] = []
-    size: tuple[int, int] | None = None
-    prev: tuple[float, float] | None = None
-    for index, frame in enumerate(frames):
-        if size is None:
-            size = (frame.width, frame.height)
-        elif (frame.width, frame.height) != size:
-            raise TrackError(
-                f"frame {index} is {frame.width}x{frame.height}, "
-                f"expected {size[0]}x{size[1]}"
-            )
-        centroid = _dark_centroid(frame, threshold)
-        if centroid is None:
-            if prev is None:
-                raise TrackError("no dark pixels in the first frame")
-            x_mm, y_mm = prev
-        else:
-            cx, cy = centroid
-            x_mm = round(cx * mm_per_px, 3)
-            y_mm = round((frame.height - 1 - cy) * mm_per_px, 3)
-        prev = (x_mm, y_mm)
-        xs.append(x_mm)
-        ys.append(y_mm)
-        regions.append(_located_region(env, x_mm, y_mm))
-    if size is None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    n = len(frames)
+    if not n:
         raise TrackError("no frames supplied")
-    n = len(xs)
+    # per frame, its position and whether it had dark pixels, filled in place
+    # by forked slices
+    out = _Rows(_shared_arrays({"xy": ((n, 2), np.float64), "found": ((n,), np.bool_)}))
+    first = frames[0]
+    size, position = (first.width, first.height), _position(first, threshold, mm_per_px)
+    del first  # so that a process holds one frame at a time
+    if position is None:
+        raise TrackError("no dark pixels in the first frame")
+    out["xy"][0], out["found"][0] = position, True
+    _fill_rows(out.part(0, 1, n), frames[1:], workers,
+               partial(_track_frame, size, threshold, mm_per_px))
+    # each frame takes the position of the last frame up to it that had one
+    last = np.maximum.accumulate(np.where(out["found"], np.arange(n), 0))
+    xs, ys = out["xy"][last, 0], out["xy"][last, 1]
+    regions = [_located_region(env, x, y) for x, y in zip(xs.tolist(), ys.tolist())]
     return Trajectory(
         env=env,
         trial_id=0,
         seed=0,
-        xs=np.asarray(xs, dtype=float),
-        ys=np.asarray(ys, dtype=float),
+        xs=xs,
+        ys=ys,
         modes=np.full(n, MODE_UNKNOWN, dtype=np.uint8),
         regions=np.asarray(regions, dtype=np.int16),
         ms=np.zeros(n, dtype=np.uint8),
@@ -327,9 +386,10 @@ def frame_filename(index: int) -> str:
     return f"frame_{index:06d}.ppm"
 
 
-def read_frame_dir(path):
-    """Yield frames from ``frame_%06d.ppm`` files (six ASCII digits) in index
-    order; they must be numbered 0, 1, 2, ... without a gap."""
+def read_frame_dir(path) -> _FrameSequence:
+    """The frames of the ``frame_%06d.ppm`` files (six ASCII digits) in
+    index order, each read when it is accessed.  The files must be numbered
+    0, 1, 2, ... without a gap, which is checked here."""
     directory = Path(path)
     paths = sorted(directory.glob("frame_" + "[0-9]" * 6 + ".ppm"), key=lambda p: p.name)
     if not paths:
@@ -338,5 +398,4 @@ def read_frame_dir(path):
         if p.name != frame_filename(i):
             raise TrackError(f"{directory / frame_filename(i)}: missing frame; "
                              "frames are numbered from 0 without a gap")
-    for p in paths:
-        yield read_ppm(p)
+    return _FrameSequence(read_ppm, paths)

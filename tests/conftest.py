@@ -1,13 +1,19 @@
+import contextlib
+import io
 import math
+import os
 import reprlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import leechsim.montecarlo as montecarlo
 from leechsim.automaton import (AutomatonParams, Mode, next_modes, next_timers,
                                 transition_thresholds)
+from leechsim.cli import main
 from leechsim.geometry import (GeometryError, build_corridor_template, region_code,
                                region_label)
 from leechsim.locomotion import (
@@ -61,6 +67,30 @@ def make_trajectory(env, regions, modes=None, trial_id=0):
 
 
 # --- the scalar automaton spec: the oracle for the kernel's array sampler ----
+
+
+def pin_cpus(monkeypatch, n):
+    """Make the CLI see ``n`` CPUs; returns the slice counts it then runs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    slices, fill = [], montecarlo._fill
+
+    def counted_fill(out, rows, workers, body):
+        slices.append(min(workers, rows))
+        return fill(out, rows, workers, body)
+
+    monkeypatch.setattr(montecarlo, "_fill", counted_fill)
+    return slices
+
+
+def main_peak_bytes(argv):
+    """tracemalloc's peak over one ``main(argv)`` call."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def p_still_exit(t: int, params: AutomatonParams) -> float:

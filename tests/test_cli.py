@@ -3,11 +3,9 @@ import io
 import json
 import math
 import multiprocessing
-import os
 import re
 import shutil
 import signal
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +19,8 @@ from leechsim.geometry import MAX_ROOM
 from leechsim.locomotion import MotionParams, read_trajectory_csv, run_trial
 from leechsim.montecarlo import derive_trial_seed, ensemble_stats, run_ensemble
 from leechsim.trackio import frame_filename, read_ppm, render_frames, write_ppm
+
+from conftest import main_peak_bytes, pin_cpus
 
 
 def _write_config(path, **overrides):
@@ -346,19 +346,6 @@ def test_stats_reports_the_first_fault_in_file_order(tmp_path, capsys):
     assert f"{cut}:11: expected 6 fields" in capsys.readouterr().err
 
 
-def _pin_cpus(monkeypatch, n):
-    """Make ``stats`` see ``n`` CPUs; returns the slice counts it then runs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    slices, fill = [], montecarlo._fill
-
-    def counted_fill(out, rows, workers, body):
-        slices.append(min(workers, rows))
-        return fill(out, rows, workers, body)
-
-    monkeypatch.setattr(montecarlo, "_fill", counted_fill)
-    return slices
-
-
 def _stats_outputs(run_dir, out):
     assert main(["stats", str(run_dir), "--out", str(out)]) == 0
     return {name: (out / name).read_bytes() for name in ("visits.csv", "dwell.csv")}
@@ -373,10 +360,10 @@ def test_stats_bytes_do_not_depend_on_the_slice_count(tmp_path, monkeypatch, tri
     assert main(["simulate", "--config", str(cfg)]) == 0
     run_dir = tmp_path / "run"
     with monkeypatch.context() as patch:
-        serial = _pin_cpus(patch, 1)
+        serial = pin_cpus(patch, 1)
         one = _stats_outputs(run_dir, tmp_path / "one")
     assert serial == [1]  # one slice, in-process
-    sliced = _pin_cpus(monkeypatch, cpus)
+    sliced = pin_cpus(monkeypatch, cpus)
     assert _stats_outputs(run_dir, tmp_path / "many") == one
     assert sliced == [slices]
 
@@ -398,7 +385,7 @@ def _fault_in_two_slices(tmp_path):
 
 def _stats_failure(run_dir, monkeypatch, cpus, capsys):
     with monkeypatch.context() as patch:
-        slices = _pin_cpus(patch, cpus)
+        slices = pin_cpus(patch, cpus)
         code = main(["stats", str(run_dir)])
     assert slices == [cpus]
     return code, capsys.readouterr().err
@@ -440,22 +427,11 @@ def test_stats_without_fork_runs_in_process(tmp_path, monkeypatch):
     def no_fork(*args):
         raise AssertionError("stats started a process")
 
-    slices = _pin_cpus(monkeypatch, 4)
+    slices = pin_cpus(monkeypatch, 4)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     assert _stats_outputs(run_dir, tmp_path / "in-process") == expected
     assert slices == [1]
-
-
-def _stats_peak_bytes(run_dir, out):
-    """tracemalloc's peak over one ``stats`` call."""
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["stats", str(run_dir), "--out", str(out)]) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_stats_memory_does_not_grow_with_the_file_count(tmp_path, monkeypatch):
@@ -463,7 +439,7 @@ def test_stats_memory_does_not_grow_with_the_file_count(tmp_path, monkeypatch):
     ticks (36 KB of arrays each) may add their names and count rows, but
     not a few trajectories.  One slice, since tracemalloc does not see
     forked workers."""
-    _pin_cpus(monkeypatch, 1)
+    pin_cpus(monkeypatch, 1)
     runs = {}
     for n in (8, 64):
         cfg = _small_config(tmp_path, f"run{n}", n_trials=n, duration_ticks=1800)
@@ -471,9 +447,9 @@ def test_stats_memory_does_not_grow_with_the_file_count(tmp_path, monkeypatch):
         runs[n] = tmp_path / f"run{n}"
     traj = read_trajectory_csv(runs[8] / "trial_0000.csv")
     traj_bytes = sum(a.nbytes for a in (traj.xs, traj.ys, traj.modes, traj.regions, traj.ms))
-    _stats_peak_bytes(runs[8], tmp_path / "warm-up")  # fill the reader's caches
-    grown = (_stats_peak_bytes(runs[64], tmp_path / "out64")
-             - _stats_peak_bytes(runs[8], tmp_path / "out8"))
+    main_peak_bytes(["stats", str(runs[8]), "--out", str(tmp_path / "warm-up")])  # fill caches
+    grown = (main_peak_bytes(["stats", str(runs[64]), "--out", str(tmp_path / "out64")])
+             - main_peak_bytes(["stats", str(runs[8]), "--out", str(tmp_path / "out8")]))
     assert grown < 3 * traj_bytes, (grown, traj_bytes)
 
 
@@ -817,7 +793,8 @@ def test_stats_on_hostile_manifest_ends_in_exit_0_2_or_3(hostile_run, data):
 @pytest.mark.parametrize("row, error", [
     ("1,0,0.35,0.1", "visits.csv:2: distance_x 0 outside [1, 32767]"),
     ("1,-3,0.35,0.1", "visits.csv:2: distance_x -3 outside [1, 32767]"),
-    (f"1,{10**400},0.35,0.1", f"visits.csv:2: distance_x {10**400} outside"),
+    (f"1,{10**400},0.35,0.1",
+     "visits.csv:2: distance_x 100000000000000000...0000000000000000000 outside"),
     ("0,1,0.35,0.1", "visits.csv:2: room 0 outside [1, 32767]"),
 ], ids=["distance-0", "distance-negative", "distance-huge", "room-0"])
 def test_fit_rejects_rooms_and_distances_outside_the_room_codes(
@@ -832,12 +809,13 @@ def test_fit_rejects_rooms_and_distances_outside_the_room_codes(
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("visit_freq", ["9" * 5000, " " * 5000 + "nan", "x" + "y" * 5000],
-                         ids=["huge", "padded-nan", "not-a-number"])
-def test_fit_echoes_a_hostile_field_short(tmp_path, capsys, visit_freq):
+@pytest.mark.parametrize("row", [f"1,1,{'9' * 5000},0.1", f"1,1,{' ' * 5000}nan,0.1",
+                                 f"1,1,x{'y' * 5000},0.1", f"1,{'9' * 4300},0.35,0.1"],
+                         ids=["huge", "padded-nan", "not-a-number", "distance-4300-digits"])
+def test_fit_echoes_a_hostile_field_short(tmp_path, capsys, row):
     stats_csv = tmp_path / "visits.csv"
     stats_csv.write_text("room,distance_x,visit_freq,time_fraction\n"
-                         f"1,1,{visit_freq},0.1\n2,2,0.198,0.05\n")
+                         f"{row}\n2,2,0.198,0.05\n")
     assert main(["fit", str(stats_csv)]) == 3
     captured = capsys.readouterr()
     assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 300

@@ -177,6 +177,36 @@ def test_ensemble_stats_counts_each_trajectory_in_its_own_row(env, monkeypatch):
     assert sizes and max(sizes) == env.n_rooms + 1
 
 
+class _Visits:
+    """A ``_fill_rows`` output: per row, its visits and the slice that made them."""
+
+    def __init__(self, visits, slices, s=0):
+        self.visits, self.slices, self.s = visits, slices, s
+
+    def part(self, s, lo, hi):
+        return _Visits(self.visits[lo:hi], self.slices[lo:hi], s)
+
+
+def _visit(part, row, item):
+    if item != row:
+        raise ValueError(f"row {row} got item {item}")
+    part.visits[0] += 1
+    part.slices[0] = part.s
+
+
+def test_fill_rows_runs_every_row_once_on_more_slices_than_cpus():
+    """Six slices on fewer CPUs claim chunks of 21 rows from one shared
+    counter; a claim lost or made twice leaves a row visited 0 or 2 times."""
+    n = 1000
+    shared = locomotion._shared_arrays({"visits": ((n,), np.int64),
+                                        "slices": ((n,), np.int64)})
+    out = _Visits(shared["visits"], shared["slices"])
+    montecarlo._fill_rows(out, range(n), 6, _visit)
+    assert np.array_equal(out.visits, np.ones(n, dtype=np.int64))
+    chunks = [set(out.slices[lo:lo + 21].tolist()) for lo in range(0, n, 21)]
+    assert all(len(chunk) == 1 and chunk <= set(range(6)) for chunk in chunks)
+
+
 @pytest.mark.parametrize("workers", [0, -5])
 def test_worker_count_below_one_rejected(env, auto, motion, workers):
     with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):

@@ -26,6 +26,8 @@ from leechsim.trackio import (
     write_ppm,
 )
 
+from conftest import main_peak_bytes, pin_cpus
+
 
 def _dark_mask(frame, threshold):
     """(height, width) bool mask of the pixels dark in every channel.
@@ -398,6 +400,111 @@ def test_track_cli_output_is_pinned(tmp_path, env):
     assert main(["track", str(frame_dir), "--threshold", "40", "--px-per-mm", "2",
                  "--manifest", str(config), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TRACK_SHA256
+
+
+def test_tracked_csv_is_the_same_bytes_on_one_two_and_three_cpus(tmp_path, env,
+                                                                 monkeypatch):
+    """The 59 frames after the first go in chunks of 2 to 8 frames to as
+    many slices as CPUs; the CSV is the serial tracker's at every count."""
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    for i, frame in enumerate(_pinned_frames(env)):
+        write_ppm(frame_dir / frame_filename(i), frame)
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    for cpus in (1, 2, 3):
+        with monkeypatch.context() as patch:
+            slices = pin_cpus(patch, cpus)
+            out = tmp_path / f"tracked-{cpus}.csv"
+            assert main(["track", str(frame_dir), "--threshold", "40", "--px-per-mm", "2",
+                         "--manifest", str(config), "--out", str(out)]) == 0
+        assert slices == [cpus]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_TRACK_SHA256
+
+
+def _moving_dot_frames(n):
+    """n 12x6 frames, each with one dark pixel that moves along row 2."""
+    frames = [blank_frame(12, 6) for _ in range(n)]
+    for i, frame in enumerate(frames):
+        frame.pixels[2, i % 12] = (0, 0, 0)
+    return frames
+
+
+def _chunk(rows, slices):
+    """The rows a slice claims at a time (see ``montecarlo._fill_rows``)."""
+    return -(-rows // (8 * slices))
+
+
+def test_empty_frame_opening_a_chunk_carries_the_previous_chunks_position():
+    """33 frames: the 32 after the first go in chunks of 2 at 2 and 3 slices.
+    Frame 3 opens the second chunk and frames 5 and 6 are a whole chunk,
+    all blank, so their positions come from chunks another slice tracked."""
+    frames = _moving_dot_frames(33)
+    assert _chunk(32, 2) == _chunk(32, 3) == 2
+    for i in (3, 5, 6):
+        frames[i].pixels[:] = 255
+    expected = _reference_track(frames, 40, 1.0)
+    assert expected[3] == expected[2] and expected[5] == expected[6] == expected[4]
+    for workers in (1, 2, 3):
+        traj = frames_to_trajectory(frames, threshold=40, mm_per_px=1.0, workers=workers)
+        assert list(zip(traj.xs.tolist(), traj.ys.tolist())) == expected
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def _bad_header(path):
+    path.write_bytes(b"P6\nx 6\n255\n" + bytes(12 * 6 * 3))
+
+
+def _wider(path):
+    frame = blank_frame(13, 6)
+    frame.pixels[2, 3] = (0, 0, 0)
+    write_ppm(path, frame)
+
+
+@pytest.mark.parametrize("first, second, error", [
+    (_truncate, _bad_header, "{path}: truncated pixel data"),
+    (_bad_header, _wider, "{path}: bad header token b'x'"),
+    (_wider, _truncate, "frame 20 is 13x6, expected 12x6"),
+], ids=["truncated", "bad-header", "size-mismatch"])
+def test_tracking_in_chunks_raises_the_first_fault_in_frame_order(tmp_path, first,
+                                                                   second, error):
+    """Frame 20 opens a later chunk than frame 0's at 2 and 3 slices, and
+    frame 27 holds a second fault, which no process may report instead."""
+    for i, frame in enumerate(_moving_dot_frames(33)):
+        write_ppm(tmp_path / frame_filename(i), frame)
+    first(tmp_path / frame_filename(20))
+    second(tmp_path / frame_filename(27))
+    expected = error.format(path=tmp_path / frame_filename(20))
+    for workers in (1, 2, 3):
+        with pytest.raises(TrackError) as raised:
+            frames_to_trajectory(read_frame_dir(tmp_path), threshold=40, mm_per_px=1.0,
+                                 workers=workers)
+        assert str(raised.value) == expected
+
+
+def test_track_memory_does_not_grow_with_the_frame_count(tmp_path, env, auto, monkeypatch):
+    """``track`` holds one frame at a time: 350 more frames of about 175 KB
+    may add their file names and positions, but not a few frames.  One CPU,
+    since tracemalloc does not see forked workers."""
+    pin_cpus(monkeypatch, 1)
+    frames = render_frames(run_trial(env, MotionParams(q_scale=0.5), auto, seed=2,
+                                     duration=400), env, px_per_mm=4.0)
+    dirs = {n: tmp_path / f"frames{n}" for n in (50, 400)}
+    for n, frame_dir in dirs.items():
+        frame_dir.mkdir()
+        for i in range(n):
+            write_ppm(frame_dir / frame_filename(i), frames[i])
+    frame_bytes = frames[0].pixels.nbytes
+    def peak(n):
+        return main_peak_bytes(["track", str(dirs[n]), "--px-per-mm", "4",
+                                "--out", str(tmp_path / f"t{n}.csv")])
+
+    peak(50)  # fill the reader's caches
+    grown = peak(400) - peak(50)
+    assert grown < 3 * frame_bytes, (grown, frame_bytes)
 
 
 # --- PNM headers and renderers against their per-byte and per-sample oracles --
