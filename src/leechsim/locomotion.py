@@ -8,17 +8,17 @@ inside a room) is a random waypoint walk clipped to the containing region.
 Room entry is trigger-then-teleport through the opening rather than
 continuous steering.
 
-The kernel, :func:`run_trials`, advances a batch of trials by events, not
-by ticks (next-event time advance).  Each trial keeps its own clock, and
-each lockstep iteration advances every unfinished trial by one event: a
-whole Still run, a whole corridor Crawl run, or any other single tick (see
-:func:`_simulate`).  Both kinds of run are sampled tick by tick from a
-look-ahead, and each iteration hands the ticks that happened to an output
-object in one call: :class:`TrialArrays` writes tick k of trial i to
-column k of row i, and :class:`VisitCounts` only counts ticks and
-trigger-window passes per room (ensembles put either in memory shared with
-their worker processes, see :mod:`leechsim.montecarlo`).  :func:`run_trial`
-is a batch of one.
+The kernel, :func:`_simulate`, advances a batch of trials by events, not
+by ticks (next-event time advance); :func:`run_trials` is its batch
+entry.  Each trial keeps its own clock, and each lockstep iteration
+advances every unfinished trial by one event: a whole Still run, a whole
+corridor Crawl run, or any other single tick.  Both kinds of run are
+sampled tick by tick from a look-ahead, and each iteration hands the
+ticks that happened to an output object in one call:
+:class:`TrialArrays` writes tick k of trial i to column k of row i, and
+:class:`VisitCounts` only counts ticks and trigger-window passes per
+room (ensembles put either in memory shared with their worker processes,
+see :mod:`leechsim.montecarlo`).  :func:`run_trial` is a batch of one.
 
 Randomness: trial i owns ``default_rng(seed_i)`` and reads it, in stream
 order, through its own row of a draw buffer and a cursor.  A centered
@@ -55,8 +55,8 @@ from .automaton import (AutomatonParams, Mode, next_modes, next_timers, p_visit,
                         transition_thresholds)
 from .geometry import (
     CORRIDOR,
+    MAX_ROOM,
     UNKNOWN,
-    WALL,
     EnvironmentTemplate,
     GeometryError,
     locate,
@@ -155,9 +155,11 @@ class Trajectory:
 
 
 def mode_label(code: int) -> str:
-    if code == MODE_UNKNOWN:
-        return "UNKNOWN"
-    return Mode(code).name
+    return "UNKNOWN" if code == MODE_UNKNOWN else Mode(code).name
+
+
+# mode label -> code, in the order of the writer's mode words
+_MODE_CODES = {mode_label(code): code for code in (*range(len(Mode)), MODE_UNKNOWN)}
 
 
 class _SimContext:
@@ -732,23 +734,6 @@ def _tick_words(n: int) -> np.ndarray:
     return _words(list(map(str, range(n))), str.rjust)
 
 
-def _code_index(codes: np.ndarray, label) -> tuple[list[str], np.ndarray]:
-    """``label`` of each distinct code, ascending, and the position of each
-    element's code among them; ``label`` is called once per distinct code."""
-    lo = int(codes.min(initial=0))
-    shifted = codes.astype(np.intp) - lo
-    counts = np.bincount(shifted)
-    try:
-        labels = [label(code) for code in (np.flatnonzero(counts) + lo).tolist()]
-    except ValueError:
-        # raise for the bad code that ``set`` order reaches first, the one
-        # labelling the column through a set of its elements names
-        for code in set(codes.tolist()):
-            label(code)
-        raise
-    return labels, (np.cumsum(counts > 0) - 1)[shifted]
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``trial_id,tick,x_mm,y_mm,mode,region`` rows, floats as ``'%.3f'``.
 
@@ -756,23 +741,30 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     one (words, rows) matrix of 4-cell words, see :func:`_words`: each field
     sits right-aligned (numbers) or left-aligned (labels) in whole words,
     and NUL fills the cells it leaves unused.  Transposed to rows and
-    stripped of NUL, the matrix is the file.
+    stripped of NUL, the matrix is the file.  Label words are taken by code
+    from the one listing of labels, :func:`_label_table`, over the
+    template's rooms and any higher room the file holds.
     """
-    modes, mode_at = _code_index(traj.modes, mode_label)
-    regions, region_at = _code_index(traj.regions, region_label)
-    tails = _words([f",{mode},{region}\n" for mode in modes for region in regions],
-                   str.ljust)
+    modes, regions = traj.modes, traj.regions
+    top = int(regions.max(initial=0))
+    for codes, label, ok in (
+            (modes, mode_label, (modes == MODE_UNKNOWN) | (0 <= modes) & (modes < len(Mode))),
+            (regions, region_label, (UNKNOWN <= regions) & (regions <= MAX_ROOM))):
+        if not ok.all():
+            # the per-row writer's error: label each distinct code in ``set`` order
+            for code in set(codes.tolist()):
+                label(code)
+    rooms = max(0 if traj.env is None else traj.env.n_rooms, top)
+    mode_words, region_words = _label_table(rooms)[2:]
     n = traj.n_ticks
     prefix = _words([f"{traj.trial_id},"], str.rjust)
     matrix = np.concatenate(
         [np.broadcast_to(prefix, (len(prefix), n)), _tick_words(n),
          _number_words(traj.xs), _number_words(traj.ys),
-         tails.take(mode_at * len(regions) + region_at, axis=1)])
+         mode_words.take(np.minimum(modes, len(Mode)), axis=1),
+         region_words.take(np.subtract(regions, UNKNOWN, dtype=np.intp), axis=1)])
     Path(path).write_bytes(f"{_CSV_HEADER}\n".encode()
                            + matrix.T.tobytes().translate(None, b"\0"))
-
-
-_MODE_CODES = {"STILL": 0, "CRAWL": 1, "EXPLORE": 2, "UNKNOWN": MODE_UNKNOWN}
 
 
 def _region(label: str, rooms: int | None) -> int:
@@ -858,16 +850,16 @@ def _label_key(label: str) -> int:
 
 
 @functools.lru_cache(maxsize=2)
-def _label_table(rooms: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The mode and region labels the writer writes for a template of
-    ``rooms`` rooms (rooms up to 1,024 for None): their keys in ascending
-    order, and each key's mode and region code (-1 for no mode, -32768 for
-    no region).  A room past 1,024 without a template reads through
-    :func:`_parse_row`.
-    """
+def _label_table(rooms: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The one listing of the mode and region labels the writer writes for
+    a template of ``rooms`` rooms (rooms up to 1,024 for None).  For the
+    reader, their keys in ascending order, and each key's mode and region
+    code (-1 for no mode, -32768 for no region); a room past 1,024 without
+    a template reads through :func:`_parse_row`.  For the writer, the
+    :func:`_words` of ``,<mode>,`` for each code of ``_MODE_CODES`` in order,
+    and of ``<region>\\n`` for each region code from UNKNOWN up."""
     listed = 1024 if rooms is None else rooms
-    regions = {region_label(code): code
-               for code in (CORRIDOR, WALL, UNKNOWN, *range(1, listed + 1))}
+    regions = {region_label(code): code for code in range(UNKNOWN, listed + 1)}
     labels = list({**_MODE_CODES, **regions})
     keys = np.array(list(map(_label_key, labels)), np.uint64)
     codes = np.array([[_MODE_CODES.get(label, -1) for label in labels],
@@ -875,7 +867,8 @@ def _label_table(rooms: int | None) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(keys)
     keys, codes = keys[order], codes[:, order]
     keys.flags.writeable = codes.flags.writeable = False  # every caller shares them
-    return keys, codes
+    return (keys, codes, _words([f",{label}," for label in _MODE_CODES], str.ljust),
+            _words([f"{label}\n" for label in regions], str.ljust))
 
 
 @functools.lru_cache(maxsize=1)
@@ -938,7 +931,7 @@ def _grammar_rows(data: bytes, first_id: str, rooms: int | None
     tick_words, tick_masks = _tick_keys(n)
     ok &= (words[1] & tick_masks) == tick_words
     keys = words[2:] | _LABEL_FILLS.take(seps[5:] - seps[4:6], mode="clip")
-    table_keys, table_codes = _label_table(rooms)
+    table_keys, table_codes = _label_table(rooms)[:2]
     at = table_keys.searchsorted(keys)
     found = table_keys.take(at, mode="clip") == keys
     modes = table_codes[0].take(at[0], mode="clip")

@@ -13,6 +13,7 @@ projection flips y.  Trackers undo the flip using the frame height.
 from __future__ import annotations
 
 import math
+import os
 import re
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import contextmanager
@@ -382,6 +383,9 @@ def read_ppm(path) -> Frame:
     return Frame(width, height, pixels)
 
 
+_FRAME_NAME = re.compile(r"frame_[0-9]{6}\.ppm")
+
+
 def frame_filename(index: int) -> str:
     return f"frame_{index:06d}.ppm"
 
@@ -391,11 +395,12 @@ def read_frame_dir(path) -> _FrameSequence:
     index order, each read when it is accessed.  The files must be numbered
     0, 1, 2, ... without a gap, which is checked here."""
     directory = Path(path)
-    paths = sorted(directory.glob("frame_" + "[0-9]" * 6 + ".ppm"), key=lambda p: p.name)
-    if not paths:
+    names = sorted(filter(_FRAME_NAME.fullmatch, os.listdir(directory)))
+    if not names:
         raise TrackError(f"no frame_%06d.ppm files in {directory}")
-    for i, p in enumerate(paths):
-        if p.name != frame_filename(i):
-            raise TrackError(f"{directory / frame_filename(i)}: missing frame; "
-                             "frames are numbered from 0 without a gap")
-    return _FrameSequence(read_ppm, paths)
+    # n distinct fixed-width names, sorted, end at frame n - 1 only without a gap
+    if names[-1] != frame_filename(len(names) - 1):
+        i = next(i for i, name in enumerate(names) if name != frame_filename(i))
+        raise TrackError(f"{directory / frame_filename(i)}: missing frame; "
+                         "frames are numbered from 0 without a gap")
+    return _FrameSequence(lambda name: read_ppm(directory / name), names)

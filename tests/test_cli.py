@@ -981,6 +981,12 @@ def test_track_empty_dir_is_runtime_error(tmp_path, capsys):
     assert main(["track", str(empty)]) == 3
 
 
+def test_track_missing_dir_is_runtime_error_naming_it(tmp_path, capsys):
+    missing = tmp_path / "frames"
+    assert main(["track", str(missing)]) == 3
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_track_refuses_a_gap_in_the_frame_numbering(tmp_path, capsys, env, auto):
     traj = run_trial(env, MotionParams(q_scale=0.5), auto, seed=6, duration=10)
     frame_dir = tmp_path / "frames"

@@ -595,7 +595,8 @@ _VALUES = [0.0, -0.0, 0.0005, 1.0005, 99.9995, 0.0625, 0.1875, 4.5625, 2.675,
            _EDGE - 0.0005, 999.9995, 1e6 - 0.0004, 1e15, 1e300]
 _MODES = [0, 1, 2, MODE_UNKNOWN]
 _BAD_MODES = [3, 32, 254]
-_REGIONS = [-2, -1, 0, 1, 2, 8, 9, 99, 32767]
+# codes past each of _TEMPLATES' room counts too
+_REGIONS = [-2, -1, 0, 1, 2, 8, 9, 99, 400, 401, 32767]
 _BAD_REGIONS = [-3, -7, -8, -32768]
 
 
@@ -621,6 +622,10 @@ _DRAW_CODES = [(st.lists(st.sampled_from(good), min_size=1, max_size=5),
 _DRAW_ONE_IN_FIVE = st.integers(0, 4)
 # ids of up to 7 digits fit the byte lane's word, longer ones do not
 _DRAW_TRIAL_ID = st.one_of(st.integers(0, 9999), st.integers(0, 2**40))
+# no template, the default 8 rooms and 400 rooms: the writer lists the
+# template's rooms or the file's largest room, whichever is more
+_TEMPLATES = [None, build_corridor_template(), build_corridor_template(rooms=400)]
+_DRAW_ENV = st.sampled_from(_TEMPLATES)
 
 
 @st.composite
@@ -640,7 +645,7 @@ def _trajectories(draw, bad_codes=True):
             codes[-1] += draw(bad)
     modes, regions = codes
     trial_id = draw(_DRAW_TRIAL_ID)
-    return Trajectory(None, trial_id, 0, xs, ys,
+    return Trajectory(draw(_DRAW_ENV), trial_id, 0, xs, ys,
                       rng.choice(np.array(modes, np.uint8), n),
                       rng.choice(np.array(regions, np.int16), n),
                       np.zeros(n, np.uint8))
@@ -667,6 +672,10 @@ def _coded(modes, regions):
 # names the one that came first
 @example(traj=_coded([0, 32, 3], [0, 0, 0]))
 @example(traj=_coded([0, 0, 0], [0, -7, -8]))
+# a code past int16, which the writer must refuse before listing its rooms
+@example(traj=replace(_coded([0, 0], [0, 0]),
+                      regions=np.array([0, 40000], np.int32)))
+@example(traj=replace(_coded([1, 2], [8, 401]), env=_TEMPLATES[1]))
 def test_csv_writer_matches_the_per_row_oracle(fuzz_csv, traj):
     expected = _write_outcome(write_trajectory_csv_per_row, traj, fuzz_csv)
     assert _write_outcome(write_trajectory_csv, traj, fuzz_csv) == expected
@@ -707,6 +716,23 @@ def test_writer_files_take_the_byte_lane(tmp_path, env, auto, motion, monkeypatc
     """Every row of a 64-trial default run parses from its bytes."""
     trajs = run_ensemble(env, motion, auto, 64, base_seed=1, duration=1800)
     _assert_files_take_the_byte_lane(tmp_path, monkeypatch, trajs, [env])
+
+
+def test_a_run_lists_its_template_labels_once(tmp_path, env, auto, motion, monkeypatch):
+    """The 40 files of a default run take their labels from one listing of
+    the template: one ``region_label`` call per code -2..8 in all."""
+    trajs = run_ensemble(env, motion, auto, 40, base_seed=1, duration=1800)
+    calls = []
+
+    def counted(code):
+        calls.append(code)
+        return region_label(code)
+
+    monkeypatch.setattr(locomotion, "region_label", counted)
+    locomotion._label_table.cache_clear()
+    for traj in trajs:
+        write_trajectory_csv(traj, tmp_path / f"trial_{traj.trial_id:04d}.csv")
+    assert len(calls) <= 11
 
 
 def test_many_room_files_take_the_byte_lane(tmp_path, auto, monkeypatch):

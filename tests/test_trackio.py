@@ -543,6 +543,18 @@ def test_empty_image_of_a_dimension_past_numpys_names_the_file(tmp_path, capsys,
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("indices, missing", [((1, 2, 3), 0), ((0, 1, 2, 4), 3),
+                                              ((0, 2), 1), ((0, 1, 7, 8, 9), 2)])
+def test_read_frame_dir_names_the_first_missing_frame(tmp_path, indices, missing):
+    for i in indices:
+        (tmp_path / frame_filename(i)).touch()
+    # names that are not frame files do not count
+    for name in ("frame_000005.ppm.bak", "frame_0000006.ppm", "Frame_000004.ppm"):
+        (tmp_path / name).touch()
+    with pytest.raises(TrackError, match=f"{frame_filename(missing)}: missing frame"):
+        read_frame_dir(tmp_path)
+
+
 def test_frame_names_take_ascii_digits_only(tmp_path):
     for name in (frame_filename(0), "frame_\u0660\u0660\u0660\u0660\u0660\u0661.ppm"):
         write_ppm(tmp_path / name, blank_frame(3, 2))
