@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .automaton import AutomatonParams, Mode
-from .geometry import MAX_ROOM, EnvironmentTemplate, room_distance_to_end
+from .geometry import MAX_ROOM, UNKNOWN, EnvironmentTemplate, room_distance_to_end
 from .locomotion import (
     MotionParams,
     TrialArrays,
@@ -30,7 +30,6 @@ from .locomotion import (
     VisitCounts,
     _SimContext,
     _number,
-    _shared_arrays,
     _simulate,
     run_trial,  # noqa: F401  (perfbench's tracer wraps montecarlo.run_trial)
     utf8_text,
@@ -53,32 +52,15 @@ def derive_trial_seed(base_seed: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-_ERROR_BYTES = 1024  # room for a failed worker's exception message
-
-
 def _run_trials(ctx: _SimContext, env: EnvironmentTemplate, seeds, sink,
-                part: TrialArrays | VisitCounts, lo: int, hi: int) -> None:
-    """:func:`_fill`'s body for an ensemble: run trials lo..hi into ``part``,
-    then pass each trajectory to ``sink``."""
+                out: TrialArrays | VisitCounts, s: int, lo: int, hi: int) -> None:
+    """:func:`_fill`'s body for an ensemble: run trials lo..hi into slice
+    s's part of ``out``, then pass each trajectory to ``sink``."""
+    part = out.part(s, lo, hi)
     _simulate(ctx, seeds[lo:hi], part)
     if sink is not None:
         for traj in part.trajectories(env, seeds[lo:hi], range(lo, hi)):
             sink(traj)
-
-
-def _run_slice(body, part, lo: int, hi: int, error) -> None:
-    """Forked worker: ``body(part, lo, hi)``.
-
-    A failure is written to the shared ``error`` buffer as ``Type: message``
-    and ends the process with exit code 1, so the parent can name the cause
-    and no traceback is printed.
-    """
-    try:
-        body(part, lo, hi)
-    except Exception as exc:
-        message = f"{type(exc).__name__}: {exc}".encode(errors="replace")
-        error.value = message[:len(error) - 1]
-        sys.exit(1)
 
 
 def _ensemble_setup(env, motion, auto, n_trials, base_seed, workers):
@@ -91,27 +73,53 @@ def _ensemble_setup(env, motion, auto, n_trials, base_seed, workers):
     return ctx, [derive_trial_seed(base_seed, i) for i in range(n_trials)]
 
 
-def _fill(out: TrialArrays | VisitCounts, n: int, workers: int,
-          body: Callable[[TrialArrays | VisitCounts, int, int], None]) -> None:
-    """Fill rows 0..n of the shared ``out`` on ``min(workers, n)``
-    processes, each running ``body(part, lo, hi)`` on one contiguous slice
-    lo..hi of the rows, with ``part = out.part(s, lo, hi)`` for slice s.
+def _claim_chunks(body, out, n: int, chunk: int, claimed, failed, s: int) -> None:
+    """Forked slice s of :func:`_fill`: run ``body(out, s, lo, hi)`` on each
+    next ``chunk`` rows lo..hi until none is left.  A chunk that raises is
+    marked in ``failed`` and exits 1, printing no traceback."""
+    while True:
+        with claimed.get_lock():
+            lo = claimed.value
+            claimed.value = lo + chunk
+        if lo >= n:
+            return
+        try:
+            body(out, s, lo, min(lo + chunk, n))
+        except Exception:
+            failed[lo // chunk] = True
+            sys.exit(1)
 
-    The workers fork after ``out`` is allocated and fill their ``part`` of
-    it in place, so nothing is pickled back.  A failing worker raises
-    ``RuntimeError`` here, carrying its exception's message.
+
+def _fill(out: TrialArrays | VisitCounts, n: int, workers: int, per_slice: int,
+          body: Callable[[TrialArrays | VisitCounts, int, int, int], None]) -> None:
+    """Fill rows 0..n of the shared ``out`` on ``slices = min(workers, n)``
+    slices, slice s filling rows lo..hi by ``body(out, s, lo, hi)``.
+
+    One slice runs ``body(out, 0, 0, n)`` in-process, which also runs where
+    fork is missing.  More slices fork after ``out`` is allocated, so they
+    fill it in place and nothing is pickled back.  Each claims the next
+    chunk of ``ceil(n / (per_slice x slices))`` rows from one shared counter
+    until none is left (self-scheduling), so a slice the host runs slowly
+    hands its rows to the others; ``per_slice=1`` gives each slice one
+    contiguous chunk.
+
+    A forked slice that raises marks its chunk and exits.  Chunks are
+    claimed in row order, so the first marked chunk holds the first row
+    that fails; it is run again here, so that the error raised is the one a
+    single process raises.  Only a failure that does not happen again, such
+    as a killed slice, raises ``RuntimeError`` naming the exit codes.
     """
-    n_workers = min(workers, n)
-    if n_workers == 1:  # in-process, which also runs where fork is missing
-        body(out, 0, n)
+    slices = min(workers, n)
+    if slices == 1:
+        body(out, 0, 0, n)
         return
-    # fork, so that the workers inherit the shared mapping and the body
+    chunk = -(-n // (per_slice * slices))
+    # fork, so that the slices inherit the shared mapping and the body
     fork = multiprocessing.get_context("fork")
-    bounds = [n * w // n_workers for w in range(n_workers + 1)]
-    errors = [fork.RawArray("c", _ERROR_BYTES) for _ in range(n_workers)]
-    procs = [fork.Process(target=_run_slice,
-                          args=(body, out.part(s, lo, hi), lo, hi, error))
-             for s, (lo, hi, error) in enumerate(zip(bounds, bounds[1:], errors))]
+    claimed, failed = fork.Value("q", 0), fork.RawArray("b", -(-n // chunk))
+    procs = [fork.Process(target=_claim_chunks,
+                          args=(body, out, n, chunk, claimed, failed, s))
+             for s in range(slices)]
     try:
         for proc in procs:
             proc.start()
@@ -122,12 +130,11 @@ def _fill(out: TrialArrays | VisitCounts, n: int, workers: int,
             if proc.is_alive():
                 proc.terminate()
                 proc.join()
-    failed = [(proc.exitcode, error.value.decode(errors="replace"))
-              for proc, error in zip(procs, errors) if proc.exitcode != 0]
-    if failed:
-        causes = "; ".join(message or f"exit code {code}" for code, message in failed)
-        raise RuntimeError(f"{len(failed)} of {n_workers} trial workers failed: "
-                           f"{causes}")
+    codes = [proc.exitcode for proc in procs if proc.exitcode]
+    if codes:
+        for lo in [k * chunk for k, mark in enumerate(failed) if mark][:1]:
+            body(out, 0, lo, min(lo + chunk, n))
+        raise RuntimeError(f"{len(codes)} of {slices} slices failed with exit codes {codes}")
 
 
 def run_ensemble(
@@ -152,7 +159,7 @@ def run_ensemble(
     """
     ctx, seeds = _ensemble_setup(env, motion, auto, n_trials, base_seed, workers)
     out = TrialArrays.allocate(n_trials, duration)
-    _fill(out, n_trials, workers, partial(_run_trials, ctx, env, seeds, sink))
+    _fill(out, n_trials, workers, 1, partial(_run_trials, ctx, env, seeds, sink))
     return out.trajectories(env, seeds, range(n_trials))
 
 
@@ -177,62 +184,26 @@ def visit_counts(
     """
     ctx, seeds = _ensemble_setup(env, motion, auto, n_trials, base_seed, workers)
     out = VisitCounts.allocate(n_trials, env.n_rooms, duration, min(workers, n_trials))
-    _fill(out, n_trials, workers, partial(_run_trials, ctx, env, seeds, None))
+    _fill(out, n_trials, workers, 1, partial(_run_trials, ctx, env, seeds, None))
     return out
+
+
+def _each_row(items: Sequence, each, out, s: int, lo: int, hi: int) -> None:
+    """:func:`_fill_rows`' body: ``each(out.part(s, row, row + 1), row,
+    item)`` for every row lo..hi and its item."""
+    for row, item in enumerate(items[lo:hi], lo):
+        each(out.part(s, row, row + 1), row, item)
 
 
 def _fill_rows(out, items: Sequence, workers: int,
                each: Callable[[object, int, object], None]) -> None:
     """Call ``each(out.part(s, i, i + 1), i, items[i])`` once for every row i
-    of ``items``, where s is the one of :func:`_fill`'s ``min(workers,
-    len(items))`` slices that runs row i; ``out`` is shared as there.
-
-    ``items[lo:hi]`` is iterated once per chunk of rows lo..hi, so a sequence
-    that reads its items as it is iterated holds one at a time.  Each slice
-    claims the next chunk of about ``len(items) / (8 x slices)`` rows from a
-    shared counter until none is left (self-scheduling), so a slice the host
-    runs slowly hands its rows to the others.  One slice runs every chunk in
-    order, in-process.
-
-    A forked slice marks the row it failed on, and the first marked row is
-    run again here, so that the error raised is the one a single process
-    raises, whole.  Chunks are claimed in row order, so the first row that
-    fails is always reached and marked.
-    """
-    n = len(items)
-    if not n:
-        return
-    slices = min(workers, n)
-    chunk = -(-n // (8 * slices))
-    claimed = multiprocessing.Value("q", 0)
-    failed = _shared_arrays({"failed": ((n,), np.bool_)})["failed"]
-
-    def run(s: int, lo: int, hi: int) -> None:
-        row = lo
-        try:
-            for item in items[lo:hi]:
-                each(out.part(s, row, row + 1), row, item)
-                row += 1
-        except Exception:
-            failed[row] = True
-            raise
-
-    def claim(_, s: int, _end: int) -> None:  # _fill's rows here are the slices
-        while True:
-            with claimed.get_lock():
-                lo = claimed.value
-                claimed.value = lo + chunk
-            if lo >= n:
-                return
-            run(s, lo, min(lo + chunk, n))
-
-    try:
-        _fill(out, slices, slices, claim)
-    except RuntimeError:
-        if slices > 1:  # a forked slice's error arrives as its message alone
-            for row in np.flatnonzero(failed)[:1].tolist():
-                run(0, row, row + 1)
-        raise
+    of ``items``, where s is the :func:`_fill` slice that runs row i, in
+    chunks of about ``len(items) / (8 x slices)`` rows; ``out`` is shared
+    as there.  ``items[lo:hi]`` is iterated once per chunk lo..hi, so a
+    sequence that reads its items as it is iterated holds one at a time."""
+    if len(items):
+        _fill(out, len(items), workers, 8, partial(_each_row, items, each))
 
 
 def _count_trajectory(env: EnvironmentTemplate, ticks: np.ndarray, zeros: np.ndarray,
@@ -244,14 +215,16 @@ def _count_trajectory(env: EnvironmentTemplate, ticks: np.ndarray, zeros: np.nda
     independent of the trial count."""
     if traj.env != env:
         raise ValueError("mixed environments in ensemble")
-    if traj.regions.max(initial=0) > env.n_rooms:
-        raise ValueError(f"trial {traj.trial_id} is in room {traj.regions.max()}, "
-                         f"but the template has {env.n_rooms} rooms")
-    if traj.modes.max(initial=0) > max(Mode):
-        raise ValueError(f"{traj.modes[traj.modes > max(Mode)][0]} is not a valid Mode")
+    regions, modes = traj.regions, traj.modes
+    if regions.min(initial=UNKNOWN) < UNKNOWN or regions.max(initial=0) > env.n_rooms:
+        code = regions[(regions < UNKNOWN) | (regions > env.n_rooms)][0]
+        raise ValueError(f"trial {traj.trial_id}: no region code {code} in a template "
+                         f"of {env.n_rooms} rooms")
+    if modes.min(initial=0) < 0 or modes.max(initial=0) > max(Mode):
+        raise ValueError(f"{modes[(modes < 0) | (modes > max(Mode))][0]} is not a valid Mode")
     n = traj.n_ticks
-    counts.record(zeros[:n], ticks[:n], traj.xs, traj.ys, traj.modes,
-                  np.maximum(traj.regions, 0), traj.ms, zeros[:n])
+    counts.record(zeros[:n], ticks[:n], traj.xs, traj.ys, modes,
+                  np.maximum(regions, 0), traj.ms, zeros[:n])
 
 
 def ensemble_stats(trajs: Sequence[Trajectory], workers: int = 1) -> VisitCounts:

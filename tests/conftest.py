@@ -74,9 +74,9 @@ def pin_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
     slices, fill = [], montecarlo._fill
 
-    def counted_fill(out, rows, workers, body):
+    def counted_fill(out, rows, workers, per_slice, body):
         slices.append(min(workers, rows))
-        return fill(out, rows, workers, body)
+        return fill(out, rows, workers, per_slice, body)
 
     monkeypatch.setattr(montecarlo, "_fill", counted_fill)
     return slices

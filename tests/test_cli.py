@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import leechsim.montecarlo as montecarlo
 from leechsim.automaton import config_doc
 from leechsim.cli import RunConfig, load_run_config, main
 from leechsim.geometry import MAX_ROOM
@@ -102,6 +101,21 @@ def test_simulate_failed_write_names_path(tmp_path, capfd, workers):
     assert "trial_0001.csv" in err and "Is a directory" in err
     assert "Traceback" not in err
     assert not (out / "manifest.json").exists()
+
+
+def test_simulate_fails_the_same_at_any_worker_count(tmp_path, capfd):
+    """A forked slice's error is raised again in-process, so two workers
+    print the very bytes one worker prints."""
+    out = tmp_path / "run"
+    (out / "trial_0001.csv").mkdir(parents=True)
+    errs = []
+    for workers in ("1", "2"):
+        assert main(["simulate", "--trials", "3", "--duration", "50", "--out", str(out),
+                     "--workers", workers]) == 3
+        errs.append(capfd.readouterr().err)
+        assert not (out / "manifest.json").exists()
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: ") and "Is a directory" in errs[0]
 
 
 @pytest.mark.parametrize("command", ["simulate", "calibrate"])
@@ -408,13 +422,13 @@ def test_stats_in_slices_reports_the_first_fault_in_file_order(tmp_path, monkeyp
 
 
 def test_stats_in_slices_reports_a_long_error_whole(tmp_path, monkeypatch, capsys):
-    """A run directory's path alone may outgrow a worker's error buffer;
-    the error still arrives whole, as one process reports it."""
+    """An error longer than 1 KB, here for a run directory's path alone,
+    arrives whole from two slices, as one process reports it."""
     deep = tmp_path.joinpath(*["d" * 200] * 6)
     deep.mkdir(parents=True)
     run_dir, _ = _fault_in_two_slices(deep)
     serial = _stats_failure(run_dir, monkeypatch, 1, capsys)
-    assert serial[0] == 3 and len(serial[1]) > montecarlo._ERROR_BYTES
+    assert serial[0] == 3 and len(serial[1]) > 1024
     assert _stats_failure(run_dir, monkeypatch, 2, capsys) == serial
 
 

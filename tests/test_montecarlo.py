@@ -1,5 +1,7 @@
+import os
 import random
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -214,13 +216,42 @@ def test_worker_count_below_one_rejected(env, auto, motion, workers):
 
 
 def test_failed_worker_raises(env, auto, motion, monkeypatch):
+    """A forked slice's error is raised again in-process, type and text."""
     def out_of_memory(ctx, seeds, out):
         raise MemoryError("no room for the draw buffers")
 
     monkeypatch.setattr(montecarlo, "_simulate", out_of_memory)
-    with pytest.raises(RuntimeError, match="2 of 2 trial workers failed: "
-                                           "MemoryError: no room for the draw buffers"):
-        run_ensemble(env, motion, auto, 4, base_seed=1, duration=10, workers=2)
+    for ensemble in (run_ensemble, visit_counts):
+        for workers in (1, 2):
+            with pytest.raises(MemoryError, match="^no room for the draw buffers$"):
+                ensemble(env, motion, auto, 4, base_seed=1, duration=10, workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_slices_raise_the_first_fault_of_one_process(env, auto, motion, workers):
+    """Trials 5 and 9 of 12 fail, in different slices at 2 and 3 workers;
+    trial 5's error is the one raised, as at one worker."""
+    def sink(traj):
+        if traj.trial_id in (5, 9):
+            raise ValueError(f"bad trial {traj.trial_id}")
+
+    with pytest.raises(ValueError, match="^bad trial 5$") as raised:
+        run_ensemble(env, motion, auto, 12, base_seed=1, duration=10, workers=workers,
+                     sink=sink)
+    assert raised.type is ValueError
+
+
+def test_a_killed_slice_raises_its_exit_code():
+    """A slice that dies raises nothing to run again, so its exit code is
+    named instead."""
+    parent = os.getpid()
+
+    def die(out, s, lo, hi):
+        if os.getpid() != parent:
+            os._exit(7)
+
+    with pytest.raises(RuntimeError, match=r"^2 of 2 slices failed with exit codes \[7, 7\]$"):
+        montecarlo._fill(None, 4, 2, 1, die)
 
 
 @pytest.mark.parametrize("q", [0.25, 0.0])
@@ -372,5 +403,20 @@ def test_mode_dwell_rejects_modes_the_automaton_lacks(env):
 
 
 def test_visit_frequencies_reject_rooms_the_template_lacks(env):
-    with pytest.raises(ValueError, match="room 9, but the template has 8 rooms"):
+    with pytest.raises(ValueError, match="no region code 9 in a template of 8 rooms"):
         visit_frequencies([make_trajectory(env, [0, 9])])
+
+
+@pytest.mark.parametrize("regions, modes, message", [
+    ([0, -7, -300, 1], [1, 1, 1, 1], "^trial 1: no region code -7 in a template of 8 rooms$"),
+    ([0, 9, -7, 1], [1, 1, 1, 1], "^trial 1: no region code 9 in a template of 8 rooms$"),
+    ([0, 0, 1, 0], [1, -1, 3, 0], "^-1 is not a valid Mode$"),
+])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_stats_refuse_codes_out_of_range(env, regions, modes, message, workers):
+    """Each column names its first bad code in tick order, from whichever
+    process reads the trajectory."""
+    trajs = [make_trajectory(env, [0, 1, 2], trial_id=i) for i in range(4)]
+    trajs[1] = replace(make_trajectory(env, regions, trial_id=1), modes=np.array(modes))
+    with pytest.raises(ValueError, match=message):
+        ensemble_stats(trajs, workers)

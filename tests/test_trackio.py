@@ -431,7 +431,7 @@ def _moving_dot_frames(n):
 
 
 def _chunk(rows, slices):
-    """The rows a slice claims at a time (see ``montecarlo._fill_rows``)."""
+    """The rows a slice claims at a time (see ``montecarlo._fill``)."""
     return -(-rows // (8 * slices))
 
 
