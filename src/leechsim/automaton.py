@@ -9,6 +9,7 @@ deliberately not a state.
 
 from __future__ import annotations
 
+import math
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -44,12 +45,12 @@ class AutomatonParams:
     def __post_init__(self) -> None:
         if self.tau_s < 1 or self.tau_a < 1:
             raise ValueError("timer caps must be >= 1 tick")
-        if self.a <= 0:
-            raise ValueError("coefficient a must be > 0")
-        if self.b >= 0:
-            raise ValueError("exponent b must be < 0")
-        if self.tick <= 0:
-            raise ValueError("tick length must be > 0 seconds")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"coefficient a must be finite and > 0, got {self.a}")
+        if not -math.inf < self.b < 0:
+            raise ValueError(f"exponent b must be finite and < 0, got {self.b}")
+        if not 0 < self.tick < math.inf:
+            raise ValueError(f"tick must be finite and > 0 seconds, got {self.tick}")
 
     _CONFIG = (("tau_s", "tau_s_ticks", int), ("tau_a", "tau_a_ticks", int),
                ("a", "p3_a", float), ("b", "p3_b", float),

@@ -117,12 +117,13 @@ class MotionParams:
     q_scale: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.v_crawl <= 0 or self.v_explore <= 0:
-            raise ValueError("speeds must be > 0")
-        if self.contact_radius < 0:
-            raise ValueError("contact_radius must be >= 0")
+        for name in ("v_crawl", "v_explore"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not 0 <= self.contact_radius < math.inf:
+            raise ValueError(f"contact_radius must be finite and >= 0, got {self.contact_radius}")
         if not 0.0 <= self.q_scale <= 1.0:
-            raise ValueError("q_scale must lie in [0, 1]")
+            raise ValueError(f"q_scale must lie in [0, 1], got {self.q_scale}")
 
     _CONFIG = (("v_crawl", "v_crawl_mm_s", float),
                ("v_explore", "v_explore_mm_s", float),
@@ -166,8 +167,8 @@ class _SimContext:
     """Validated constants and lookup tables of one (env, motion, auto) triple.
 
     Tables indexed by region code (0 corridor, i room i) give each region's
-    clamp box; tables over the openings, sorted along x, give the gap spans
-    and trigger windows.
+    clamp box; tables over the openings, sorted along x, give the gap spans,
+    and the trigger windows with each one's room and trigger value.
     """
 
     def __init__(self, env: EnvironmentTemplate, motion: MotionParams,
@@ -218,13 +219,10 @@ class _SimContext:
         win_lo, self.win_hi, win_q, win_room = (
             np.array(column) for column in zip(*self.windows))
         # x lies in window w = searchsorted(win_hi, x) iff win_start[w] <= x;
-        # code w + 1 names that window and code 0 none.  A code indexes the
-        # room passed and the window's trigger, as an index into the
-        # distinct trigger values q_levels (q_levels[0] = 0.0).
+        # code w + 1 (0 for none) indexes the room passed and its trigger q.
         self.win_start = np.append(win_lo, np.inf)
-        self.q_levels = np.array(sorted({0.0, *win_q.tolist()}))
         self.code_room = np.concatenate(([0], win_room))
-        self.code_q = np.concatenate(([0], np.searchsorted(self.q_levels, win_q)))
+        self.code_q = np.concatenate(([0.0], win_q))
 
         # contact bits at the teleport landing points, indexed by room
         cx = self.cx[1:]
@@ -272,8 +270,6 @@ def _contact(ctx: _SimContext, x: np.ndarray, y: np.ndarray,
 
 
 _BLOCK = 256  # ticks a run looks ahead; each draw row holds 3 look-aheads
-# _thresholds' row of a step from each mode without contact at trigger level 0, and contact's shift
-_MODE_ROW, _CONTACT_SHIFT = np.array([0, 4, 1]), np.array([0, -1, 1])
 
 
 def _shared_arrays(fields: dict) -> dict[str, np.ndarray]:
@@ -441,17 +437,15 @@ class VisitCounts:
 
 
 def _thresholds(ctx: _SimContext, duration: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """:func:`transition_thresholds` of every step a ``duration``-tick run
-    can sample, at flat index ``row * stride + t``; and ``stride``.  Rows:
-    Still, Explore without and with contact, Crawl with contact, then Crawl
-    without contact at each level of ``ctx.q_levels``, the one step the
-    trigger acts on.  A timer never exceeds the ticks elapsed or its phase's
-    cap, so t < stride covers every step."""
+    """:func:`transition_thresholds` at trigger 0 of every step a run of
+    ``duration`` ticks can sample, at flat index ``row * stride + t``; and
+    ``stride``.  Rows: Still, Crawl, Explore, then Crawl and Explore in contact.
+    A timer never exceeds the ticks elapsed or its cap, so t < stride suffices."""
     stride = min(max(ctx.tau_s, ctx.tau_a), duration) + 1
     still, active = (np.minimum(np.arange(stride), cap) for cap in (ctx.tau_s, ctx.tau_a))
-    steps = [(0, still, 0, 0.0), (2, active, 0, 0.0), (2, active, 1, 0.0), (1, active, 1, 0.0)]
-    rows = [transition_thresholds(np.full(stride, mode), t, m, q, ctx.tau_s, ctx.tau_a)
-            for mode, t, m, q in steps + [(1, active, 0, q) for q in ctx.q_levels.tolist()]]
+    steps = [(0, still, 0), (1, active, 0), (2, active, 0), (1, active, 1), (2, active, 1)]
+    rows = [transition_thresholds(np.full(stride, mode), t, m, 0.0, ctx.tau_s, ctx.tau_a)
+            for mode, t, m in steps]
     first, second = (np.concatenate(column) for column in zip(*rows))
     return first, second, stride
 
@@ -479,8 +473,9 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
     Still look-aheads at most ``budget`` more.  The sampled ticks of all
     events sit in one flat array, event i's from ``starts[i]`` on, in the
     order single ticks, Crawl runs, Still runs.  Contact is computed for the
-    ticks that moved, and every tick compares its uniform with the
-    thresholds of :func:`_thresholds` (:func:`next_modes`), and each event
+    ticks that moved, and every tick compares its uniform with its
+    thresholds (:func:`next_modes`): those of :func:`_thresholds`, with the
+    window's trigger applied over a window without contact.  Each event
     advances its trial's timer by :func:`next_timers`.
 
     ``out.record(rows, k, x, y, mode, region, m, passed)`` gets the ticks
@@ -590,17 +585,21 @@ def _simulate(ctx: _SimContext, seeds, out: TrialArrays | VisitCounts) -> None:
         # q_scale = 0 every trigger is 0.0, so the window passes are still
         # counted and nothing else changes
         code = np.zeros(b.size, dtype=np.intp)
-        if n_crawl:
-            xa = xs[crawling]
-            w = np.searchsorted(ctx.win_hi, xa)
-            code[crawling] = np.where(ctx.win_start[w] <= xa, w + 1, 0)
+        xa = xs[crawling]
+        w = np.searchsorted(ctx.win_hi, xa)
+        inside = ctx.win_start[w] <= xa
+        code[crawling] = np.where(inside, w + 1, 0)
         passed = ctx.code_room[code]
 
-        # (4) one automaton transition a tick, at the tabulated thresholds;
-        # a run ends at its first change of mode
-        at = (np.repeat(_MODE_ROW[mode[g]] * stride + t[g] - starts, limit) + tick
-              + np.where(ms, _CONTACT_SHIFT[modes], ctx.code_q[code]) * stride)
-        new_mode = next_modes(draws.ravel()[np.repeat(u, limit) + tick], first[at], second[at])
+        # (4) one automaton transition a tick, at row mode (+ 2 for a tick that
+        # moved, in contact), and over a window without contact at the window's
+        # trigger q (first is p_exit); a run ends at its first change of mode
+        at = np.repeat(mode[g] * stride + t[g] - starts, limit) + tick
+        at[moved] += np.where(ms[moved], 2 * stride, 0)
+        low, high = first[at], second[at]
+        over = n_other + np.flatnonzero(inside > ms[crawling])  # in a window, out of contact
+        high[over] = low[over] + (1.0 - low[over]) * (1.0 - ctx.code_q[code[over]])
+        new_mode = next_modes(draws.ravel()[np.repeat(u, limit) + tick], low, high)
         last = np.minimum(np.minimum.reduceat(np.where(new_mode != modes, tick, b.size),
                                               starts), starts + limit - 1)
         ticks = last - starts + 1

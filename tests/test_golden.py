@@ -1,13 +1,15 @@
 """Golden determinism: `leechsim simulate` output bytes are frozen.
 
 ``golden_simulate.json`` holds the sha256 of every trial CSV and of
-``manifest.json`` for six runs, and ``golden_stats.json`` the sha256 of the
+``manifest.json`` for seven runs, and ``golden_stats.json`` the sha256 of the
 ``visits.csv`` and ``dwell.csv`` that ``stats`` writes for each.  The
 per-trial scalar tick kernel wrote ``default_64x1800`` and ``q1_64x600``.
 The lockstep tick kernel, which advanced every trial by one tick per
-iteration, wrote the other four; they aim at the runs the event-driven
+iteration, wrote four more; they aim at the runs the event-driven
 kernel advances whole: q = 0, runs ending at short timer caps, contact
-radius 0, and a duration that cuts runs midway.  Any kernel or CSV change
+radius 0, and a duration that cuts runs midway.  The event-driven kernel
+with one threshold row per trigger level wrote ``rooms64_q05_64x600``,
+whose 64 rooms have 33 distinct triggers.  Any kernel or CSV change
 must reproduce them exactly, for every worker count.
 """
 
@@ -28,7 +30,7 @@ GOLDEN_STATS = Path(__file__).with_name("golden_stats.json")
 ARRAY_TRIALS = 16
 
 # Each case is a partial config: top-level keys replace the default's, and a
-# section ("automaton", "motion") replaces only the keys it names.
+# section ("environment", "automaton", "motion") replaces only the keys it names.
 CASES = {
     "default_64x1800": {"n_trials": 64, "duration_ticks": 1800},
     "q1_64x600": {"n_trials": 64, "duration_ticks": 600,
@@ -44,6 +46,10 @@ CASES = {
                   "motion": {"contact_radius_mm": 0.0}},
     # a duration that cuts most runs midway
     "cut_64x37": {"n_trials": 64, "duration_ticks": 37},
+    # 33 trigger levels, one per distance from an end, and thousands of
+    # window passes, each at its own window's trigger
+    "rooms64_q05_64x600": {"n_trials": 64, "duration_ticks": 600,
+                           "environment": {"rooms": 64}, "motion": {"q_scale": 0.5}},
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import leechsim.locomotion as locomotion
 from leechsim.automaton import AutomatonParams, Mode, next_modes, p_visit
 from leechsim.geometry import (
+    MAX_ROOM,
     WALL,
     build_corridor_template,
     locate,
@@ -391,6 +393,34 @@ def test_motion_params_validation():
         MotionParams(q_scale=1.5)
     with pytest.raises(ValueError):
         MotionParams(contact_radius=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, field", [
+    (AutomatonParams, "a"), (AutomatonParams, "b"), (AutomatonParams, "tick"),
+    (MotionParams, "v_crawl"), (MotionParams, "v_explore"),
+    (MotionParams, "contact_radius"), (MotionParams, "q_scale")])
+def test_params_reject_non_finite_floats(cls, field, value):
+    """NaN fails every comparison, so ``if x <= 0: raise`` lets it through;
+    each check refuses NaN and the infinities, naming its field and value.
+    Let through, a NaN contact radius fails a reflection assertion mid-run,
+    and a NaN ``a`` makes every window pass trigger."""
+    with pytest.raises(ValueError, match=rf"\b{field} must .*, got {value}$"):
+        cls(**{field: value})
+
+
+def test_kernel_memory_does_not_grow_with_trigger_levels(auto, motion):
+    """The threshold table has five rows at any room count, so 2 trials of
+    1,800 ticks on the largest template peak far below 64 MiB; a row per
+    trigger level would take two 118 MB arrays there (16,385 levels)."""
+    env = build_corridor_template(rooms=MAX_ROOM)
+    tracemalloc.start()
+    try:
+        run_trials(env, motion, auto, [1, 2], duration=1800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_csv_round_trip(tmp_path, env, auto, motion):
