@@ -10,6 +10,7 @@ deliberately not a state.
 from __future__ import annotations
 
 import math
+import operator
 import reprlib
 import sys
 from dataclasses import dataclass
@@ -43,8 +44,15 @@ class AutomatonParams:
     tick: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.tau_s < 1 or self.tau_a < 1:
-            raise ValueError("timer caps must be >= 1 tick")
+        for name in ("tau_s", "tau_a"):  # the kernel's cap - t + 1 is an int64
+            value = getattr(self, name)
+            try:
+                ok = 1 <= operator.index(value) <= 2**63 - 2
+            except TypeError:  # a float, even a whole one
+                ok = False
+            if not ok:
+                raise ValueError(f"timer cap {name} must be an integer in "
+                                 f"[1, 2**63 - 2] ticks, got {reprlib.repr(value)}")
         if not 0 < self.a < math.inf:
             raise ValueError(f"coefficient a must be finite and > 0, got {self.a}")
         if not -math.inf < self.b < 0:

@@ -14,8 +14,8 @@ import multiprocessing
 import os
 import reprlib
 import sys
-from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .automaton import AutomatonParams, Mode, config_doc, parse_config
@@ -31,6 +31,7 @@ from .locomotion import (
 )
 from .montecarlo import (
     SEED_DERIVATION,
+    _LazySequence,
     derive_trial_seed,
     ensemble_stats,
     read_stats_csv,
@@ -241,56 +242,38 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class _RunTrials:
-    """A run's trajectories, each read from its CSV and checked as it is
-    iterated, so that one file's arrays are held at a time; ``len`` is the
-    trial count, and ``trials[lo:hi]`` the trials lo..hi.
-
-    Each file must carry its own index as trial id, hold ``duration`` rows
-    and no mode the automaton lacks (tracked data's UNKNOWN).  The first
-    fault in file order is raised.
-    """
-
-    manifest: Path
-    duration: int
-    env: EnvironmentTemplate
-    files: list[Path]
-    rows: range  # the trials, by index into files
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, rows: slice) -> "_RunTrials":
-        return replace(self, rows=self.rows[rows])
-
-    def __iter__(self) -> Iterator[Trajectory]:
-        duration = self.duration
-        for index in self.rows:
-            path = self.files[index]
-            traj = read_trajectory_csv(path, self.env)
-            if traj.trial_id != index:
-                raise RuntimeError(f"{path}:2: trial id {traj.trial_id}, but the file "
-                                   f"name gives trial {index}")
-            if traj.n_ticks != duration:
-                # name the first row past duration_ticks; a cut file has none
-                line = f":{duration + 2}" if traj.n_ticks > duration else ""
-                raise RuntimeError(f"{path}{line}: {traj.n_ticks} ticks, but "
-                                   f"{self.manifest} gives duration_ticks {duration}")
-            unknown = traj.modes == MODE_UNKNOWN
-            if unknown.any():
-                names = [mode.name for mode in Mode]
-                raise RuntimeError(f"{path}:{unknown.argmax() + 2}: mode UNKNOWN, but "
-                                   f"simulated trials are {', '.join(names[:-1])} or "
-                                   f"{names[-1]}")
-            yield traj
+def _read_trial(manifest: Path, env: EnvironmentTemplate, duration: int,
+                index: int) -> Trajectory:
+    """Trial ``index`` of the run that ``manifest`` describes, read from its
+    CSV and checked: the file must carry its own index as trial id, hold
+    ``duration`` rows and no mode the automaton lacks (tracked data's
+    UNKNOWN)."""
+    path = manifest.parent / _trial_csv_name(index)
+    traj = read_trajectory_csv(path, env)
+    if traj.trial_id != index:
+        raise RuntimeError(f"{path}:2: trial id {traj.trial_id}, but the file "
+                           f"name gives trial {index}")
+    if traj.n_ticks != duration:
+        # name the first row past duration_ticks; a cut file has none
+        line = f":{duration + 2}" if traj.n_ticks > duration else ""
+        raise RuntimeError(f"{path}{line}: {traj.n_ticks} ticks, but "
+                           f"{manifest} gives duration_ticks {duration}")
+    unknown = traj.modes == MODE_UNKNOWN
+    if unknown.any():
+        names = [mode.name for mode in Mode]
+        raise RuntimeError(f"{path}:{unknown.argmax() + 2}: mode UNKNOWN, but "
+                           f"simulated trials are {', '.join(names[:-1])} or "
+                           f"{names[-1]}")
+    return traj
 
 
-def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, _RunTrials]:
-    """The manifest's config and template, and its trials as :class:`_RunTrials`.
+def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, _LazySequence]:
+    """The manifest's config and template, and its trials, each read and
+    checked by :func:`_read_trial` only when it is reached, so that one
+    file's arrays are held at a time.
 
     Every trial file must be present, and no other ``trial_*.csv`` may be
-    there; the files themselves are read as the trials are iterated.
+    there; the files themselves are read as the trials are reached.
     """
     manifest = run_dir / "manifest.json"
     if not manifest.is_file():
@@ -306,7 +289,8 @@ def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, _RunTr
     if extra:
         raise RuntimeError(f"{extra[0]}: not one of the {cfg.n_trials} trials "
                            f"{manifest} lists (stale file from another run?)")
-    return cfg, env, _RunTrials(manifest, cfg.duration_ticks, env, files, range(len(files)))
+    return cfg, env, _LazySequence(partial(_read_trial, manifest, env, cfg.duration_ticks),
+                                   range(cfg.n_trials))
 
 
 def _write_stats(env: EnvironmentTemplate, counts, out: Path) -> None:
@@ -327,9 +311,9 @@ def _cpus() -> int:
 
 def cmd_stats(args) -> int:
     run_dir = Path(args.run_dir)
-    _, env, trajs = _load_run_dir(run_dir)
+    cfg, env, trajs = _load_run_dir(run_dir)
     # one slice of the files per CPU; the counts are the same for any split
-    counts = ensemble_stats(trajs, workers=_cpus())
+    counts = ensemble_stats(trajs, workers=_cpus(), env=env, duration=cfg.duration_ticks)
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_stats(env, counts, out)

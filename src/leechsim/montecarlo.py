@@ -15,7 +15,8 @@ import math
 import multiprocessing
 import reprlib
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -90,10 +91,11 @@ def _claim_chunks(body, out, n: int, chunk: int, claimed, failed, s: int) -> Non
             sys.exit(1)
 
 
-def _fill(out: TrialArrays | VisitCounts, n: int, workers: int, per_slice: int,
-          body: Callable[[TrialArrays | VisitCounts, int, int, int], None]) -> None:
+def _fill(out, n: int, workers: int, per_slice: int,
+          body: Callable[[object, int, int, int], None]) -> None:
     """Fill rows 0..n of the shared ``out`` on ``slices = min(workers, n)``
-    slices, slice s filling rows lo..hi by ``body(out, s, lo, hi)``.
+    slices, slice s filling rows lo..hi by ``body(out, s, lo, hi)``; ``out``
+    is what ``body`` writes to, such as a :class:`VisitCounts`.
 
     One slice runs ``body(out, 0, 0, n)`` in-process, which also runs where
     fork is missing.  More slices fork after ``out`` is allocated, so they
@@ -188,33 +190,60 @@ def visit_counts(
     return out
 
 
+@dataclass(frozen=True)
+class _LazySequence:
+    """Items made one at a time, each only when it is reached: item i is
+    ``make(keys[i])``.  ``len`` is the item count, ``seq[i]`` item i and
+    ``seq[lo:hi]`` the items lo..hi, as another such sequence; iterating
+    makes each item in turn."""
+
+    make: Callable[[object], object]
+    keys: Sequence
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return replace(self, keys=self.keys[index])
+        return self.make(self.keys[index])
+
+    def __iter__(self) -> Iterator:
+        return map(self.make, self.keys)
+
+
 def _each_row(items: Sequence, each, out, s: int, lo: int, hi: int) -> None:
-    """:func:`_fill_rows`' body: ``each(out.part(s, row, row + 1), row,
-    item)`` for every row lo..hi and its item."""
+    """:func:`_fill_rows`' body: ``each(out, s, row, item)`` for every row
+    lo..hi and its item."""
     for row, item in enumerate(items[lo:hi], lo):
-        each(out.part(s, row, row + 1), row, item)
+        each(out, s, row, item)
 
 
 def _fill_rows(out, items: Sequence, workers: int,
-               each: Callable[[object, int, object], None]) -> None:
-    """Call ``each(out.part(s, i, i + 1), i, items[i])`` once for every row i
-    of ``items``, where s is the :func:`_fill` slice that runs row i, in
-    chunks of about ``len(items) / (8 x slices)`` rows; ``out`` is shared
-    as there.  ``items[lo:hi]`` is iterated once per chunk lo..hi, so a
-    sequence that reads its items as it is iterated holds one at a time."""
+               each: Callable[[object, int, int, object], None]) -> None:
+    """Call ``each(out, s, i, items[i])`` once for every row i of ``items``,
+    where s is the :func:`_fill` slice that runs row i, in chunks of about
+    ``len(items) / (8 x slices)`` rows; ``out`` is shared as there.
+    ``items[lo:hi]`` is iterated once per chunk lo..hi, so a
+    :class:`_LazySequence` holds one item at a time."""
     if len(items):
         _fill(out, len(items), workers, 8, partial(_each_row, items, each))
 
 
 def _count_trajectory(env: EnvironmentTemplate, ticks: np.ndarray, zeros: np.ndarray,
-                      counts: VisitCounts, row: int, traj: Trajectory) -> None:
+                      counts: VisitCounts, s: int, row: int, traj: Trajectory) -> None:
     """:func:`_fill_rows`' ``each`` for :func:`ensemble_stats`: check
-    ``traj`` and record its ticks in ``counts``, the one row of trial
-    ``row``; ``ticks`` and ``zeros`` are a tick index and zeros at least as
-    long.  Counting into that row alone keeps each trajectory's cost
-    independent of the trial count."""
+    ``traj`` and record its ticks in trial ``row``'s one row of ``counts``,
+    its closed mode runs in slice s's table; ``ticks`` and ``zeros`` are a
+    tick index and zeros as long as the counts' duration.  Counting into
+    that row alone keeps each trajectory's cost independent of the trial
+    count."""
     if traj.env != env:
         raise ValueError("mixed environments in ensemble")
+    n = traj.n_ticks
+    if n > len(ticks):
+        raise ValueError(f"trial {traj.trial_id}: {n} ticks, more than the "
+                         f"duration of {len(ticks)}")
     regions, modes = traj.regions, traj.modes
     if regions.min(initial=UNKNOWN) < UNKNOWN or regions.max(initial=0) > env.n_rooms:
         code = regions[(regions < UNKNOWN) | (regions > env.n_rooms)][0]
@@ -222,23 +251,26 @@ def _count_trajectory(env: EnvironmentTemplate, ticks: np.ndarray, zeros: np.nda
                          f"of {env.n_rooms} rooms")
     if modes.min(initial=0) < 0 or modes.max(initial=0) > max(Mode):
         raise ValueError(f"{modes[(modes < 0) | (modes > max(Mode))][0]} is not a valid Mode")
-    n = traj.n_ticks
-    counts.record(zeros[:n], ticks[:n], traj.xs, traj.ys, modes,
-                  np.maximum(regions, 0), traj.ms, zeros[:n])
+    counts.part(s, row, row + 1).record(zeros[:n], ticks[:n], traj.xs, traj.ys, modes,
+                                        np.maximum(regions, 0), traj.ms, zeros[:n])
 
 
-def ensemble_stats(trajs: Sequence[Trajectory], workers: int = 1) -> VisitCounts:
+def ensemble_stats(trajs: Sequence[Trajectory], workers: int = 1, *,
+                   env: EnvironmentTemplate | None = None,
+                   duration: int | None = None) -> VisitCounts:
     """The trajectories' room counts and mode runs, made by the kernel's
     reducer: each trajectory is one record of its ticks.  WALL and UNKNOWN
     ticks count as corridor ticks.  Window passes are not known from a
     trajectory, so every tick counts in ``passes`` column 0.
 
     ``trajs`` supports ``len`` and ``trajs[lo:hi]``, the trajectories
-    lo..hi: a list, or a run directory's files read one at a time.  The
-    counts are sized before any trajectory is reduced, from the ``env`` and
-    ``duration`` of ``trajs`` where it carries them, as a run directory
-    does, or else from the first trajectory's template and the longest
-    trajectory's ticks.  :func:`_fill_rows` then reduces the trajectories on
+    lo..hi: a list, or a :class:`_LazySequence` that reads a run
+    directory's files one at a time.  The counts are sized before any
+    trajectory is reduced, from the caller's ``env`` and ``duration``, as
+    ``stats`` passes them from a run's manifest; where they are omitted,
+    from the first trajectory's template and the longest trajectory's
+    ticks.  No trajectory may be longer than ``duration``.
+    :func:`_fill_rows` then reduces the trajectories on
     ``min(workers, len(trajs))`` processes into the shared counts, which are
     sums, so they do not depend on the split, and raises the first fault in
     ``trajs`` order.
@@ -248,10 +280,10 @@ def ensemble_stats(trajs: Sequence[Trajectory], workers: int = 1) -> VisitCounts
         raise ValueError("empty ensemble")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if hasattr(trajs, "duration"):  # a run's trials, not read yet
-        env, duration = trajs.env, trajs.duration
-    else:  # trajectories in memory
-        env, duration = trajs[0].env, max(traj.n_ticks for traj in trajs)
+    if env is None:
+        env = trajs[0].env
+    if duration is None:
+        duration = max(traj.n_ticks for traj in trajs)
     if env is None:
         raise ValueError("trajectories carry no environment")
     counts = VisitCounts.allocate(n, env.n_rooms, duration, min(workers, n))

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 import os
 import re
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import UNKNOWN, EnvironmentTemplate, GeometryError, locate
 from .locomotion import MODE_UNKNOWN, Trajectory, _shared_arrays
-from .montecarlo import _fill_rows
+from .montecarlo import _LazySequence, _fill_rows
 
 
 class TrackError(ValueError):
@@ -52,27 +52,6 @@ class Frame:
 
 def blank_frame(width: int, height: int, color=(255, 255, 255)) -> Frame:
     return Frame(width, height, np.full((height, width, 3), color, dtype=np.uint8))
-
-
-@dataclass(frozen=True)
-class _FrameSequence:
-    """Frames made one at a time, each only when it is accessed: frame i is
-    ``make(keys[i])``.  ``len`` is the frame count, ``frames[i]`` frame i and
-    ``frames[lo:hi]`` the frames lo..hi, as another such sequence."""
-
-    make: Callable[[object], Frame]
-    keys: Sequence
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return replace(self, keys=self.keys[index])
-        return self.make(self.keys[index])
-
-    def __iter__(self) -> Iterator[Frame]:
-        return map(self.make, self.keys)
 
 
 def _dark_centroid(frame: Frame, threshold: int) -> tuple[float, float] | None:
@@ -213,7 +192,7 @@ _WALL_GRAY = (200, 200, 200)  # visible but above any sane darkness threshold
 
 
 def render_frames(traj: Trajectory, env: EnvironmentTemplate,
-                  px_per_mm: float = 4.0) -> _FrameSequence:
+                  px_per_mm: float = 4.0) -> _LazySequence:
     """One synthetic frame per sample, rendered when it is accessed: gray
     template, dark leech blob.
 
@@ -231,15 +210,7 @@ def render_frames(traj: Trajectory, env: EnvironmentTemplate,
         pixels.reshape(-1, 3)[index[ends[k]:ends[k + 1]]] = _LEECH_COLOR
         return Frame(proj.width, proj.height, pixels)
 
-    return _FrameSequence(frame, range(traj.n_ticks))
-
-
-class _Rows(dict):
-    """Arrays by name whose part s, lo..hi is rows lo..hi of each, the same
-    for every slice s: an output of :func:`_fill_rows`."""
-
-    def part(self, s: int, lo: int, hi: int) -> "_Rows":
-        return _Rows({name: array[lo:hi] for name, array in self.items()})
+    return _LazySequence(frame, range(traj.n_ticks))
 
 
 def _position(frame: Frame, threshold: int, mm_per_px: float) -> tuple[float, float] | None:
@@ -253,9 +224,9 @@ def _position(frame: Frame, threshold: int, mm_per_px: float) -> tuple[float, fl
 
 
 def _track_frame(size: tuple[int, int], threshold: int, mm_per_px: float,
-                 out: _Rows, row: int, frame: Frame) -> None:
+                 out: dict[str, np.ndarray], s: int, row: int, frame: Frame) -> None:
     """:func:`_fill_rows`' ``each`` for the frames after the first: row i
-    is frame i + 1, whose position goes in ``out``'s one row."""
+    is frame i + 1, whose position goes in row i + 1 of ``out``'s arrays."""
     if (frame.width, frame.height) != size:
         raise TrackError(
             f"frame {row + 1} is {frame.width}x{frame.height}, "
@@ -263,7 +234,7 @@ def _track_frame(size: tuple[int, int], threshold: int, mm_per_px: float,
         )
     position = _position(frame, threshold, mm_per_px)
     if position is not None:
-        out["xy"][0], out["found"][0] = position, True
+        out["xy"][row + 1], out["found"][row + 1] = position, True
 
 
 def frames_to_trajectory(
@@ -295,14 +266,14 @@ def frames_to_trajectory(
         raise TrackError("no frames supplied")
     # per frame, its position and whether it had dark pixels, filled in place
     # by forked slices
-    out = _Rows(_shared_arrays({"xy": ((n, 2), np.float64), "found": ((n,), np.bool_)}))
+    out = _shared_arrays({"xy": ((n, 2), np.float64), "found": ((n,), np.bool_)})
     first = frames[0]
     size, position = (first.width, first.height), _position(first, threshold, mm_per_px)
     del first  # so that a process holds one frame at a time
     if position is None:
         raise TrackError("no dark pixels in the first frame")
     out["xy"][0], out["found"][0] = position, True
-    _fill_rows(out.part(0, 1, n), frames[1:], workers,
+    _fill_rows(out, frames[1:], workers,
                partial(_track_frame, size, threshold, mm_per_px))
     # each frame takes the position of the last frame up to it that had one
     last = np.maximum.accumulate(np.where(out["found"], np.arange(n), 0))
@@ -390,7 +361,7 @@ def frame_filename(index: int) -> str:
     return f"frame_{index:06d}.ppm"
 
 
-def read_frame_dir(path) -> _FrameSequence:
+def read_frame_dir(path) -> _LazySequence:
     """The frames of the ``frame_%06d.ppm`` files (six ASCII digits) in
     index order, each read when it is accessed.  The files must be numbered
     0, 1, 2, ... without a gap, which is checked here."""
@@ -403,4 +374,4 @@ def read_frame_dir(path) -> _FrameSequence:
         i = next(i for i, name in enumerate(names) if name != frame_filename(i))
         raise TrackError(f"{directory / frame_filename(i)}: missing frame; "
                          "frames are numbered from 0 without a gap")
-    return _FrameSequence(lambda name: read_ppm(directory / name), names)
+    return _LazySequence(lambda name: read_ppm(directory / name), names)

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import math
+import multiprocessing
 import os
+import re
 import reprlib
 import tracemalloc
 from pathlib import Path
@@ -80,6 +82,29 @@ def pin_cpus(monkeypatch, n):
 
     monkeypatch.setattr(montecarlo, "_fill", counted_fill)
     return slices
+
+
+def count_reads(monkeypatch, module, name, n):
+    """Count the calls of ``module.name(path, ...)`` per file index, the
+    digits that end the file's stem, in a shared array that forked slices
+    count into too.  Returns the array, and a list that gets the calls made
+    so far at each ``montecarlo._fill`` call, before it forks."""
+    reads, read = multiprocessing.get_context("fork").Array("q", n), getattr(module, name)
+    before, fill = [], montecarlo._fill
+
+    def counted_read(path, *args, **kwargs):
+        index = int(re.search(r"([0-9]+)\.[a-z]+$", str(path))[1])
+        with reads.get_lock():
+            reads[index] += 1
+        return read(path, *args, **kwargs)
+
+    def counted_fill(*args):
+        before.append(sum(reads))
+        return fill(*args)
+
+    monkeypatch.setattr(module, name, counted_read)
+    monkeypatch.setattr(montecarlo, "_fill", counted_fill)
+    return reads, before
 
 
 def main_peak_bytes(argv):

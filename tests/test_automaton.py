@@ -1,9 +1,15 @@
+import math
+import re
+import reprlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from leechsim.automaton import AutomatonParams, Mode, config_doc, p_visit, parse_config
+from leechsim.geometry import build_corridor_template
+from leechsim.locomotion import MotionParams, run_trial
 
 from conftest import p_active_exit, p_still_exit, sample_transitions, transition_kernel
 
@@ -161,6 +167,23 @@ def test_params_validation():
         AutomatonParams(b=0.2)
     with pytest.raises(ValueError):
         AutomatonParams(tick=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 0, 2**63 - 1, 2**63])
+@pytest.mark.parametrize("name", ["tau_s", "tau_a"])
+def test_params_refuse_timer_caps_the_kernel_cannot_run(name, value):
+    """A cap must be an integer whose hazard denominator cap + 1 fits an
+    int64; the error names the field and echoes the value."""
+    with pytest.raises(ValueError, match=rf"^timer cap {name} must be an integer in "
+                                         rf"\[1, 2\*\*63 - 2\] ticks, "
+                                         rf"got {re.escape(reprlib.repr(value))}$"):
+        AutomatonParams(**{name: value})
+
+
+def test_params_take_timer_caps_of_any_integer_type_up_to_the_largest():
+    auto = AutomatonParams(tau_s=np.int64(5), tau_a=2**63 - 2)
+    traj = run_trial(build_corridor_template(), MotionParams(), auto, seed=1, duration=50)
+    assert traj.n_ticks == 50 and traj.modes.max() <= max(Mode)
 
 
 def test_params_config_round_trip(auto):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leechsim.cli as cli
 from leechsim.automaton import config_doc
 from leechsim.cli import RunConfig, load_run_config, main
 from leechsim.geometry import MAX_ROOM
@@ -19,7 +20,7 @@ from leechsim.locomotion import MotionParams, read_trajectory_csv, run_trial
 from leechsim.montecarlo import derive_trial_seed, ensemble_stats, run_ensemble
 from leechsim.trackio import frame_filename, read_ppm, render_frames, write_ppm
 
-from conftest import main_peak_bytes, pin_cpus
+from conftest import count_reads, main_peak_bytes, pin_cpus
 
 
 def _write_config(path, **overrides):
@@ -448,6 +449,20 @@ def test_stats_without_fork_runs_in_process(tmp_path, monkeypatch):
     assert slices == [1]
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_stats_reads_each_trial_file_once_and_none_to_allocate(tmp_path, monkeypatch,
+                                                                cpus):
+    """Every file is read by the slice that counts it, and by no other
+    process: the parent reads none before the slices start."""
+    cfg = _small_config(tmp_path, n_trials=7, duration_ticks=30)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    slices = pin_cpus(monkeypatch, cpus)
+    reads, before = count_reads(monkeypatch, cli, "read_trajectory_csv", 7)
+    assert main(["stats", str(tmp_path / "run")]) == 0
+    assert list(reads) == [1] * 7
+    assert before == [0] and slices == [cpus]
+
+
 def test_stats_memory_does_not_grow_with_the_file_count(tmp_path, monkeypatch):
     """``stats`` holds one trajectory at a time: 56 more files of 1800
     ticks (36 KB of arrays each) may add their names and count rows, but
@@ -487,6 +502,18 @@ def test_config_values_are_not_coerced(tmp_path, capsys, key, value):
     cfg.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert repr(name) in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_timer_cap_past_int64_is_a_config_error(tmp_path, capsys):
+    doc = RunConfig().to_dict()
+    doc["automaton"]["tau_s_ticks"] = 10**30
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}: timer cap tau_s must be an integer in [1, 2**63 - 2] "
+        f"ticks, got {10**30}\n")
     assert not (tmp_path / "run").exists()
 
 

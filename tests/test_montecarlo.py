@@ -155,6 +155,20 @@ def test_ensemble_stats_in_slices_equal_one_process(env, auto, motion):
             assert _count_bytes(ensemble_stats(ragged, workers)) == _count_bytes(one)
 
 
+def test_ensemble_stats_sized_by_the_caller(env):
+    """A caller's ``env`` and ``duration`` size the counts as a list sizes
+    them itself; no trajectory may be longer than ``duration``."""
+    trajs = [make_trajectory(env, [0, 1, 1, 2], trial_id=i) for i in range(3)]
+    trajs.append(make_trajectory(env, [0, 2], trial_id=3))
+    for workers in (1, 2):
+        assert _count_bytes(ensemble_stats(trajs, workers, env=env, duration=4)) == \
+            _count_bytes(ensemble_stats(trajs))
+        with pytest.raises(ValueError, match="^trial 0: 4 ticks, more than the duration of 3$"):
+            ensemble_stats(trajs, workers, env=env, duration=3)
+    with pytest.raises(ValueError, match="^mixed environments in ensemble$"):
+        ensemble_stats(trajs, env=build_corridor_template(rooms=4))
+
+
 def test_ensemble_stats_in_slices_raise_the_error_of_one_process(env):
     """Trajectory 0 is bad, and no process reads it before the slices do."""
     bad = [make_trajectory(env, [0, 0], modes=[1, 9])]
@@ -179,33 +193,42 @@ def test_ensemble_stats_counts_each_trajectory_in_its_own_row(env, monkeypatch):
     assert sizes and max(sizes) == env.n_rooms + 1
 
 
-class _Visits:
-    """A ``_fill_rows`` output: per row, its visits and the slice that made them."""
+def test_lazy_sequence_makes_an_item_only_when_it_is_reached():
+    made = []
 
-    def __init__(self, visits, slices, s=0):
-        self.visits, self.slices, self.s = visits, slices, s
+    def make(key):
+        made.append(key)
+        return 10 * key
 
-    def part(self, s, lo, hi):
-        return _Visits(self.visits[lo:hi], self.slices[lo:hi], s)
+    seq = montecarlo._LazySequence(make, range(12))
+    part = seq[2:9][1:4]
+    items = iter(seq)
+    assert (len(seq), len(part), made) == (12, 3, [])
+    assert list(part) == [30, 40, 50] and made == [3, 4, 5]
+    made.clear()
+    assert seq[7] == 70 and made == [7]
+    made.clear()
+    assert next(items) == 0 and made == [0]
+    assert list(items) == [10 * key for key in range(1, 12)] and made == list(range(12))
 
 
-def _visit(part, row, item):
+def _visit(out, s, row, item):
+    """A ``_fill_rows`` row body: count row's visit and the slice that made it."""
     if item != row:
         raise ValueError(f"row {row} got item {item}")
-    part.visits[0] += 1
-    part.slices[0] = part.s
+    out["visits"][row] += 1
+    out["slices"][row] = s
 
 
 def test_fill_rows_runs_every_row_once_on_more_slices_than_cpus():
     """Six slices on fewer CPUs claim chunks of 21 rows from one shared
     counter; a claim lost or made twice leaves a row visited 0 or 2 times."""
     n = 1000
-    shared = locomotion._shared_arrays({"visits": ((n,), np.int64),
-                                        "slices": ((n,), np.int64)})
-    out = _Visits(shared["visits"], shared["slices"])
+    out = locomotion._shared_arrays({"visits": ((n,), np.int64),
+                                     "slices": ((n,), np.int64)})
     montecarlo._fill_rows(out, range(n), 6, _visit)
-    assert np.array_equal(out.visits, np.ones(n, dtype=np.int64))
-    chunks = [set(out.slices[lo:lo + 21].tolist()) for lo in range(0, n, 21)]
+    assert np.array_equal(out["visits"], np.ones(n, dtype=np.int64))
+    chunks = [set(out["slices"][lo:lo + 21].tolist()) for lo in range(0, n, 21)]
     assert all(len(chunk) == 1 and chunk <= set(range(6)) for chunk in chunks)
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import leechsim.trackio as trackio
 from leechsim.cli import main
 from leechsim.locomotion import MODE_UNKNOWN, MotionParams, run_trial
 from leechsim.trackio import (
@@ -26,7 +27,7 @@ from leechsim.trackio import (
     write_ppm,
 )
 
-from conftest import main_peak_bytes, pin_cpus
+from conftest import count_reads, main_peak_bytes, pin_cpus
 
 
 def _dark_mask(frame, threshold):
@@ -483,6 +484,20 @@ def test_tracking_in_chunks_raises_the_first_fault_in_frame_order(tmp_path, firs
             frames_to_trajectory(read_frame_dir(tmp_path), threshold=40, mm_per_px=1.0,
                                  workers=workers)
         assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_track_reads_each_frame_once(tmp_path, monkeypatch, cpus):
+    """Frame 0 is read by the parent, before the slices start, and every
+    other frame by the slice that centroids it, and by no other process."""
+    for i, frame in enumerate(_moving_dot_frames(20)):
+        write_ppm(tmp_path / frame_filename(i), frame)
+    slices = pin_cpus(monkeypatch, cpus)
+    reads, before = count_reads(monkeypatch, trackio, "read_ppm", 20)
+    assert main(["track", str(tmp_path), "--px-per-mm", "1",
+                 "--out", str(tmp_path / "tracked.csv")]) == 0
+    assert list(reads) == [1] * 20
+    assert before == [1] and slices == [cpus]
 
 
 def test_track_memory_does_not_grow_with_the_frame_count(tmp_path, env, auto, monkeypatch):
