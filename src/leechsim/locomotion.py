@@ -45,6 +45,7 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+import re
 import reprlib
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -697,15 +698,19 @@ _FRACTIONS = _table([b".%03d" % g for g in range(1000)])
 _COMMA = _table([b",   "])[0]  # OR-ed into a number's free first cell
 
 
-def _number_words(values: np.ndarray) -> np.ndarray:
-    """``',%.3f' % v`` of each value, right-aligned in a column of words.
+def _number_words(values: np.ndarray, trial_id: int) -> np.ndarray:
+    """``',%.3f' % v`` of each value, right-aligned in a column of words;
+    ``values`` holds x and y of each tick in turn.
 
     With s = 1000 v and r = rint(s), r is the correctly rounded milli-value
     that ``'%.3f'`` prints when v has no sign bit, s < 2**32 (so 0 <= s, and
     s is not nan) and |s - r| < 0.5 - 1e-6: the product s is then within
     2.4e-7 of the exact 1000 v, which is therefore nearer to r than to any
-    other integer.  Every other value (nan, inf, negative, -0.0, huge, or
-    near a tie) is formatted by ``'%.3f'`` itself.
+    other integer.  Every other value is formatted by ``'%.3f'`` itself,
+    which leaves near-ties and 2**32/1000 <= v < 10**12 to it.  The first
+    value whose text is not 1 to 12 digits, ".", 3 digits (nan, inf, a sign
+    bit, -0.0, or 10**12 and up) raises ``ValueError`` naming ``trial_id``,
+    its tick and the value.
     """
     v = np.asarray(values, dtype=np.float64)  # float32 prints as tolist() does
     with np.errstate(over="ignore", invalid="ignore"):
@@ -721,7 +726,13 @@ def _number_words(values: np.ndarray) -> np.ndarray:
     words = np.stack(words[::-1])
     bad = np.flatnonzero(~exact)
     if bad.size:
-        slow = _words([",%.3f" % x for x in v[bad].tolist()], str.rjust, len(words))
+        texts = ["%.3f" % x for x in v[bad].tolist()]
+        for i, text in zip(bad.tolist(), texts):
+            if not (text[0].isdigit() and len(text) <= 16):
+                raise ValueError(f"trial {trial_id}, tick {i // 2}: coordinate "
+                                 f"{'xy'[i % 2]} = {v[i].item()!r} does not fit 1 to 12 "
+                                 "digits, '.' and 3 digits")
+        slow = _words(["," + text for text in texts], str.rjust, len(words))
         words = np.pad(words, ((len(slow) - len(words), 0), (0, 0)))
         words[:, bad] = slow
     return words
@@ -736,12 +747,15 @@ def _tick_words(n: int) -> np.ndarray:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``trial_id,tick,x_mm,y_mm,mode,region`` rows, floats as ``'%.3f'``.
 
-    The bytes are those of one ``%`` format per row.  The file is built as
-    one (words, rows) matrix of 4-cell words, see :func:`_words`: each field
-    sits right-aligned (numbers) or left-aligned (labels) in whole words,
-    and NUL fills the cells it leaves unused.  Transposed to rows and
-    stripped of NUL, the matrix is the file.  Label words are taken by code
-    from the one listing of labels, :func:`_label_table`, over the
+    The bytes are those of one ``%`` format per row.  A code without a label
+    raises what ``mode_label`` or ``region_label`` raises for it, and then a
+    coordinate the reader's grammar has no text for raises ``ValueError``
+    (see :func:`_number_words`), before anything is written.  The file is
+    built as one (words, rows) matrix of 4-cell words, see :func:`_words`:
+    each field sits right-aligned (numbers) or left-aligned (labels) in
+    whole words, and NUL fills the cells it leaves unused.  Transposed to
+    rows and stripped of NUL, the matrix is the file.  Label words are taken
+    by code from the one listing of labels, :func:`_label_table`, over the
     template's rooms and any higher room the file holds.
     """
     modes, regions = traj.modes, traj.regions
@@ -757,26 +771,14 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     mode_words, region_words = _label_table(rooms)[2:]
     n = traj.n_ticks
     prefix = _words([f"{traj.trial_id},"], str.rjust)
+    numbers = _number_words(np.column_stack([traj.xs, traj.ys]).ravel(), traj.trial_id)
     matrix = np.concatenate(
         [np.broadcast_to(prefix, (len(prefix), n)), _tick_words(n),
-         _number_words(traj.xs), _number_words(traj.ys),
+         numbers[:, 0::2], numbers[:, 1::2],
          mode_words.take(np.minimum(modes, len(Mode)), axis=1),
          region_words.take(np.subtract(regions, UNKNOWN, dtype=np.intp), axis=1)])
     Path(path).write_bytes(f"{_CSV_HEADER}\n".encode()
                            + matrix.T.tobytes().translate(None, b"\0"))
-
-
-def _region(label: str, rooms: int | None) -> int:
-    """The code of a region label; ``ValueError`` if the writer could not
-    have written it for a template of ``rooms`` rooms (any, for None)."""
-    try:
-        code = region_code(label)
-    except GeometryError:
-        raise ValueError(f"bad region {reprlib.repr(label)}") from None
-    if rooms is not None and code > rooms:
-        raise ValueError(f"region {reprlib.repr(label)}, but the template has "
-                         f"{rooms} rooms")
-    return code
 
 
 def _number(text: str, kind: type[int] | type[float]) -> int | float:
@@ -800,9 +802,6 @@ def utf8_text(data: bytes, path, error: type[Exception] = ValueError) -> str:
                     f"({exc.reason})") from None
 
 
-# ASCII bytes that str.splitlines (and universal newlines) break lines at,
-# besides "\n"
-_LINE_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _WORD = np.dtype("<u8")  # 8 bytes of a file, the first one lowest
 
 
@@ -816,19 +815,14 @@ def _word_pairs(texts: list[bytes]) -> np.ndarray:
     return np.frombuffer(b"".join(texts), _WORD).reshape(len(texts), 2)
 
 
-# Tables indexed by a field's width w plus 1, the distance between the
-# separators around it; ``take(mode="clip")`` maps any larger distance to a
-# table's last entry.
-#
 # A number "d...d.ddd" of 5 <= w <= 16 bytes lies right-aligned in the 16
-# bytes before its comma.  XOR-ed with _NUMBER_XOR[w + 1] and masked with
-# _NUMBER_MASKS[w + 1], its digits become their values and its "." a 0, and
-# the bytes before it become 0.  For any other w the XOR is 0xFF throughout,
-# which takes every byte of UTF-8 text, all below 0xF5, above 9.
-_NUMBER_XOR = _word_pairs([b"0" * 12 + b".000" if 6 <= d <= 17 else b"\xff" * 16
-                           for d in range(19)])
-_NUMBER_MASKS = _word_pairs([b"\0" * (17 - d) + b"\xff" * (d - 1) if 6 <= d <= 17
-                             else b"\xff" * 16 for d in range(19)])
+# bytes before its comma.  XOR-ed with _NUMBER_XOR and masked with
+# _NUMBER_MASKS[w - 5], its digits become their values and its "." a 0, and
+# the bytes before it become 0.  A field of w < 5 bytes takes w = 5's mask,
+# which keeps the separator before it on a digit's or the "."'s byte; one of
+# w > 16 bytes, of which the mask keeps the last 16, is refused by its width.
+_NUMBER_XOR = _word_pairs([b"0" * 12 + b".000"])[0]
+_NUMBER_MASKS = _word_pairs([b"\0" * (16 - w) + b"\xff" * w for w in range(5, 17)])
 # b | (b & 0x7F) + limit has its top bit set exactly when byte b exceeds
 # 0x7F - limit: 9 in a digit's byte, 0 in the "."'s
 _LIMITS = _word_pairs([b"\x76" * 12 + b"\x7f" + b"\x76" * 3])[0]
@@ -837,71 +831,81 @@ _HIGH = np.uint64(0x8080808080808080)
 # the place value, in thousandths, of the number in each 4 of the 16 bytes
 _GROUP_PLACES = np.array([1e11, 1e7, 1e3, 1.0])
 _EVEN_BYTES = np.uint64(0x00FF00FF00FF00FF)
-# A label's key is the word of its first 8 bytes with bytes w to 7 set to
-# 0xFF, which no UTF-8 text holds: so the key of a label of w <= 7 bytes is
-# no other field's.
-_LABEL_FILLS = np.array([(1 << 64) - (1 << 8 * min(max(d - 1, 0), 8)) for d in range(10)],
-                        np.uint64)
-
-
-def _label_key(label: str) -> int:
-    return int.from_bytes(label.encode().ljust(8, b"\xff"), "little")
+# The key of a tick (two words) or a label (one word) is its bytes, the
+# separator after them, and 0 past that.  _KEY_MASKS[w + 1], indexed by the
+# distance between the separators around a field of w bytes, keeps the
+# first w + 1 bytes from the field on; a field too long for its key keeps
+# no separator, so the key of one field is no other field's.
+_KEY_MASKS = _word_pairs([b"\xff" * d + b"\0" * (16 - d) for d in range(17)])
 
 
 @functools.lru_cache(maxsize=2)
-def _label_table(rooms: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _label_table(rooms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The one listing of the mode and region labels the writer writes for
-    a template of ``rooms`` rooms (rooms up to 1,024 for None).  For the
-    reader, their keys in ascending order, and each key's mode and region
-    code (-1 for no mode, -32768 for no region); a room past 1,024 without
-    a template reads through :func:`_parse_row`.  For the writer, the
-    :func:`_words` of ``,<mode>,`` for each code of ``_MODE_CODES`` in order,
-    and of ``<region>\\n`` for each region code from UNKNOWN up."""
-    listed = 1024 if rooms is None else rooms
-    regions = {region_label(code): code for code in range(UNKNOWN, listed + 1)}
-    labels = list({**_MODE_CODES, **regions})
-    keys = np.array(list(map(_label_key, labels)), np.uint64)
-    codes = np.array([[_MODE_CODES.get(label, -1) for label in labels],
-                      [regions.get(label, -32768) for label in labels]], np.int16)
+    a template of ``rooms`` rooms.  For the reader, the keys of each
+    ``<mode>,`` and ``<region>\\n`` in ascending order, and each key's mode
+    or region code.  For the writer, the :func:`_words` of ``,<mode>,`` for
+    each code of ``_MODE_CODES`` in order, and of ``<region>\\n`` for each
+    region code from UNKNOWN up.  The reader lists MAX_ROOM rooms for a file
+    without a template, once per process."""
+    regions = {f"{region_label(code)}\n": code for code in range(UNKNOWN, rooms + 1)}
+    keyed = {**{f"{label},": code for label, code in _MODE_CODES.items()}, **regions}
+    keys = np.array([int.from_bytes(text.encode(), "little") for text in keyed], np.uint64)
     order = np.argsort(keys)
-    keys, codes = keys[order], codes[:, order]
+    keys, codes = keys[order], np.array(list(keyed.values()), np.int16)[order]
     keys.flags.writeable = codes.flags.writeable = False  # every caller shares them
     return (keys, codes, _words([f",{label}," for label in _MODE_CODES], str.ljust),
-            _words([f"{label}\n" for label in regions], str.ljust))
+            _words(list(regions), str.ljust))
 
 
 @functools.lru_cache(maxsize=1)
-def _tick_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``str(i) + ","`` of each row i of an ``n``-row file as a word, and the
-    mask of its bytes."""
-    texts = [b"%d," % i for i in range(n)]
-    # a tick too long for a word gets the mask 0, which no nonzero word matches
-    words = [int.from_bytes(t, "little") if len(t) <= 8 else 1 for t in texts]
-    masks = [(1 << 8 * len(t)) - 1 if len(t) <= 8 else 0 for t in texts]
-    words, masks = np.array(words, np.uint64), np.array(masks, np.uint64)
-    words.flags.writeable = masks.flags.writeable = False  # every caller shares them
-    return words, masks
+def _tick_keys(n: int) -> np.ndarray:
+    """The key of ``str(i) + ","`` for each row i of an ``n``-row file, as
+    two words; read-only."""
+    return _word_pairs([(b"%d," % i).ljust(16, b"\0") for i in range(n)])
 
 
-def _parse_row(line: str, tick: int, first_id: str,
-               rooms: int | None) -> tuple[float, float, int, int]:
-    """x, y, mode and region code of one data row, checked field by field;
-    ``ValueError`` with the message of the first check that fails."""
-    fields = line.split(",")
+def _written_int(text: bytes) -> bool:
+    """Whether ``text`` is ``str`` of an int, as the writer writes a trial id."""
+    try:
+        return str(int(text)).encode() == text
+    except ValueError:
+        return False
+
+
+def _parse_row(line: bytes, tick: int, first_id: bytes, rooms: int) -> str:
+    """The message of the first check that ``line``, row ``tick`` without its
+    "\\n", fails, in the order undecodable byte, field count, trial id (line
+    2's must be ``str`` of an int, and the others line 2's), tick, x/y, mode
+    and region.  It is called only on the first row :func:`_grammar_rows`
+    refuses, so a region that passes the other checks is past ``rooms``."""
+    try:
+        text = line.decode()
+    except UnicodeDecodeError as exc:
+        return f"byte {line[exc.start]:#04x} is not UTF-8 ({exc.reason})"
+    fields = text.split(",")
     if len(fields) != 6:
-        raise ValueError("expected 6 fields")
-    if fields[0] != first_id:
-        raise ValueError(f"trial id {reprlib.repr(fields[0])} differs from line 2's "
-                         f"{reprlib.repr(first_id)}")
+        return "expected 6 fields"
+    if tick == 0 and not _written_int(first_id):
+        return f"bad trial id {reprlib.repr(fields[0])}"
+    if fields[0] != first_id.decode():
+        return (f"trial id {reprlib.repr(fields[0])} differs from line 2's "
+                f"{reprlib.repr(first_id.decode())}")
     if fields[1] != str(tick):
-        raise ValueError(f"tick {reprlib.repr(fields[1])}, expected {tick}")
-    x, y = _number(fields[2], float), _number(fields[3], float)
+        return f"tick {reprlib.repr(fields[1])}, expected {tick}"
+    for number in fields[2:4]:
+        if not re.fullmatch(r"[0-9]{1,12}\.[0-9]{3}", number):
+            return f"bad coordinate {reprlib.repr(number)}"
     if fields[4] not in _MODE_CODES:
-        raise ValueError(f"bad mode {reprlib.repr(fields[4])}")
-    return x, y, _MODE_CODES[fields[4]], _region(fields[5], rooms)
+        return f"bad mode {reprlib.repr(fields[4])}"
+    try:
+        region_code(fields[5])
+    except GeometryError:
+        return f"bad region {reprlib.repr(fields[5])}"
+    return f"region {reprlib.repr(fields[5])}, but the template has {rooms} rooms"
 
 
-def _grammar_rows(data: bytes, first_id: str, rooms: int | None
+def _grammar_rows(data: bytes, first_id: bytes, rooms: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The data rows of a file that starts with the header, parsed by column
     in the writer's grammar (see :func:`read_trajectory_csv`): the position
@@ -919,31 +923,33 @@ def _grammar_rows(data: bytes, first_id: str, rooms: int | None
     ok = np.diff(ends) == 6
     ends = sep.take(ends)
 
-    # trial id, tick, mode and region: the word after each one's separator
-    words = _windows(data, 8, 1)[seps[[0, 1, 4, 5]]].view(_WORD)
-    id_text = first_id.encode() + b","
-    if len(id_text) <= 8:
-        ok &= (words[0] & np.uint64((1 << 8 * len(id_text)) - 1)
-               == int.from_bytes(id_text, "little"))
-    else:
-        ok[:] = False
-    tick_words, tick_masks = _tick_keys(n)
-    ok &= (words[1] & tick_masks) == tick_words
-    keys = words[2:] | _LABEL_FILLS.take(seps[5:] - seps[4:6], mode="clip")
+    # trial id: line 2's, which must be str of an int, compared whole with
+    # each id of its width, so that the windows copied hold no more bytes
+    # than the file
+    id_text = first_id + b","
+    same = seps[1] - seps[0] == len(id_text)
+    same[same] = _windows(data, len(id_text), 1)[seps[0][same]] == np.void(id_text)
+    ok &= same
+    ok[0] &= _written_int(first_id)
+    # tick, mode and region: the masked bytes after each one's separator
+    words = _windows(data, 16, 1)[seps[[1, 4, 5]]].view(_WORD).reshape(3, n, 2)
+    ticks = ((words[0] & _KEY_MASKS.take(seps[2] - seps[1], axis=0, mode="clip"))
+             ^ _tick_keys(n))
+    ok &= (ticks[:, 0] | ticks[:, 1]) == 0
+    keys = words[1:, :, 0] & _KEY_MASKS[:, 0].take(seps[5:] - seps[4:6], mode="clip")
     table_keys, table_codes = _label_table(rooms)[:2]
     at = table_keys.searchsorted(keys)
     found = table_keys.take(at, mode="clip") == keys
-    modes = table_codes[0].take(at[0], mode="clip")
-    regions = table_codes[1].take(at[1], mode="clip")
-    ok &= found[0] & found[1] & (modes >= 0) & (regions != -32768)
+    ok &= found[0] & found[1]
+    modes, regions = table_codes.take(at, mode="clip")
 
     # x and y: the 16 bytes before each one's comma
     after = seps[3:5].ravel()
-    widths = after - seps[2:4].ravel()
-    digits = ((_windows(data, 16)[after - 16].view(_WORD).reshape(2 * n, 2)
-               ^ _NUMBER_XOR.take(widths, axis=0, mode="clip"))
-              & _NUMBER_MASKS.take(widths, axis=0, mode="clip"))
+    widths = after - seps[2:4].ravel() - 1
+    digits = ((_windows(data, 16)[after - 16].view(_WORD).reshape(2 * n, 2) ^ _NUMBER_XOR)
+              & _NUMBER_MASKS.take(widths - 5, axis=0, mode="clip"))
     over = (digits | (digits & _LOW7) + _LIMITS) & _HIGH
+    over[widths > 16] = _HIGH
     ok &= (over[:n, 0] | over[:n, 1] | over[n:, 0] | over[n:, 1]) == 0
     # 10 b + b' of neighbouring digits b, b' is at most 99, and 100 p + p' of
     # neighbouring pairs at most 9999: so each 4 bytes' digits become one
@@ -958,54 +964,33 @@ def _grammar_rows(data: bytes, first_id: str, rooms: int | None
 def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Trajectory:
     """Load a trajectory CSV; contact bits are not serialized and read as 0.
 
-    Ticks must run 0, 1, 2, ... and every row must carry line 2's trial id.
-    Regions must be labels :func:`~leechsim.geometry.region_label` writes,
-    and with a template given, rooms it has.  A bad file is reported at its
-    earliest bad line, with the first failing check of that line in the
-    order field count, trial id, tick, x/y, mode, region; a non-finite
-    coordinate is checked last, over the whole file.  An undecodable byte
-    is reported at its line.
-
-    Lines are split at "\\n".  An ASCII file without the other line breaks
-    of ``str.splitlines`` is split as it is; any other file is decoded and
-    split as text first.  Rows in the writer's grammar are parsed from their
-    bytes, by column (:func:`_grammar_rows`): line 2's trial id, ``str`` of
-    the row index, x and y as 1 to 12 digits, ".", 3 digits, and mode and
-    region labels the template allows.  Such
-    a number reads as its integer thousandths over 1000.0, which is
+    A file must be one the writer writes: the header, then rows of line 2's
+    trial id (``str`` of an int), ``str`` of the row index as the tick, x
+    and y as 1 to 12 digits, ".", 3 digits, and a mode and a region label
+    the writer writes, with a template given for rooms it has, each row
+    ending in "\\n" (the last one may end the file instead).  The rows are
+    parsed by column from the file's bytes (:func:`_grammar_rows`), and a
+    number reads as its integer thousandths over 1000.0, which is
     ``float()`` of its text: both are the correctly rounded quotient, as the
-    thousandths stay below 2**53.  Every other row goes through
-    :func:`_parse_row`, which checks it field by field.
+    thousandths stay below 2**53.  Any other file is refused at its earliest
+    bad line, named by :func:`_parse_row` with the first check of that line
+    it fails.  Lines are counted at "\\n" alone, and every byte of a row is
+    checked, so a "\\r" or a non-ASCII byte fails the row that holds it.
     """
     data = Path(path).read_bytes()
-    if not data.isascii() or any(b in data for b in _LINE_BREAKS):
-        data = "".join(line + "\n" for line in
-                       utf8_text(data, path, TrajectoryFormatError).splitlines()).encode()
-    elif data and not data.endswith(b"\n"):
+    if data and not data.endswith(b"\n"):
         data += b"\n"
     header = _CSV_HEADER.encode() + b"\n"
     if not data.startswith(header):
         raise TrajectoryFormatError(f"{path}:1: bad or missing header")
     if len(data) == len(header):
         raise TrajectoryFormatError(f"{path}:1: no data rows")
-    first_id = data[len(header):data.index(b"\n", len(header))].split(b",", 1)[0].decode()
-    try:
-        trial_id = _number(first_id, int)
-    except ValueError as exc:
-        raise TrajectoryFormatError(f"{path}:2: {exc}") from None
-
-    rooms = env.n_rooms if env is not None else None
+    first_id = data[len(header):data.index(b"\n", len(header))].split(b",", 1)[0]
+    rooms = env.n_rooms if env is not None else MAX_ROOM
     ends, ok, (xs, ys), modes, regions = _grammar_rows(data + bytes(16), first_id, rooms)
-    for row in np.flatnonzero(~ok).tolist():
-        line = data[ends[row] + 1:ends[row + 1]].decode()
-        try:
-            xs[row], ys[row], modes[row], regions[row] = _parse_row(line, row, first_id, rooms)
-        except ValueError as exc:
-            raise TrajectoryFormatError(f"{path}:{row + 2}: {exc}") from None
-    finite = np.isfinite(xs) & np.isfinite(ys)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise TrajectoryFormatError(
-            f"{path}:{row + 2}: non-finite coordinate ({xs[row]}, {ys[row]})")
-    return Trajectory(env=env, trial_id=trial_id, seed=0, xs=xs, ys=ys, modes=modes,
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise TrajectoryFormatError(f"{path}:{row + 2}: " + _parse_row(
+            data[ends[row] + 1:ends[row + 1]], row, first_id, rooms))
+    return Trajectory(env=env, trial_id=int(first_id), seed=0, xs=xs, ys=ys, modes=modes,
                       regions=regions, ms=np.zeros(len(xs), dtype=np.uint8))

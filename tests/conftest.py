@@ -235,11 +235,6 @@ def recount_passes(env, motion, trajs):
     return passes
 
 
-def _short_error(exc, text):
-    """A conversion error of ``text``: its cause, then ``text`` echoed short."""
-    return f"{str(exc).split(': ', 1)[0]}: {reprlib.repr(text)}"
-
-
 def _region_per_line(label, env, path, lineno):
     try:
         code = region_code(label)
@@ -253,44 +248,45 @@ def _region_per_line(label, env, path, lineno):
     return code
 
 
-def _text_per_line(path):
-    """The file decoded as UTF-8, or the error naming the line of its first
-    undecodable byte: the first line that holds an escaped byte."""
-    data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lines = data.decode("utf-8", "surrogateescape").splitlines()
-        lineno, byte = next((lineno, ord(char) - 0xDC00)
-                            for lineno, line in enumerate(lines, start=1)
-                            for char in line if "\udc80" <= char <= "\udcff")
-        raise TrajectoryFormatError(f"{path}:{lineno}: byte {byte:#04x} is not UTF-8 "
-                                    f"({exc.reason})") from None
+# the text of a coordinate: what '%.3f' writes of a value in [0, 10**12)
+_NUMBER = re.compile(r"[0-9]{1,12}\.[0-9]{3}")
 
 
 def read_trajectory_csv_per_line(path, env=None):
-    """The trajectory CSV reader as a loop over lines, one row at a time.
+    """The trajectory CSV reader as a loop over lines split at "\\n", one row
+    at a time.
 
     The oracle for ``read_trajectory_csv`` and its byte lane: same arrays
     for every file it accepts, same message for every file it rejects.
     """
-    lines = _text_per_line(path).splitlines()
-    if not lines or lines[0] != _CSV_HEADER:
+    lines = Path(path).read_bytes().split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # after the "\n" that ends the last line
+    if not lines or lines[0] != _CSV_HEADER.encode():
         raise TrajectoryFormatError(f"{path}:1: bad or missing header")
     if len(lines) < 2:
         raise TrajectoryFormatError(f"{path}:1: no data rows")
-    first_id = lines[1].split(",", 1)[0]
-    try:
-        trial_id = int(first_id)
-    except ValueError as exc:
-        raise TrajectoryFormatError(f"{path}:2: {_short_error(exc, first_id)}") from None
     xs, ys, modes, regions = [], [], [], []
     region_codes = {}  # label -> code, checked once per distinct label
-    for tick, line in enumerate(lines[1:]):
+    for tick, data in enumerate(lines[1:]):
         lineno = tick + 2
+        try:
+            line = data.decode()
+        except UnicodeDecodeError as exc:
+            raise TrajectoryFormatError(f"{path}:{lineno}: byte {data[exc.start]:#04x} "
+                                        f"is not UTF-8 ({exc.reason})") from None
         parts = line.split(",")
         if len(parts) != 6:
             raise TrajectoryFormatError(f"{path}:{lineno}: expected 6 fields")
+        if tick == 0:
+            first_id = parts[0]
+            try:
+                trial_id = int(first_id)
+            except ValueError:
+                trial_id = None
+            if trial_id is None or str(trial_id) != first_id:
+                raise TrajectoryFormatError(
+                    f"{path}:{lineno}: bad trial id {reprlib.repr(first_id)}")
         if parts[0] != first_id:
             raise TrajectoryFormatError(
                 f"{path}:{lineno}: trial id {reprlib.repr(parts[0])} differs from line 2's "
@@ -299,11 +295,10 @@ def read_trajectory_csv_per_line(path, env=None):
             raise TrajectoryFormatError(
                 f"{path}:{lineno}: tick {reprlib.repr(parts[1])}, expected {tick}")
         for text, column in ((parts[2], xs), (parts[3], ys)):
-            try:
-                column.append(float(text))
-            except ValueError as exc:
+            if not _NUMBER.fullmatch(text):
                 raise TrajectoryFormatError(
-                    f"{path}:{lineno}: {_short_error(exc, text)}") from None
+                    f"{path}:{lineno}: bad coordinate {reprlib.repr(text)}")
+            column.append(float(text))
         if parts[4] not in _MODE_CODES:
             raise TrajectoryFormatError(
                 f"{path}:{lineno}: bad mode {reprlib.repr(parts[4])}")
@@ -312,19 +307,12 @@ def read_trajectory_csv_per_line(path, env=None):
         if code is None:
             code = region_codes[parts[5]] = _region_per_line(parts[5], env, path, lineno)
         regions.append(code)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    finite = np.isfinite(xs) & np.isfinite(ys)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise TrajectoryFormatError(
-            f"{path}:{row + 2}: non-finite coordinate ({xs[row]}, {ys[row]})")
     return Trajectory(
         env=env,
         trial_id=trial_id,
         seed=0,
-        xs=xs,
-        ys=ys,
+        xs=np.asarray(xs, dtype=float),
+        ys=np.asarray(ys, dtype=float),
         modes=np.asarray(modes, dtype=np.uint8),
         regions=np.asarray(regions, dtype=np.int16),
         ms=np.zeros(len(xs), dtype=np.uint8),
@@ -349,6 +337,11 @@ def write_trajectory_csv_per_row(traj, path):
     fields[2::5] = traj.ys.tolist()
     fields[3::5] = labels(traj.modes, mode_label)
     fields[4::5] = labels(traj.regions, region_label)
+    for tick, pair in enumerate(zip(fields[1::5], fields[2::5])):
+        for name, value in zip("xy", pair):
+            if not _NUMBER.fullmatch("%.3f" % value):
+                raise ValueError(f"trial {traj.trial_id}, tick {tick}: coordinate {name} = "
+                                 f"{value!r} does not fit 1 to 12 digits, '.' and 3 digits")
     row = f"{traj.trial_id},%d,%.3f,%.3f,%s,%s\n"
     Path(path).write_text(f"{_CSV_HEADER}\n" + (row * n) % tuple(fields),
                           newline="\n")

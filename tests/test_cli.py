@@ -1042,6 +1042,22 @@ def test_track_refuses_a_gap_in_the_frame_numbering(tmp_path, capsys, env, auto)
     assert not out.exists()
 
 
+def test_track_refuses_coordinates_no_trajectory_csv_holds(tmp_path, capsys, env, auto):
+    """At 1e-10 px per mm every position lies past 10**12 mm, which has no
+    text in the file format: exit 3 naming the coordinate, and no file."""
+    traj = run_trial(env, MotionParams(q_scale=0.5), auto, seed=6, duration=10)
+    frame_dir = tmp_path / "frames"
+    frame_dir.mkdir()
+    for i, frame in enumerate(render_frames(traj, env, px_per_mm=2.0)):
+        write_ppm(frame_dir / frame_filename(i), frame)
+    out = tmp_path / "tracked.csv"
+    assert main(["track", str(frame_dir), "--px-per-mm", "1e-10", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: trial 0, tick 0: coordinate x = [0-9]{13,}\.[0-9]+ does "
+                        r"not fit 1 to 12 digits, '\.' and 3 digits\n", err), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["overlay", "activity"])
 def test_render_canvas_too_large_to_allocate_is_exit_3(tmp_path, capsys, mode):
     # 1e6 px/mm makes the template a 134,000,001 x 27,000,001 px canvas, 9.64 PiB

@@ -69,16 +69,16 @@ def test_reflection_at_right_end(env, motion):
 
 def test_csv_rejects_ticks_out_of_sequence(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.0,2.0,CRAWL,C\n"
-                    "0,1,1.0,2.0,CRAWL,C\n0,3,1.0,2.0,CRAWL,C\n")
+    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.000,2.000,CRAWL,C\n"
+                    "0,1,1.000,2.000,CRAWL,C\n0,3,1.000,2.000,CRAWL,C\n")
     with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:4: tick '3'"):
         read_trajectory_csv(path)
 
 
 def test_csv_rejects_mixed_trial_ids(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n5,0,1.0,2.0,CRAWL,C\n"
-                    "5,1,1.0,2.0,CRAWL,C\n6,2,1.0,2.0,CRAWL,C\n")
+    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n5,0,1.000,2.000,CRAWL,C\n"
+                    "5,1,1.000,2.000,CRAWL,C\n6,2,1.000,2.000,CRAWL,C\n")
     with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:4: trial id '6'"):
         read_trajectory_csv(path)
 
@@ -86,16 +86,16 @@ def test_csv_rejects_mixed_trial_ids(tmp_path):
 @pytest.mark.parametrize("label", ["R0", "R08", "R\u00b2", "R99999", "X", "R+1"])
 def test_csv_rejects_region_labels_the_writer_never_writes(tmp_path, label):
     path = tmp_path / "bad.csv"
-    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.0,2.0,CRAWL,C\n"
-                    f"0,1,1.0,2.0,CRAWL,{label}\n", encoding="utf-8")
+    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.000,2.000,CRAWL,C\n"
+                    f"0,1,1.000,2.000,CRAWL,{label}\n", encoding="utf-8")
     with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:3: bad region"):
         read_trajectory_csv(path)
 
 
 def test_csv_rejects_rooms_the_template_lacks(tmp_path, env):
     path = tmp_path / "bad.csv"
-    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.0,2.0,CRAWL,R8\n"
-                    "0,1,1.0,2.0,CRAWL,W\n0,2,1.0,2.0,CRAWL,R9\n")
+    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.000,2.000,CRAWL,R8\n"
+                    "0,1,1.000,2.000,CRAWL,W\n0,2,1.000,2.000,CRAWL,R9\n")
     assert read_trajectory_csv(path).regions.tolist() == [8, -1, 9]
     with pytest.raises(TrajectoryFormatError, match=r"bad\.csv:4: region 'R9'"):
         read_trajectory_csv(path, env)
@@ -103,10 +103,10 @@ def test_csv_rejects_rooms_the_template_lacks(tmp_path, env):
 
 def test_csv_writer_matches_per_row_format(tmp_path):
     """The bulk writer gives the bytes of one f-string per row over numpy scalars."""
-    xs = np.array([-0.0, 0.0005, 2.675, 1e9 + 0.0625, -123456.7895, 0.0015,
-                   -0.0004, 1.0005, 7.5, 60.125, 3.14159])
-    ys = np.array([2.675, -0.0, 1e12 / 3, 0.0005, 0.0025, -2.675, 99.9995,
-                   -1e-9, 44.4445, 0.0, 15.0])
+    xs = np.array([0.0, 0.0005, 2.675, 1e9 + 0.0625, 123456.7895, 0.0015,
+                   0.0004, 1.0005, 7.5, 60.125, 3.14159])
+    ys = np.array([2.675, 999999999999.9994, 1e12 / 3, 0.0005, 0.0025, 2.6745, 99.9995,
+                   1e-9, 44.4445, 0.0, 15.0])
     modes = np.array([0, 1, 2, MODE_UNKNOWN, 1, 0, 2, 1, MODE_UNKNOWN, 0, 1], np.uint8)
     regions = np.array([-2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8], np.int16)
     traj = Trajectory(None, 12, 0, xs, ys, modes, regions, np.zeros(11, np.uint8))
@@ -440,7 +440,8 @@ def test_csv_round_trip(tmp_path, env, auto, motion):
 
 def test_csv_malformed_names_file_and_line(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.0,2.0,CRAWL,C\n0,1,oops,2.0,CRAWL,C\n")
+    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.000,2.000,CRAWL,C\n"
+                    "0,1,oops,2.000,CRAWL,C\n")
     with pytest.raises(TrajectoryFormatError) as err:
         read_trajectory_csv(path)
     assert "bad.csv:3" in str(err.value)
@@ -450,14 +451,54 @@ def test_csv_malformed_names_file_and_line(tmp_path):
         read_trajectory_csv(path)
 
 
-@pytest.mark.parametrize("x,y", [("nan", "22.0"), ("1.0", "inf"), ("-inf", "2.0")])
+@pytest.mark.parametrize("x,y", [("nan", "22.000"), ("1.000", "inf"), ("-inf", "2.000")])
 def test_csv_rejects_non_finite_coordinates(tmp_path, x, y):
     path = tmp_path / "bad.csv"
-    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.0,2.0,CRAWL,C\n"
-                    f"0,1,{x},{y},CRAWL,C\n0,2,1.0,2.0,CRAWL,C\n")
+    path.write_text("trial_id,tick,x_mm,y_mm,mode,region\n0,0,1.000,2.000,CRAWL,C\n"
+                    f"0,1,{x},{y},CRAWL,C\n0,2,1.000,2.000,CRAWL,C\n")
     with pytest.raises(TrajectoryFormatError) as err:
         read_trajectory_csv(path)
     assert "bad.csv:3" in str(err.value)
+
+
+# spellings that float(), int() or a reader of text lines accepts, and the
+# writer never writes: each fails at its line, with the check it fails
+_TWO_ROWS = ("trial_id,tick,x_mm,y_mm,mode,region\n"
+             "3,0,1.000,2.000,CRAWL,C\n3,1,1.000,2.000,CRAWL,C\n")
+
+
+@pytest.mark.parametrize("old, new, error", [
+    ("3,0,1.000", "3,0,1e1", "2: bad coordinate '1e1'"),
+    ("3,0,1.000", "3,0,1_0.5", "2: bad coordinate '1_0.5'"),
+    ("3,0,1.000", "3,0, 10.5 ", "2: bad coordinate ' 10.5 '"),
+    ("3,0,1.000", "3,0,10.123456789", "2: bad coordinate '10.123456789'"),
+    ("3,0,1.000,2.000", "3,0,1.000,-3.000", "2: bad coordinate '-3.000'"),
+    ("3,1,1.000", "3,1,1.0", "3: bad coordinate '1.0'"),
+    ("3,0,", "00,0,", "2: bad trial id '00'"),
+    ("3,0,", "+3,0,", "2: bad trial id '+3'"),
+    ("C\n3,1", "C\r\n3,1", "2: bad region 'C\\r'"),
+    ("\n", "\r\n", "1: bad or missing header"),
+], ids=["exponent", "underscore", "spaces", "9-decimals", "negative", "1-decimal",
+        "id-00", "id-plus", "crlf-row", "crlf-file"])
+def test_csv_rejects_spellings_the_writer_never_writes(tmp_path, old, new, error):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(_TWO_ROWS.replace(old, new).encode())
+    with pytest.raises(TrajectoryFormatError) as err:
+        read_trajectory_csv(path)
+    assert str(err.value) == f"{path}:{error}"
+    assert _read_outcome(read_trajectory_csv_per_line, path, None) == (
+        TrajectoryFormatError, str(err.value))
+
+
+def test_csv_names_the_first_bad_line_counting_lines_at_newlines(tmp_path):
+    """A lone CR is no line break: line 2, whose mode holds one, is the
+    first bad line, not line 4 with its undecodable byte."""
+    path = tmp_path / "u.csv"
+    path.write_bytes(b"trial_id,tick,x_mm,y_mm,mode,region\n"
+                     b"3,0,1.000,2.000,CR\rAWL,C\n3,1,1.000,2.000,CRAWL,C\n"
+                     b"3,2,1.000,2.000,CRAWL,C\xff\n")
+    with pytest.raises(TrajectoryFormatError, match=r"u\.csv:2: bad mode 'CR\\rAWL'$"):
+        read_trajectory_csv(path)
 
 
 # --- the columnar reader against the per-line oracle ---------------------------
@@ -468,7 +509,7 @@ _FUZZ_BASE = ("trial_id,tick,x_mm,y_mm,mode,region\n"
               "3,2,67.000,13.000,EXPLORE,R4\n"
               "3,3,67.000,13.000,STILL,R4\n"
               "3,4,1.500,2.250,UNKNOWN,W\n"
-              "3,5,-0.000,0.000,STILL,UNKNOWN\n")
+              "3,5,0.000,0.000,STILL,UNKNOWN\n")
 
 # single characters, and per column whole fields, that a damaged or hostile
 # file may hold; int() and float() accept the Arabic-Indic digits.  The
@@ -650,7 +691,7 @@ _DRAW_CODES = [(st.lists(st.sampled_from(good), min_size=1, max_size=5),
                 st.lists(st.sampled_from(bad), min_size=1, max_size=3))
                for good, bad in ((_MODES, _BAD_MODES), (_REGIONS, _BAD_REGIONS))]
 _DRAW_ONE_IN_FIVE = st.integers(0, 4)
-# ids of up to 7 digits fit the byte lane's word, longer ones do not
+# ids of up to 4 digits, and of up to 13
 _DRAW_TRIAL_ID = st.one_of(st.integers(0, 9999), st.integers(0, 2**40))
 # no template, the default 8 rooms and 400 rooms: the writer lists the
 # template's rooms or the file's largest room, whichever is more
@@ -716,12 +757,17 @@ def test_csv_writer_matches_the_per_row_oracle(fuzz_csv, traj):
 @settings(max_examples=30, deadline=None)
 @given(traj=_trajectories(bad_codes=False))
 def test_written_files_read_back_as_through_the_per_line_oracle(fuzz_csv, traj):
-    """The writer's fast digits take the byte lane, its '%.3f' fallback
-    (negatives, -0.0, 1e15, nan, inf) the per-row lane: either way the
-    outcome is the oracle's."""
-    write_trajectory_csv(traj, fuzz_csv)
-    assert (_read_outcome(read_trajectory_csv, fuzz_csv, None)
-            == _read_outcome(read_trajectory_csv_per_line, fuzz_csv, None))
+    """A file written from the fast digits or the '%.3f' fallback reads
+    back as through the oracles, and is refused only without rows; a
+    trajectory the writer refuses (negatives, -0.0, 1e15, nan, inf) the
+    per-row oracle refuses with the same error."""
+    def round_trip(writer, reader):
+        written = _write_outcome(writer, traj, fuzz_csv)
+        return written if isinstance(written, tuple) else _read_outcome(reader, fuzz_csv, None)
+
+    expected = round_trip(write_trajectory_csv_per_row, read_trajectory_csv_per_line)
+    assert round_trip(write_trajectory_csv, read_trajectory_csv) == expected
+    assert expected[0] in (ValueError, traj.trial_id) or not traj.n_ticks
 
 
 def _assert_files_take_the_byte_lane(tmp_path, monkeypatch, trajs, templates):
@@ -772,3 +818,17 @@ def test_many_room_files_take_the_byte_lane(tmp_path, auto, monkeypatch):
     trajs = run_ensemble(env, MotionParams(q_scale=1.0), auto, 16, base_seed=1)
     assert sum(int((traj.regions > 0).sum()) for traj in trajs) > 100
     _assert_files_take_the_byte_lane(tmp_path, monkeypatch, trajs, [env, None])
+
+
+def test_long_trial_ids_and_rooms_past_1024_take_the_byte_lane(tmp_path, env, auto, motion,
+                                                               monkeypatch):
+    """Trial ids of 8 and 15 digits, and rows in rooms past 1,024 of a
+    2,000-room template read with it and without it, parse from their bytes."""
+    trajs = run_ensemble(env, motion, auto, 2, base_seed=1, duration=600)
+    _assert_files_take_the_byte_lane(
+        tmp_path, monkeypatch, [replace(trajs[0], trial_id=12345678),
+                                replace(trajs[1], trial_id=123456789012345)], [env])
+    many = build_corridor_template(rooms=2000)
+    trajs = run_ensemble(many, MotionParams(q_scale=1.0), auto, 4, base_seed=1)
+    assert sum(int((traj.regions > 1024).sum()) for traj in trajs) > 20
+    _assert_files_take_the_byte_lane(tmp_path, monkeypatch, trajs, [many, None])
