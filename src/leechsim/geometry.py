@@ -60,56 +60,29 @@ def region_code(label: str) -> int:
 
 
 @dataclass(frozen=True)
-class Region:
-    id: int  # CORRIDOR or a room index
-    rect: Rect
-
-
-@dataclass(frozen=True)
-class Opening:
-    """The gap in the dividing wall band joining room ``room`` to the corridor.
-
-    ``span`` is the x-interval the gap occupies.
-    """
-
-    room: int
-    span: tuple[float, float]
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.span[0] + self.span[1])
-
-
-@dataclass(frozen=True)
 class EnvironmentTemplate:
-    """Immutable wall/region layout in room order; safe to share across trial workers."""
+    """Immutable wall/region layout; safe to share across trial workers.
+
+    A room is its index: ``regions[c]`` is the rect of region code c (the
+    corridor, then rooms 1..n) and ``openings[i - 1]`` the x-span
+    ``(lo, hi)`` of the gap joining room i to the corridor.
+    """
 
     interior_width: float
     interior_height: float
-    regions: tuple[Region, ...]
-    openings: tuple[Opening, ...]
+    regions: tuple[Rect, ...]
+    openings: tuple[tuple[float, float], ...]
     start_point: Point
     wall_rects: tuple[Rect, ...] = field(repr=False)
     wall_thickness: float = 2.0
 
     def __post_init__(self) -> None:
-        ids = [r.id for r in self.regions] + [o.room for o in self.openings]
-        if ids != [*range(len(self.regions)), *range(1, len(self.regions))]:
+        if len(self.openings) != len(self.regions) - 1:
             raise GeometryError("regions must be corridor, rooms 1..n, and openings rooms 1..n")
 
     @property
     def n_rooms(self) -> int:
         return len(self.openings)
-
-    def room_rect(self, index: int) -> Rect:
-        if not 0 < index <= self.n_rooms:
-            raise GeometryError(f"no room {index} in template")
-        return self.regions[index].rect
-
-    def opening_for_room(self, index: int) -> Opening:
-        if not 0 < index <= self.n_rooms:
-            raise GeometryError(f"no opening for room {index}")
-        return self.openings[index - 1]
 
 
 def build_corridor_template(
@@ -128,41 +101,39 @@ def build_corridor_template(
     corridor through an opening centered on the room's x-extent.  The start
     point sits 4 mm from the right interior wall at corridor mid-height.
     """
-    if not 1 <= rooms <= MAX_ROOM:
-        raise GeometryError(f"rooms must lie in [1, {MAX_ROOM}], got {reprlib.repr(rooms)}")
+    if isinstance(rooms, bool) or not isinstance(rooms, int) or not 1 <= rooms <= MAX_ROOM:
+        raise GeometryError(f"rooms must be an int in [1, {MAX_ROOM}], got {reprlib.repr(rooms)}")
     for name, v in (("room_size", room_size), ("wall", wall),
                     ("corridor_width", corridor_width), ("opening", opening)):
-        if v <= 0:
-            raise GeometryError(f"{name} must be > 0, got {v}")
+        if not (v > 0 and math.isfinite(v)):
+            raise GeometryError(f"{name} must be finite and > 0, got {v}")
     if opening > room_size:
         raise GeometryError(f"opening {opening} wider than room {room_size}")
 
     length = rooms * room_size + (rooms - 1) * wall
     height = room_size + wall + corridor_width
-    if length <= 0 or height <= 0:
-        raise GeometryError("dimensions leave no interior space")
     if not (math.isfinite(length) and math.isfinite(height)):
         raise GeometryError(f"interior {length} x {height} mm is not finite")
 
     band_y0, band_y1 = room_size, room_size + wall
-    regions = [Region(CORRIDOR, (0.0, band_y1, length, height))]
+    regions = [(0.0, band_y1, length, height)]
     openings = []
     pitch = room_size + wall
     for i in range(1, rooms + 1):
         x0 = (i - 1) * pitch
-        regions.append(Region(i, (x0, 0.0, x0 + room_size, room_size)))
+        regions.append((x0, 0.0, x0 + room_size, room_size))
         cx = x0 + room_size / 2.0
-        openings.append(Opening(room=i, span=(cx - opening / 2.0, cx + opening / 2.0)))
+        openings.append((cx - opening / 2.0, cx + opening / 2.0))
 
     wall_rects: list[Rect] = []
     for i in range(1, rooms):  # blocks between adjacent rooms
         x0 = (i - 1) * pitch + room_size
         wall_rects.append((x0, 0.0, x0 + wall, room_size))
     edge = 0.0  # dividing band split at the opening gaps
-    for o in openings:
-        if o.span[0] > edge:
-            wall_rects.append((edge, band_y0, o.span[0], band_y1))
-        edge = o.span[1]
+    for lo, hi in openings:
+        if lo > edge:
+            wall_rects.append((edge, band_y0, lo, band_y1))
+        edge = hi
     if edge < length:
         wall_rects.append((edge, band_y0, length, band_y1))
 
@@ -189,10 +160,9 @@ def locate(env: EnvironmentTemplate, p: Point) -> int:
     x, y = p
     if not (0.0 <= x <= env.interior_width and 0.0 <= y <= env.interior_height):
         raise GeometryError(f"point {p} outside interior")
-    for region in env.regions:
-        x0, y0, x1, y1 = region.rect
+    for code, (x0, y0, x1, y1) in enumerate(env.regions):
         if x0 <= x <= x1 and y0 <= y <= y1:
-            return region.id
+            return code
     return WALL
 
 

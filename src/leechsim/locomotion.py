@@ -185,7 +185,7 @@ class _SimContext:
         n = env.n_rooms
         self.L = env.interior_width
         self.H = env.interior_height
-        self.room_y1 = env.room_rect(1)[3]
+        self.room_y1 = env.regions[1][3]
         self.band_y1 = self.room_y1 + env.wall_thickness
         self.cor_mid = 0.5 * (self.band_y1 + self.H)
         self.r = motion.contact_radius
@@ -196,13 +196,13 @@ class _SimContext:
         self.any_q = motion.q_scale > 0.0
         self.start = env.start_point
 
-        self.xlo, self.ylo, self.xhi, self.yhi = np.array([r.rect for r in env.regions]).T.copy()
-        self.cx = np.array([math.nan] + [o.center for o in env.openings])
+        self.xlo, self.ylo, self.xhi, self.yhi = np.array(env.regions).T.copy()
+        self.cx = np.array([math.nan] + [0.5 * (lo + hi) for lo, hi in env.openings])
 
         # Gap spans along x.  has_l/has_r tell whether a wall corner bounds
         # the gap on that side: row 0 as seen from the corridor, row 1 from
         # the gap's own room.
-        spans = sorted((o.span, r.rect) for o, r in zip(env.openings, env.regions[1:]))
+        spans = sorted(zip(env.openings, env.regions[1:]))
         self.gap_lo = np.array([lo for (lo, _), _ in spans])
         self.gap_hi = np.array([hi for (_, hi), _ in spans])
         self.gap_has_l = ([lo > 0.0 for (lo, _), _ in spans],
@@ -212,10 +212,10 @@ class _SimContext:
 
         half = 0.5 * self.r
         self.windows = tuple(sorted(
-            (o.span[0] - half, o.span[1] + half,
+            (lo - half, hi + half,
              entry_trigger_probability(room_distance_to_end(env, i), auto,
                                        motion.q_scale), i)
-            for i, o in enumerate(env.openings, start=1)
+            for i, (lo, hi) in enumerate(env.openings, start=1)
         ))
         win_lo, self.win_hi, win_q, win_room = (
             np.array(column) for column in zip(*self.windows))
@@ -747,17 +747,21 @@ def _tick_words(n: int) -> np.ndarray:
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Write ``trial_id,tick,x_mm,y_mm,mode,region`` rows, floats as ``'%.3f'``.
 
-    The bytes are those of one ``%`` format per row.  A code without a label
-    raises what ``mode_label`` or ``region_label`` raises for it, and then a
-    coordinate the reader's grammar has no text for raises ``ValueError``
-    (see :func:`_number_words`), before anything is written.  The file is
-    built as one (words, rows) matrix of 4-cell words, see :func:`_words`:
-    each field sits right-aligned (numbers) or left-aligned (labels) in
-    whole words, and NUL fills the cells it leaves unused.  Transposed to
-    rows and stripped of NUL, the matrix is the file.  Label words are taken
-    by code from the one listing of labels, :func:`_label_table`, over the
-    template's rooms and any higher room the file holds.
+    The bytes are those of one ``%`` format per row.  A trajectory without
+    ticks, whose file the reader would refuse, raises ``ValueError``; a code
+    without a label raises what ``mode_label`` or ``region_label`` raises for
+    it, and then a coordinate the reader's grammar has no text for raises
+    ``ValueError`` (see :func:`_number_words`), before anything is written.
+    The file is built as one (words, rows) matrix of 4-cell words, see
+    :func:`_words`: each field sits right-aligned (numbers) or left-aligned
+    (labels) in whole words, and NUL fills the cells it leaves unused.
+    Transposed to rows and stripped of NUL, the matrix is the file.  Label
+    words are taken by code from the one listing of labels,
+    :func:`_label_table`, over the template's rooms and any higher room the
+    file holds.
     """
+    if not traj.n_ticks:
+        raise ValueError(f"trial {traj.trial_id}: no ticks to write")
     modes, regions = traj.modes, traj.regions
     top = int(regions.max(initial=0))
     for codes, label, ok in (

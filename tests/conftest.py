@@ -229,8 +229,7 @@ def recount_passes(env, motion, trajs):
     for i, traj in enumerate(trajs):
         crawled = (traj.modes[:-1] == 1) & (traj.regions[:-1] == 0)
         x = traj.xs[1:]
-        for room in range(1, env.n_rooms + 1):
-            lo, hi = env.opening_for_room(room).span
+        for room, (lo, hi) in enumerate(env.openings, start=1):
             passes[i, room] = int((crawled & (lo - half <= x) & (x <= hi + half)).sum())
     return passes
 
@@ -331,6 +330,8 @@ def write_trajectory_csv_per_row(traj, path):
         return [table[code] for code in codes]
 
     n = traj.n_ticks
+    if not n:
+        raise ValueError(f"trial {traj.trial_id}: no ticks to write")
     fields = [None] * (5 * n)
     fields[0::5] = range(n)
     fields[1::5] = traj.xs.tolist()

@@ -243,15 +243,13 @@ def test_entry_lands_2mm_inside_and_exit_on_centerline(env, auto):
     exits = np.flatnonzero((regions[1:] == 0) & (regions[:-1] > 0)) + 1
     assert entries.size and exits.size
     for k in entries:
-        room = int(regions[k])
-        opening = env.opening_for_room(room)
-        assert traj.xs[k] == pytest.approx(opening.center)
+        lo, hi = env.openings[int(regions[k]) - 1]
+        assert traj.xs[k] == pytest.approx((lo + hi) / 2)
         assert traj.ys[k] == pytest.approx(13.0)  # 2 mm inside the room
         assert traj.modes[k] == int(Mode.EXPLORE)
     for k in exits:
-        room = int(regions[k - 1])
-        opening = env.opening_for_room(room)
-        assert traj.xs[k] == pytest.approx(opening.center)
+        lo, hi = env.openings[int(regions[k - 1]) - 1]
+        assert traj.xs[k] == pytest.approx((lo + hi) / 2)
         assert traj.ys[k] == pytest.approx(22.0)  # corridor centerline
         assert traj.modes[k] == int(Mode.CRAWL)
 
@@ -758,16 +756,25 @@ def test_csv_writer_matches_the_per_row_oracle(fuzz_csv, traj):
 @given(traj=_trajectories(bad_codes=False))
 def test_written_files_read_back_as_through_the_per_line_oracle(fuzz_csv, traj):
     """A file written from the fast digits or the '%.3f' fallback reads
-    back as through the oracles, and is refused only without rows; a
-    trajectory the writer refuses (negatives, -0.0, 1e15, nan, inf) the
-    per-row oracle refuses with the same error."""
+    back as through the oracles; a trajectory the writer refuses (no ticks,
+    negatives, -0.0, 1e15, nan, inf) the per-row oracle refuses with the
+    same error."""
     def round_trip(writer, reader):
         written = _write_outcome(writer, traj, fuzz_csv)
         return written if isinstance(written, tuple) else _read_outcome(reader, fuzz_csv, None)
 
     expected = round_trip(write_trajectory_csv_per_row, read_trajectory_csv_per_line)
     assert round_trip(write_trajectory_csv, read_trajectory_csv) == expected
-    assert expected[0] in (ValueError, traj.trial_id) or not traj.n_ticks
+    assert expected[0] in (ValueError, traj.trial_id)
+
+
+@pytest.mark.parametrize("writer", [write_trajectory_csv, write_trajectory_csv_per_row])
+def test_writer_refuses_a_trajectory_without_ticks_before_creating_its_file(tmp_path, writer):
+    """The reader refuses a file without rows, so the writer writes none."""
+    path = tmp_path / "trial_0007.csv"
+    with pytest.raises(ValueError, match="^trial 7: no ticks to write$"):
+        writer(replace(_coded([], []), trial_id=7), path)
+    assert not path.exists()
 
 
 def _assert_files_take_the_byte_lane(tmp_path, monkeypatch, trajs, templates):
