@@ -1,28 +1,22 @@
 #!/usr/bin/env python3
 """Sweep the entry-trigger scale and table the resulting visit statistics.
 
-For each q_scale, runs an ensemble and prints the mean visit frequency, the
-distance-grouped frequencies, the log-log exponent refit on the per-room
-frequencies, and the end/innermost time-fraction ratio.  Handy for seeing how
-the exploration statistics respond to the single calibrated knob.
+For each q_scale, runs an ensemble and prints, from its ``room_summary``, the
+mean visit frequency, the distance-grouped frequencies, the log-log exponent
+refit on the per-room frequencies (nan when a room was never visited), and
+the end/innermost time-fraction ratio.  Handy for seeing how the exploration
+statistics respond to the single calibrated knob.
 """
 
 import argparse
+import math
 import sys
 
 from leechsim.automaton import AutomatonParams
-from leechsim.fitstats import fit_power_law
+from leechsim.fitstats import room_summary
 from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams
 from leechsim.montecarlo import visit_counts
-
-
-def mean_by_distance(env, per_room: dict[int, float]) -> list[float]:
-    """Mean of the per-room values at each distance to the end, nearest first."""
-    groups: dict[int, list[float]] = {}
-    for room, value in sorted(per_room.items()):
-        groups.setdefault(room_distance_to_end(env, room), []).append(value)
-    return [sum(values) / len(values) for _, values in sorted(groups.items())]
 
 
 def main(argv=None) -> int:
@@ -37,25 +31,19 @@ def main(argv=None) -> int:
 
     env = build_corridor_template()
     auto = AutomatonParams()
-    rooms = range(1, env.n_rooms + 1)
-    distances = sorted({room_distance_to_end(env, r) for r in rooms})
+    distances = sorted({room_distance_to_end(env, r) for r in range(1, env.n_rooms + 1)})
     print("q_scale  mean_f  " + "".join(f"f(x={x})  " for x in distances) +
           "exponent  t_ratio")
     for q in args.q:
         motion = MotionParams(q_scale=q)
         counts = visit_counts(env, motion, auto, args.trials, args.seed,
                               args.duration, workers=args.workers)
-        f = counts.visit_frequencies()
-        grouped = mean_by_distance(env, f)
-        mean = sum(f.values()) / len(f)
-        b = float("nan")
-        if all(v > 0 for v in f.values()):
-            b = fit_power_law([(room_distance_to_end(env, r), f[r]) for r in rooms]).b
-        tf = mean_by_distance(env, counts.time_fractions())
-        ratio = tf[0] / tf[-1] if tf[-1] > 0 else float("inf")
+        summary = room_summary(counts, env)
+        mean = sum(summary.frequency.values()) / len(summary.frequency)
+        b = math.nan if summary.exponent is None else summary.exponent
         print(f"{q:7.3f} {mean:7.3f} " +
-              " ".join(f"{g:7.3f}" for g in grouped) +
-              f" {b:9.3f} {ratio:8.2f}")
+              " ".join(f"{g:7.3f}" for g in summary.frequency_by_distance) +
+              f" {b:9.3f} {summary.end_inner_ratio:8.2f}")
     return 0
 
 

@@ -25,8 +25,10 @@ from .montecarlo import (
 from .fitstats import (
     CalibrationResult,
     PowerLawFit,
+    RoomSummary,
     calibrate_entry_prob,
     fit_power_law,
+    room_summary,
 )
 
 __version__ = "0.1.0"
@@ -38,6 +40,7 @@ __all__ = [
     "Mode",
     "MotionParams",
     "PowerLawFit",
+    "RoomSummary",
     "Trajectory",
     "VisitCounts",
     "build_corridor_template",
@@ -47,6 +50,7 @@ __all__ = [
     "fit_power_law",
     "locate",
     "room_distance_to_end",
+    "room_summary",
     "run_ensemble",
     "run_trial",
     "run_trials",

@@ -68,6 +68,52 @@ def fit_power_law(points) -> PowerLawFit:
     return PowerLawFit(a=a, b=b, rss=rss)
 
 
+@dataclass(frozen=True)
+class RoomSummary:
+    """An ensemble's room statistics (:func:`room_summary`).
+
+    Per room, in index order: ``distance`` to the nearer corridor end, visit
+    ``frequency`` and ``time_fraction`` (share of all ticks).  Per distance,
+    nearest first: each share's mean over the rooms at that distance.
+    ``exponent`` is b of :func:`fit_power_law` refit on (distance,
+    frequency) in room order, or None when a room was never visited or all
+    rooms lie at one distance; ``end_inner_ratio`` is the nearest
+    time-fraction mean over the innermost one, ``inf`` when that is 0.
+    """
+
+    distance: dict[int, int]
+    frequency: dict[int, float]
+    time_fraction: dict[int, float]
+    frequency_by_distance: list[float]
+    time_by_distance: list[float]
+    exponent: float | None
+    end_inner_ratio: float
+
+
+def room_summary(counts: VisitCounts, env: EnvironmentTemplate) -> RoomSummary:
+    """The room statistics of ``counts``, an ensemble on ``env``; a mean by
+    distance is ``sum(values) / len(values)`` over its rooms in index order."""
+    if counts.ticks.shape[1] != env.n_rooms + 1:
+        raise ValueError(f"counts of {counts.ticks.shape[1] - 1} rooms, "
+                         f"template of {env.n_rooms}")
+    distance = {room: room_distance_to_end(env, room) for room in range(1, env.n_rooms + 1)}
+    frequency, time_fraction = counts.visit_frequencies(), counts.time_fractions()
+
+    def by_distance(per_room: dict[int, float]) -> list[float]:
+        groups: dict[int, list[float]] = {}
+        for room, value in per_room.items():
+            groups.setdefault(distance[room], []).append(value)
+        return [sum(values) / len(values) for _, values in sorted(groups.items())]
+
+    exponent = None
+    if all(f > 0 for f in frequency.values()) and len(set(distance.values())) > 1:
+        exponent = fit_power_law([(distance[room], f) for room, f in frequency.items()]).b
+    time_by_distance = by_distance(time_fraction)
+    end, inner = time_by_distance[0], time_by_distance[-1]
+    return RoomSummary(distance, frequency, time_fraction, by_distance(frequency),
+                       time_by_distance, exponent, end / inner if inner > 0 else math.inf)
+
+
 @dataclass
 class CalibrationResult:
     """Outcome of the entry-trigger search.

@@ -267,9 +267,9 @@ def ensemble_stats(trajs: Sequence[Trajectory], workers: int = 1, *,
     lo..hi: a list, or a :class:`_LazySequence` that reads a run
     directory's files one at a time.  The counts are sized before any
     trajectory is reduced, from the caller's ``env`` and ``duration``, as
-    ``stats`` passes them from a run's manifest; where they are omitted,
-    from the first trajectory's template and the longest trajectory's
-    ticks.  No trajectory may be longer than ``duration``.
+    ``stats`` passes them from a run's manifest; only a list may omit them,
+    for its first trajectory's template and its longest trajectory's ticks.
+    No trajectory may be longer than ``duration``.
     :func:`_fill_rows` then reduces the trajectories on
     ``min(workers, len(trajs))`` processes into the shared counts, which are
     sums, so they do not depend on the split, and raises the first fault in
@@ -280,6 +280,9 @@ def ensemble_stats(trajs: Sequence[Trajectory], workers: int = 1, *,
         raise ValueError("empty ensemble")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if not isinstance(trajs, list) and (env is None or duration is None):
+        raise ValueError(f"{'env' if env is None else 'duration'} must be given with a "
+                         f"{type(trajs).__name__}; only a list is sized from its trajectories")
     if env is None:
         env = trajs[0].env
     if duration is None:

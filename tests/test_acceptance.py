@@ -15,8 +15,9 @@ import pytest
 
 from leechsim.automaton import AutomatonParams, Mode
 from leechsim.cli import RunConfig, main
-from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
-from leechsim.geometry import build_corridor_template, room_distance_to_end
+from leechsim.fitstats import (PowerLawFit, calibrate_entry_prob, fit_power_law,
+                               room_summary)
+from leechsim.geometry import build_corridor_template
 from leechsim.locomotion import MotionParams, run_trials
 from leechsim.montecarlo import run_ensemble, visit_frequencies
 from leechsim.trackio import frames_to_trajectory, render_frames, time_color
@@ -43,14 +44,6 @@ def criterion(number, label):
 @pytest.fixture(scope="module")
 def corridor():
     return build_corridor_template()
-
-
-def _mean_by_distance(env, per_room):
-    """Mean of the per-room values at each distance to the end, nearest first."""
-    groups = {}
-    for room, value in sorted(per_room.items()):
-        groups.setdefault(room_distance_to_end(env, room), []).append(value)
-    return [sum(values) / len(values) for _, values in sorted(groups.items())]
 
 
 @pytest.fixture(scope="module")
@@ -162,19 +155,17 @@ def test_criterion_5_calibration_self_consistency(corridor, calibrated):
         result = calibrated
         assert result.feasible and result.converged
         assert len(result.evaluations) <= 3
-        freq = result.achieved
-        assert result.counts.visit_frequencies() == freq
-        refit = fit_power_law([(room_distance_to_end(corridor, r), f)
-                               for r, f in sorted(freq.items())])
-        assert -0.97 <= refit.b <= -0.67, refit
-        grouped = _mean_by_distance(corridor, freq)
+        summary = room_summary(result.counts, corridor)
+        assert summary.frequency == result.achieved
+        assert summary.exponent is not None and -0.97 <= summary.exponent <= -0.67, summary
+        grouped = summary.frequency_by_distance
         assert all(a > b for a, b in zip(grouped, grouped[1:])), grouped
 
 
 def test_criterion_6_dwell_ratio_direction(corridor, calibrated):
     """End rooms (x=1) hold at least twice the time fraction of x=4 rooms."""
     with criterion(6, "dwell-ratio direction"):
-        by_distance = _mean_by_distance(corridor, calibrated.counts.time_fractions())
+        by_distance = room_summary(calibrated.counts, corridor).time_by_distance
         end = by_distance[0]
         inner = by_distance[-1]
         assert inner > 0

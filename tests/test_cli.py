@@ -463,6 +463,25 @@ def test_stats_reads_each_trial_file_once_and_none_to_allocate(tmp_path, monkeyp
     assert before == [0] and slices == [cpus]
 
 
+def test_ensemble_stats_refuses_an_unsized_lazy_sequence_before_any_read(tmp_path,
+                                                                          monkeypatch):
+    """Only a list is sized from its trajectories: a run directory's lazy
+    trials without ``env`` or ``duration`` are refused before any file is
+    read, and with both each file is read once."""
+    cfg = _small_config(tmp_path, n_trials=7, duration_ticks=30)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    loaded, env, trajs = cli._load_run_dir(tmp_path / "run")
+    reads, _ = count_reads(monkeypatch, cli, "read_trajectory_csv", 7)
+    for kwargs, missing in (({"env": env}, "duration"), ({"duration": 30}, "env"),
+                            ({}, "env")):
+        with pytest.raises(ValueError, match=f"^{missing} must be given with a "
+                                             "_LazySequence; only a list is sized"):
+            ensemble_stats(trajs, 2, **kwargs)
+        assert list(reads) == [0] * 7
+    ensemble_stats(trajs, 2, env=env, duration=loaded.duration_ticks)
+    assert list(reads) == [1] * 7
+
+
 def test_stats_memory_does_not_grow_with_the_file_count(tmp_path, monkeypatch):
     """``stats`` holds one trajectory at a time: 56 more files of 1800
     ticks (36 KB of arrays each) may add their names and count rows, but

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leechsim.fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
+from leechsim.fitstats import (PowerLawFit, calibrate_entry_prob, fit_power_law,
+                               room_summary)
 from leechsim.geometry import build_corridor_template, room_distance_to_end
-from leechsim.locomotion import MotionParams, TrialArrays
+from leechsim.locomotion import MotionParams, TrialArrays, VisitCounts
 from leechsim.montecarlo import (derive_trial_seed, ensemble_stats, run_ensemble,
                                  visit_frequencies)
 
@@ -70,6 +71,55 @@ def test_fit_scale_equivariance(k):
     scaled = fit_power_law([(x, k * y) for x, y in base])
     assert scaled.b == pytest.approx(ref.b, abs=1e-9)
     assert scaled.a == pytest.approx(k * ref.a, rel=1e-9)
+
+
+def _hand_counts(ticks):
+    """Counts of one ensemble whose ``ticks[i]`` are trial i's corridor
+    ticks, then each room's."""
+    counts = VisitCounts.allocate(len(ticks), len(ticks[0]) - 1, 10, 1)
+    counts.ticks[:] = ticks
+    return counts
+
+
+# 4 trials of 10 ticks: rooms 1 and 4 (x = 1) are visited in trials 0 and 1
+# for 3 and 5 ticks, room 2 (x = 2) in trial 0 and room 3 in trial 1 for 1
+# tick each
+_FOUR_ROOMS = [[5, 1, 1, 0, 3], [5, 2, 0, 1, 2], [10, 0, 0, 0, 0], [10, 0, 0, 0, 0]]
+
+
+def test_room_summary_of_a_known_ensemble():
+    """Frequencies 1/2, 1/4, 1/4, 1/2 and time fractions 3, 1, 1 and 5
+    ticks of 40: f = x^-1 / 2, so b = -1, and the time means are 1/10 at
+    x = 1 and 1/40 at x = 2, a ratio of 4."""
+    env = build_corridor_template(rooms=4)
+    summary = room_summary(_hand_counts(_FOUR_ROOMS), env)
+    assert summary.distance == {1: 1, 2: 2, 3: 2, 4: 1}
+    assert summary.frequency == {1: 0.5, 2: 0.25, 3: 0.25, 4: 0.5}
+    assert summary.time_fraction == {1: 3 / 40, 2: 1 / 40, 3: 1 / 40, 4: 5 / 40}
+    assert summary.frequency_by_distance == [0.5, 0.25]
+    assert summary.time_by_distance == [pytest.approx(0.1, rel=1e-15), 1 / 40]
+    assert summary.exponent == pytest.approx(-1.0, abs=1e-12)
+    assert summary.exponent == fit_power_law([(1, 0.5), (2, 0.25), (2, 0.25), (1, 0.5)]).b
+    assert summary.end_inner_ratio == pytest.approx(4.0, rel=1e-15)
+
+
+def test_room_summary_edges():
+    """A room never visited, or rooms all at one distance, leave no
+    exponent; inner rooms without ticks make the end/inner ratio inf;
+    counts of another template are refused."""
+    env = build_corridor_template(rooms=4)
+    unvisited = [[5, 1, 1, 0, 3], [6, 2, 0, 0, 2], [10, 0, 0, 0, 0], [10, 0, 0, 0, 0]]
+    summary = room_summary(_hand_counts(unvisited), env)
+    assert summary.frequency[3] == 0.0 and summary.exponent is None
+    assert summary.end_inner_ratio == pytest.approx(8.0, rel=1e-15)
+    no_inner = [[7, 1, 0, 0, 2], [10, 0, 0, 0, 0]]
+    summary = room_summary(_hand_counts(no_inner), env)
+    assert summary.time_by_distance == [pytest.approx(3 / 40, rel=1e-15), 0.0]
+    assert summary.exponent is None and summary.end_inner_ratio == float("inf")
+    two_ends = room_summary(_hand_counts([[6, 1, 3]]), build_corridor_template(rooms=2))
+    assert two_ends.frequency_by_distance == [1.0] and two_ends.exponent is None
+    with pytest.raises(ValueError, match="^counts of 4 rooms, template of 8$"):
+        room_summary(_hand_counts(_FOUR_ROOMS), build_corridor_template())
 
 
 def test_chi_square_exact_match_is_zero():

@@ -61,6 +61,16 @@ def test_reproduce_room_stats_bad_workers_is_config_error(tmp_path):
     assert "Traceback" not in run.stderr
 
 
+# the sweep's table for these arguments, recorded when it grouped the rooms
+# and refit the exponent itself; at q = 0.1 a room is never visited, so the
+# exponent reads nan
+TRIGGER_SWEEP_30x400 = """\
+q_scale  mean_f  f(x=1)  f(x=2)  f(x=3)  f(x=4)  exponent  t_ratio
+  0.100   0.142   0.250   0.133   0.050   0.133       nan     3.50
+  0.300   0.358   0.583   0.300   0.283   0.267    -0.577     2.97
+"""
+
+
 def test_trigger_sweep(tmp_path):
     run = _run_script("trigger_sweep.py", "--q", "0.1", "0.3", "--trials", "30",
                       "--duration", "400", cwd=tmp_path)
@@ -69,3 +79,4 @@ def test_trigger_sweep(tmp_path):
     assert lines[0].split() == ["q_scale", "mean_f", "f(x=1)", "f(x=2)", "f(x=3)",
                                 "f(x=4)", "exponent", "t_ratio"]
     assert [line.split()[0] for line in lines[1:]] == ["0.100", "0.300"]
+    assert run.stdout == TRIGGER_SWEEP_30x400
