@@ -13,8 +13,10 @@ import math
 import operator
 import reprlib
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import IntEnum
+from functools import cache
+from typing import get_type_hints
 
 import numpy as np
 
@@ -37,11 +39,11 @@ class AutomatonParams:
     per-opening entry-trigger shape.
     """
 
-    tau_s: int = 600
-    tau_a: int = 900
-    a: float = 0.35
-    b: float = -0.82
-    tick: float = 1.0
+    tau_s: int = field(default=600, metadata={"key": "tau_s_ticks"})
+    tau_a: int = field(default=900, metadata={"key": "tau_a_ticks"})
+    a: float = field(default=0.35, metadata={"key": "p3_a"})
+    b: float = field(default=-0.82, metadata={"key": "p3_b"})
+    tick: float = field(default=1.0, metadata={"key": "tick_seconds"})
 
     def __post_init__(self) -> None:
         for name in ("tau_s", "tau_a"):  # the kernel's cap - t + 1 is an int64
@@ -59,10 +61,6 @@ class AutomatonParams:
             raise ValueError(f"exponent b must be finite and < 0, got {self.b}")
         if not 0 < self.tick < math.inf:
             raise ValueError(f"tick must be finite and > 0 seconds, got {self.tick}")
-
-    _CONFIG = (("tau_s", "tau_s_ticks", int), ("tau_a", "tau_a_ticks", int),
-               ("a", "p3_a", float), ("b", "p3_b", float),
-               ("tick", "tick_seconds", float))
 
 
 def config_value(doc: dict, key: str, default, kind: type):
@@ -87,23 +85,30 @@ def config_value(doc: dict, key: str, default, kind: type):
     return kind(value)
 
 
-def parse_config(cls, doc: dict, section: str = ""):
-    """A ``cls`` from a config document, driven by its ``_CONFIG`` table.
+@cache  # one entry per config class; get_type_hints evaluates the annotations
+def _schema(cls) -> tuple:
+    """``(field, key, type)`` per field of the config dataclass ``cls``: the key
+    is the name unless the metadata names one, the type is the annotation."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, f.metadata.get("key", f.name), hints[f.name]) for f in fields(cls))
 
-    The table lists ``(field, key, type)``; absent keys keep the field's
-    default and present ones go through :func:`config_value`.  A type with a
-    table of its own is a nested section: a JSON object parsed the same way.
-    Keys the table lacks raise ValueError naming ``section``, their count
-    and a shortened repr of the first few.
+
+def parse_config(cls, doc: dict, section: str = ""):
+    """A ``cls`` from a config document, one key per field of the dataclass.
+
+    Absent keys keep the field's default and present ones go through
+    :func:`config_value`.  A dataclass-typed field is a nested section: a
+    JSON object parsed the same way.  Keys ``cls`` lacks raise ValueError
+    naming ``section``, their count and a shortened repr of the first few.
     """
-    unknown = set(doc) - {key for _, key, _ in cls._CONFIG}
+    unknown = set(doc) - {key for _, key, _ in _schema(cls)}
     if unknown:
         raise ValueError(f"unknown {section + ' ' if section else ''}config keys "
                          f"({len(unknown)}): {reprlib.repr(sorted(unknown))}")
     defaults = cls()
     values = {}
-    for name, key, kind in cls._CONFIG:
-        if hasattr(kind, "_CONFIG"):
+    for name, key, kind in _schema(cls):
+        if is_dataclass(kind):
             if not isinstance(doc.get(key, {}), dict):
                 raise ValueError(f"config key {key!r} must be a JSON object")
             values[name] = parse_config(kind, doc.get(key, {}), key)
@@ -114,11 +119,8 @@ def parse_config(cls, doc: dict, section: str = ""):
 
 def config_doc(obj) -> dict:
     """The config document :func:`parse_config` reads back as ``obj``."""
-    doc = {}
-    for name, key, kind in obj._CONFIG:
-        value = getattr(obj, name)
-        doc[key] = config_doc(value) if hasattr(kind, "_CONFIG") else kind(value)
-    return doc
+    return {key: (config_doc if is_dataclass(kind) else kind)(getattr(obj, name))
+            for name, key, kind in _schema(type(obj))}
 
 
 def p_visit(x: float, params: AutomatonParams) -> float:

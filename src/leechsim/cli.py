@@ -14,7 +14,7 @@ import multiprocessing
 import os
 import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -64,11 +64,6 @@ class EnvironmentConfig:
     corridor_width_mm: float = 10.0
     opening_mm: float = 2.0
 
-    _CONFIG = (("kind", "kind", str), ("rooms", "rooms", int),
-               ("room_size_mm", "room_size_mm", float), ("wall_mm", "wall_mm", float),
-               ("corridor_width_mm", "corridor_width_mm", float),
-               ("opening_mm", "opening_mm", float))
-
     def build(self) -> EnvironmentTemplate:
         if self.kind != "corridor":
             raise ConfigError("simulation supports only the corridor template, "
@@ -96,12 +91,6 @@ class RunConfig:
     duration_ticks: int = 1800
     base_seed: int = 1
     out_dir: str = "runs/run"
-
-    _CONFIG = (("environment", "environment", EnvironmentConfig),
-               ("automaton", "automaton", AutomatonParams),
-               ("motion", "motion", MotionParams), ("n_trials", "n_trials", int),
-               ("duration_ticks", "duration_ticks", int),
-               ("base_seed", "base_seed", int), ("out_dir", "out_dir", str))
 
     def __post_init__(self) -> None:
         if self.n_trials < 1:
@@ -191,26 +180,8 @@ def _report(doc: dict, out, what: str) -> None:
         print(_json_text(doc))
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    doc = cfg.to_dict()
-    if args.trials is not None:
-        doc["n_trials"] = args.trials
-    if args.seed is not None:
-        doc["base_seed"] = args.seed
-    if args.duration is not None:
-        doc["duration_ticks"] = args.duration
-    if args.out is not None:
-        doc["out_dir"] = args.out
-    return RunConfig.from_dict(doc)
-
-
 def _trial_csv_name(index: int) -> str:
     return f"trial_{index:04d}.csv"
-
-
-def _check_workers(args) -> None:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
 
 
 def _check_positive(flag: str, value: float) -> None:
@@ -218,11 +189,23 @@ def _check_positive(flag: str, value: float) -> None:
         raise ConfigError(f"{flag} must be finite and > 0, got {value}")
 
 
-def cmd_simulate(args) -> int:
-    _check_workers(args)
+def _checked_run(args, out_dir=None, tol=None) -> tuple[RunConfig, EnvironmentTemplate]:
+    """``simulate``'s or ``calibrate``'s run config and template, checked in
+    this order: ``--workers``, calibrate's ``--tol``, then ``--config`` (or
+    the defaults) with the flags and ``out_dir`` applied, then the template."""
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    if tol is not None:
+        _check_positive("--tol", tol)
     cfg = load_run_config(args.config) if args.config else RunConfig()
-    cfg = _apply_overrides(cfg, args)
-    env = cfg.environment.build()
+    flags = {"n_trials": args.trials, "base_seed": args.seed,
+             "duration_ticks": args.duration, "out_dir": out_dir}
+    cfg = replace(cfg, **{key: value for key, value in flags.items() if value is not None})
+    return cfg, cfg.environment.build()
+
+
+def cmd_simulate(args) -> int:
+    cfg, env = _checked_run(args, out_dir=args.out)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # a failed run must not leave an earlier run's manifest vouching for it
@@ -347,11 +330,7 @@ def _print_evaluation(index, q, mean, score, seed, seconds) -> None:
 
 
 def cmd_calibrate(args) -> int:
-    _check_workers(args)
-    _check_positive("--tol", args.tol)
-    cfg = load_run_config(args.config) if args.config else RunConfig()
-    cfg = _apply_overrides(cfg, args)
-    env = cfg.environment.build()
+    cfg, env = _checked_run(args, tol=args.tol)
     if args.out:
         out = Path(args.out)
         if out.name in ("visits.csv", "dwell.csv"):
@@ -444,14 +423,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Corridor-exploration simulator and analysis tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # simulate's and calibrate's
+    run.add_argument("--config", help="run config or manifest JSON")
+    run.add_argument("--trials", type=int, help="override n_trials")
+    run.add_argument("--seed", type=int, help="override base_seed")
+    run.add_argument("--duration", type=int, help="override duration_ticks")
+    run.add_argument("--workers", type=int, default=1, help="parallel trial workers")
 
-    p = sub.add_parser("simulate", help="run a trial ensemble to trajectory CSVs")
-    p.add_argument("--config", help="run config or manifest JSON")
-    p.add_argument("--trials", type=int, help="override n_trials")
-    p.add_argument("--seed", type=int, help="override base_seed")
-    p.add_argument("--duration", type=int, help="override duration_ticks")
+    p = sub.add_parser("simulate", parents=[run], help="run a trial ensemble to trajectory CSVs")
     p.add_argument("--out", help="override output directory")
-    p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("stats", help="aggregate a run directory into stats CSVs")
@@ -464,18 +444,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the fit report JSON here instead of stdout")
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("calibrate", help="fit q_scale against a target visit law")
-    p.add_argument("--config", help="run config JSON")
+    p = sub.add_parser("calibrate", parents=[run], help="fit q_scale against a target visit law")
     p.add_argument("--target-a", type=float, dest="target_a",
                    help="target coefficient (default: automaton p3_a)")
     p.add_argument("--target-b", type=float, dest="target_b",
                    help="target exponent (default: automaton p3_b)")
-    p.add_argument("--trials", type=int, help="override n_trials")
-    p.add_argument("--seed", type=int, help="override base_seed")
-    p.add_argument("--duration", type=int, help="override duration_ticks")
     p.add_argument("--tol", type=float, default=1.0 / 64.0,
                    help="smallest q_scale move worth another ensemble")
-    p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
     p.add_argument("--out", help="write the calibration report JSON here")
     p.set_defaults(func=cmd_calibrate)
 

@@ -47,7 +47,7 @@ import math
 import mmap
 import re
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -112,9 +112,9 @@ class MotionParams:
     :func:`entry_trigger_probability`.
     """
 
-    v_crawl: float = 3.0
-    v_explore: float = 1.5
-    contact_radius: float = 1.0
+    v_crawl: float = field(default=3.0, metadata={"key": "v_crawl_mm_s"})
+    v_explore: float = field(default=1.5, metadata={"key": "v_explore_mm_s"})
+    contact_radius: float = field(default=1.0, metadata={"key": "contact_radius_mm"})
     q_scale: float = 0.25
 
     def __post_init__(self) -> None:
@@ -125,11 +125,6 @@ class MotionParams:
             raise ValueError(f"contact_radius must be finite and >= 0, got {self.contact_radius}")
         if not 0.0 <= self.q_scale <= 1.0:
             raise ValueError(f"q_scale must lie in [0, 1], got {self.q_scale}")
-
-    _CONFIG = (("v_crawl", "v_crawl_mm_s", float),
-               ("v_explore", "v_explore_mm_s", float),
-               ("contact_radius", "contact_radius_mm", float),
-               ("q_scale", "q_scale", float))
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,14 +64,19 @@ def _run_trials(ctx: _SimContext, env: EnvironmentTemplate, seeds, sink,
             sink(traj)
 
 
-def _ensemble_setup(env, motion, auto, n_trials, base_seed, workers):
-    """Checked arguments: the simulation context and the per-trial seeds."""
+def _run_ensemble(allocate, env, motion, auto, n_trials, base_seed, workers, sink):
+    """The output ``allocate()`` makes, with the trials run into it, and the
+    per-trial seeds.  The seeds follow the allocation, so that a trial count
+    too large to hold fails at once instead of deriving its seeds first."""
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ctx = _SimContext(env, motion, auto)  # validate before any worker starts
-    return ctx, [derive_trial_seed(base_seed, i) for i in range(n_trials)]
+    out = allocate()
+    seeds = [derive_trial_seed(base_seed, i) for i in range(n_trials)]
+    _fill(out, n_trials, workers, 1, partial(_run_trials, ctx, env, seeds, sink))
+    return out, seeds
 
 
 def _claim_chunks(body, out, n: int, chunk: int, claimed, failed, s: int) -> None:
@@ -159,9 +164,8 @@ def run_ensemble(
     simulated it, right after its slice is done (in this process when one
     worker runs).  Forked workers inherit it, so it need not pickle.
     """
-    ctx, seeds = _ensemble_setup(env, motion, auto, n_trials, base_seed, workers)
-    out = TrialArrays.allocate(n_trials, duration)
-    _fill(out, n_trials, workers, 1, partial(_run_trials, ctx, env, seeds, sink))
+    out, seeds = _run_ensemble(partial(TrialArrays.allocate, n_trials, duration),
+                               env, motion, auto, n_trials, base_seed, workers, sink)
     return out.trajectories(env, seeds, range(n_trials))
 
 
@@ -184,10 +188,9 @@ def visit_counts(
     ensemble's trajectories, except that only the kernel counts window
     passes.
     """
-    ctx, seeds = _ensemble_setup(env, motion, auto, n_trials, base_seed, workers)
-    out = VisitCounts.allocate(n_trials, env.n_rooms, duration, min(workers, n_trials))
-    _fill(out, n_trials, workers, 1, partial(_run_trials, ctx, env, seeds, None))
-    return out
+    return _run_ensemble(partial(VisitCounts.allocate, n_trials, env.n_rooms, duration,
+                                 min(workers, n_trials)),
+                         env, motion, auto, n_trials, base_seed, workers, None)[0]
 
 
 @dataclass(frozen=True)

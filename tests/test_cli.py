@@ -1,11 +1,17 @@
 import contextlib
+import errno
 import io
 import json
 import math
 import multiprocessing
+import os
 import re
 import shutil
 import signal
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import leechsim.cli as cli
-from leechsim.automaton import config_doc
-from leechsim.cli import RunConfig, load_run_config, main
+from leechsim.automaton import AutomatonParams, config_doc, parse_config
+from leechsim.cli import EnvironmentConfig, RunConfig, load_run_config, main
 from leechsim.geometry import MAX_ROOM
 from leechsim.locomotion import MotionParams, read_trajectory_csv, run_trial
 from leechsim.montecarlo import derive_trial_seed, ensemble_stats, run_ensemble
@@ -126,6 +132,74 @@ def test_workers_below_one_is_config_error(tmp_path, capsys, command, workers):
     assert main([command, "--config", str(cfg), "--workers", workers]) == 2
     assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+# runs the CLI on its arguments in about 3 GB of address space
+_LIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+from leechsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+def test_trial_count_too_large_to_hold_fails_at_once(tmp_path, command):
+    """The output is allocated before the per-trial seeds are derived, so
+    10**11 trials fail at the allocation (exit 3) instead of first deriving
+    seeds for minutes."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+               if p)}
+    argv = [command, "--trials", str(10**11), "--duration", "10"]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "run")]
+    proc = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: [Errno {errno.ENOMEM}] "), proc.stderr
+
+
+# a value other than the default for every field of every config class
+_NON_DEFAULT = {
+    EnvironmentConfig: dict(kind="other", rooms=5, room_size_mm=14.5, wall_mm=2.5,
+                            corridor_width_mm=11.0, opening_mm=2.2),
+    AutomatonParams: dict(tau_s=500, tau_a=800, a=0.3, b=-0.7, tick=0.5),
+    MotionParams: dict(v_crawl=2.5, v_explore=1.2, contact_radius=0.9, q_scale=0.2),
+}
+_NON_DEFAULT[RunConfig] = dict(
+    environment=EnvironmentConfig(**_NON_DEFAULT[EnvironmentConfig]),
+    automaton=AutomatonParams(**_NON_DEFAULT[AutomatonParams]),
+    motion=MotionParams(**_NON_DEFAULT[MotionParams]),
+    n_trials=7, duration_ticks=99, base_seed=3, out_dir="elsewhere")
+
+
+@pytest.mark.parametrize("cls", list(_NON_DEFAULT), ids=lambda cls: cls.__name__)
+def test_every_config_field_round_trips(cls):
+    values = _NON_DEFAULT[cls]
+    assert set(values) == {f.name for f in fields(cls)}
+    obj, default = cls(**values), cls()
+    for f in fields(cls):
+        assert getattr(obj, f.name) != getattr(default, f.name), f.name
+    assert parse_config(cls, json.loads(json.dumps(config_doc(obj)))) == obj
+
+
+def test_run_config_keys_are_the_manifest_keys():
+    def keys(doc, prefix=""):
+        return {prefix + key for key in doc} | {
+            name for key, value in doc.items() if isinstance(value, dict)
+            for name in keys(value, f"{prefix}{key}.")}
+
+    assert keys(RunConfig().to_dict()) == {
+        "environment", "environment.kind", "environment.rooms",
+        "environment.room_size_mm", "environment.wall_mm",
+        "environment.corridor_width_mm", "environment.opening_mm",
+        "automaton", "automaton.tau_s_ticks", "automaton.tau_a_ticks",
+        "automaton.p3_a", "automaton.p3_b", "automaton.tick_seconds",
+        "motion", "motion.v_crawl_mm_s", "motion.v_explore_mm_s",
+        "motion.contact_radius_mm", "motion.q_scale",
+        "n_trials", "duration_ticks", "base_seed", "out_dir"}
 
 
 def test_contact_radius_above_wall_is_config_error(tmp_path, capsys):
@@ -263,7 +337,7 @@ def test_stats_echoes_a_hostile_field_short(tmp_path, capsys, line, field):
     assert "'ZZZZ" in err and len(err) < len(str(victim)) + 100, err
 
 
-@pytest.mark.parametrize("command", ["stats", "simulate"])
+@pytest.mark.parametrize("command", ["stats", "simulate", "calibrate"])
 @pytest.mark.parametrize("damage", ["edit_seed", "drop_seeds", "derivation"])
 def test_manifest_seeds_must_match_config(tmp_path, capsys, command, damage):
     cfg = _small_config(tmp_path, n_trials=3, duration_ticks=10)
@@ -278,7 +352,7 @@ def test_manifest_seeds_must_match_config(tmp_path, capsys, command, damage):
         doc["seed_derivation"] = "splitmix64(trial_index, base_seed)"
     manifest.write_text(json.dumps(doc))
     argv = (["stats", str(tmp_path / "run")] if command == "stats" else
-            ["simulate", "--config", str(manifest), "--out", str(tmp_path / "replay")])
+            [command, "--config", str(manifest), "--out", str(tmp_path / "replay")])
     assert main(argv) == 2
     assert str(manifest) in capsys.readouterr().err
     assert not (tmp_path / "run" / "visits.csv").exists()
