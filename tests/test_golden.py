@@ -11,6 +11,11 @@ radius 0, and a duration that cuts runs midway.  The event-driven kernel
 with one threshold row per trigger level wrote ``rooms64_q05_64x600``,
 whose 64 rooms have 33 distinct triggers.  Any kernel or CSV change
 must reproduce them exactly, for every worker count.
+
+``golden_calibrate.json`` holds the sha256 of the ``calibration.json``,
+``visits.csv`` and ``dwell.csv`` that ``calibrate`` writes for four runs:
+the default, 64 rooms, an infeasible target and 4,096 rooms.  Any change
+to the search, its ensembles or its report must reproduce them exactly.
 """
 
 import hashlib
@@ -27,6 +32,7 @@ from leechsim.montecarlo import run_ensemble, visit_counts, write_dwell_csv, wri
 GOLDEN = Path(__file__).with_name("golden_simulate.json")
 GOLDEN_ARRAYS = Path(__file__).with_name("golden_arrays.json")
 GOLDEN_STATS = Path(__file__).with_name("golden_stats.json")
+GOLDEN_CALIBRATE = Path(__file__).with_name("golden_calibrate.json")
 ARRAY_TRIALS = 16
 
 # Each case is a partial config: top-level keys replace the default's, and a
@@ -53,10 +59,23 @@ CASES = {
 }
 
 
-def case_config(case: str) -> dict:
+# Each calibrate case is a partial config, as above, the calibrate arguments
+# beyond --config, --workers and --out, and the exit code.
+CALIBRATE_CASES = {
+    "default_1000x1800": ({"n_trials": 1000}, [], 0),
+    "rooms64_200x600": ({"n_trials": 200, "duration_ticks": 600,
+                         "environment": {"rooms": 64}}, [], 0),
+    # every room's target is near 1, beyond what q = 1 reaches
+    "infeasible_30x150": ({"n_trials": 30, "duration_ticks": 150, "base_seed": 6},
+                          ["--target-a", "1.0", "--target-b=-1e-6"], 3),
+    "rooms4096_2x1800": ({"n_trials": 2, "environment": {"rooms": 4096}}, [], 0),
+}
+
+
+def case_config(case: str, cases: dict = CASES) -> dict:
     """The default config document with one case's keys."""
     doc = RunConfig().to_dict()
-    for key, value in CASES[case].items():
+    for key, value in cases[case].items():
         if isinstance(value, dict):
             doc[key].update(value)
         else:
@@ -135,6 +154,25 @@ def test_visit_counts_match_golden_stats_digests(tmp_path, case, workers):
     write_stats_csv(env, counts, tmp_path / "visits.csv")
     write_dwell_csv(counts, tmp_path / "dwell.csv")
     assert _digests(tmp_path) == json.loads(GOLDEN_STATS.read_text())[case]
+
+
+def calibrate_digests(case_dir: Path, case: str, workers: int) -> dict[str, str]:
+    """Run ``calibrate`` for one case with ``--out case_dir/calibration.json``
+    and hash what it writes there."""
+    changes, args, code = CALIBRATE_CASES[case]
+    case_dir.mkdir(parents=True)
+    config = case_dir.with_suffix(".json")
+    config.write_text(json.dumps(case_config(case, {case: changes})))
+    assert main(["calibrate", "--config", str(config), "--workers", str(workers),
+                 "--out", str(case_dir / "calibration.json"), *args]) == code
+    return _digests(case_dir)
+
+
+@pytest.mark.parametrize("case, workers", [("default_1000x1800", 1)] + [
+    (case, 2) for case in sorted(CALIBRATE_CASES)])
+def test_calibrate_matches_golden_digests(tmp_path, case, workers):
+    golden = json.loads(GOLDEN_CALIBRATE.read_text())[case]
+    assert calibrate_digests(tmp_path / case, case, workers) == golden
 
 
 @pytest.mark.parametrize("n_trials", [7, 2])
