@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import reprlib
 import sys
@@ -285,7 +284,7 @@ def _write_stats(env: EnvironmentTemplate, counts, out: Path) -> None:
 def _cpus() -> int:
     """The CPUs this process may run on, or 1 where fork is missing, so that
     ``stats`` and ``track`` then read their files in-process."""
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

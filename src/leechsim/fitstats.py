@@ -153,8 +153,8 @@ class _Passes:
 
     @classmethod
     def of(cls, passes: np.ndarray) -> "_Passes":
-        return cls([np.unique(column, return_counts=True) for column in passes[:, 1:].T],
-                   passes.shape[0])
+        counts = [np.bincount(column) for column in passes[:, 1:].T]
+        return cls([(np.flatnonzero(c), c[c > 0]) for c in counts], passes.shape[0])
 
 
 def _predicted_frequencies(qs, distances, auto: AutomatonParams,

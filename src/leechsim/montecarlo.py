@@ -12,8 +12,9 @@ makes them, whether the kernel hands it an ensemble's ticks
 from __future__ import annotations
 
 import math
-import multiprocessing
+import os
 import reprlib
+import signal
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
@@ -29,6 +30,7 @@ from .locomotion import (
     TrialArrays,
     Trajectory,
     VisitCounts,
+    _shared_arrays,
     _SimContext,
     _number,
     _simulate,
@@ -75,25 +77,42 @@ def _run_ensemble(allocate, env, motion, auto, n_trials, base_seed, workers, sin
     ctx = _SimContext(env, motion, auto)  # validate before any worker starts
     out = allocate()
     seeds = [derive_trial_seed(base_seed, i) for i in range(n_trials)]
+    # the kernel's generators come from numpy.random: load it once here, so
+    # that every forked slice shares its pages instead of importing it again
+    import numpy.random  # noqa: F401
     _fill(out, n_trials, workers, 1, partial(_run_trials, ctx, env, seeds, sink))
     return out, seeds
 
 
-def _claim_chunks(body, out, n: int, chunk: int, claimed, failed, s: int) -> None:
-    """Forked slice s of :func:`_fill`: run ``body(out, s, lo, hi)`` on each
-    next ``chunk`` rows lo..hi until none is left.  A chunk that raises is
-    marked in ``failed`` and exits 1, printing no traceback."""
-    while True:
-        with claimed.get_lock():
-            lo = claimed.value
-            claimed.value = lo + chunk
-        if lo >= n:
-            return
+def _flush_std_streams() -> None:
+    """Write out what ``sys.stdout`` and ``sys.stderr`` hold; a closed or
+    missing stream holds nothing."""
+    for stream in (sys.stdout, sys.stderr):
         try:
-            body(out, s, lo, min(lo + chunk, n))
+            stream.flush()
+        except (AttributeError, ValueError):
+            pass
+
+
+# bytes of chunk indices per pipe write: POSIX lands a write of at most
+# PIPE_BUF (>= 512) bytes whole, so the pipe never holds part of an index
+_PIPE_WRITE = 512
+
+
+def _claim_chunks(body, out, n: int, chunk: int, claims, failed, s: int) -> int:
+    """Forked slice s of :func:`_fill`: run ``body(out, s, lo, hi)`` on the
+    ``chunk`` rows lo..hi of each chunk index it reads from the pipe
+    ``claims``, until the pipe is drained.  Returns the slice's exit code: 1
+    after a chunk that raises, which it marks in ``failed``, printing no
+    traceback, else 0."""
+    while index := claims.read(4):
+        k = int.from_bytes(index, "little")
+        try:
+            body(out, s, k * chunk, min(k * chunk + chunk, n))
         except Exception:
-            failed[lo // chunk] = True
-            sys.exit(1)
+            failed[k] = True
+            return 1
+    return 0
 
 
 def _fill(out, n: int, workers: int, per_slice: int,
@@ -103,41 +122,65 @@ def _fill(out, n: int, workers: int, per_slice: int,
     is what ``body`` writes to, such as a :class:`VisitCounts`.
 
     One slice runs ``body(out, 0, 0, n)`` in-process, which also runs where
-    fork is missing.  More slices fork after ``out`` is allocated, so they
-    fill it in place and nothing is pickled back.  Each claims the next
-    chunk of ``ceil(n / (per_slice x slices))`` rows from one shared counter
-    until none is left (self-scheduling), so a slice the host runs slowly
-    hands its rows to the others; ``per_slice=1`` gives each slice one
-    contiguous chunk.
+    fork is missing.  More slices are forked with ``os.fork`` after ``out``
+    is allocated, so they fill it in place and nothing is pickled back; the
+    standard streams are flushed first, so that no slice writes the
+    parent's pending output again.  The rows come in chunks of
+    ``ceil(n / (per_slice x slices))``, whose indices the parent writes, in
+    row order, to a pipe that every slice reads 4 bytes at a time, each
+    read claiming the next chunk until none is left (self-scheduling), so a
+    slice the host runs slowly hands its rows to the others; ``per_slice=1``
+    gives each slice one contiguous chunk.  The parent writes the indices
+    after forking, so a list larger than the pipe's buffer is read while it
+    is written.
 
     A forked slice that raises marks its chunk and exits.  Chunks are
-    claimed in row order, so the first marked chunk holds the first row
-    that fails; it is run again here, so that the error raised is the one a
+    claimed in row order, so the first marked chunk holds the first row that
+    fails; it is run again here, so that the error raised is the one a
     single process raises.  Only a failure that does not happen again, such
-    as a killed slice, raises ``RuntimeError`` naming the exit codes.
+    as a killed slice, raises ``RuntimeError`` naming the exit codes.  An
+    exception in the parent, such as an interrupt, terminates and reaps the
+    slices still running before it propagates.
     """
     slices = min(workers, n)
     if slices == 1:
         body(out, 0, 0, n)
         return
     chunk = -(-n // (per_slice * slices))
-    # fork, so that the slices inherit the shared mapping and the body
-    fork = multiprocessing.get_context("fork")
-    claimed, failed = fork.Value("q", 0), fork.RawArray("b", -(-n // chunk))
-    procs = [fork.Process(target=_claim_chunks,
-                          args=(body, out, n, chunk, claimed, failed, s))
-             for s in range(slices)]
-    try:
-        for proc in procs:
-            proc.start()
-        for proc in procs:
-            proc.join()
-    finally:
-        for proc in procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-    codes = [proc.exitcode for proc in procs if proc.exitcode]
+    failed = _shared_arrays({"failed": ((-(-n // chunk),), np.bool_)})["failed"]
+    _flush_std_streams()
+    r, w = os.pipe()
+    pids, codes = [], []
+    with open(r, "rb", buffering=0) as reader, open(w, "wb", buffering=0) as writer:
+        try:
+            for s in range(slices):
+                pid = os.fork()
+                if pid == 0:  # the slice: it runs nothing of its caller's after this
+                    code = 1
+                    try:
+                        writer.close()
+                        status = _claim_chunks(body, out, n, chunk, reader, failed, s)
+                        _flush_std_streams()
+                        code = status
+                    finally:
+                        os._exit(code)
+                pids.append(pid)
+            reader.close()
+            indices = np.arange(len(failed), dtype="<u4").tobytes()
+            try:
+                for start in range(0, len(indices), _PIPE_WRITE):
+                    writer.write(indices[start:start + _PIPE_WRITE])
+            except BrokenPipeError:
+                pass  # every slice has exited; their exit codes say why
+            writer.close()
+            while pids:
+                codes.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
+                pids.pop(0)
+        finally:
+            for pid in pids:  # only after an exception: stop the slices left
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
+    codes = [code for code in codes if code]
     if codes:
         for lo in [k * chunk for k, mark in enumerate(failed) if mark][:1]:
             body(out, 0, lo, min(lo + chunk, n))

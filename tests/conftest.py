@@ -107,6 +107,21 @@ def count_reads(monkeypatch, module, name, n):
     return reads, before
 
 
+def fresh_env(**changes):
+    """The environment of a fresh interpreter that imports this leechsim:
+    ``os.environ`` with its source directory first on ``PYTHONPATH``, and
+    each change made, where ``None`` unsets the variable."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(montecarlo.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+        if p)}
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
 def main_peak_bytes(argv):
     """tracemalloc's peak over one ``main(argv)`` call."""
     tracemalloc.start()

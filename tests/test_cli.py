@@ -3,7 +3,6 @@ import errno
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 import shutil
@@ -11,7 +10,6 @@ import signal
 import subprocess
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +24,7 @@ from leechsim.locomotion import MotionParams, read_trajectory_csv, run_trial
 from leechsim.montecarlo import derive_trial_seed, ensemble_stats, run_ensemble
 from leechsim.trackio import frame_filename, read_ppm, render_frames, write_ppm
 
-from conftest import count_reads, main_peak_bytes, pin_cpus
+from conftest import count_reads, fresh_env, main_peak_bytes, pin_cpus
 
 
 def _write_config(path, **overrides):
@@ -148,10 +146,7 @@ def test_trial_count_too_large_to_hold_fails_at_once(tmp_path, command):
     """The output is allocated before the per-trial seeds are derived, so
     10**11 trials fail at the allocation (exit 3) instead of first deriving
     seeds for minutes."""
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": os.pathsep.join(
-               p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH"))
-               if p)}
+    env = fresh_env(OPENBLAS_NUM_THREADS="1")
     argv = [command, "--trials", str(10**11), "--duration", "10"]
     if command == "simulate":
         argv += ["--out", str(tmp_path / "run")]
@@ -159,6 +154,53 @@ def test_trial_count_too_large_to_hold_fails_at_once(tmp_path, command):
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith(f"error: [Errno {errno.ENOMEM}] "), proc.stderr
+
+
+def test_importing_the_cli_loads_neither_multiprocessing_nor_numpy_random():
+    """Every command pays for what ``import leechsim.cli`` loads: the fork
+    path needs no ``multiprocessing``, and only the kernel's ensembles load
+    ``numpy.random``, before they fork."""
+    code = ("import sys, leechsim.cli; "
+            "print(sorted({'multiprocessing', 'numpy.random'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+# stats, then track, on two slices each, in one process
+_STATS_THEN_TRACK = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from leechsim.cli import main
+run, frames, out = sys.argv[1:]
+assert main(["stats", run, "--out", out]) == 0
+assert main(["track", frames, "--threshold", "40", "--px-per-mm", "2",
+             "--out", os.path.join(out, "tracked.csv")]) == 0
+"""
+
+
+def test_forked_slices_do_not_repeat_the_parent_s_pending_output(tmp_path, env, auto):
+    """With stdout a file, and so block-buffered, stats's line is still in
+    the buffer when track forks its slices; each slice inherits the buffer,
+    so the parent must flush it first.  ``PYTHONUNBUFFERED`` would write
+    every line at once and hide a repeat, so it is unset."""
+    cfg = _small_config(tmp_path, n_trials=4, duration_ticks=30)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    traj = run_trial(env, MotionParams(q_scale=0.5), auto, seed=6, duration=25)
+    for i, frame in enumerate(render_frames(traj, env, px_per_mm=2.0)):
+        write_ppm(frames / frame_filename(i), frame)
+    out = tmp_path / "out"
+    stdout = tmp_path / "stdout.txt"
+    argv = [sys.executable, "-c", _STATS_THEN_TRACK, str(tmp_path / "run"), str(frames),
+            str(out)]
+    with open(stdout, "w") as file:
+        proc = subprocess.run(argv, env=fresh_env(PYTHONUNBUFFERED=None), stdout=file,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert stdout.read_text().splitlines() == [f"wrote visits.csv and dwell.csv to {out}",
+                                               f"wrote {out / 'tracked.csv'}"]
 
 
 # a value other than the default for every field of every config class
@@ -513,12 +555,8 @@ def test_stats_without_fork_runs_in_process(tmp_path, monkeypatch):
     run_dir = tmp_path / "run"
     expected = _stats_outputs(run_dir, tmp_path / "forked")
 
-    def no_fork(*args):
-        raise AssertionError("stats started a process")
-
     slices = pin_cpus(monkeypatch, 4)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    monkeypatch.delattr(os, "fork")
     assert _stats_outputs(run_dir, tmp_path / "in-process") == expected
     assert slices == [1]
 

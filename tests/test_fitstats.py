@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import leechsim.fitstats as fitstats
 from leechsim.fitstats import (PowerLawFit, calibrate_entry_prob, fit_power_law,
                                room_summary)
 from leechsim.geometry import build_corridor_template, room_distance_to_end
@@ -228,16 +230,18 @@ def test_calibrate_evaluations_share_one_seed(monkeypatch):
 def test_calibrate_counts_each_room_s_passes_once(monkeypatch):
     """The window passes of evaluation 0 feed every prediction, so each
     room's distinct pass counts are found once, not once per grid and
-    correction."""
+    correction.  They are counted by ``np.bincount`` calls made in fitstats;
+    the kernel's own calls, made in locomotion, are not counted."""
     env, motion, auto = _small_setup()
     calls = []
-    unique = np.unique
+    bincount = np.bincount
 
-    def counted_unique(*args, **kwargs):
-        calls.append(args)
-        return unique(*args, **kwargs)
+    def counted_bincount(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == fitstats.__name__:
+            calls.append(args)
+        return bincount(*args, **kwargs)
 
-    monkeypatch.setattr(np, "unique", counted_unique)
+    monkeypatch.setattr(np, "bincount", counted_bincount)
     result = calibrate_entry_prob(env, motion, auto, PowerLawFit(0.35, -0.82),
                                   n_trials=40, base_seed=10, tol=1e-9, duration=600)
     assert len(result.evaluations) == 3  # a prediction, then a correction

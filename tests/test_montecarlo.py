@@ -1,7 +1,10 @@
 import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from leechsim.montecarlo import (
     write_stats_csv,
 )
 
-from conftest import make_trajectory, recount_passes
+from conftest import fresh_env, make_trajectory, recount_passes
 
 
 # --- the per-trajectory, per-run reducers: oracles for VisitCounts -----------
@@ -230,6 +233,56 @@ def test_fill_rows_runs_every_row_once_on_more_slices_than_cpus():
     assert np.array_equal(out["visits"], np.ones(n, dtype=np.int64))
     chunks = [set(out["slices"][lo:lo + 21].tolist()) for lo in range(0, n, 21)]
     assert all(len(chunk) == 1 and chunk <= set(range(6)) for chunk in chunks)
+
+
+def _visit_rows(faults, out, s, lo, hi):
+    """A ``_fill`` body: count a visit of rows lo..hi, then fail at the
+    first of them in ``faults``."""
+    out["visits"][lo:hi] += 1
+    bad = [row for row in sorted(faults) if lo <= row < hi]
+    if bad:
+        raise ValueError(f"row {bad[0]}")
+
+
+def test_fill_claims_more_chunks_than_the_pipe_holds():
+    """40,000 rows in chunks of 2 on 2 slices are 20,000 claims, 80 KB of
+    chunk indices, more than a 64 KiB pipe holds: the parent writes them
+    while the slices read.  Rows 3 and 5 fail in chunks 1 and 2, so both
+    slices exit with most claims unread, and row 3's error is raised."""
+    n = 40_000
+    out = locomotion._shared_arrays({"visits": ((n,), np.int64)})
+    montecarlo._fill(out, n, 2, 10_000, partial(_visit_rows, ()))
+    assert np.array_equal(out["visits"], np.ones(n, dtype=np.int64))
+    with pytest.raises(ValueError, match="^row 3$"):
+        montecarlo._fill(out, n, 2, 10_000, partial(_visit_rows, (5, 3)))
+
+
+# records, at each _fill call of two kernel ensembles, whether numpy.random
+# is loaded: a fresh interpreter, since this one has loaded it
+_NUMPY_RANDOM_AT_FORK = """
+import sys
+import leechsim.montecarlo as montecarlo
+from leechsim.automaton import AutomatonParams
+from leechsim.geometry import build_corridor_template
+from leechsim.locomotion import MotionParams
+loaded, fill = [], montecarlo._fill
+def checked_fill(*args):
+    loaded.append("numpy.random" in sys.modules)
+    return fill(*args)
+montecarlo._fill = checked_fill
+env, motion, auto = build_corridor_template(), MotionParams(), AutomatonParams()
+montecarlo.run_ensemble(env, motion, auto, 4, 1, duration=50, workers=2)
+montecarlo.visit_counts(env, motion, auto, 4, 1, duration=50, workers=2)
+print(loaded)
+"""
+
+
+def test_kernel_slices_inherit_numpy_random():
+    """The parent loads ``numpy.random`` before a kernel ensemble forks, so
+    each slice shares its pages instead of importing it again."""
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_RANDOM_AT_FORK], env=fresh_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[True, True]\n"), proc.stderr
 
 
 @pytest.mark.parametrize("workers", [0, -5])
