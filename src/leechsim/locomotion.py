@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import math
 import mmap
-import re
 import reprlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -139,7 +138,6 @@ class Trajectory:
 
     env: EnvironmentTemplate | None
     trial_id: int
-    seed: int
     xs: np.ndarray
     ys: np.ndarray
     modes: np.ndarray
@@ -328,12 +326,10 @@ class TrialArrays:
                              (self.regions, region), (self.ms, m)):
             field.reshape(-1)[at] = value
 
-    def trajectories(self, env, seeds, trial_ids) -> list[Trajectory]:
-        return [
-            Trajectory(env, tid, seed, self.xs[i], self.ys[i], self.modes[i],
-                       self.regions[i], self.ms[i])
-            for i, (tid, seed) in enumerate(zip(trial_ids, seeds))
-        ]
+    def trajectories(self, env, trial_ids) -> list[Trajectory]:
+        return [Trajectory(env, tid, self.xs[i], self.ys[i], self.modes[i], self.regions[i],
+                           self.ms[i])
+                for i, tid in enumerate(trial_ids)]
 
 
 @dataclass(frozen=True)
@@ -655,7 +651,7 @@ def run_trials(env: EnvironmentTemplate, motion: MotionParams,
     out = TrialArrays.allocate(len(seeds), duration)
     _simulate(ctx, seeds, out)
     ids = range(len(seeds)) if trial_ids is None else trial_ids
-    return out.trajectories(env, seeds, ids)
+    return out.trajectories(env, ids)
 
 
 def run_trial(env: EnvironmentTemplate, motion: MotionParams,
@@ -780,15 +776,6 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
                            + matrix.T.tobytes().translate(None, b"\0"))
 
 
-def _number(text: str, kind: type[int] | type[float]) -> int | float:
-    """``kind(text)``, whose ``ValueError`` echoes ``text`` short, through
-    ``reprlib.repr``, as every reader error echoes a field."""
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ValueError(f"{str(exc).split(': ', 1)[0]}: {reprlib.repr(text)}") from None
-
-
 def utf8_text(data: bytes, path, error: type[Exception] = ValueError) -> str:
     """``data`` decoded as UTF-8; at an undecodable byte, ``error`` naming
     ``path`` and the line that holds the byte, counted as ``str.splitlines``
@@ -872,45 +859,14 @@ def _written_int(text: bytes) -> bool:
         return False
 
 
-def _parse_row(line: bytes, tick: int, first_id: bytes, rooms: int) -> str:
-    """The message of the first check that ``line``, row ``tick`` without its
-    "\\n", fails, in the order undecodable byte, field count, trial id (line
-    2's must be ``str`` of an int, and the others line 2's), tick, x/y, mode
-    and region.  It is called only on the first row :func:`_grammar_rows`
-    refuses, so a region that passes the other checks is past ``rooms``."""
-    try:
-        text = line.decode()
-    except UnicodeDecodeError as exc:
-        return f"byte {line[exc.start]:#04x} is not UTF-8 ({exc.reason})"
-    fields = text.split(",")
-    if len(fields) != 6:
-        return "expected 6 fields"
-    if tick == 0 and not _written_int(first_id):
-        return f"bad trial id {reprlib.repr(fields[0])}"
-    if fields[0] != first_id.decode():
-        return (f"trial id {reprlib.repr(fields[0])} differs from line 2's "
-                f"{reprlib.repr(first_id.decode())}")
-    if fields[1] != str(tick):
-        return f"tick {reprlib.repr(fields[1])}, expected {tick}"
-    for number in fields[2:4]:
-        if not re.fullmatch(r"[0-9]{1,12}\.[0-9]{3}", number):
-            return f"bad coordinate {reprlib.repr(number)}"
-    if fields[4] not in _MODE_CODES:
-        return f"bad mode {reprlib.repr(fields[4])}"
-    try:
-        region_code(fields[5])
-    except GeometryError:
-        return f"bad region {reprlib.repr(fields[5])}"
-    return f"region {reprlib.repr(fields[5])}, but the template has {rooms} rooms"
-
-
-def _grammar_rows(data: bytes, first_id: bytes, rooms: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _grammar_rows(data: bytes, first_id: bytes, rooms: int) -> tuple:
     """The data rows of a file that starts with the header, parsed by column
     in the writer's grammar (see :func:`read_trajectory_csv`): the position
-    of each line's "\\n", whether each row is in the grammar, and x and y,
-    mode and region code of the rows that are.  ``data`` ends in a "\\n"
-    and 16 bytes more."""
+    of each line's "\\n", whether each row is in the grammar, whether it
+    passes each check of the grammar, in the order field count, trial id
+    (line 2's must be ``str`` of an int, and the others line 2's), tick, x,
+    y, mode and region, and x and y, mode and region code of the rows that
+    are.  ``data`` ends in a "\\n" and 16 bytes more."""
     buf = np.frombuffer(data, np.uint8)
     # every "," and "\n" from the header's "\n" on; the header has 5 commas
     sep = np.flatnonzero((buf == 44) | (buf == 10))[5:]
@@ -919,7 +875,7 @@ def _grammar_rows(data: bytes, first_id: bytes, rooms: int
     # the 7 separators from the "\n" before each row to its own: the row
     # has 6 fields exactly when the 7th is its "\n"
     seps = sep.take(ends[:-1] + np.arange(7)[:, None], mode="clip")
-    ok = np.diff(ends) == 6
+    fields = np.diff(ends) == 6
     ends = sep.take(ends)
 
     # trial id: line 2's, which must be str of an int, compared whole with
@@ -928,18 +884,16 @@ def _grammar_rows(data: bytes, first_id: bytes, rooms: int
     id_text = first_id + b","
     same = seps[1] - seps[0] == len(id_text)
     same[same] = _windows(data, len(id_text), 1)[seps[0][same]] == np.void(id_text)
-    ok &= same
-    ok[0] &= _written_int(first_id)
+    same[0] &= _written_int(first_id)
     # tick, mode and region: the masked bytes after each one's separator
     words = _windows(data, 16, 1)[seps[[1, 4, 5]]].view(_WORD).reshape(3, n, 2)
     ticks = ((words[0] & _KEY_MASKS.take(seps[2] - seps[1], axis=0, mode="clip"))
              ^ _tick_keys(n))
-    ok &= (ticks[:, 0] | ticks[:, 1]) == 0
+    tick = (ticks[:, 0] | ticks[:, 1]) == 0
     keys = words[1:, :, 0] & _KEY_MASKS[:, 0].take(seps[5:] - seps[4:6], mode="clip")
     table_keys, table_codes = _label_table(rooms)[:2]
     at = table_keys.searchsorted(keys)
     found = table_keys.take(at, mode="clip") == keys
-    ok &= found[0] & found[1]
     modes, regions = table_codes.take(at, mode="clip")
 
     # x and y: the 16 bytes before each one's comma
@@ -949,7 +903,8 @@ def _grammar_rows(data: bytes, first_id: bytes, rooms: int
               & _NUMBER_MASKS.take(widths - 5, axis=0, mode="clip"))
     over = (digits | (digits & _LOW7) + _LIMITS) & _HIGH
     over[widths > 16] = _HIGH
-    ok &= (over[:n, 0] | over[:n, 1] | over[n:, 0] | over[n:, 1]) == 0
+    x, y = (over[:, 0] | over[:, 1]).reshape(2, n) == 0
+    checks = (fields, same, tick, x, y, *found)
     # 10 b + b' of neighbouring digits b, b' is at most 99, and 100 p + p' of
     # neighbouring pairs at most 9999: so each 4 bytes' digits become one
     # number in 16 bits, the "." giving the fraction's leading 0
@@ -957,7 +912,7 @@ def _grammar_rows(data: bytes, first_id: bytes, rooms: int
     groups = (pairs * np.uint64(100) + (pairs >> np.uint64(16))).astype(_WORD, copy=False)
     groups = groups.view("<u2")[:, ::2]
     xy = (groups @ _GROUP_PLACES).reshape(2, n) / 1000.0
-    return ends, ok, xy, modes.astype(np.uint8), regions
+    return ends, np.logical_and.reduce(checks), checks, xy, modes.astype(np.uint8), regions
 
 
 def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Trajectory:
@@ -972,8 +927,10 @@ def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Traject
     number reads as its integer thousandths over 1000.0, which is
     ``float()`` of its text: both are the correctly rounded quotient, as the
     thousandths stay below 2**53.  Any other file is refused at its earliest
-    bad line, named by :func:`_parse_row` with the first check of that line
-    it fails.  Lines are counted at "\\n" alone, and every byte of a row is
+    bad line, with a byte that is not UTF-8 named first, and then the first
+    of the byte lane's checks the row fails, echoing the field it checks; a
+    region label the writer writes is refused only for a room past the
+    template.  Lines are counted at "\\n" alone, and every byte of a row is
     checked, so a "\\r" or a non-ASCII byte fails the row that holds it.
     """
     data = Path(path).read_bytes()
@@ -986,10 +943,30 @@ def read_trajectory_csv(path, env: EnvironmentTemplate | None = None) -> Traject
         raise TrajectoryFormatError(f"{path}:1: no data rows")
     first_id = data[len(header):data.index(b"\n", len(header))].split(b",", 1)[0]
     rooms = env.n_rooms if env is not None else MAX_ROOM
-    ends, ok, (xs, ys), modes, regions = _grammar_rows(data + bytes(16), first_id, rooms)
+    ends, ok, checks, (xs, ys), modes, regions = _grammar_rows(data + bytes(16), first_id,
+                                                               rooms)
     if not ok.all():
         row = int(np.argmin(ok))
-        raise TrajectoryFormatError(f"{path}:{row + 2}: " + _parse_row(
-            data[ends[row] + 1:ends[row + 1]], row, first_id, rooms))
-    return Trajectory(env=env, trial_id=int(first_id), seed=0, xs=xs, ys=ys, modes=modes,
+        line = data[ends[row] + 1:ends[row + 1]]
+        try:
+            fields = line.decode().split(",")
+        except UnicodeDecodeError as exc:
+            raise TrajectoryFormatError(f"{path}:{row + 2}: byte {line[exc.start]:#04x} "
+                                        f"is not UTF-8 ({exc.reason})") from None
+        # the first check the row fails; check c > 0 is of field c - 1
+        check = next(c for c, passed in enumerate(checks) if not passed[row])
+        text = reprlib.repr(fields[check - 1])
+        if check == 6:
+            try:
+                region_code(fields[5])
+                text = f"region {text}, but the template has {rooms} rooms"
+            except GeometryError:
+                text = f"bad region {text}"
+        fault = ("expected 6 fields",
+                 f"trial id {text} differs from line 2's {reprlib.repr(first_id.decode())}"
+                 if row else f"bad trial id {text}",
+                 f"tick {text}, expected {row}", f"bad coordinate {text}",
+                 f"bad coordinate {text}", f"bad mode {text}", text)[check]
+        raise TrajectoryFormatError(f"{path}:{row + 2}: {fault}")
+    return Trajectory(env=env, trial_id=int(first_id), xs=xs, ys=ys, modes=modes,
                       regions=regions, ms=np.zeros(len(xs), dtype=np.uint8))

@@ -32,7 +32,6 @@ from .locomotion import (
     VisitCounts,
     _shared_arrays,
     _SimContext,
-    _number,
     _simulate,
     run_trial,  # noqa: F401  (perfbench's tracer wraps montecarlo.run_trial)
     utf8_text,
@@ -62,14 +61,14 @@ def _run_trials(ctx: _SimContext, env: EnvironmentTemplate, seeds, sink,
     part = out.part(s, lo, hi)
     _simulate(ctx, seeds[lo:hi], part)
     if sink is not None:
-        for traj in part.trajectories(env, seeds[lo:hi], range(lo, hi)):
+        for traj in part.trajectories(env, range(lo, hi)):
             sink(traj)
 
 
 def _run_ensemble(allocate, env, motion, auto, n_trials, base_seed, workers, sink):
-    """The output ``allocate()`` makes, with the trials run into it, and the
-    per-trial seeds.  The seeds follow the allocation, so that a trial count
-    too large to hold fails at once instead of deriving its seeds first."""
+    """The output ``allocate()`` makes, with the trials run into it.  The
+    per-trial seeds follow the allocation, so that a trial count too large
+    to hold fails at once instead of deriving its seeds first."""
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if workers < 1:
@@ -81,7 +80,7 @@ def _run_ensemble(allocate, env, motion, auto, n_trials, base_seed, workers, sin
     # that every forked slice shares its pages instead of importing it again
     import numpy.random  # noqa: F401
     _fill(out, n_trials, workers, 1, partial(_run_trials, ctx, env, seeds, sink))
-    return out, seeds
+    return out
 
 
 def _flush_std_streams() -> None:
@@ -207,9 +206,9 @@ def run_ensemble(
     simulated it, right after its slice is done (in this process when one
     worker runs).  Forked workers inherit it, so it need not pickle.
     """
-    out, seeds = _run_ensemble(partial(TrialArrays.allocate, n_trials, duration),
-                               env, motion, auto, n_trials, base_seed, workers, sink)
-    return out.trajectories(env, seeds, range(n_trials))
+    out = _run_ensemble(partial(TrialArrays.allocate, n_trials, duration),
+                        env, motion, auto, n_trials, base_seed, workers, sink)
+    return out.trajectories(env, range(n_trials))
 
 
 def visit_counts(
@@ -233,7 +232,7 @@ def visit_counts(
     """
     return _run_ensemble(partial(VisitCounts.allocate, n_trials, env.n_rooms, duration,
                                  min(workers, n_trials)),
-                         env, motion, auto, n_trials, base_seed, workers, None)[0]
+                         env, motion, auto, n_trials, base_seed, workers, None)
 
 
 @dataclass(frozen=True)
@@ -367,9 +366,27 @@ def write_dwell_csv(counts: VisitCounts, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _number(text: str, kind: type[int] | type[float]) -> int | float:
+    """``kind(text)`` of a field spelt as :func:`write_stats_csv` spells it:
+    an int as its own ``str``, and a float without the whitespace, "_" and
+    non-ASCII digits ``float()`` takes too.  A ``ValueError`` echoes
+    ``text`` short, through ``reprlib.repr``, as every reader error echoes a
+    field."""
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        raise ValueError(f"{str(exc).split(': ', 1)[0]}: {reprlib.repr(text)}") from None
+    if (str(value) != text if kind is int
+            else not text.isascii() or "_" in text or text.strip() != text):
+        raise ValueError(f"{kind.__name__} not spelt as the stats writer spells it: "
+                         f"{reprlib.repr(text)}")
+    return value
+
+
 def read_stats_csv(path) -> list[tuple[int, int, float, float]]:
     """Read rows written by :func:`write_stats_csv`: one per room, room and
-    distance_x in [1, MAX_ROOM], frequencies and fractions in [0, 1]."""
+    distance_x in [1, MAX_ROOM], frequencies and fractions in [0, 1], each
+    field spelt as the writer spells it (see :func:`_number`)."""
     lines = utf8_text(Path(path).read_bytes(), path).splitlines()
     if not lines or lines[0] != "room,distance_x,visit_freq,time_fraction":
         raise ValueError(f"{path}:1: bad or missing stats header")

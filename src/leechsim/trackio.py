@@ -282,7 +282,6 @@ def frames_to_trajectory(
     return Trajectory(
         env=env,
         trial_id=0,
-        seed=0,
         xs=xs,
         ys=ys,
         modes=np.full(n, MODE_UNKNOWN, dtype=np.uint8),

@@ -59,7 +59,6 @@ def make_trajectory(env, regions, modes=None, trial_id=0):
     return Trajectory(
         env=env,
         trial_id=trial_id,
-        seed=0,
         xs=np.zeros(n),
         ys=np.zeros(n),
         modes=np.asarray(modes, dtype=np.uint8),
@@ -324,7 +323,6 @@ def read_trajectory_csv_per_line(path, env=None):
     return Trajectory(
         env=env,
         trial_id=trial_id,
-        seed=0,
         xs=np.asarray(xs, dtype=float),
         ys=np.asarray(ys, dtype=float),
         modes=np.asarray(modes, dtype=np.uint8),

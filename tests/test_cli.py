@@ -765,11 +765,28 @@ def test_fit_rejects_non_finite_stats(tmp_path, capsys, column, value):
     (["1,1,0.35,0.1", "1,2,0.198,0.05", "3,3,0.142,0.02"], "visits.csv:3: room 1 listed twice"),
     (["1,1,0.35,0.1", "2,2,1.7,0.05", "3,3,0.142,0.02"], "visits.csv:3: value outside [0, 1]"),
     (["1,1,0.35,0.1", "2,2,0.198,0.05", "3,3,0.142,-0.2"], "visits.csv:4: value outside [0, 1]"),
+    # spellings int() and float() take, and the writer never writes
+    (["1,1,0.35,0.1", "2,2,0.198,0.05", "3,1_0,0.2,0.1"],
+     "visits.csv:4: int not spelt as the stats writer spells it: '1_0'"),
+    (["1,1,0.35,0.1", "2,2,0.198,0.05", "4, 4,0.1_5,0.1"],
+     "visits.csv:4: int not spelt as the stats writer spells it: ' 4'"),
+    (["1,1,0.35,0.1", "2,2,0.198,0.05", "5,\u0665,0.1,0.1"],
+     "visits.csv:4: int not spelt as the stats writer spells it: '\u0665'"),
+    (["1,1,0.35,0.1", "2,2,0.198,0.05", "03,3,0.142,0.02"],
+     "visits.csv:4: int not spelt as the stats writer spells it: '03'"),
+    (["1,1,0.35,0.1", "2,2,0.198,0.05", "4,4,0.1_5,0.1"],
+     "visits.csv:4: float not spelt as the stats writer spells it: '0.1_5'"),
+    (["1,1,0.35,0.1", "2,2, 0.198,0.05", "3,3,0.142,0.02"],
+     "visits.csv:3: float not spelt as the stats writer spells it: ' 0.198'"),
+    (["1,1,0.35,0.1", "2,2,0.198,0.05\t", "3,3,0.142,0.02"],
+     "visits.csv:3: float not spelt as the stats writer spells it: '0.05\\t'"),
+    (["1,1,0.35,0.1", "2,2,0.198,0.05", "3,3,0.142,\u0660.\u0660\u0662"],
+     "visits.csv:4: float not spelt as the stats writer spells it: '\u0660.\u0660\u0662'"),
 ])
 def test_fit_rejects_stats_the_writer_cannot_write(tmp_path, capsys, rows, error):
     stats_csv = tmp_path / "visits.csv"
     stats_csv.write_text("room,distance_x,visit_freq,time_fraction\n"
-                         + "".join(row + "\n" for row in rows))
+                         + "".join(row + "\n" for row in rows), encoding="utf-8")
     assert main(["fit", str(stats_csv)]) == 3
     captured = capsys.readouterr()
     assert error in captured.err

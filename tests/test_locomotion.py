@@ -109,7 +109,7 @@ def test_csv_writer_matches_per_row_format(tmp_path):
                    1e-9, 44.4445, 0.0, 15.0])
     modes = np.array([0, 1, 2, MODE_UNKNOWN, 1, 0, 2, 1, MODE_UNKNOWN, 0, 1], np.uint8)
     regions = np.array([-2, -1, 0, 1, 2, 3, 4, 5, 6, 7, 8], np.int16)
-    traj = Trajectory(None, 12, 0, xs, ys, modes, regions, np.zeros(11, np.uint8))
+    traj = Trajectory(None, 12, xs, ys, modes, regions, np.zeros(11, np.uint8))
     path = tmp_path / "trial.csv"
     write_trajectory_csv(traj, path)
     expected = ["trial_id,tick,x_mm,y_mm,mode,region"] + [
@@ -374,7 +374,7 @@ def test_batch_rows_equal_single_trials(env, auto):
                        trial_ids=[4, 5, 6])
     for traj, seed, tid in zip(batch, [31, 5, 77], [4, 5, 6]):
         single = run_trial(env, motion, auto, seed, duration=900, trial_id=tid)
-        assert (traj.seed, traj.trial_id) == (seed, tid) == (single.seed, single.trial_id)
+        assert traj.trial_id == tid == single.trial_id
         for name in ("xs", "ys", "modes", "regions", "ms"):
             assert np.array_equal(getattr(traj, name), getattr(single, name)), name
 
@@ -485,6 +485,23 @@ def test_csv_rejects_spellings_the_writer_never_writes(tmp_path, old, new, error
         read_trajectory_csv(path)
     assert str(err.value) == f"{path}:{error}"
     assert _read_outcome(read_trajectory_csv_per_line, path, None) == (
+        TrajectoryFormatError, str(err.value))
+
+
+@pytest.mark.parametrize("new, error", [
+    ("3,1,1.000,2.000,CRAWL,R9", "3: region 'R9', but the template has 8 rooms"),
+    ("3,7,1.000,2.000,CRAWLS,C", "3: tick '7', expected 1"),
+    ("3,1,1.000,2.000,CRAWL,R09", "3: bad region 'R09'"),
+], ids=["room-past-the-template", "tick-and-mode", "room-spelt-with-0"])
+def test_csv_names_the_first_check_a_row_fails(tmp_path, env, new, error):
+    """The message is that of the row's first failed check, and a label the
+    writer writes fails only for a room past the template."""
+    path = tmp_path / "bad.csv"
+    path.write_text(_TWO_ROWS.replace("3,1,1.000,2.000,CRAWL,C", new))
+    with pytest.raises(TrajectoryFormatError) as err:
+        read_trajectory_csv(path, env)
+    assert str(err.value) == f"{path}:{error}"
+    assert _read_outcome(read_trajectory_csv_per_line, path, env) == (
         TrajectoryFormatError, str(err.value))
 
 
@@ -609,7 +626,7 @@ def _read_outcome(reader, path, env):
     except Exception as exc:  # the outcome is compared, not handled
         return type(exc), str(exc)
     arrays = (traj.xs, traj.ys, traj.modes, traj.regions, traj.ms)
-    return (traj.trial_id, traj.seed, traj.env is env,
+    return (traj.trial_id, traj.env is env,
             [(a.dtype.str, a.tobytes()) for a in arrays])
 
 
@@ -714,7 +731,7 @@ def _trajectories(draw, bad_codes=True):
             codes[-1] += draw(bad)
     modes, regions = codes
     trial_id = draw(_DRAW_TRIAL_ID)
-    return Trajectory(draw(_DRAW_ENV), trial_id, 0, xs, ys,
+    return Trajectory(draw(_DRAW_ENV), trial_id, xs, ys,
                       rng.choice(np.array(modes, np.uint8), n),
                       rng.choice(np.array(regions, np.int16), n),
                       np.zeros(n, np.uint8))
@@ -731,7 +748,7 @@ def _write_outcome(writer, traj, path):
 
 def _coded(modes, regions):
     n = len(modes)
-    return Trajectory(None, 0, 0, np.zeros(n), np.zeros(n), np.array(modes, np.uint8),
+    return Trajectory(None, 0, np.zeros(n), np.zeros(n), np.array(modes, np.uint8),
                       np.array(regions, np.int16), np.zeros(n, np.uint8))
 
 
@@ -779,10 +796,15 @@ def test_writer_refuses_a_trajectory_without_ticks_before_creating_its_file(tmp_
 
 def _assert_files_take_the_byte_lane(tmp_path, monkeypatch, trajs, templates):
     """Every row of the files written from ``trajs`` parses from its bytes,
-    read with each of ``templates``; the per-row lane, made to fail here, is
-    never called."""
-    def refuse(*args):
-        raise AssertionError("a written row left the byte lane")
+    read with each of ``templates``: the byte lane, made to fail here on a
+    row it refuses, passes every row."""
+    lane = locomotion._grammar_rows
+
+    def accept_all(*args):
+        rows = lane(*args)
+        if not rows[1].all():
+            raise AssertionError("a written row left the byte lane")
+        return rows
 
     paths = []
     for traj in trajs:
@@ -790,7 +812,7 @@ def _assert_files_take_the_byte_lane(tmp_path, monkeypatch, trajs, templates):
         write_trajectory_csv(traj, paths[-1])
     expected = [_read_outcome(read_trajectory_csv_per_line, path, template)
                 for path in paths for template in templates]
-    monkeypatch.setattr(locomotion, "_parse_row", refuse)
+    monkeypatch.setattr(locomotion, "_grammar_rows", accept_all)
     assert [_read_outcome(read_trajectory_csv, path, template)
             for path in paths for template in templates] == expected
 
