@@ -18,7 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from .automaton import AutomatonParams, Mode, config_doc, parse_config
-from .fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law
+from .fitstats import PowerLawFit, calibrate_entry_prob, fit_power_law, target_values
 from .geometry import EnvironmentTemplate, GeometryError, build_corridor_template
 from .locomotion import (
     MODE_UNKNOWN,
@@ -330,15 +330,19 @@ def _print_evaluation(index, q, mean, score, seed, seconds) -> None:
 
 def cmd_calibrate(args) -> int:
     cfg, env = _checked_run(args, tol=args.tol)
+    target = PowerLawFit(
+        a=cfg.automaton.a if args.target_a is None else args.target_a,
+        b=cfg.automaton.b if args.target_b is None else args.target_b,
+    )
+    try:
+        target_values(target, env)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if args.out:
         out = Path(args.out)
         if out.name in ("visits.csv", "dwell.csv"):
             raise ConfigError(f"--out {out}: calibrate writes its own {out.name} there")
         out.parent.mkdir(parents=True, exist_ok=True)
-    target = PowerLawFit(
-        a=cfg.automaton.a if args.target_a is None else args.target_a,
-        b=cfg.automaton.b if args.target_b is None else args.target_b,
-    )
     result = calibrate_entry_prob(
         env, cfg.motion, cfg.automaton, target,
         n_trials=cfg.n_trials, base_seed=cfg.base_seed, tol=args.tol,

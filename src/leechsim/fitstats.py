@@ -187,6 +187,19 @@ def _predicted_argmin(distances, auto: AutomatonParams, passes: _Passes,
     return float(qs[j])
 
 
+def target_values(target: PowerLawFit, env: EnvironmentTemplate) -> dict[int, float]:
+    """The target frequency of each room, by room, at its distance-to-end;
+    a ``ValueError`` when one leaves (0, 1]."""
+    targets = {}
+    for room in range(1, env.n_rooms + 1):
+        x = room_distance_to_end(env, room)
+        y = target(x)
+        if not 0.0 < y <= 1.0:
+            raise ValueError(f"target {target.a}*x^{target.b} leaves (0, 1] at x={x}: {y}")
+        targets[room] = y
+    return targets
+
+
 def calibrate_entry_prob(
     env: EnvironmentTemplate,
     motion: MotionParams,
@@ -228,17 +241,10 @@ def calibrate_entry_prob(
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    rooms = list(range(1, env.n_rooms + 1))
+    targets = target_values(target, env)
+    rooms = list(targets)
     distances = [room_distance_to_end(env, room) for room in rooms]
-    targets = {}
-    for room, x in zip(rooms, distances):
-        y = target(x)
-        if not 0.0 < y <= 1.0:
-            raise ValueError(
-                f"target {target.a}*x^{target.b} leaves (0, 1] at x={x}: {y}"
-            )
-        targets[room] = y
-    target_values = np.array([targets[r] for r in rooms])
+    goals = np.array([targets[r] for r in rooms])
 
     seed = derive_trial_seed(base_seed, 0)
     evaluations: list[tuple[float, float, float]] = []
@@ -262,7 +268,7 @@ def calibrate_entry_prob(
     window_passes = evaluate(0.0).passes
     passes = _Passes.of(window_passes)  # each room's, for every prediction
     if window_passes[:, 1:].any():
-        q = _predicted_argmin(distances, auto, passes, target_values)
+        q = _predicted_argmin(distances, auto, passes, goals)
     else:
         q = 1.0
     feasible = True
@@ -275,7 +281,7 @@ def calibrate_entry_prob(
             break
         observed = np.array([freq[r] for r in rooms])
         shift = observed - _predicted_frequencies([q], distances, auto, passes)[0]
-        proposed = _predicted_argmin(distances, auto, passes, target_values - shift)
+        proposed = _predicted_argmin(distances, auto, passes, goals - shift)
         converged = abs(proposed - q) < tol
         if converged:
             break

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import reprlib
 import signal
 import sys
@@ -368,16 +369,16 @@ def write_dwell_csv(counts: VisitCounts, path) -> None:
 
 def _number(text: str, kind: type[int] | type[float]) -> int | float:
     """``kind(text)`` of a field spelt as :func:`write_stats_csv` spells it:
-    an int as its own ``str``, and a float without the whitespace, "_" and
-    non-ASCII digits ``float()`` takes too.  A ``ValueError`` echoes
-    ``text`` short, through ``reprlib.repr``, as every reader error echoes a
-    field."""
+    an int as its own ``str``, and a float as a plain decimal (an optional
+    "-", ASCII digits, "." and ASCII digits) or as ``inf``, ``-inf`` or
+    ``nan``.  A ``ValueError`` echoes ``text`` short, through
+    ``reprlib.repr``, as every reader error echoes a field."""
     try:
         value = kind(text)
     except ValueError as exc:
         raise ValueError(f"{str(exc).split(': ', 1)[0]}: {reprlib.repr(text)}") from None
     if (str(value) != text if kind is int
-            else not text.isascii() or "_" in text or text.strip() != text):
+            else not re.fullmatch(r"-?[0-9]+\.[0-9]+|-?inf|nan", text)):
         raise ValueError(f"{kind.__name__} not spelt as the stats writer spells it: "
                          f"{reprlib.repr(text)}")
     return value

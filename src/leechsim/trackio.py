@@ -3,8 +3,9 @@
 Mirrors the video pipeline the simulator is checked against: dark-pixel
 extraction at an RGB threshold, centroid tracking frame by frame, overlay
 images colored by normalized time (blue through green to red) and grayscale
-dwell-time activity maps.  Images move through binary PPM (P6) and PGM (P5)
-files so byte-exact round trips need no image library.
+dwell-time activity maps.  An RGB image is an (h, w, 3) uint8 array and a
+grayscale one an (h, w) uint8 array; they move through binary PPM (P6) and
+PGM (P5) files so byte-exact round trips need no image library.
 
 Pixel row 0 is the top of the image; template coordinates have y up, so the
 projection flips y.  Trackers undo the flip using the frame height.
@@ -17,7 +18,6 @@ import os
 import re
 from collections.abc import Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 
@@ -32,29 +32,20 @@ class TrackError(ValueError):
     """Raised for unusable frame input."""
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """RGB raster, shape (height, width, 3) uint8 row-major."""
-
-    width: int
-    height: int
-    pixels: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.pixels.shape != (self.height, self.width, 3):
-            raise TrackError(
-                f"pixel buffer shape {self.pixels.shape} does not match "
-                f"{self.height}x{self.width}x3"
-            )
-        if self.pixels.dtype != np.uint8:
-            raise TrackError(f"pixels must be uint8, got {self.pixels.dtype}")
+def blank_frame(width: int, height: int, color=(255, 255, 255)) -> np.ndarray:
+    return np.full((height, width, 3), color, dtype=np.uint8)
 
 
-def blank_frame(width: int, height: int, color=(255, 255, 255)) -> Frame:
-    return Frame(width, height, np.full((height, width, 3), color, dtype=np.uint8))
+def _rgb_shape(image: np.ndarray, what: str) -> tuple[int, ...]:
+    """The shape of an (h, w, 3) uint8 array; a TrackError names ``what``
+    for any other array."""
+    if image.ndim != 3 or image.shape[2] != 3 or image.dtype != np.uint8:
+        raise TrackError(f"{what} must be an (h, w, 3) uint8 array, "
+                         f"got {image.dtype} of shape {image.shape}")
+    return image.shape
 
 
-def _dark_centroid(frame: Frame, threshold: int) -> tuple[float, float] | None:
+def _dark_centroid(frame: np.ndarray, threshold: int) -> tuple[float, float] | None:
     """Mean (x, y) of the dark pixels, or None when there are none.
 
     A pixel is dark only when max(R, G, B) < threshold, the strictest
@@ -66,13 +57,13 @@ def _dark_centroid(frame: Frame, threshold: int) -> tuple[float, float] | None:
     """
     if not 1 <= threshold <= 255:
         raise TrackError(f"threshold {threshold} outside [1, 255]")
-    idx = np.flatnonzero(frame.pixels.reshape(-1) < threshold)
+    idx = np.flatnonzero(frame.reshape(-1) < threshold)
     head = idx[:-2]
     p = head[(head % 3 == 0) & (idx[2:] - head == 2)] // 3
     n = p.size
     if n == 0:
         return None
-    y, x = np.divmod(p, frame.width)
+    y, x = np.divmod(p, frame.shape[1])
     return int(x.sum()) / n, int(y.sum()) / n
 
 
@@ -149,7 +140,7 @@ def _draw_walls(pixels: np.ndarray, env: EnvironmentTemplate, proj: _Projection,
 
 
 def render_time_overlay(traj: Trajectory, env: EnvironmentTemplate,
-                        px_per_mm: float = 4.0) -> Frame:
+                        px_per_mm: float = 4.0) -> np.ndarray:
     """All samples on one white canvas, colored by normalized time.
 
     Walls are drawn as 1 px black outlines; each sample is a filled disc of
@@ -161,12 +152,12 @@ def render_time_overlay(traj: Trajectory, env: EnvironmentTemplate,
     proj = _Projection(env, px_per_mm)
     with proj.allocating():
         frame = blank_frame(proj.width, proj.height)
-        _draw_walls(frame.pixels, env, proj, (0, 0, 0), fill=False)
+        _draw_walls(frame, env, proj, (0, 0, 0), fill=False)
         index, sample = proj.stamps(traj, _DISC)
         latest = np.full(proj.width * proj.height, -1)
         np.maximum.at(latest, index, sample)  # assignment to repeated indices has no order
         hit = np.flatnonzero(latest >= 0)
-        frame.pixels.reshape(-1, 3)[hit] = time_color(latest[hit] / max(traj.n_ticks - 1, 1))
+        frame.reshape(-1, 3)[hit] = time_color(latest[hit] / max(traj.n_ticks - 1, 1))
     return frame
 
 
@@ -201,50 +192,41 @@ def render_frames(traj: Trajectory, env: EnvironmentTemplate,
     """
     proj = _Projection(env, px_per_mm)
     background = blank_frame(proj.width, proj.height)
-    _draw_walls(background.pixels, env, proj, _WALL_GRAY, fill=True)
+    _draw_walls(background, env, proj, _WALL_GRAY, fill=True)
     index, sample = proj.stamps(traj, _DISC)
     ends = np.searchsorted(sample, np.arange(traj.n_ticks + 1))
 
-    def frame(k: int) -> Frame:
-        pixels = background.pixels.copy()
+    def frame(k: int) -> np.ndarray:
+        pixels = background.copy()
         pixels.reshape(-1, 3)[index[ends[k]:ends[k + 1]]] = _LEECH_COLOR
-        return Frame(proj.width, proj.height, pixels)
+        return pixels
 
     return _LazySequence(frame, range(traj.n_ticks))
 
 
-def _position(frame: Frame, threshold: int, mm_per_px: float) -> tuple[float, float] | None:
-    """The dark-pixel centroid in template mm, y flipped, rounded to 3
-    decimals; None when the frame has no dark pixels."""
+def _track_frame(shape: tuple[int, ...], threshold: int, mm_per_px: float,
+                 out: dict[str, np.ndarray], s: int, row: int, frame: np.ndarray) -> None:
+    """:func:`_fill_rows`' ``each``: row i is frame i + 1 (frame 0 is row
+    -1), whose dark-pixel centroid in template mm, y flipped, rounded to 3
+    decimals, goes in row i + 1 of ``out``'s arrays unless it has none."""
+    if _rgb_shape(frame, f"frame {row + 1}") != shape:
+        raise TrackError(f"frame {row + 1} is {frame.shape[1]}x{frame.shape[0]}, "
+                         f"expected {shape[1]}x{shape[0]}")
     centroid = _dark_centroid(frame, threshold)
-    if centroid is None:
-        return None
-    cx, cy = centroid
-    return round(cx * mm_per_px, 3), round((frame.height - 1 - cy) * mm_per_px, 3)
-
-
-def _track_frame(size: tuple[int, int], threshold: int, mm_per_px: float,
-                 out: dict[str, np.ndarray], s: int, row: int, frame: Frame) -> None:
-    """:func:`_fill_rows`' ``each`` for the frames after the first: row i
-    is frame i + 1, whose position goes in row i + 1 of ``out``'s arrays."""
-    if (frame.width, frame.height) != size:
-        raise TrackError(
-            f"frame {row + 1} is {frame.width}x{frame.height}, "
-            f"expected {size[0]}x{size[1]}"
-        )
-    position = _position(frame, threshold, mm_per_px)
-    if position is not None:
-        out["xy"][row + 1], out["found"][row + 1] = position, True
+    if centroid is not None:
+        cx, cy = centroid
+        out["xy"][row + 1] = round(cx * mm_per_px, 3), round((shape[0] - 1 - cy) * mm_per_px, 3)
+        out["found"][row + 1] = True
 
 
 def frames_to_trajectory(
-    frames: Sequence[Frame],
+    frames: Sequence[np.ndarray],
     threshold: int = 40,
     mm_per_px: float = 0.25,
     env: EnvironmentTemplate | None = None,
     workers: int = 1,
 ) -> Trajectory:
-    """Centroid-track a frame sequence into a trajectory.
+    """Centroid-track a sequence of (h, w, 3) uint8 frames into a trajectory.
 
     ``frames`` supports ``len``, ``frames[i]`` and ``frames[lo:hi]``: a
     list, or what :func:`read_frame_dir` and :func:`render_frames` return,
@@ -255,7 +237,7 @@ def frames_to_trajectory(
     Mode is UNKNOWN throughout; the region column is filled via locate when
     an environment is given.
 
-    The first frame, which fixes the frame size, is read here; the others
+    The first frame, which fixes the frame shape, is tracked here; the others
     are centroided by :func:`_fill_rows` on ``min(workers, len(frames) - 1)``
     processes, and the first fault in frame order is raised.
     """
@@ -268,13 +250,12 @@ def frames_to_trajectory(
     # by forked slices
     out = _shared_arrays({"xy": ((n, 2), np.float64), "found": ((n,), np.bool_)})
     first = frames[0]
-    size, position = (first.width, first.height), _position(first, threshold, mm_per_px)
+    track = partial(_track_frame, first.shape, threshold, mm_per_px)
+    track(out, 0, -1, first)
     del first  # so that a process holds one frame at a time
-    if position is None:
+    if not out["found"][0]:
         raise TrackError("no dark pixels in the first frame")
-    out["xy"][0], out["found"][0] = position, True
-    _fill_rows(out, frames[1:], workers,
-               partial(_track_frame, size, threshold, mm_per_px))
+    _fill_rows(out, frames[1:], workers, track)
     # each frame takes the position of the last frame up to it that had one
     last = np.maximum.accumulate(np.where(out["found"], np.arange(n), 0))
     xs, ys = out["xy"][last, 0], out["xy"][last, 1]
@@ -299,9 +280,10 @@ def _located_region(env, x: float, y: float) -> int:
         return UNKNOWN
 
 
-def write_ppm(path, frame: Frame) -> None:
-    header = f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + frame.pixels.tobytes())
+def write_ppm(path, frame: np.ndarray) -> None:
+    h, w, _ = _rgb_shape(frame, "RGB image")
+    header = f"P6\n{w} {h}\n255\n".encode("ascii")
+    Path(path).write_bytes(header + frame.tobytes())
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -339,18 +321,18 @@ def _parse_pnm_header(data: bytes, magic: bytes, path) -> tuple[int, int, int]:
     return width, height, match.end() + 1
 
 
-def read_ppm(path) -> Frame:
-    """The frame of a binary PPM (P6) file, as a read-only view of its bytes."""
+def read_ppm(path) -> np.ndarray:
+    """The (h, w, 3) uint8 image of a binary PPM (P6) file, as a read-only
+    view of its bytes."""
     data = Path(path).read_bytes()
     width, height, pos = _parse_pnm_header(data, b"P6", path)
     expected = width * height * 3
     if len(data) - pos < expected:
         raise TrackError(f"{path}: truncated pixel data")
     try:
-        pixels = np.frombuffer(data, np.uint8, expected, pos).reshape(height, width, 3)
+        return np.frombuffer(data, np.uint8, expected, pos).reshape(height, width, 3)
     except ValueError as exc:  # a dimension past numpy's, in an empty image
         raise TrackError(f"{path}: {exc}") from None
-    return Frame(width, height, pixels)
 
 
 _FRAME_NAME = re.compile(r"frame_[0-9]{6}\.ppm")

@@ -26,7 +26,7 @@ from leechsim.locomotion import (
     TrajectoryFormatError,
     mode_label,
 )
-from leechsim.trackio import _LEECH_COLOR, _WALL_GRAY, Frame, TrackError, _Projection
+from leechsim.trackio import _LEECH_COLOR, _WALL_GRAY, TrackError, _Projection
 
 # Each property draws the same examples on every run, seeded from the test,
 # so whether a rare failing example turns up does not depend on the run.
@@ -437,19 +437,19 @@ def _canvas(env, px_per_mm, color, fill):
         else:
             pixels[y0, x0:x1 + 1] = pixels[y1, x0:x1 + 1] = color
             pixels[y0:y1 + 1, x0] = pixels[y0:y1 + 1, x1] = color
-    return proj, Frame(proj.width, proj.height, pixels)
+    return proj, pixels
 
 
 def render_time_overlay_per_sample(traj, env, px_per_mm):
     """The overlay renderer as a loop over samples and disc pixels: the
     oracle for ``render_time_overlay``."""
-    proj, frame = _canvas(env, px_per_mm, (0, 0, 0), fill=False)
+    proj, pixels = _canvas(env, px_per_mm, (0, 0, 0), fill=False)
     last = traj.n_ticks - 1
     for k in range(traj.n_ticks):
         u = k / last if last else 0.0
-        _stamp_per_pixel(frame.pixels, *_px_per_sample(proj, traj.xs[k], traj.ys[k]),
+        _stamp_per_pixel(pixels, *_px_per_sample(proj, traj.xs[k], traj.ys[k]),
                          time_color_per_sample(u))
-    return frame
+    return pixels
 
 
 def render_activity_map_per_sample(traj, env, px_per_mm):
@@ -472,7 +472,7 @@ def render_frames_per_sample(traj, env, px_per_mm):
     ``render_frames``."""
     proj, background = _canvas(env, px_per_mm, _WALL_GRAY, fill=True)
     for k in range(traj.n_ticks):
-        pixels = background.pixels.copy()
+        pixels = background.copy()
         _stamp_per_pixel(pixels, *_px_per_sample(proj, traj.xs[k], traj.ys[k]),
                          _LEECH_COLOR)
-        yield Frame(proj.width, proj.height, pixels)
+        yield pixels

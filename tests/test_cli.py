@@ -761,7 +761,7 @@ def test_fit_rejects_non_finite_stats(tmp_path, capsys, column, value):
 
 @pytest.mark.parametrize("rows, error", [
     # both frequencies lie in [0, 1], but the fitted coefficient overflows
-    (["1,2,1.0,0.1", "2,3,1e-300,0.1"], "overflows a float"),
+    (["1,2,1.0,0.1", "2,3,0." + "0" * 299 + "1,0.1"], "overflows a float"),
     (["1,1,0.35,0.1", "1,2,0.198,0.05", "3,3,0.142,0.02"], "visits.csv:3: room 1 listed twice"),
     (["1,1,0.35,0.1", "2,2,1.7,0.05", "3,3,0.142,0.02"], "visits.csv:3: value outside [0, 1]"),
     (["1,1,0.35,0.1", "2,2,0.198,0.05", "3,3,0.142,-0.2"], "visits.csv:4: value outside [0, 1]"),
@@ -782,6 +782,12 @@ def test_fit_rejects_non_finite_stats(tmp_path, capsys, column, value):
      "visits.csv:3: float not spelt as the stats writer spells it: '0.05\\t'"),
     (["1,1,0.35,0.1", "2,2,0.198,0.05", "3,3,0.142,\u0660.\u0660\u0662"],
      "visits.csv:4: float not spelt as the stats writer spells it: '\u0660.\u0660\u0662'"),
+    (["1,1,.35,0.1", "2,2,0.198,0.05", "3,3,0.142,0.02"],
+     "visits.csv:2: float not spelt as the stats writer spells it: '.35'"),
+    (["1,1,0.35,0.1", "2,2,+0.198,0.05", "3,3,0.142,0.02"],
+     "visits.csv:3: float not spelt as the stats writer spells it: '+0.198'"),
+    (["1,1,0.35,0.1", "2,2,0.198,0.05", "3,3,1.42E-1,0.02"],
+     "visits.csv:4: float not spelt as the stats writer spells it: '1.42E-1'"),
 ])
 def test_fit_rejects_stats_the_writer_cannot_write(tmp_path, capsys, rows, error):
     stats_csv = tmp_path / "visits.csv"
@@ -1070,6 +1076,22 @@ def test_calibrate_writes_the_stats_of_the_ensemble_it_reports(tmp_path, workers
         name: (calibrated / name).read_bytes() for name in ("dwell.csv", "visits.csv")}
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--target-a", "-1"], "target -1.0*x^-0.82 leaves (0, 1] at x=1: -1.0"),
+    (["--target-a", "inf"], "target inf*x^-0.82 leaves (0, 1] at x=1: inf"),
+    (["--target-b", "nan"], "target 0.35*x^nan leaves (0, 1] at x=2: nan"),
+], ids=["negative", "infinite", "nan"])
+def test_calibrate_refuses_a_target_outside_0_1_before_any_ensemble(tmp_path, capsys,
+                                                                     flags, error):
+    cfg = _small_config(tmp_path, n_trials=2, duration_ticks=20)
+    report = tmp_path / "new" / "calibration.json"
+    assert main(["calibrate", "--config", str(cfg), *flags, "--out", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {error}\n"
+    assert not report.parent.exists()
+
+
 @pytest.mark.parametrize("name", ["visits.csv", "dwell.csv"])
 def test_calibrate_refuses_a_report_path_its_stats_would_overwrite(tmp_path, capsys,
                                                                    name):
@@ -1100,8 +1122,8 @@ def test_render_overlay_and_activity(tmp_path):
     assert main(["render", str(csv), "--mode", "overlay", "--px-per-mm", "2",
                  "--out", str(overlay)]) == 0
     frame = read_ppm(overlay)
-    assert np.all(frame.pixels == (0, 0, 255), axis=2).any()
-    assert np.all(frame.pixels == (255, 0, 0), axis=2).any()
+    assert np.all(frame == (0, 0, 255), axis=2).any()
+    assert np.all(frame == (255, 0, 0), axis=2).any()
 
     activity = tmp_path / "activity.pgm"
     assert main(["render", str(csv), "--mode", "activity", "--px-per-mm", "2",

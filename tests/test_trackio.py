@@ -11,7 +11,6 @@ import leechsim.trackio as trackio
 from leechsim.cli import main
 from leechsim.locomotion import MODE_UNKNOWN, MotionParams, run_trial
 from leechsim.trackio import (
-    Frame,
     TrackError,
     _parse_pnm_header,
     blank_frame,
@@ -38,8 +37,7 @@ def _dark_mask(frame, threshold):
     """
     if not 1 <= threshold <= 255:
         raise TrackError(f"threshold {threshold} outside [1, 255]")
-    p = frame.pixels
-    return np.maximum(np.maximum(p[..., 0], p[..., 1]), p[..., 2]) < threshold
+    return np.maximum(np.maximum(frame[..., 0], frame[..., 1]), frame[..., 2]) < threshold
 
 
 def extract_dark_pixels(frame, threshold=40):
@@ -58,7 +56,7 @@ def read_pgm(path):
 def _frame_with(pixels_and_colors, width=30, height=20):
     frame = blank_frame(width, height)
     for (x, y), color in pixels_and_colors:
-        frame.pixels[y, x] = color
+        frame[y, x] = color
     return frame
 
 
@@ -82,8 +80,7 @@ def test_extract_dark_threshold_bounds():
 @given(data=st.data())
 def test_extract_dark_monotone_in_threshold(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    pixels = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
-    frame = Frame(8, 8, pixels)
+    frame = rng.integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
     t1 = data.draw(st.integers(1, 254))
     t2 = data.draw(st.integers(t1, 255))
     set1 = {tuple(p) for p in extract_dark_pixels(frame, t1)}
@@ -116,7 +113,7 @@ def test_empty_first_frame_raises():
 
 def test_size_mismatch_raises():
     frames = [blank_frame(10, 10), blank_frame(11, 10)]
-    frames[0].pixels[5, 5] = (0, 0, 0)
+    frames[0][5, 5] = (0, 0, 0)
     with pytest.raises(TrackError):
         frames_to_trajectory(frames, threshold=40, mm_per_px=1.0)
 
@@ -155,16 +152,16 @@ def test_time_color_on_arrays_matches_the_scalar_oracle():
 def test_overlay_single_sample_is_blue(env, auto, motion):
     traj = run_trial(env, motion, auto, seed=1, duration=1)
     frame = render_time_overlay(traj, env, px_per_mm=2.0)
-    blue = np.all(frame.pixels == (0, 0, 255), axis=2)
+    blue = np.all(frame == (0, 0, 255), axis=2)
     assert blue.sum() == 13  # one radius-2 disc
-    assert frame.pixels[0, 0].tolist() == [0, 0, 0]  # wall border
+    assert frame[0, 0].tolist() == [0, 0, 0]  # wall border
 
 
 def test_overlay_two_samples_blue_and_red(env, auto):
     traj = run_trial(env, MotionParams(q_scale=0.0), auto, seed=1, duration=2)
     frame = render_time_overlay(traj, env, px_per_mm=2.0)
-    assert np.all(frame.pixels == (0, 0, 255), axis=2).any()
-    assert np.all(frame.pixels == (255, 0, 0), axis=2).any()
+    assert np.all(frame == (0, 0, 255), axis=2).any()
+    assert np.all(frame == (255, 0, 0), axis=2).any()
 
 
 def test_overlay_later_sample_overdraws(env):
@@ -175,8 +172,8 @@ def test_overlay_later_sample_overdraws(env):
     traj.xs[:] = 67.0
     traj.ys[:] = 22.0
     frame = render_time_overlay(traj, env, px_per_mm=2.0)
-    assert not np.all(frame.pixels == (0, 0, 255), axis=2).any()
-    assert np.all(frame.pixels == (255, 0, 0), axis=2).any()
+    assert not np.all(frame == (0, 0, 255), axis=2).any()
+    assert np.all(frame == (255, 0, 0), axis=2).any()
 
 
 def test_activity_stationary_blob(env):
@@ -225,8 +222,8 @@ def test_ppm_round_trip(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"P6\n5 4\n255\n")
     back = read_ppm(path)
-    assert back.width == 5 and back.height == 4
-    assert np.array_equal(back.pixels, frame.pixels)
+    assert back.shape == (4, 5, 3)
+    assert np.array_equal(back, frame)
 
 
 def test_pgm_round_trip(tmp_path):
@@ -240,8 +237,7 @@ def test_pgm_round_trip(tmp_path):
 def test_ppm_header_with_comment(tmp_path):
     path = tmp_path / "c.ppm"
     path.write_bytes(b"P6\n# comment line\n2 1\n255\n" + bytes([0, 0, 0, 255, 255, 255]))
-    frame = read_ppm(path)
-    assert frame.width == 2 and frame.height == 1
+    assert read_ppm(path).shape == (1, 2, 3)
 
 
 def test_frame_dir_round_trip(tmp_path, env, auto):
@@ -273,7 +269,7 @@ def test_read_frame_dir_requires_frames(tmp_path):
 
 def _reference_dark_pixels(frame, threshold):
     """The tracker's original (x, y) dark-pixel list: every channel below."""
-    ys, xs = np.nonzero((frame.pixels < threshold).all(axis=2))
+    ys, xs = np.nonzero((frame < threshold).all(axis=2))
     return np.stack((xs, ys), axis=1)
 
 
@@ -292,7 +288,7 @@ def _reference_track(frames, threshold, mm_per_px):
         c = _reference_centroid(frame, threshold)
         if c is not None:
             prev = (round(c[0] * mm_per_px, 3),
-                    round((frame.height - 1 - c[1]) * mm_per_px, 3))
+                    round((frame.shape[0] - 1 - c[1]) * mm_per_px, 3))
         out.append(prev)
     return out
 
@@ -317,7 +313,7 @@ def _frames(draw, width=None, height=None):
             pixels[:, [0, -1]] = dark
         elif kind == "full":
             pixels[:] = dark
-    return Frame(width, height, pixels)
+    return pixels
 
 
 _THRESHOLDS = st.one_of(st.sampled_from([1, 255]), st.integers(1, 255))
@@ -377,11 +373,11 @@ def _pinned_frames(env):
     rng = np.random.default_rng(2015)
     frames = list(render_frames(traj, env, px_per_mm=2.0))
     for frame in frames:
-        h, w = frame.pixels.shape[:2]
+        h, w = frame.shape[:2]
         for _ in range(int(rng.integers(0, 12))):
-            frame.pixels[rng.integers(0, h), rng.integers(0, w)] = \
+            frame[rng.integers(0, h), rng.integers(0, w)] = \
                 rng.integers(0, 80, size=3, dtype=np.uint8)
-    frames[7].pixels[:] = 255
+    frames[7][:] = 255
     return frames
 
 
@@ -427,8 +423,33 @@ def _moving_dot_frames(n):
     """n 12x6 frames, each with one dark pixel that moves along row 2."""
     frames = [blank_frame(12, 6) for _ in range(n)]
     for i, frame in enumerate(frames):
-        frame.pixels[2, i % 12] = (0, 0, 0)
+        frame[2, i % 12] = (0, 0, 0)
     return frames
+
+
+@pytest.mark.parametrize("index", [0, 6])
+@pytest.mark.parametrize("bad, kind", [
+    (lambda frame: frame.astype(np.float64), "float64 of shape (6, 12, 3)"),
+    (lambda frame: np.dstack([frame, frame[..., :1]]), "uint8 of shape (6, 12, 4)"),
+], ids=["float", "four-channels"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tracker_names_a_frame_of_another_dtype_or_channel_count(index, bad, kind,
+                                                                 workers):
+    frames = _moving_dot_frames(10)
+    frames[index] = bad(frames[index])
+    with pytest.raises(TrackError) as raised:
+        frames_to_trajectory(frames, threshold=40, mm_per_px=1.0, workers=workers)
+    assert str(raised.value) == f"frame {index} must be an (h, w, 3) uint8 array, got {kind}"
+
+
+@pytest.mark.parametrize("image", [np.zeros((2, 3, 3)), np.zeros((2, 3), np.uint8),
+                                   np.zeros((2, 3, 4), np.uint8)],
+                         ids=["float", "gray", "four-channels"])
+def test_write_ppm_refuses_anything_but_an_rgb_uint8_array(tmp_path, image):
+    path = tmp_path / "f.ppm"
+    with pytest.raises(TrackError, match=r"RGB image must be an \(h, w, 3\) uint8 array"):
+        write_ppm(path, image)
+    assert not path.exists()
 
 
 def _chunk(rows, slices):
@@ -443,7 +464,7 @@ def test_empty_frame_opening_a_chunk_carries_the_previous_chunks_position():
     frames = _moving_dot_frames(33)
     assert _chunk(32, 2) == _chunk(32, 3) == 2
     for i in (3, 5, 6):
-        frames[i].pixels[:] = 255
+        frames[i][:] = 255
     expected = _reference_track(frames, 40, 1.0)
     assert expected[3] == expected[2] and expected[5] == expected[6] == expected[4]
     for workers in (1, 2, 3):
@@ -461,7 +482,7 @@ def _bad_header(path):
 
 def _wider(path):
     frame = blank_frame(13, 6)
-    frame.pixels[2, 3] = (0, 0, 0)
+    frame[2, 3] = (0, 0, 0)
     write_ppm(path, frame)
 
 
@@ -512,7 +533,7 @@ def test_track_memory_does_not_grow_with_the_frame_count(tmp_path, env, auto, mo
         frame_dir.mkdir()
         for i in range(n):
             write_ppm(frame_dir / frame_filename(i), frames[i])
-    frame_bytes = frames[0].pixels.nbytes
+    frame_bytes = frames[0].nbytes
     def peak(n):
         return main_peak_bytes(["track", str(dirs[n]), "--px-per-mm", "4",
                                 "--out", str(tmp_path / f"t{n}.csv")])
@@ -531,7 +552,7 @@ def test_magic_must_be_followed_by_whitespace_or_a_comment(tmp_path):
     with pytest.raises(TrackError, match="expected P6 file"):
         read_ppm(path)
     path.write_bytes(b"P6#c\n1 1 255\n" + bytes(3))
-    assert read_ppm(path).width == 1
+    assert read_ppm(path).shape[1] == 1
 
 
 def test_header_token_too_long_names_the_file(tmp_path, capsys):
@@ -579,7 +600,7 @@ def test_frame_names_take_ascii_digits_only(tmp_path):
 def test_read_frames_are_read_only_views(tmp_path):
     path = tmp_path / "f.ppm"
     write_ppm(path, blank_frame(3, 2))
-    assert not read_ppm(path).pixels.flags.writeable
+    assert not read_ppm(path).flags.writeable
 
 
 _ASCII_SPACES = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
@@ -660,12 +681,12 @@ def test_renderers_match_the_per_sample_oracles(env, path, px_per_mm):
     def images(*arrays):
         return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
 
-    assert images(render_time_overlay(traj, env, px_per_mm).pixels) == \
-        images(render_time_overlay_per_sample(traj, env, px_per_mm).pixels)
+    assert images(render_time_overlay(traj, env, px_per_mm)) == \
+        images(render_time_overlay_per_sample(traj, env, px_per_mm))
     assert images(render_activity_map(traj, env, px_per_mm)) == \
         images(render_activity_map_per_sample(traj, env, px_per_mm))
-    assert images(*(f.pixels for f in render_frames(traj, env, px_per_mm))) == \
-        images(*(f.pixels for f in render_frames_per_sample(traj, env, px_per_mm)))
+    assert images(*render_frames(traj, env, px_per_mm)) == \
+        images(*render_frames_per_sample(traj, env, px_per_mm))
 
 
 _DRAW_FRAME_KINDS = st.lists(st.sampled_from(["truncate", "flip", "duplicate", "huge"]),
