@@ -183,6 +183,16 @@ def _trial_csv_name(index: int) -> str:
     return f"trial_{index:04d}.csv"
 
 
+def _stray_trial_files(run_dir: Path, n_trials: int) -> list[Path]:
+    """The ``trial_*.csv`` in ``run_dir`` that name none of trials 0 to
+    ``n_trials - 1``, sorted; a missing directory holds none."""
+    def own(path: Path) -> bool:
+        index = path.name[len("trial_"):-len(".csv")]
+        return (index.isascii() and index.isdigit() and int(index) < n_trials
+                and path.name == _trial_csv_name(int(index)))
+    return sorted(path for path in run_dir.glob("trial_*.csv") if not own(path))
+
+
 def _check_positive(flag: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{flag} must be finite and > 0, got {value}")
@@ -206,6 +216,11 @@ def _checked_run(args, out_dir=None, tol=None) -> tuple[RunConfig, EnvironmentTe
 def cmd_simulate(args) -> int:
     cfg, env = _checked_run(args, out_dir=args.out)
     out = Path(cfg.out_dir)
+    # a directory holds one run: refuse one with another run's trials in it
+    stray = _stray_trial_files(out, cfg.n_trials)
+    if stray:
+        raise ConfigError(f"{stray[0]}: not one of the {cfg.n_trials} trials this "
+                          "run writes (a file from another run?)")
     out.mkdir(parents=True, exist_ok=True)
     # a failed run must not leave an earlier run's manifest vouching for it
     (out / "manifest.json").unlink(missing_ok=True)
@@ -267,7 +282,7 @@ def _load_run_dir(run_dir: Path) -> tuple[RunConfig, EnvironmentTemplate, _LazyS
         if not path.is_file():
             raise RuntimeError(f"{path}: missing; {manifest} lists "
                                f"{cfg.n_trials} trials")
-    extra = sorted(set(run_dir.glob("trial_*.csv")) - set(files))
+    extra = _stray_trial_files(run_dir, cfg.n_trials)
     if extra:
         raise RuntimeError(f"{extra[0]}: not one of the {cfg.n_trials} trials "
                            f"{manifest} lists (stale file from another run?)")

@@ -142,47 +142,34 @@ _MAX_ENSEMBLES = 3  # q = 0, the predicted q, one correction
 _GRID = 1024  # intervals of each of the two q grids the prediction is minimized on
 
 
-@dataclass(frozen=True)
-class _Passes:
-    """Window passes at q = 0: for each room r, the distinct pass counts N
-    of its column of ``VisitCounts.passes`` and how many trials made each,
-    over ``n_trials`` trials."""
-
-    rooms: list[tuple[np.ndarray, np.ndarray]]
-    n_trials: int
-
-    @classmethod
-    def of(cls, passes: np.ndarray) -> "_Passes":
-        counts = [np.bincount(column) for column in passes[:, 1:].T]
-        return cls([(np.flatnonzero(c), c[c > 0]) for c in counts], passes.shape[0])
-
-
-def _predicted_frequencies(qs, distances, auto: AutomatonParams,
-                           passes: _Passes) -> np.ndarray:
-    """Visit frequency of each room at each q, predicted from q = 0 window passes.
+def _predicted_frequencies(qs, passes, auto: AutomatonParams, n_trials: int):
+    """Visit frequencies of each room at each q, predicted from q = 0 window
+    passes: one len(qs) array per room, a room at a time.
 
     f_r(q) = 1 - mean_i (1 - p_r(q))^N_ir: N_ir counts trial i's passes over
     room r's trigger window, and p_r(q) is the kernel's per-pass trigger
     probability (:func:`entry_trigger_probability`), each pass triggering
-    on its own.  Returns a (len(qs), rooms) array.
+    on its own.  ``passes`` holds, per room, its distance-to-end, the
+    distinct N and how many of the ``n_trials`` trials made each.
     """
-    out = np.empty((len(qs), len(distances)))
-    for j, (x, (values, counts)) in enumerate(zip(distances, passes.rooms)):
+    for x, values, counts in passes:
         p = entry_trigger_probability(x, auto, qs)
-        out[:, j] = 1.0 - (1.0 - p[:, None]) ** values @ counts / passes.n_trials
-    return out
+        yield 1.0 - (1.0 - p[:, None]) ** values @ counts / n_trials
 
 
-def _predicted_argmin(distances, auto: AutomatonParams, passes: _Passes,
+def _predicted_argmin(passes, auto: AutomatonParams, n_trials: int,
                       targets: np.ndarray) -> float:
     """q in [0, 1] whose predicted frequencies have the least squared error
     against ``targets``: the best of a grid over [0, 1], refined on a grid
-    between that point's neighbours."""
+    between that point's neighbours.  The error is summed room by room, so
+    the search holds O(grid) floats whatever the room count."""
     lo, hi = 0.0, 1.0
     for _ in range(2):
         qs = np.linspace(lo, hi, _GRID + 1)
-        freq = _predicted_frequencies(qs, distances, auto, passes)
-        j = int(np.argmin(((freq - targets) ** 2).sum(axis=1)))
+        error = np.zeros(_GRID + 1)
+        for freq, goal in zip(_predicted_frequencies(qs, passes, auto, n_trials), targets):
+            error += (freq - goal) ** 2
+        j = int(np.argmin(error))
         lo, hi = qs[max(j - 1, 0)], qs[min(j + 1, _GRID)]
     return float(qs[j])
 
@@ -243,7 +230,6 @@ def calibrate_entry_prob(
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     targets = target_values(target, env)
     rooms = list(targets)
-    distances = [room_distance_to_end(env, room) for room in rooms]
     goals = np.array([targets[r] for r in rooms])
 
     seed = derive_trial_seed(base_seed, 0)
@@ -265,12 +251,12 @@ def calibrate_entry_prob(
                      time.perf_counter() - start)
         return counts
 
-    window_passes = evaluate(0.0).passes
-    passes = _Passes.of(window_passes)  # each room's, for every prediction
-    if window_passes[:, 1:].any():
-        q = _predicted_argmin(distances, auto, passes, goals)
-    else:
-        q = 1.0
+    window_passes = evaluate(0.0).passes[:, 1:]
+    # per room, for every prediction: its distance, distinct pass counts and
+    # how many trials made each
+    passes = [(room_distance_to_end(env, r), np.flatnonzero(c), c[c > 0])
+              for r, c in zip(rooms, map(np.bincount, window_passes.T))]
+    q = _predicted_argmin(passes, auto, n_trials, goals) if window_passes.any() else 1.0
     feasible = True
     for _ in range(_MAX_ENSEMBLES - 1):
         if q not in runs:
@@ -279,9 +265,9 @@ def calibrate_entry_prob(
         if q == 1.0 and all(freq[r] < targets[r] for r in rooms):
             feasible = converged = False
             break
-        observed = np.array([freq[r] for r in rooms])
-        shift = observed - _predicted_frequencies([q], distances, auto, passes)[0]
-        proposed = _predicted_argmin(distances, auto, passes, goals - shift)
+        predicted = np.concatenate(list(_predicted_frequencies([q], passes, auto, n_trials)))
+        shift = np.array([freq[r] for r in rooms]) - predicted
+        proposed = _predicted_argmin(passes, auto, n_trials, goals - shift)
         converged = abs(proposed - q) < tol
         if converged:
             break
@@ -301,14 +287,10 @@ def _assert_monotone(evaluations, q, mean, n_trials, n_rooms):
         pooled = 0.5 * (mean + mean_prev)
         slack = 3.0 * math.sqrt(max(pooled * (1.0 - pooled), 1e-6)
                                 / (n_trials * n_rooms))
-        if q > q_prev and mean < mean_prev - slack:
+        # the mean's change as q grows; an equal q orders nothing
+        if (mean - mean_prev) * np.sign(q - q_prev) < -slack:
             raise CalibrationError(
-                f"mean visit frequency fell from {mean_prev:.4f} (q={q_prev}) "
-                f"to {mean:.4f} (q={q}); expected monotone growth"
-            )
-        if q < q_prev and mean > mean_prev + slack:
-            raise CalibrationError(
-                f"mean visit frequency rose from {mean_prev:.4f} (q={q_prev}) "
-                f"to {mean:.4f} (q={q}); expected monotone growth"
-            )
+                f"mean visit frequency {'fell' if q > q_prev else 'rose'} from "
+                f"{mean_prev:.4f} (q={q_prev}) to {mean:.4f} (q={q}); expected "
+                "monotone growth")
 

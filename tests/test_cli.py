@@ -401,11 +401,44 @@ def test_manifest_seeds_must_match_config(tmp_path, capsys, command, damage):
     assert not (tmp_path / "replay").exists()
 
 
-def test_stats_rejects_stale_trial_files(tmp_path, capsys):
-    cfg = _small_config(tmp_path, n_trials=5, duration_ticks=10)
+def test_simulate_refuses_a_directory_holding_another_run(tmp_path, capsys):
+    """A directory holds one run: ten trials into one that holds thirty exit
+    2 before any trial runs, and leave the first run whole for stats."""
+    cfg = _small_config(tmp_path, n_trials=30, duration_ticks=100)
     assert main(["simulate", "--config", str(cfg)]) == 0
+    run_dir = tmp_path / "run"
+    before = _dir_bytes(run_dir)
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--trials", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"config error: {run_dir / 'trial_0010.csv'}: not one of the 10 "
+                   "trials this run writes (a file from another run?)\n")
+    assert _dir_bytes(run_dir) == before
+    assert main(["stats", str(run_dir)]) == 0
+
+
+def test_stray_trial_files_are_those_no_trial_of_the_run_names(tmp_path):
+    names = ["trial_0000.csv", "trial_0002.csv", "trial_0003.csv", "trial_00001.csv",
+             "trial_x.csv", "trial_\u00b2.csv"]
+    for name in names:
+        (tmp_path / name).touch()
+    strays = ["trial_00001.csv", "trial_0003.csv", "trial_x.csv", "trial_\u00b2.csv"]
+    assert [p.name for p in cli._stray_trial_files(tmp_path, 3)] == strays
+    assert [p.name for p in cli._stray_trial_files(tmp_path, 10**11)] == \
+        ["trial_00001.csv", "trial_x.csv", "trial_\u00b2.csv"]
+    assert cli._stray_trial_files(tmp_path / "missing", 3) == []
+
+
+def test_stats_rejects_stale_trial_files(tmp_path, capsys):
+    """Trial files copied in from a larger run, which simulate itself would
+    refuse to run next to."""
+    cfg = _small_config(tmp_path, n_trials=5, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "other")]) == 0
     assert main(["simulate", "--config", str(cfg), "--trials", "3"]) == 0
     run_dir = tmp_path / "run"
+    for name in ("trial_0003.csv", "trial_0004.csv"):
+        shutil.copy(tmp_path / "other" / name, run_dir / name)
     assert len(list(run_dir.glob("trial_*.csv"))) == 5
     assert main(["stats", str(run_dir)]) == 3
     assert str(run_dir / "trial_0003.csv") in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import leechsim.fitstats as fitstats
-from leechsim.fitstats import (PowerLawFit, calibrate_entry_prob, fit_power_law,
-                               room_summary)
+from leechsim.automaton import AutomatonParams
+from leechsim.fitstats import (CalibrationError, PowerLawFit, calibrate_entry_prob,
+                               fit_power_law, room_summary)
 from leechsim.geometry import build_corridor_template, room_distance_to_end
 from leechsim.locomotion import MotionParams, TrialArrays, VisitCounts
 from leechsim.montecarlo import (derive_trial_seed, ensemble_stats, run_ensemble,
@@ -257,3 +259,52 @@ def test_calibrate_rejects_bad_target():
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             calibrate_entry_prob(env, motion, auto, PowerLawFit(0.35, -0.82),
                                  n_trials=10, base_seed=0, tol=tol, duration=100)
+
+
+def _stub_counts(monkeypatch, env, shares, passes=None):
+    """Make ``visit_counts`` return, call by call, counts in which the first
+    ``share`` of the trials visit every room; every trial passes each window
+    once, or as ``passes`` gives."""
+    shares = iter(shares)
+
+    def stub(env_, motion, auto, n_trials, base_seed, duration, workers):
+        ticks = np.zeros((n_trials, env.n_rooms + 1), np.int32)
+        ticks[:round(next(shares) * n_trials), 1:] = 1
+        return VisitCounts(duration, ticks,
+                           np.ones_like(ticks) if passes is None else passes,
+                           np.zeros(n_trials, np.intp), np.zeros(n_trials, np.intp),
+                           np.zeros((1, 3, duration + 1), np.int64))
+
+    monkeypatch.setattr(fitstats, "visit_counts", stub)
+
+
+@pytest.mark.parametrize("shares,message", [
+    ([1.0, 0.0], r"fell from 1\.0000 \(q=0\.0\) to 0\.0000 \(q=0\.8\d+\)"),
+    # the correction then moves q down, to where the mean is higher
+    ([0.0, 0.3, 1.0], r"rose from 0\.3000 \(q=0\.8\d+\) to 1\.0000 \(q=0\.6\d+\)"),
+], ids=["falls-as-q-rises", "rises-as-q-falls"])
+def test_calibrate_refuses_a_mean_that_falls_as_q_grows(monkeypatch, shares, message):
+    env, motion, auto = _small_setup()
+    _stub_counts(monkeypatch, env, shares)
+    with pytest.raises(CalibrationError, match=f"^mean visit frequency {message}; "
+                                                "expected monotone growth$"):
+        calibrate_entry_prob(env, motion, auto, PowerLawFit(0.35, -0.82),
+                             n_trials=40, duration=10)
+
+
+def test_calibrate_predicts_in_memory_independent_of_the_room_count(monkeypatch):
+    """The prediction scores the q grid room by room: on 1,024 rooms one grid
+    x rooms table of float64 takes 8 MiB, and the whole search, its per-room
+    pass tables included, traces about 1.2 MiB."""
+    env = build_corridor_template(rooms=1024)
+    passes = np.random.default_rng(1).integers(0, 4, (40, env.n_rooms + 1), dtype=np.int32)
+    _stub_counts(monkeypatch, env, [0.0, 0.5, 0.5], passes)
+    tracemalloc.start()
+    try:
+        result = calibrate_entry_prob(env, MotionParams(), AutomatonParams(),
+                                      PowerLawFit(0.35, -0.82), n_trials=40, duration=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.evaluations) >= 2  # a prediction was scored
+    assert peak < 4 * 2**20
