@@ -198,6 +198,16 @@ def _check_positive(flag: str, value: float) -> None:
         raise ConfigError(f"{flag} must be finite and > 0, got {value}")
 
 
+def _check_out(out: Path, files: list[Path]) -> None:
+    """Refuse, before any work, an ``--out`` whose ``files``, all in one
+    directory, cannot be written: a file stands at that directory or at the
+    nearest of its parents that exists, or one of them is a directory."""
+    there = next(path for path in files[0].parents if path.exists())
+    for path, directory in [(there, True), *((path, False) for path in files)]:
+        if path.is_dir() != directory:
+            raise ConfigError(f"--out {out}: {path} is {'not ' if directory else ''}a directory")
+
+
 def _checked_run(args, out_dir=None, tol=None) -> tuple[RunConfig, EnvironmentTemplate]:
     """``simulate``'s or ``calibrate``'s run config and template, checked in
     this order: ``--workers``, calibrate's ``--tol``, then ``--config`` (or
@@ -309,9 +319,10 @@ def _cpus() -> int:
 def cmd_stats(args) -> int:
     run_dir = Path(args.run_dir)
     cfg, env, trajs = _load_run_dir(run_dir)
+    out = Path(args.out) if args.out else run_dir
+    _check_out(out, [out / "visits.csv", out / "dwell.csv"])
     # one slice of the files per CPU; the counts are the same for any split
     counts = ensemble_stats(trajs, workers=_cpus(), env=env, duration=cfg.duration_ticks)
-    out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_stats(env, counts, out)
     return 0
@@ -357,6 +368,7 @@ def cmd_calibrate(args) -> int:
         out = Path(args.out)
         if out.name in ("visits.csv", "dwell.csv"):
             raise ConfigError(f"--out {out}: calibrate writes its own {out.name} there")
+        _check_out(out, [out, out.with_name("visits.csv"), out.with_name("dwell.csv")])
         out.parent.mkdir(parents=True, exist_ok=True)
     result = calibrate_entry_prob(
         env, cfg.motion, cfg.automaton, target,
@@ -418,6 +430,9 @@ def cmd_track(args) -> int:
     _check_positive("--px-per-mm", args.px_per_mm)
     if not 1 <= args.threshold <= 255:
         raise ConfigError(f"--threshold must lie in [1, 255], got {args.threshold}")
+    out = Path(args.out) if args.out else Path(args.frame_dir) / "trajectory.csv"
+    if args.out:  # the frame directory's own faults are the reader's to name
+        _check_out(out, [out])
     env = None
     if args.manifest:
         env = load_run_config(args.manifest).environment.build()
@@ -429,7 +444,6 @@ def cmd_track(args) -> int:
         env=env,
         workers=_cpus(),  # the positions are the same for any split
     )
-    out = Path(args.out) if args.out else Path(args.frame_dir) / "trajectory.csv"
     write_trajectory_csv(traj, out)
     print(f"wrote {out}")
     return 0

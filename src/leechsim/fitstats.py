@@ -153,6 +153,9 @@ def _predicted_frequencies(qs, passes, auto: AutomatonParams, n_trials: int):
     distinct N and how many of the ``n_trials`` trials made each.
     """
     for x, values, counts in passes:
+        if values[-1] == 0:  # no trial passed: 1 - (1 - p)^0 = 0 at every q
+            yield np.zeros(len(qs))
+            continue
         p = entry_trigger_probability(x, auto, qs)
         yield 1.0 - (1.0 - p[:, None]) ** values @ counts / n_trials
 

@@ -379,16 +379,16 @@ class VisitCounts:
 
     def record(self, rows, k, x, y, mode, region, m, passed) -> None:
         """Count tick ``k[i]`` of trial ``rows[i]`` in the trial's columns of
-        its region and of its window passed, one ``bincount`` per table, and
-        count the mode runs that close; see :func:`_simulate`.
+        its region and of its window passed, adding only the ticks given,
+        and count the mode runs that close; see :func:`_simulate`.
 
         A trial's ticks within one call must be consecutive and in tick
         order.
         """
         row_start = rows * self.ticks.shape[1]
         for counts, codes in ((self.ticks, region), (self.passes, passed)):
-            added = np.bincount(row_start + codes, minlength=counts.size)
-            counts += added.reshape(counts.shape).astype(counts.dtype)
+            # a Python 1 would send np.add.at down its slow path for this dtype
+            np.add.at(counts.reshape(-1), row_start + codes, counts.dtype.type(1))
         # a run closes where a trial's mode differs from its previous tick's
         same = rows[1:] == rows[:-1]  # tick j + 1 goes on with tick j's trial
         before = self.run_mode[rows]

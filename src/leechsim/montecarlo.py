@@ -280,10 +280,9 @@ def _count_trajectory(env: EnvironmentTemplate, ticks: np.ndarray, zeros: np.nda
                       counts: VisitCounts, s: int, row: int, traj: Trajectory) -> None:
     """:func:`_fill_rows`' ``each`` for :func:`ensemble_stats`: check
     ``traj`` and record its ticks in trial ``row``'s one row of ``counts``,
-    its closed mode runs in slice s's table; ``ticks`` and ``zeros`` are a
-    tick index and zeros as long as the counts' duration.  Counting into
-    that row alone keeps each trajectory's cost independent of the trial
-    count."""
+    its closed mode runs in slice s's table, through the row's ``part``;
+    ``ticks`` and ``zeros`` are a tick index and zeros as long as the
+    counts' duration."""
     if traj.env != env:
         raise ValueError("mixed environments in ensemble")
     n = traj.n_ticks

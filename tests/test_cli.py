@@ -445,6 +445,19 @@ def test_stats_rejects_stale_trial_files(tmp_path, capsys):
     assert not (run_dir / "visits.csv").exists()
 
 
+def test_stats_refuses_an_unwritable_out_before_reading_trials(tmp_path, monkeypatch, capsys):
+    cfg = _small_config(tmp_path, n_trials=3, duration_ticks=10)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    out = tmp_path / "stats"
+    out.write_text("kept\n")
+    reads, _ = count_reads(monkeypatch, cli, "read_trajectory_csv", 3)
+    for path in (out, out / "sub"):
+        assert main(["stats", str(tmp_path / "run"), "--out", str(path)]) == 2
+        assert f"--out {path}: {out} is not a directory" in capsys.readouterr().err
+    assert list(reads) == [0] * 3 and out.read_text() == "kept\n"
+    assert not (tmp_path / "run" / "visits.csv").exists()
+
+
 def test_stats_rejects_missing_trial_file(tmp_path, capsys):
     cfg = _small_config(tmp_path, n_trials=3, duration_ticks=10)
     assert main(["simulate", "--config", str(cfg)]) == 0
@@ -1125,13 +1138,26 @@ def test_calibrate_refuses_a_target_outside_0_1_before_any_ensemble(tmp_path, ca
     assert not report.parent.exists()
 
 
-@pytest.mark.parametrize("name", ["visits.csv", "dwell.csv"])
+@pytest.mark.parametrize("name,directory,message", [
+    pytest.param("visits.csv", None, "calibrate writes its own visits.csv there",
+                 id="visits.csv"),
+    pytest.param("dwell.csv", None, "calibrate writes its own dwell.csv there",
+                 id="dwell.csv"),
+    pytest.param("report", "report", "report is a directory", id="a-directory"),
+    pytest.param("report.json", "dwell.csv", "dwell.csv is a directory",
+                 id="beside-a-directory"),
+])
 def test_calibrate_refuses_a_report_path_its_stats_would_overwrite(tmp_path, capsys,
-                                                                   name):
+                                                                   name, directory, message):
+    """Refused before any ensemble runs, with nothing written."""
     cfg = _small_config(tmp_path, n_trials=2, duration_ticks=20)
+    if directory:
+        (tmp_path / directory).mkdir()
+    before = sorted(tmp_path.rglob("*"))
     assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
-    assert f"calibrate writes its own {name} there" in capsys.readouterr().err
-    assert not (tmp_path / name).exists()
+    blocked = message if directory is None else f"{tmp_path / message}"
+    assert f"--out {tmp_path / name}: {blocked}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_calibrate_without_window_passes_exits_3(tmp_path, capsys):
@@ -1217,6 +1243,17 @@ def test_track_rejects_bad_threshold_before_reading_frames(tmp_path, capsys, thr
                  "--out", str(out)]) == 2
     assert "--threshold must lie in [1, 255]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_track_refuses_an_unwritable_out_before_reading_frames(tmp_path, capsys):
+    empty = tmp_path / "frames"
+    empty.mkdir()
+    (tmp_path / "file").touch()
+    for out, blocked in ((tmp_path, tmp_path), (tmp_path / "file" / "t.csv", tmp_path / "file")):
+        assert main(["track", str(empty), "--out", str(out)]) == 2
+        kind = "is a directory" if blocked.is_dir() else "is not a directory"
+        assert f"--out {out}: {blocked} {kind}" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "file", empty]
 
 
 def test_track_empty_dir_is_runtime_error(tmp_path, capsys):

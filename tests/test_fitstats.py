@@ -292,6 +292,33 @@ def test_calibrate_refuses_a_mean_that_falls_as_q_grows(monkeypatch, shares, mes
                              n_trials=40, duration=10)
 
 
+def test_prediction_skips_the_trigger_of_a_room_no_trial_passed(monkeypatch):
+    """A room whose trials all passed its window 0 times predicts 0 at every
+    q, the bits that 1 - (1 - p)^0 gives, without computing p: one search
+    asks for the triggers of the rooms with passes alone."""
+    env, auto, n = build_corridor_template(), AutomatonParams(), 40
+    table = np.random.default_rng(2).integers(0, 3, (n, env.n_rooms), dtype=np.int32)
+    table[:, [2, 5]] = 0  # rooms 3 and 6
+    passes = [(room_distance_to_end(env, r), np.flatnonzero(c), c[c > 0])
+              for r, c in enumerate(map(np.bincount, table.T), start=1)]
+    qs = np.linspace(0.0, 1.0, 1025)
+    for x, values, counts in passes[2], passes[5]:
+        p = fitstats.entry_trigger_probability(x, auto, qs)
+        formula = 1.0 - (1.0 - p[:, None]) ** values @ counts / n
+        zeros = next(fitstats._predicted_frequencies(qs, [(x, values, counts)], auto, n))
+        assert zeros.tobytes() == formula.tobytes() == np.zeros(len(qs)).tobytes()
+    asked, trigger = [], fitstats.entry_trigger_probability
+
+    def counted_trigger(x, auto, q_scale):
+        asked.append(x)
+        return trigger(x, auto, q_scale)
+
+    monkeypatch.setattr(fitstats, "entry_trigger_probability", counted_trigger)
+    fitstats._predicted_argmin(passes, auto, n, np.full(env.n_rooms, 0.5))
+    with_passes = [x for i, (x, _, _) in enumerate(passes) if i not in (2, 5)]
+    assert asked == 2 * with_passes  # the grid, then the refined grid
+
+
 def test_calibrate_predicts_in_memory_independent_of_the_room_count(monkeypatch):
     """The prediction scores the q grid room by room: on 1,024 rooms one grid
     x rooms table of float64 takes 8 MiB, and the whole search, its per-room
