@@ -15,6 +15,7 @@ import reprlib
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from .automaton import AutomatonParams, Mode, config_doc, parse_config
@@ -198,14 +199,20 @@ def _check_positive(flag: str, value: float) -> None:
         raise ConfigError(f"{flag} must be finite and > 0, got {value}")
 
 
-def _check_out(out: Path, files: list[Path]) -> None:
-    """Refuse, before any work, an ``--out`` whose ``files``, all in one
-    directory, cannot be written: a file stands at that directory or at the
-    nearest of its parents that exists, or one of them is a directory."""
+def _prepare_out(out: Path, files: list[Path], inputs=()) -> None:
+    """Make the directory ``--out`` ``out`` puts its ``files`` in, all in one,
+    after refusing a file at it or at the nearest of its parents that exists,
+    a directory at one of ``files``, and one of ``files`` that exists and is
+    one of the command's ``inputs`` (only then are ``inputs`` iterated)."""
     there = next(path for path in files[0].parents if path.exists())
     for path, directory in [(there, True), *((path, False) for path in files)]:
         if path.is_dir() != directory:
             raise ConfigError(f"--out {out}: {path} is {'not ' if directory else ''}a directory")
+    existing = [path for path in files if path.exists()]
+    for source in filter(None, inputs) if existing else ():
+        if os.path.exists(source) and any(os.path.samefile(path, source) for path in existing):
+            raise ConfigError(f"--out {out}: would overwrite the input {source}")
+    files[0].parent.mkdir(parents=True, exist_ok=True)
 
 
 def _checked_run(args, out_dir=None, tol=None) -> tuple[RunConfig, EnvironmentTemplate]:
@@ -226,14 +233,17 @@ def _checked_run(args, out_dir=None, tol=None) -> tuple[RunConfig, EnvironmentTe
 def cmd_simulate(args) -> int:
     cfg, env = _checked_run(args, out_dir=args.out)
     out = Path(cfg.out_dir)
+    earlier = [out / name for name in ("manifest.json", "visits.csv", "dwell.csv")]
+    _prepare_out(out, earlier)  # no inputs: a manifest may be replaced in place
     # a directory holds one run: refuse one with another run's trials in it
     stray = _stray_trial_files(out, cfg.n_trials)
     if stray:
         raise ConfigError(f"{stray[0]}: not one of the {cfg.n_trials} trials this "
                           "run writes (a file from another run?)")
-    out.mkdir(parents=True, exist_ok=True)
-    # a failed run must not leave an earlier run's manifest vouching for it
-    (out / "manifest.json").unlink(missing_ok=True)
+    # a failed run must not leave an earlier run's manifest vouching for it,
+    # nor a finished one the stats of another
+    for path in earlier:
+        path.unlink(missing_ok=True)
     # the workers write the trial CSVs; the manifest follows once all succeeded
     run_ensemble(env, cfg.motion, cfg.automaton, cfg.n_trials, cfg.base_seed,
                  cfg.duration_ticks, workers=args.workers,
@@ -320,15 +330,16 @@ def cmd_stats(args) -> int:
     run_dir = Path(args.run_dir)
     cfg, env, trajs = _load_run_dir(run_dir)
     out = Path(args.out) if args.out else run_dir
-    _check_out(out, [out / "visits.csv", out / "dwell.csv"])
+    _prepare_out(out, [out / "visits.csv", out / "dwell.csv"])
     # one slice of the files per CPU; the counts are the same for any split
     counts = ensemble_stats(trajs, workers=_cpus(), env=env, duration=cfg.duration_ticks)
-    out.mkdir(parents=True, exist_ok=True)
     _write_stats(env, counts, out)
     return 0
 
 
 def cmd_fit(args) -> int:
+    if args.out:
+        _prepare_out(Path(args.out), [Path(args.out)], [args.stats_csv])
     rows = read_stats_csv(args.stats_csv)
     points = [(x, freq) for _, x, freq, _ in rows if freq > 0]
     dropped = len(rows) - len(points)
@@ -368,8 +379,8 @@ def cmd_calibrate(args) -> int:
         out = Path(args.out)
         if out.name in ("visits.csv", "dwell.csv"):
             raise ConfigError(f"--out {out}: calibrate writes its own {out.name} there")
-        _check_out(out, [out, out.with_name("visits.csv"), out.with_name("dwell.csv")])
-        out.parent.mkdir(parents=True, exist_ok=True)
+        _prepare_out(out, [out, out.with_name("visits.csv"), out.with_name("dwell.csv")],
+                     [args.config])
     result = calibrate_entry_prob(
         env, cfg.motion, cfg.automaton, target,
         n_trials=cfg.n_trials, base_seed=cfg.base_seed, tol=args.tol,
@@ -398,30 +409,18 @@ def cmd_calibrate(args) -> int:
     return 0 if result.feasible else 3
 
 
-def _env_for_trajectory(args, traj_path: Path) -> EnvironmentTemplate:
-    manifest = Path(args.manifest) if args.manifest else traj_path.parent / "manifest.json"
-    if not manifest.is_file():
-        raise ConfigError(
-            f"no manifest at {manifest}; pass --manifest to locate the template"
-        )
-    return load_run_config(manifest).environment.build()
-
-
 def cmd_render(args) -> int:
     _check_positive("--px-per-mm", args.px_per_mm)
     traj_path = Path(args.trajectory_csv)
-    env = _env_for_trajectory(args, traj_path)
-    traj = read_trajectory_csv(traj_path, env)
-    if args.mode == "overlay":
-        frame = render_time_overlay(traj, env, args.px_per_mm)
-        out = Path(args.out) if args.out else \
-            traj_path.with_name(traj_path.stem + "_overlay.ppm")
-        write_ppm(out, frame)
-    else:
-        gray = render_activity_map(traj, env, args.px_per_mm)
-        out = Path(args.out) if args.out else \
-            traj_path.with_name(traj_path.stem + "_activity.pgm")
-        write_pgm(out, gray)
+    manifest = Path(args.manifest) if args.manifest else traj_path.parent / "manifest.json"
+    if not manifest.is_file():
+        raise ConfigError(f"no manifest at {manifest}; pass --manifest to locate the template")
+    env = load_run_config(manifest).environment.build()
+    draw, write, suffix = (render_time_overlay, write_ppm, "_overlay.ppm") \
+        if args.mode == "overlay" else (render_activity_map, write_pgm, "_activity.pgm")
+    out = Path(args.out) if args.out else traj_path.with_name(traj_path.stem + suffix)
+    _prepare_out(out, [out], [traj_path, manifest])
+    write(out, draw(read_trajectory_csv(traj_path, env), env, args.px_per_mm))
     print(f"wrote {out}")
     return 0
 
@@ -430,12 +429,12 @@ def cmd_track(args) -> int:
     _check_positive("--px-per-mm", args.px_per_mm)
     if not 1 <= args.threshold <= 255:
         raise ConfigError(f"--threshold must lie in [1, 255], got {args.threshold}")
-    out = Path(args.out) if args.out else Path(args.frame_dir) / "trajectory.csv"
-    if args.out:  # the frame directory's own faults are the reader's to name
-        _check_out(out, [out])
     env = None
     if args.manifest:
         env = load_run_config(args.manifest).environment.build()
+    out = Path(args.out) if args.out else Path(args.frame_dir) / "trajectory.csv"
+    frame_files = Path(args.frame_dir).glob("frame_" + "[0-9]" * 6 + ".ppm")  # a generator
+    _prepare_out(out, [out], chain([args.manifest], frame_files))
     frames = read_frame_dir(args.frame_dir)
     traj = frames_to_trajectory(
         frames,

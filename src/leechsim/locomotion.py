@@ -778,12 +778,11 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
 
 def utf8_text(data: bytes, path, error: type[Exception] = ValueError) -> str:
     """``data`` decoded as UTF-8; at an undecodable byte, ``error`` naming
-    ``path`` and the line that holds the byte, counted as ``str.splitlines``
-    counts lines."""
+    ``path`` and the line that holds the byte, counting lines at ``"\n"``."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}:{line}: byte {data[exc.start]:#04x} is not UTF-8 "
                     f"({exc.reason})") from None
 

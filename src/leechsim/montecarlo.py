@@ -386,9 +386,10 @@ def _number(text: str, kind: type[int] | type[float]) -> int | float:
 def read_stats_csv(path) -> list[tuple[int, int, float, float]]:
     """Read rows written by :func:`write_stats_csv`: one per room, room and
     distance_x in [1, MAX_ROOM], frequencies and fractions in [0, 1], each
-    field spelt as the writer spells it (see :func:`_number`)."""
-    lines = utf8_text(Path(path).read_bytes(), path).splitlines()
-    if not lines or lines[0] != "room,distance_x,visit_freq,time_fraction":
+    field spelt as the writer spells it (see :func:`_number`), and each line
+    ended by ``"\n"`` alone: a ``"\r"`` or form feed ends no line."""
+    lines = utf8_text(Path(path).read_bytes(), path).removesuffix("\n").split("\n")
+    if lines[0] != "room,distance_x,visit_freq,time_fraction":
         raise ValueError(f"{path}:1: bad or missing stats header")
     rows, rooms = [], set()
     for lineno, line in enumerate(lines[1:], start=2):

@@ -49,6 +49,12 @@ def _dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
 
 
+def _tree_bytes(root):
+    """Every path under ``root``, relative, with its bytes (None for a directory)."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
 def test_simulate_writes_csvs_and_manifest(tmp_path, capsys):
     cfg = _small_config(tmp_path)
     assert main(["simulate", "--config", str(cfg)]) == 0
@@ -450,12 +456,157 @@ def test_stats_refuses_an_unwritable_out_before_reading_trials(tmp_path, monkeyp
     assert main(["simulate", "--config", str(cfg)]) == 0
     out = tmp_path / "stats"
     out.write_text("kept\n")
+    beside = tmp_path / "dwelling"
+    (beside / "dwell.csv").mkdir(parents=True)
     reads, _ = count_reads(monkeypatch, cli, "read_trajectory_csv", 3)
-    for path in (out, out / "sub"):
+    for path, blocked, kind in ((out, out, "is not"), (out / "sub", out, "is not"),
+                                (beside, beside / "dwell.csv", "is")):
         assert main(["stats", str(tmp_path / "run"), "--out", str(path)]) == 2
-        assert f"--out {path}: {out} is not a directory" in capsys.readouterr().err
+        assert f"--out {path}: {blocked} {kind} a directory" in capsys.readouterr().err
     assert list(reads) == [0] * 3 and out.read_text() == "kept\n"
     assert not (tmp_path / "run" / "visits.csv").exists()
+    assert list(beside.iterdir()) == [beside / "dwell.csv"]
+
+
+def test_simulate_removes_an_earlier_run_s_stats_before_any_trial(tmp_path, capsys):
+    """A run directory holds no stats but those of its own trials: simulate
+    removes an earlier run's visits.csv and dwell.csv with its manifest,
+    whether the new run succeeds or fails."""
+    cfg = _small_config(tmp_path, n_trials=3, duration_ticks=40)
+    run_dir = tmp_path / "run"
+    trials = ["trial_0000.csv", "trial_0001.csv", "trial_0002.csv"]
+    assert main(["simulate", "--config", str(cfg), "--seed", "3"]) == 0
+    assert main(["stats", str(run_dir)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--seed", "4"]) == 0
+    assert sorted(p.name for p in run_dir.iterdir()) == ["manifest.json", *trials]
+    assert main(["stats", str(run_dir)]) == 0
+    (run_dir / "trial_0001.csv").unlink()
+    (run_dir / "trial_0001.csv").mkdir()
+    assert main(["simulate", "--config", str(cfg), "--seed", "5"]) == 3
+    assert sorted(p.name for p in run_dir.iterdir()) == trials
+
+
+def _out_rule_inputs(root):
+    """Under ``root``: a config, its run with the run's stats beside its
+    trials, and the frames of trial 0."""
+    root.mkdir()
+    cfg = _write_config(root / "config.json", n_trials=3, duration_ticks=100, base_seed=9,
+                        out_dir=str(root / "run"))
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    assert main(["stats", str(root / "run")]) == 0
+    env = load_run_config(root / "run" / "manifest.json").environment.build()
+    (root / "frames").mkdir()
+    traj = read_trajectory_csv(root / "run" / "trial_0000.csv", env)
+    for i, frame in enumerate(render_frames(traj, env, px_per_mm=2.0)):
+        write_ppm(root / "frames" / frame_filename(i), frame)
+    return root
+
+
+# each command, its arguments before --out, the inputs under {i}, and what
+# its --out names: a directory of files ("dir") or one file ("file")
+_OUT_RULE = {
+    "simulate": ("simulate --config {i}/config.json", "dir"),
+    "stats": ("stats {i}/run", "dir"),
+    "fit": ("fit {i}/run/visits.csv", "file"),
+    "calibrate": ("calibrate --config {i}/config.json --tol 0.25", "file"),
+    "render-overlay": ("render {i}/run/trial_0000.csv --px-per-mm 2", "file"),
+    "render-activity": ("render {i}/run/trial_0000.csv --mode activity --px-per-mm 2", "file"),
+    "track": ("track {i}/frames --px-per-mm 2", "file"),
+}
+
+
+@pytest.mark.parametrize("command", _OUT_RULE)
+def test_every_command_makes_a_missing_out_directory_before_its_work(
+        tmp_path, monkeypatch, capsys, command):
+    """An --out in directories that do not exist yet gives the bytes, and
+    the stdout, of the same --out in directories that do."""
+    inputs = _out_rule_inputs(tmp_path / "in")
+    argv = _OUT_RULE[command][0].format(i=inputs).split() + ["--out", "a/b/out"]
+    written = {}
+    for workspace in ("fresh", "existing"):
+        (tmp_path / workspace).mkdir()
+        if workspace == "existing":
+            (tmp_path / workspace / "a" / "b").mkdir(parents=True)
+        monkeypatch.chdir(tmp_path / workspace)
+        capsys.readouterr()
+        assert main(argv) == 0
+        written[workspace] = _tree_bytes(tmp_path / workspace), capsys.readouterr().out
+    assert written["fresh"] == written["existing"]
+    assert (written["fresh"][0]["a/b/out"] is None) == (_OUT_RULE[command][1] == "dir")
+
+
+@pytest.mark.parametrize("at", ["parent", "out"])
+@pytest.mark.parametrize("command", _OUT_RULE)
+def test_every_command_refuses_a_blocked_out_before_it_reads_or_runs_anything(
+        tmp_path, monkeypatch, capsys, command, at):
+    """A file where --out's directory or the nearest of its parents that
+    exists should be, or a directory where --out's file should be: exit 2,
+    no stdout, no input file read, no ensemble run and nothing written."""
+    inputs = _out_rule_inputs(tmp_path / "in")
+    args, kind = _OUT_RULE[command]
+    calls = []
+    for name in ("run_ensemble", "ensemble_stats", "calibrate_entry_prob", "read_stats_csv",
+                 "read_trajectory_csv", "read_frame_dir"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+    work = tmp_path / "work"
+    work.mkdir()
+    if at == "parent":
+        (work / "a").write_text("kept\n")
+        out, blocked, what = work / "a" / "b" / "out", work / "a", "is not"
+    elif kind == "dir":
+        (work / "out").write_text("kept\n")
+        out, blocked, what = work / "out", work / "out", "is not"
+    else:
+        (work / "out").mkdir()
+        out, blocked, what = work / "out", work / "out", "is"
+    before = _tree_bytes(tmp_path)
+    capsys.readouterr()
+    assert main(args.format(i=inputs).split() + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"config error: --out {out}: {blocked} {what} a directory\n")
+    assert calls == []
+    assert _tree_bytes(tmp_path) == before
+
+
+@pytest.mark.parametrize("argv, source", [
+    ("fit {i}/run/visits.csv --out {i}/run/visits.csv", "{i}/run/visits.csv"),
+    ("fit {i}/run/visits.csv --out {i}/link.json", "{i}/run/visits.csv"),
+    ("render {i}/run/trial_0000.csv --out {i}/run/trial_0000.csv", "{i}/run/trial_0000.csv"),
+    ("render {i}/run/trial_0000.csv --mode activity --out {i}/run/manifest.json",
+     "{i}/run/manifest.json"),
+    ("track {i}/frames --out {i}/frames/frame_000003.ppm", "{i}/frames/frame_000003.ppm"),
+    ("track {i}/frames --manifest {i}/run/manifest.json --out {i}/run/manifest.json",
+     "{i}/run/manifest.json"),
+    ("calibrate --config {i}/config.json --out {i}/config.json", "{i}/config.json"),
+    ("calibrate --config {i}/run/visits.csv --out {i}/run/calibration.json",
+     "{i}/run/visits.csv"),
+], ids=["fit", "fit-symlink", "render-csv", "render-manifest", "track-frame",
+        "track-manifest", "calibrate", "calibrate-beside"])
+def test_no_command_but_simulate_writes_over_its_own_input(tmp_path, capsys, argv, source):
+    """Exit 2 naming the input, which keeps its bytes; nothing is written."""
+    inputs = _out_rule_inputs(tmp_path / "in")
+    (inputs / "link.json").symlink_to(inputs / "run" / "visits.csv")
+    if argv.startswith("calibrate --config {i}/run/visits.csv"):
+        shutil.copy(inputs / "config.json", inputs / "run" / "visits.csv")
+    argv = argv.format(i=inputs).split()
+    before = _tree_bytes(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: --out {argv[-1]}: would "
+                                                f"overwrite the input {source.format(i=inputs)}\n")
+    assert _tree_bytes(tmp_path) == before
+
+
+def test_simulate_reproduces_a_run_in_place_from_its_manifest(tmp_path):
+    """simulate may replace its own manifest: the run's files come back byte
+    for byte, but for the earlier stats, which it removes."""
+    inputs = _out_rule_inputs(tmp_path / "in")
+    before = _dir_bytes(inputs / "run")
+    assert main(["simulate", "--config", str(inputs / "run" / "manifest.json")]) == 0
+    del before["visits.csv"], before["dwell.csv"]
+    assert _dir_bytes(inputs / "run") == before
 
 
 def test_stats_rejects_missing_trial_file(tmp_path, capsys):
@@ -834,6 +985,11 @@ def test_fit_rejects_non_finite_stats(tmp_path, capsys, column, value):
      "visits.csv:3: float not spelt as the stats writer spells it: '+0.198'"),
     (["1,1,0.35,0.1", "2,2,0.198,0.05", "3,3,1.42E-1,0.02"],
      "visits.csv:4: float not spelt as the stats writer spells it: '1.42E-1'"),
+    # a line ends at "\n" alone, as the writer ends it
+    (["1,1,0.35,0.1\r", "2,2,0.198,0.05\r", "3,3,0.142,0.02\r"],
+     "visits.csv:2: float not spelt as the stats writer spells it: '0.1\\r'"),
+    (["1,1,0.35,0.1\r2,2,0.198,0.05", "3,3,0.142,0.02"], "visits.csv:2: expected 4 fields"),
+    (["1,1,0.35,0.1", "2,2,0.198,0.05\f3,3,0.142,0.02"], "visits.csv:3: expected 4 fields"),
 ])
 def test_fit_rejects_stats_the_writer_cannot_write(tmp_path, capsys, rows, error):
     stats_csv = tmp_path / "visits.csv"
@@ -1143,9 +1299,11 @@ def test_calibrate_refuses_a_target_outside_0_1_before_any_ensemble(tmp_path, ca
                  id="visits.csv"),
     pytest.param("dwell.csv", None, "calibrate writes its own dwell.csv there",
                  id="dwell.csv"),
-    pytest.param("report", "report", "report is a directory", id="a-directory"),
-    pytest.param("report.json", "dwell.csv", "dwell.csv is a directory",
+    pytest.param("report", "report", "{}/report is a directory", id="a-directory"),
+    pytest.param("report.json", "dwell.csv", "{}/dwell.csv is a directory",
                  id="beside-a-directory"),
+    pytest.param("config.json", None, "would overwrite the input {}/config.json",
+                 id="its-config"),
 ])
 def test_calibrate_refuses_a_report_path_its_stats_would_overwrite(tmp_path, capsys,
                                                                    name, directory, message):
@@ -1153,11 +1311,10 @@ def test_calibrate_refuses_a_report_path_its_stats_would_overwrite(tmp_path, cap
     cfg = _small_config(tmp_path, n_trials=2, duration_ticks=20)
     if directory:
         (tmp_path / directory).mkdir()
-    before = sorted(tmp_path.rglob("*"))
+    before = _tree_bytes(tmp_path)
     assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
-    blocked = message if directory is None else f"{tmp_path / message}"
-    assert f"--out {tmp_path / name}: {blocked}" in capsys.readouterr().err
-    assert sorted(tmp_path.rglob("*")) == before
+    assert f"--out {tmp_path / name}: {message.format(tmp_path)}" in capsys.readouterr().err
+    assert _tree_bytes(tmp_path) == before
 
 
 def test_calibrate_without_window_passes_exits_3(tmp_path, capsys):
@@ -1249,7 +1406,8 @@ def test_track_refuses_an_unwritable_out_before_reading_frames(tmp_path, capsys)
     empty = tmp_path / "frames"
     empty.mkdir()
     (tmp_path / "file").touch()
-    for out, blocked in ((tmp_path, tmp_path), (tmp_path / "file" / "t.csv", tmp_path / "file")):
+    for out, blocked in ((tmp_path, tmp_path), (tmp_path / "file" / "t.csv", tmp_path / "file"),
+                         (tmp_path / "file" / "new" / "t.csv", tmp_path / "file")):
         assert main(["track", str(empty), "--out", str(out)]) == 2
         kind = "is a directory" if blocked.is_dir() else "is not a directory"
         assert f"--out {out}: {blocked} {kind}" in capsys.readouterr().err
